@@ -3,6 +3,12 @@
 
 use crate::{Deserialize, Error, Serialize, Value};
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a few kilobytes of `[`
+/// overflow the stack of whichever thread parses them; no document the
+/// workspace reads nests more than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> String {
     let mut out = String::new();
@@ -27,6 +33,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -133,6 +140,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -180,8 +189,18 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.seq() } else { self.map() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error::custom(format!(
                 "unexpected character at byte {}",
@@ -370,6 +389,18 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Far past the bound, unterminated, and mixed: an error, never
+        // a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":[".repeat(50_000)).is_err());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! worker threads and overlapping grids are memoized, so `mcdla all`
 //! simulates each (design, benchmark, strategy, knobs) cell exactly once.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use mcdla_bench::reports;
@@ -614,7 +615,14 @@ fn run(args: &Args) -> Result<(), String> {
                 body.as_deref(),
                 timeouts(args),
             )?;
-            println!("{}", response.body);
+            // A consumer closing the pipe early (`| head`) is a normal
+            // end, as for `sweep --ndjson`.
+            match writeln!(std::io::stdout().lock(), "{}", response.body) {
+                Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                    return Err(format!("writing the response: {e}"));
+                }
+                _ => {}
+            }
             if !response.is_ok() {
                 return Err(format!("{addr}{path} answered HTTP {}", response.status));
             }

@@ -11,87 +11,15 @@
 //! * gateway grid output is cell-for-cell identical to a single node
 //!   (modulo `cached`).
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
+use std::time::Duration;
+
+use common::WorkerProc;
 use mcdla::cluster::{Gateway, GatewayConfig, Topology};
 use mcdla::core::Scenario;
 use mcdla::serve::client::{request_once, Connection, Timeouts};
 use serde::Value;
-
-/// A worker child process; SIGKILLed on drop so failed tests never leak
-/// servers.
-struct WorkerProc {
-    child: Child,
-    addr: String,
-}
-
-impl Drop for WorkerProc {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl WorkerProc {
-    /// Spawns `mcdla serve` on an ephemeral port and waits for it to
-    /// answer `/healthz`.
-    fn spawn() -> WorkerProc {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_mcdla"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn mcdla serve");
-        // `mcdla serve` prints `mcdla-serve listening on HOST:PORT (...)`
-        // before entering the accept loop.
-        let stdout = child.stdout.take().expect("child stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let banner = lines
-            .next()
-            .expect("worker banner line")
-            .expect("read worker banner");
-        let addr = banner
-            .split_whitespace()
-            .find(|tok| {
-                tok.contains(':')
-                    && tok
-                        .split(':')
-                        .nth(1)
-                        .is_some_and(|p| p.parse::<u16>().is_ok())
-            })
-            .unwrap_or_else(|| panic!("no address in banner `{banner}`"))
-            .to_owned();
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let probe_timeouts = Timeouts::all(Duration::from_millis(500));
-        loop {
-            if let Ok(resp) = mcdla::serve::client::request_once_with(
-                &addr,
-                "GET",
-                "/healthz",
-                None,
-                probe_timeouts,
-            ) {
-                if resp.is_ok() {
-                    break;
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "worker at {addr} never became healthy"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        WorkerProc { child, addr }
-    }
-
-    /// SIGKILL — the process dies mid-whatever-it-was-doing.
-    fn kill9(&mut self) {
-        self.child.kill().expect("SIGKILL worker");
-        self.child.wait().expect("reap worker");
-    }
-}
 
 fn spawn_gateway(backends: Vec<String>) -> mcdla::cluster::GatewayHandle {
     Gateway::bind(&GatewayConfig {
