@@ -68,39 +68,34 @@ struct Frame {
     errors: Vec<String>,
 }
 
-/// Navigates a JSON map path.
-fn get<'a>(value: &'a Value, path: &[&str]) -> Option<&'a Value> {
-    let mut current = value;
-    for key in path {
-        let Value::Map(entries) = current else {
-            return None;
-        };
-        current = &entries.iter().find(|(k, _)| k == key)?.1;
-    }
-    Some(current)
+/// `GET path` on `addr`, parsed; `None` unless it answered 200 JSON.
+fn get_json(addr: &str, path: &str, timeouts: Timeouts) -> Option<Value> {
+    let response = request_once_with(addr, "GET", path, None, timeouts).ok()?;
+    (response.status == 200)
+        .then(|| serde::json::parse(&response.body).ok())
+        .flatten()
 }
 
-/// A JSON scalar as f64.
-fn num(value: &Value) -> Option<f64> {
-    match value {
-        Value::F64(n) => Some(*n),
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// A named series out of a history body, as floats (newest last).
-fn series(history: &Value, name: &str) -> Vec<f64> {
-    match get(history, &["series", name]) {
-        Some(Value::Seq(points)) => points.iter().filter_map(num).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// The newest sample of a named series, or 0.
+/// The newest sample of a named series in a history body, or 0.
 fn last(history: &Value, name: &str) -> f64 {
-    series(history, name).last().copied().unwrap_or(0.0)
+    ring(history, name).last().copied().unwrap_or(0.0)
+}
+
+/// A named series of a history body, as floats (newest last).
+fn ring(history: &Value, name: &str) -> Vec<f64> {
+    let points = history.get("series").and_then(|s| s.get(name));
+    let points = points.and_then(Value::as_seq).unwrap_or_default();
+    points.iter().filter_map(Value::as_f64).collect()
+}
+
+/// The row of a node whose history could not be read.
+fn down_row(name: String, addr: String) -> NodeRow {
+    NodeRow {
+        name,
+        addr,
+        up: false,
+        ..NodeRow::default()
+    }
 }
 
 /// Builds a node row from one worker's `/metrics/history` body.
@@ -125,32 +120,58 @@ fn node_row(name: String, addr: String, history: &Value) -> NodeRow {
 
 /// Folds one `/stats` body's stage tables into the frame totals.
 fn fold_stages(stages: &mut Vec<(String, u64, u64)>, stats: &Value) {
-    let Some(Value::Seq(tables)) = get(stats, &["store", "stages"]) else {
-        return;
-    };
-    for table in tables {
-        let name = match get(table, &["stage"]) {
-            Some(Value::Str(s)) => s.clone(),
-            _ => continue,
+    let tables = stats.get("store").and_then(|s| s.get("stages"));
+    for table in tables.and_then(Value::as_seq).unwrap_or_default() {
+        let Some(name) = table.get("stage").and_then(Value::as_str) else {
+            continue;
         };
-        let hits = get(table, &["hits"]).and_then(num).unwrap_or(0.0) as u64;
-        let misses = get(table, &["misses"]).and_then(num).unwrap_or(0.0) as u64;
-        match stages.iter_mut().find(|(n, ..)| *n == name) {
+        let count = |key| table.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let (hits, misses) = (count("hits"), count("misses"));
+        match stages.iter_mut().find(|(n, ..)| n == name) {
             Some((_, h, m)) => {
                 *h += hits;
                 *m += misses;
             }
-            None => stages.push((name, hits, misses)),
+            None => stages.push((name.to_owned(), hits, misses)),
         }
     }
 }
 
-/// Element-wise tail-aligned sum of rings (shortest ring wins).
-fn sum_rings(rings: &[Vec<f64>]) -> Vec<f64> {
+/// Tail-aligned element-wise fold of rings (newest last) over the
+/// window every ring covers: the shortest ring wins, so sample `j`
+/// combines each ring's `j`-th sample of that window. Workers sample on
+/// independent clocks, so this is how fleet series line up.
+pub(crate) fn fold_rings<T: Copy>(rings: &[Vec<T>], fold: impl Fn(T, T) -> T) -> Vec<T> {
     let len = rings.iter().map(Vec::len).min().unwrap_or(0);
     (0..len)
-        .map(|j| rings.iter().map(|r| r[r.len() - len + j]).sum())
+        .filter_map(|j| rings.iter().map(|r| r[r.len() - len + j]).reduce(&fold))
         .collect()
+}
+
+/// The fleet view of worker history bodies, tail-aligned by
+/// [`fold_rings`]: the sample timestamps (each the newest worker stamp
+/// it folds in, the most recent moment the sample describes), and the
+/// summed `req_per_s`, `store.hits_per_s`, and `store.misses_per_s`
+/// rings followed by the windowed `store.hit_rate` of the two sums.
+pub(crate) fn fleet_rings(histories: &[&Value]) -> (Vec<u64>, [Vec<f64>; 4]) {
+    let stamps: Vec<Vec<u64>> = histories
+        .iter()
+        .map(|h| {
+            let stamps = h.get("timestamps_ms").and_then(Value::as_seq);
+            let stamps = stamps.unwrap_or_default().iter();
+            stamps.filter_map(Value::as_u64).collect()
+        })
+        .collect();
+    let [req, hits, misses] = ["req_per_s", "store.hits_per_s", "store.misses_per_s"].map(|name| {
+        let rings: Vec<Vec<f64>> = histories.iter().map(|h| ring(h, name)).collect();
+        fold_rings(&rings, |a, b| a + b)
+    });
+    let hit_rate = hits
+        .iter()
+        .zip(&misses)
+        .map(|(h, m)| if h + m > 0.0 { h / (h + m) } else { 0.0 })
+        .collect();
+    (fold_rings(&stamps, u64::max), [req, hits, misses, hit_rate])
 }
 
 /// Collects one frame by polling every worker directly.
@@ -159,61 +180,27 @@ fn collect_workers(workers: &[String], timeouts: Timeouts) -> Frame {
         source: format!("{} workers", workers.len()),
         ..Frame::default()
     };
-    let mut req_rings = Vec::new();
-    let mut hit_weight: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = Vec::new();
+    let mut histories = Vec::new();
     for (i, addr) in workers.iter().enumerate() {
         let name = format!("w{i}");
-        match request_once_with(addr, "GET", "/metrics/history", None, timeouts)
-            .ok()
-            .filter(|r| r.status == 200)
-            .and_then(|r| serde::json::parse(&r.body).ok())
-        {
+        match get_json(addr, "/metrics/history", timeouts) {
             Some(history) => {
-                req_rings.push(series(&history, "req_per_s"));
-                hit_weight.push((
-                    series(&history, "store.hits_per_s"),
-                    series(&history, "store.misses_per_s"),
-                    Vec::new(),
-                ));
                 frame.nodes.push(node_row(name, addr.clone(), &history));
+                histories.push(history);
             }
             None => {
                 frame.errors.push(format!("{addr}: history unreachable"));
-                frame.nodes.push(NodeRow {
-                    name,
-                    addr: addr.clone(),
-                    up: false,
-                    ..NodeRow::default()
-                });
+                frame.nodes.push(down_row(name, addr.clone()));
                 continue;
             }
         }
-        if let Some(stats) = request_once_with(addr, "GET", "/stats", None, timeouts)
-            .ok()
-            .filter(|r| r.status == 200)
-            .and_then(|r| serde::json::parse(&r.body).ok())
-        {
+        if let Some(stats) = get_json(addr, "/stats", timeouts) {
             fold_stages(&mut frame.stages, &stats);
         }
     }
-    frame.req_ring = sum_rings(&req_rings);
-    let hits = sum_rings(
-        &hit_weight
-            .iter()
-            .map(|(h, ..)| h.clone())
-            .collect::<Vec<_>>(),
-    );
-    let misses = sum_rings(
-        &hit_weight
-            .iter()
-            .map(|(_, m, _)| m.clone())
-            .collect::<Vec<_>>(),
-    );
-    frame.hit_ring = hits
-        .iter()
-        .zip(&misses)
-        .map(|(h, m)| if h + m > 0.0 { h / (h + m) } else { 0.0 })
-        .collect();
+    let (_, [req, _, _, hit_rate]) = fleet_rings(&histories.iter().collect::<Vec<_>>());
+    frame.req_ring = req;
+    frame.hit_ring = hit_rate;
     frame
 }
 
@@ -223,35 +210,25 @@ fn collect_gateway(addr: &str, timeouts: Timeouts) -> Frame {
         source: format!("gateway {addr}"),
         ..Frame::default()
     };
-    match request_once_with(addr, "GET", "/cluster/history", None, timeouts)
-        .ok()
-        .filter(|r| r.status == 200)
-        .and_then(|r| serde::json::parse(&r.body).ok())
-    {
+    match get_json(addr, "/cluster/history", timeouts) {
         Some(cluster) => {
-            if let Some(fleet) = get(&cluster, &["fleet"]) {
-                frame.req_ring = series(fleet, "req_per_s");
-                frame.hit_ring = series(fleet, "store.hit_rate");
+            if let Some(fleet) = cluster.get("fleet") {
+                frame.req_ring = ring(fleet, "req_per_s");
+                frame.hit_ring = ring(fleet, "store.hit_rate");
             }
-            if let Some(Value::Seq(workers)) = get(&cluster, &["workers"]) {
-                for worker in workers {
-                    let index = get(worker, &["index"]).and_then(num).unwrap_or(0.0) as usize;
-                    let addr = match get(worker, &["addr"]) {
-                        Some(Value::Str(a)) => a.clone(),
-                        _ => String::new(),
-                    };
-                    let name = format!("w{index}");
-                    match get(worker, &["history"]) {
-                        Some(history @ Value::Map(_)) => {
-                            frame.nodes.push(node_row(name, addr, history));
-                        }
-                        _ => frame.nodes.push(NodeRow {
-                            name,
-                            addr,
-                            up: false,
-                            ..NodeRow::default()
-                        }),
+            let workers = cluster.get("workers").and_then(Value::as_seq);
+            for worker in workers.unwrap_or_default() {
+                let index = worker.get("index").and_then(Value::as_u64).unwrap_or(0);
+                let addr = worker
+                    .get("addr")
+                    .and_then(Value::as_str)
+                    .unwrap_or_default();
+                let name = format!("w{index}");
+                match worker.get("history") {
+                    Some(history @ Value::Map(_)) => {
+                        frame.nodes.push(node_row(name, addr.to_owned(), history));
                     }
+                    _ => frame.nodes.push(down_row(name, addr.to_owned())),
                 }
             }
         }
@@ -259,17 +236,14 @@ fn collect_gateway(addr: &str, timeouts: Timeouts) -> Frame {
             .errors
             .push(format!("{addr}: /cluster/history unreachable")),
     }
-    if let Some(stats) = request_once_with(addr, "GET", "/cluster/stats", None, timeouts)
-        .ok()
-        .filter(|r| r.status == 200)
-        .and_then(|r| serde::json::parse(&r.body).ok())
-    {
-        if let Some(Value::Seq(workers)) = get(&stats, &["workers"]) {
-            for worker in workers {
-                if let Some(wstats) = get(worker, &["stats"]) {
-                    fold_stages(&mut frame.stages, wstats);
-                }
-            }
+    if let Some(stats) = get_json(addr, "/cluster/stats", timeouts) {
+        let workers = stats.get("workers").and_then(Value::as_seq);
+        for wstats in workers
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|w| w.get("stats"))
+        {
+            fold_stages(&mut frame.stages, wstats);
         }
     }
     frame
@@ -504,12 +478,7 @@ mod tests {
             source: "2 workers".into(),
             nodes: vec![
                 node_row("w0".into(), "127.0.0.1:7878".into(), &history_fixture()),
-                NodeRow {
-                    name: "w1".into(),
-                    addr: "127.0.0.1:7879".into(),
-                    up: false,
-                    ..NodeRow::default()
-                },
+                down_row("w1".into(), "127.0.0.1:7879".into()),
             ],
             req_ring: vec![1.0, 2.0, 4.0],
             hit_ring: vec![0.0, 0.5, 0.9],
@@ -530,10 +499,12 @@ mod tests {
 
     #[test]
     fn ring_sums_align_from_the_tail() {
-        let sum = sum_rings(&[vec![1.0, 2.0, 3.0], vec![10.0, 20.0]]);
+        let sum = fold_rings(&[vec![1.0, 2.0, 3.0], vec![10.0, 20.0]], |a, b| a + b);
         // Shortest ring wins: the overlap is the last two samples.
         assert_eq!(sum, vec![12.0, 23.0]);
-        assert!(sum_rings(&[]).is_empty());
+        assert!(fold_rings::<f64>(&[], |a, b| a + b).is_empty());
+        // Timestamps fold by max over the same window.
+        assert_eq!(fold_rings(&[vec![5, 9], vec![7]], u64::max), vec![9]);
     }
 
     #[test]

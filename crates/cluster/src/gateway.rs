@@ -1,42 +1,30 @@
-//! The cluster gateway: an HTTP server (the same epoll event loop as
-//! `mcdla-serve`, see [`mcdla_serve::accept`]) that owns a [`Router`]
-//! over the worker fleet and exposes the single-node endpoints at fleet
-//! scale — `POST /simulate` with retry + failover, scatter-gather
-//! `POST /grid` (buffered and `?stream=1`), `GET /cluster/stats`
-//! aggregation, and Prometheus `GET /metrics`. Locally answered
-//! endpoints run on the loop thread; anything that talks to a backend
-//! detaches to the bounded worker pool (and sheds 429 beyond the
-//! admission queue).
+//! The cluster gateway tier: a [`Router`] over the worker fleet inside
+//! the node shell ([`mcdla_serve::node`]), exposing the single-node
+//! endpoints at fleet scale — `POST /simulate` with retry + failover,
+//! scatter-gather `POST /grid` (buffered and `?stream=1`), and the
+//! `GET /cluster/stats` and `GET /cluster/history` aggregations. Every
+//! route that talks to a backend detaches to the bounded worker pool
+//! (and sheds 429 beyond the admission queue); the shell's own routes
+//! answer on the loop thread.
 
 use std::collections::BTreeSet;
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use mcdla_core::Scenario;
-use mcdla_obs::{
-    rss_bytes, unix_ms, FlightRecorder, HistogramSnapshot, History, Sampler, TraceRecord,
-    TraceScope,
-};
-use mcdla_serve::accept::{
-    spawn_event_loop, FastAnswer, LoopConfig, LoopHandle, LoopStats, Service,
-};
 use mcdla_serve::client::Timeouts;
-use mcdla_serve::http::{
-    error_body, finish_chunked, query_flag, query_param, split_target, write_chunk,
-    write_chunked_head_with, write_response_with, Request, WireError,
+use mcdla_serve::metrics::{Metric, Reading, Series};
+use mcdla_serve::node::{
+    self, BoundNode, Call, CellStream, Node, NodeHandle, Outcome, Route, StreamOutcome, Tier,
 };
-use mcdla_serve::metrics::MetricsBuilder;
-use mcdla_serve::trace::{self, LatencyFamily, REQUEST_ID_HEADER};
-use mcdla_serve::{
-    GridRequest, ServeConfig, Server, ServerHandle, MAX_GRID_CELLS, MAX_STREAM_CELLS,
-};
-use serde::{Deserialize, Value};
+use mcdla_serve::trace::{self, REQUEST_ID_HEADER};
+use mcdla_serve::{ServeConfig, Server, ServerHandle, MAX_GRID_CELLS};
+use serde::Value;
 
+use crate::console::fleet_rings;
 use crate::merge::{partition_pending, scatter_buffered};
-use crate::router::{GatewayError, Router};
+use crate::router::{Router, WorkerState};
 
 /// Idle keep-alive client connections are dropped after this long
 /// (same bound as the worker).
@@ -87,320 +75,80 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Per-endpoint request counters, reported by `GET /cluster/stats` and
-/// `GET /metrics`.
-#[derive(Debug, Default)]
-struct GatewayCounters {
-    healthz: AtomicU64,
-    cluster_stats: AtomicU64,
-    metrics: AtomicU64,
-    simulate: AtomicU64,
-    grid: AtomicU64,
-    debug: AtomicU64,
-    errors: AtomicU64,
-}
-
-impl GatewayCounters {
-    fn snapshot(&self) -> [(&'static str, u64); 7] {
-        [
-            ("healthz", self.healthz.load(Ordering::Relaxed)),
-            ("cluster_stats", self.cluster_stats.load(Ordering::Relaxed)),
-            ("metrics", self.metrics.load(Ordering::Relaxed)),
-            ("simulate", self.simulate.load(Ordering::Relaxed)),
-            ("grid", self.grid.load(Ordering::Relaxed)),
-            ("debug", self.debug.load(Ordering::Relaxed)),
-            ("errors", self.errors.load(Ordering::Relaxed)),
-        ]
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.snapshot()
-                .into_iter()
-                .map(|(name, count)| (name.into(), Value::U64(count)))
-                .collect(),
-        )
-    }
-}
-
-/// Endpoint labels for the gateway's request-latency histograms and the
-/// flight-recorder listing.
-const ENDPOINT_LABELS: &[&str] = &[
-    "healthz",
-    "cluster_stats",
-    "metrics",
-    "simulate",
-    "grid",
-    "debug",
-    "other",
-];
-
-/// The histogram/recorder label for a request path.
-fn endpoint_label(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "healthz",
-        "/cluster/stats" | "/cluster/history" => "cluster_stats",
-        "/metrics" | "/metrics/history" => "metrics",
-        "/simulate" => "simulate",
-        "/grid" => "grid",
-        p if p.starts_with("/debug/") => "debug",
-        _ => "other",
-    }
-}
-
-/// The gateway's retained series, in record order. This list and
-/// [`GatewayTick::series_values`] must enumerate the same series in the
-/// same order — [`History::record`] panics on any arity drift.
-fn gateway_series_names() -> Vec<String> {
-    let mut names = vec!["req_per_s".to_string(), "err_per_s".to_string()];
-    for ep in ENDPOINT_LABELS {
-        names.push(format!("{ep}.req_per_s"));
-        names.push(format!("{ep}.p50_ms"));
-        names.push(format!("{ep}.p99_ms"));
-    }
-    names.extend(
-        [
-            "conns.open",
-            "conns.shed_per_s",
-            "conns.timeouts_per_s",
-            "fleet.failovers_per_s",
-            "fleet.retries_per_s",
-            "fleet.workers_up",
-            "rss_bytes",
-            "uptime_seconds",
-        ]
-        .map(String::from),
-    );
-    names
-}
-
-/// One sampler tick's snapshot of every monotone counter the gateway
-/// series derive from; consecutive ticks difference into windowed
-/// rates and quantiles.
-struct GatewayTick {
-    at: Instant,
-    errors: u64,
-    shed: u64,
-    timeouts: u64,
-    open: u64,
-    failovers: u64,
-    retries: u64,
-    workers_up: u64,
-    uptime_s: f64,
-    latency: Vec<HistogramSnapshot>,
-}
-
-impl GatewayTick {
-    fn capture(state: &GatewayState) -> GatewayTick {
-        GatewayTick {
-            at: Instant::now(),
-            errors: state.requests.errors.load(Ordering::Relaxed),
-            shed: state.loop_stats.shed(),
-            timeouts: state.loop_stats.request_timeouts(),
-            open: state.loop_stats.open(),
-            failovers: state.router.failovers.load(Ordering::Relaxed),
-            retries: state.router.retries(),
-            workers_up: state.router.up_count() as u64,
-            uptime_s: state.started.elapsed().as_secs_f64(),
-            latency: state
-                .latency
-                .snapshots()
-                .into_iter()
-                .map(|(_, s)| s)
-                .collect(),
-        }
-    }
-
-    /// The values for one history sample, in [`gateway_series_names`]
-    /// order, windowed against the previous tick.
-    fn series_values(&self, prev: &GatewayTick) -> Vec<f64> {
-        let dt = self.at.duration_since(prev.at).as_secs_f64().max(1e-3);
-        let rate = |now: u64, then: u64| now.saturating_sub(then) as f64 / dt;
-        let windows: Vec<HistogramSnapshot> = self
-            .latency
-            .iter()
-            .zip(&prev.latency)
-            .map(|(now, then)| now.delta(then))
-            .collect();
-        let total: u64 = windows.iter().map(HistogramSnapshot::count).sum();
-        let mut values = vec![total as f64 / dt, rate(self.errors, prev.errors)];
-        for w in &windows {
-            values.push(w.count() as f64 / dt);
-            values.push(w.quantile(0.5) * 1e3);
-            values.push(w.quantile(0.99) * 1e3);
-        }
-        values.extend([
-            self.open as f64,
-            rate(self.shed, prev.shed),
-            rate(self.timeouts, prev.timeouts),
-            rate(self.failovers, prev.failovers),
-            rate(self.retries, prev.retries),
-            self.workers_up as f64,
-            rss_bytes().unwrap_or(0) as f64,
-            self.uptime_s,
-        ]);
-        values
-    }
-}
-
+/// The gateway tier's state: the routing core.
 #[derive(Debug)]
-struct GatewayState {
+struct Fleet {
     router: Router,
-    shutdown: AtomicBool,
-    /// Event-loop counters (open/accepted/shed/timeouts).
-    loop_stats: Arc<LoopStats>,
-    started: Instant,
-    requests: GatewayCounters,
-    /// This gateway's flight recorder — separate from any co-hosted
-    /// worker's (`mcdla cluster` runs both tiers in one process).
-    recorder: FlightRecorder,
-    latency: LatencyFamily,
-    slow_ms: Option<u64>,
-    /// Retained telemetry rings, fed by the background sampler.
-    history: Arc<History>,
-}
-
-/// Finishes the request trace: records it and observes the endpoint
-/// latency. The wide event is emitted by the call site — only it knows
-/// the queue time and byte count.
-fn finish_trace(
-    state: &GatewayState,
-    scope: TraceScope,
-    rid: &str,
-    endpoint: &'static str,
-    status: u16,
-) -> Arc<TraceRecord> {
-    let record = scope.finish(rid.to_owned(), endpoint, status);
-    if let Some(hist) = state.latency.get(endpoint) {
-        hist.observe(record.total_us as f64 / 1e6);
-    }
-    state.recorder.record(record)
 }
 
 /// A bound-but-not-yet-serving gateway.
 #[derive(Debug)]
 pub struct Gateway {
-    listener: TcpListener,
-    loop_config: LoopConfig,
+    bound: BoundNode<Fleet>,
     probe_interval: Option<Duration>,
-    sample_ms: Option<u64>,
-    state: Arc<GatewayState>,
 }
 
 /// Handle to a running gateway: resolved address, router view, clean
 /// shutdown.
 #[derive(Debug)]
 pub struct GatewayHandle {
-    addr: SocketAddr,
-    state: Arc<GatewayState>,
-    loops: LoopHandle,
+    running: NodeHandle<Fleet>,
     prober: Option<std::thread::JoinHandle<()>>,
-    sampler: Option<Sampler>,
 }
 
 impl Gateway {
     /// Binds the listener and builds the router over the backends.
     pub fn bind(config: &GatewayConfig) -> Result<Gateway, String> {
-        if config.threads == 0 {
-            return Err("thread count must be >= 1 (got `0`)".into());
-        }
+        let loop_config = node::loop_config(
+            config.threads,
+            config.loops,
+            config.queue_depth,
+            READ_TIMEOUT,
+            READ_TIMEOUT,
+        )?;
         let router = Router::new(
             config.backends.iter().cloned(),
             config.timeouts,
             config.max_idle_per_worker,
         )?;
-        let listener =
-            TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
-        // Serving turns tracing on process-wide (spans are otherwise
-        // inert so batch runs pay nothing).
-        mcdla_obs::set_enabled(true);
-        let sample_ms = match config.sample_ms {
-            Some(0) => None,
-            Some(n) => Some(n),
-            None => mcdla_obs::sample_ms_from_env(),
-        };
-        let history = Arc::new(History::new(
-            gateway_series_names(),
-            mcdla_obs::history_cap_from_env(),
-            sample_ms.unwrap_or(0),
-        ));
+        let bound = Node::bind(
+            &config.addr,
+            Fleet { router },
+            loop_config,
+            config.sample_ms,
+        )?;
         Ok(Gateway {
-            listener,
-            loop_config: LoopConfig {
-                loops: config.loops.max(1),
-                workers: config.threads,
-                queue_depth: config.queue_depth.max(1),
-                idle_timeout: READ_TIMEOUT,
-                request_timeout: READ_TIMEOUT,
-            },
+            bound,
             probe_interval: config.probe_interval,
-            sample_ms,
-            state: Arc::new(GatewayState {
-                router,
-                shutdown: AtomicBool::new(false),
-                loop_stats: Arc::new(LoopStats::default()),
-                started: Instant::now(),
-                requests: GatewayCounters::default(),
-                recorder: FlightRecorder::from_env(),
-                latency: LatencyFamily::new(ENDPOINT_LABELS),
-                slow_ms: trace::slow_ms_from_env(),
-                history,
-            }),
         })
     }
 
     /// The resolved listen address (useful with port 0).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.bound.local_addr()
     }
 
     /// The routing core (topology + worker health).
     pub fn router(&self) -> &Router {
-        &self.state.router
+        &self.bound.node.tier.router
     }
 
     /// Starts the event loop and worker pool (and the health prober) in
     /// background threads and returns a handle.
     pub fn spawn(self) -> std::io::Result<GatewayHandle> {
-        let addr = self.listener.local_addr()?;
-        let service = Arc::new(GatewayService {
-            state: self.state.clone(),
-        });
-        let loops = spawn_event_loop(
-            self.listener,
-            service,
-            &self.loop_config,
-            self.state.loop_stats.clone(),
-        )?;
+        let running = self.bound.spawn()?;
         let prober = match self.probe_interval {
             Some(interval) => Some(
                 std::thread::Builder::new()
                     .name("mcdla-gateway-probe".to_owned())
                     .spawn({
-                        let state = self.state.clone();
-                        move || probe_loop(&state, interval)
+                        let node = running.node.clone();
+                        move || probe_loop(&node, interval)
                     })?,
             ),
             None => None,
         };
-        let sampler = self.sample_ms.map(|interval_ms| {
-            let state = self.state.clone();
-            let mut previous = GatewayTick::capture(&state);
-            Sampler::spawn(interval_ms, move || {
-                let current = GatewayTick::capture(&state);
-                state
-                    .history
-                    .record(unix_ms(), &current.series_values(&previous));
-                previous = current;
-            })
-        });
-        Ok(GatewayHandle {
-            addr,
-            state: self.state,
-            loops,
-            prober,
-            sampler,
-        })
+        Ok(GatewayHandle { running, prober })
     }
 
     /// Runs the gateway on background threads and parks the calling
@@ -408,7 +156,7 @@ impl Gateway {
     /// runs until the process is killed).
     pub fn run(self) -> std::io::Result<()> {
         let handle = self.spawn()?;
-        handle.loops.join();
+        handle.running.join();
         if let Some(p) = handle.prober {
             let _ = p.join();
         }
@@ -419,12 +167,12 @@ impl Gateway {
 impl GatewayHandle {
     /// The resolved listen address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.running.addr()
     }
 
     /// The routing core (topology + worker health).
     pub fn router(&self) -> &Router {
-        &self.state.router
+        &self.running.node.tier.router
     }
 
     /// Stops the event loop and worker pool and joins every thread
@@ -432,11 +180,7 @@ impl GatewayHandle {
     /// keep-alive connections close immediately — the loop owns them,
     /// so no thread is parked in a blocking read anywhere.
     pub fn shutdown(self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        if let Some(sampler) = self.sampler {
-            sampler.stop();
-        }
-        self.loops.shutdown();
+        self.running.shutdown();
         if let Some(p) = self.prober {
             let _ = p.join();
         }
@@ -445,743 +189,356 @@ impl GatewayHandle {
 
 /// The background health prober: probes every worker each `interval`,
 /// waking often enough that shutdown never waits a full period.
-fn probe_loop(state: &GatewayState, interval: Duration) {
+fn probe_loop(node: &Node<Fleet>, interval: Duration) {
+    let router = &node.tier.router;
     let tick = Duration::from_millis(50).min(interval);
     let mut last = Instant::now();
     // First probe immediately: a fleet spawned against a dead backend
     // should learn so before the first request.
-    state.router.probe_all();
-    while !state.shutdown.load(Ordering::SeqCst) {
+    router.probe_all();
+    while !node.shutting_down() {
         std::thread::sleep(tick);
         if last.elapsed() >= interval {
             last = Instant::now();
-            state.router.probe_all();
+            router.probe_all();
             // Probes may take a while against black-holed workers; check
             // the flag right after rather than sleeping first.
         }
     }
 }
 
-/// The gateway's [`Service`]: locally answered endpoints run on the
-/// loop thread, anything that makes a gateway→fleet round trip
-/// detaches to the worker pool.
-struct GatewayService {
-    state: Arc<GatewayState>,
+/// Per-worker samples, labeled by worker address.
+fn per_worker(n: &Node<Fleet>, read: fn(&WorkerState) -> f64) -> Reading {
+    Reading::labeled(n.tier.router.workers().iter().map(|w| (w.addr(), read(w))))
 }
 
-impl Service for GatewayService {
-    fn fast(&self, request: &Request) -> Option<FastAnswer> {
-        respond_fast(&self.state, request)
+impl Tier for Fleet {
+    const SERVICE: &'static str = "mcdla-gateway";
+    const TARGET: &'static str = "gateway";
+    const PREFIX: &'static str = "mcdla_gateway_";
+    const ENDPOINTS: &'static [&'static str] = &[
+        "healthz",
+        "cluster_stats",
+        "metrics",
+        "simulate",
+        "grid",
+        "debug",
+    ];
+    const ROUTES: &'static [Route] = &[
+        ("GET", "/cluster/stats", "cluster_stats"),
+        ("GET", "/cluster/history", "cluster_stats"),
+        ("POST", "/simulate", "simulate"),
+        ("POST", "/grid", "grid"),
+    ];
+
+    fn metrics() -> Vec<Metric<Node<Self>>> {
+        type M = Metric<Node<Fleet>>;
+        vec![
+            M::counter(
+                "mcdla_gateway_failovers_total",
+                "Requests or grid slices answered by a non-owner worker.",
+                |n| Reading::value(n.tier.router.failovers.load(Ordering::Relaxed) as f64),
+            )
+            .stats("failovers")
+            .series(Series::Each("fleet.failovers_per_s")),
+            M::counter(
+                "mcdla_gateway_retries_total",
+                "Stale pooled-connection retries across all workers.",
+                |n| Reading::value(n.tier.router.retries() as f64),
+            )
+            .stats("retries")
+            .series(Series::Each("fleet.retries_per_s")),
+            M::gauge(
+                "mcdla_gateway_worker_up",
+                "Health belief per worker (1 = up).",
+                |n| per_worker(n, |w| f64::from(u8::from(w.is_up()))),
+            )
+            .labeled("worker")
+            .series(Series::Each("fleet.workers_up")),
+            M::counter(
+                "mcdla_gateway_worker_answered_total",
+                "Requests each worker answered for this gateway.",
+                |n| per_worker(n, |w| w.answered.load(Ordering::Relaxed) as f64),
+            )
+            .labeled("worker"),
+            M::counter(
+                "mcdla_gateway_worker_failures_total",
+                "Errors observed against each worker (connect/read failures and 5xx).",
+                |n| per_worker(n, |w| w.failures.load(Ordering::Relaxed) as f64),
+            )
+            .labeled("worker"),
+            M::histogram(
+                "mcdla_gateway_upstream_seconds",
+                "Gateway->worker round-trip latency per upstream worker, seconds.",
+                "worker",
+                |n| {
+                    let workers = n.tier.router.workers().iter();
+                    Reading::Histograms(
+                        workers
+                            .map(|w| (w.addr().to_owned(), w.latency.snapshot()))
+                            .collect(),
+                    )
+                },
+            ),
+        ]
     }
 
-    fn handle(&self, request: &Request, stream: &mut TcpStream, queued: Duration) -> bool {
-        respond_heavy(&self.state, request, stream, queued)
+    fn health(&self, fields: &mut Vec<(String, Value)>) {
+        let workers = self.router.workers().len() as u64;
+        fields.push(("workers".into(), Value::U64(workers)));
+        let up = self.router.up_count() as u64;
+        fields.push(("workers_up".into(), Value::U64(up)));
     }
 
-    fn shed(&self, request: &Request) -> FastAnswer {
-        shed_answer(&self.state, request)
-    }
-
-    fn wire_error(&self, error: &WireError) -> Vec<u8> {
-        self.state.requests.errors.fetch_add(1, Ordering::Relaxed);
-        trace::wire_error_answer("gateway", "mcdla-gateway", error)
-    }
-}
-
-/// Builds the 429 + `Retry-After` load-shedding answer and records it
-/// like any other request (error counter, latency histogram, trace).
-fn shed_answer(state: &GatewayState, request: &Request) -> FastAnswer {
-    state.requests.errors.fetch_add(1, Ordering::Relaxed);
-    let (path, _) = split_target(&request.path);
-    let endpoint = endpoint_label(path);
-    let rid = trace::request_trace_id(request);
-    let scope = TraceScope::begin();
-    let record = scope.finish(rid.clone(), endpoint, 429);
-    if let Some(hist) = state.latency.get(endpoint) {
-        hist.observe(record.total_us as f64 / 1e6);
-    }
-    trace::wide_event(
-        "gateway",
-        "mcdla-gateway",
-        state.slow_ms,
-        &record,
-        None,
-        0,
-        0,
-        &[],
-    );
-    state.recorder.record(record);
-    let keep_alive = request.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-    let mut out = Vec::new();
-    let _ = write_response_with(
-        &mut out,
-        429,
-        "application/json",
-        &[("retry-after", "1"), (REQUEST_ID_HEADER, &rid)],
-        &error_body("request queue is full; retry shortly"),
-        keep_alive,
-    );
-    FastAnswer {
-        bytes: out,
-        keep_alive,
-    }
-}
-
-/// Answers a request inline on the loop thread when it never leaves
-/// this process: health, metrics, debug endpoints, and the 405/404
-/// rejections. Forwards, scatters, and fleet-stats scrapes return
-/// `None` — the loop thread must never block on a backend round trip.
-fn respond_fast(state: &Arc<GatewayState>, request: &Request) -> Option<FastAnswer> {
-    let (path, query) = split_target(&request.path);
-    if matches!(
-        (request.method.as_str(), path),
-        ("POST", "/simulate")
-            | ("POST", "/grid")
-            | ("GET", "/cluster/stats")
-            | ("GET", "/cluster/history")
-    ) {
-        return None;
-    }
-    let keep_alive = request.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-    let endpoint = endpoint_label(path);
-    let rid = trace::request_trace_id(request);
-    let traced = query_flag(query, "trace");
-    let scope = TraceScope::begin();
-    // A panicking handler must not take the loop thread down.
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(request, state, &rid)))
-            .unwrap_or_else(|_| Outcome::error(500, "internal error handling the request"));
-    if outcome.status >= 400 {
-        state.requests.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    let record = finish_trace(state, scope, &rid, endpoint, outcome.status);
-    let body = if traced && outcome.status < 400 && outcome.content_type == "application/json" {
-        // Fast outcomes never carry an upstream worker (forwards are
-        // heavy), so the graft is the gateway's own span tree alone.
-        trace::graft_json(
-            &outcome.body,
-            "trace",
-            trace::trace_value("mcdla-gateway", &record),
-        )
-    } else {
-        outcome.body
-    };
-    trace::wide_event(
-        "gateway",
-        "mcdla-gateway",
-        state.slow_ms,
-        &record,
-        None,
-        0,
-        body.len() as u64,
-        &[],
-    );
-    let mut out = Vec::new();
-    let _ = write_response_with(
-        &mut out,
-        outcome.status,
-        outcome.content_type,
-        &[(REQUEST_ID_HEADER, &rid)],
-        &body,
-        keep_alive,
-    );
-    Some(FastAnswer {
-        bytes: out,
-        keep_alive,
-    })
-}
-
-/// Handles one fleet-bound request on a pool worker with a blocking
-/// stream: `/simulate` forwards, `/grid` scatters (buffered and
-/// streamed), and `/cluster/stats` scrapes. Returns whether the
-/// connection should stay open.
-fn respond_heavy(
-    state: &Arc<GatewayState>,
-    request: &Request,
-    writer: &mut TcpStream,
-    queued: Duration,
-) -> bool {
-    let keep_alive = request.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-    let (path, query) = split_target(&request.path);
-    let endpoint = endpoint_label(path);
-    let rid = trace::request_trace_id(request);
-    let traced = query_flag(query, "trace");
-    let queue_us = queued.as_micros().min(u128::from(u64::MAX)) as u64;
-    let scope = TraceScope::begin();
-    if request.method == "POST" && path == "/grid" && query_flag(query, "stream") {
-        state.requests.grid.fetch_add(1, Ordering::Relaxed);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stream_grid(&request.body, state, writer, keep_alive, &rid)
-        }));
-        let status = match &outcome {
-            Ok(StreamOutcome::Rejected(o)) => o.status,
-            Ok(StreamOutcome::Streamed { .. }) => 200,
-            Err(_) => 500,
-        };
-        let record = finish_trace(state, scope, &rid, endpoint, status);
-        return match outcome {
-            Ok(StreamOutcome::Rejected(outcome)) => {
-                state.requests.errors.fetch_add(1, Ordering::Relaxed);
-                trace::wide_event(
-                    "gateway",
-                    "mcdla-gateway",
-                    state.slow_ms,
-                    &record,
-                    None,
-                    queue_us,
-                    outcome.body.len() as u64,
-                    &[("stream", true.into())],
-                );
-                write_response_with(
-                    writer,
-                    outcome.status,
-                    outcome.content_type,
-                    &[(REQUEST_ID_HEADER, &rid)],
-                    &outcome.body,
-                    keep_alive,
-                )
-                .is_ok()
-                    && keep_alive
-            }
-            Ok(StreamOutcome::Streamed { bytes, clean }) => {
-                trace::wide_event(
-                    "gateway",
-                    "mcdla-gateway",
-                    state.slow_ms,
-                    &record,
-                    None,
-                    queue_us,
-                    bytes,
-                    &[("stream", true.into()), ("clean", clean.into())],
-                );
-                let _ = writer.flush();
-                clean && keep_alive
-            }
-            // A panic after the 200 head: close without the terminal
-            // chunk, exactly like the worker.
-            Err(_) => {
-                state.requests.errors.fetch_add(1, Ordering::Relaxed);
-                trace::wide_event(
-                    "gateway",
-                    "mcdla-gateway",
-                    state.slow_ms,
-                    &record,
-                    None,
-                    queue_us,
-                    0,
-                    &[("stream", true.into()), ("panic", true.into())],
-                );
-                false
-            }
-        };
-    }
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(request, state, &rid)))
-            .unwrap_or_else(|_| Outcome::error(500, "internal error handling the request"));
-    if outcome.status >= 400 {
-        state.requests.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    let upstream = outcome.upstream;
-    let record = finish_trace(state, scope, &rid, endpoint, outcome.status);
-    let body = if traced && outcome.status < 400 && outcome.content_type == "application/json" {
-        let mut tv = trace::trace_value("mcdla-gateway", &record);
-        if let (Value::Map(entries), Some(worker)) = (&mut tv, outcome.upstream) {
-            entries.push(("upstream".into(), upstream_trace_value(state, worker, &rid)));
-        }
-        trace::graft_json(&outcome.body, "trace", tv)
-    } else {
-        outcome.body
-    };
-    let extra: Vec<(&str, mcdla_obs::log::LogValue)> = match upstream {
-        Some(worker) => vec![("worker", (worker as u64).into())],
-        None => Vec::new(),
-    };
-    trace::wide_event(
-        "gateway",
-        "mcdla-gateway",
-        state.slow_ms,
-        &record,
-        None,
-        queue_us,
-        body.len() as u64,
-        &extra,
-    );
-    write_response_with(
-        writer,
-        outcome.status,
-        outcome.content_type,
-        &[(REQUEST_ID_HEADER, &rid)],
-        &body,
-        keep_alive,
-    )
-    .is_ok()
-        && keep_alive
-}
-
-struct Outcome {
-    status: u16,
-    body: String,
-    content_type: &'static str,
-    /// The worker index that answered (set by `/simulate` forwards so a
-    /// traced response can embed that worker's sub-trace).
-    upstream: Option<usize>,
-}
-
-impl Outcome {
-    fn ok(body: String) -> Self {
-        Outcome {
-            status: 200,
-            body,
-            content_type: "application/json",
-            upstream: None,
+    fn heavy(node: &Node<Self>, call: &Call) -> Outcome {
+        let router = &node.tier.router;
+        let pretty = |v: Value| Outcome::ok(serde::json::to_string_pretty(&v));
+        match call.path {
+            "/cluster/stats" => pretty(cluster_stats_value(node)),
+            "/cluster/history" => pretty(cluster_history_value(node, call.query)),
+            "/simulate" => simulate_endpoint(router, &call.request.body, &call.rid),
+            _ => match node::grid_scenarios(&call.request.body, MAX_GRID_CELLS) {
+                // Expand, partition by owner, scatter-gather, merge back
+                // into single-node cell order.
+                Ok(scenarios) => match scatter_buffered(router, &scenarios) {
+                    Ok(cells) => pretty(Value::Map(vec![
+                        ("count".into(), Value::U64(cells.len() as u64)),
+                        ("cells".into(), Value::Seq(cells)),
+                    ])),
+                    Err(e) => Outcome::error_with_rid(e.status, &e.message, &call.rid),
+                },
+                Err(outcome) => outcome,
+            },
         }
     }
 
-    fn passthrough(status: u16, body: String) -> Self {
-        Outcome {
-            status,
-            body,
-            content_type: "application/json",
-            upstream: None,
-        }
-    }
+    /// Scatter-gather streaming: open one `?stream=1` sub-stream per
+    /// owning worker (every worker starts computing immediately), then
+    /// forward each worker's NDJSON lines — verbatim bytes — in
+    /// worker-index order.
+    ///
+    /// * Worker unreachable **at open time** (before the gateway's 200
+    ///   head): its slice fails over to the next replicas; if no worker
+    ///   can take a slice, the whole request is a buffered 502.
+    /// * Worker failure **mid-stream** (truncated sub-stream, short cell
+    ///   count, or a non-200 sub-stream head): the gateway closes its
+    ///   own response without the terminal chunk and drops the
+    ///   remaining worker connections, which cancels their outstanding
+    ///   cells.
+    fn stream(node: &Node<Self>, scenarios: Vec<Scenario>, out: &mut CellStream) -> StreamOutcome {
+        let router = &node.tier.router;
 
-    fn error(status: u16, message: &str) -> Self {
-        Outcome {
-            status,
-            body: error_body(message),
-            content_type: "application/json",
-            upstream: None,
-        }
-    }
-
-    /// An error body carrying the request id, so a client holding a 502
-    /// can quote the id that `/debug/requests` will list.
-    fn error_with_rid(status: u16, message: &str, rid: &str) -> Self {
-        let mut outcome = Outcome::error(status, message);
-        outcome.body = trace::graft_json(&outcome.body, "request_id", Value::Str(rid.to_owned()));
-        outcome
-    }
-}
-
-impl From<GatewayError> for Outcome {
-    fn from(e: GatewayError) -> Self {
-        Outcome::error(e.status, &e.message)
-    }
-}
-
-/// Fetches the answering worker's recorded trace for `rid` and wraps it
-/// as the `upstream` block of a gateway trace: `[{worker, addr, trace}]`.
-/// A worker that cannot produce the trace yields `"trace": null` rather
-/// than failing the response.
-fn upstream_trace_value(state: &GatewayState, worker: usize, rid: &str) -> Value {
-    let w = &state.router.workers()[worker];
-    let trace = w
-        .pool()
-        .request("GET", &format!("/debug/trace/{rid}"), None)
-        .ok()
-        .filter(|r| r.status == 200)
-        .and_then(|r| serde::json::parse(&r.body).ok())
-        .unwrap_or(Value::Null);
-    Value::Seq(vec![Value::Map(vec![
-        ("worker".into(), Value::U64(worker as u64)),
-        ("addr".into(), Value::Str(w.addr().to_owned())),
-        ("trace".into(), trace),
-    ])])
-}
-
-fn route(request: &Request, state: &Arc<GatewayState>, rid: &str) -> Outcome {
-    let (path, query) = split_target(&request.path);
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            state.requests.healthz.fetch_add(1, Ordering::Relaxed);
-            let router = &state.router;
-            Outcome::ok(serde::json::to_string(&Value::Map(vec![
-                ("status".into(), Value::Str("ok".into())),
-                ("service".into(), Value::Str("mcdla-gateway".into())),
-                (
-                    "uptime_seconds".into(),
-                    Value::F64(state.started.elapsed().as_secs_f64()),
-                ),
-                ("build".into(), trace::build_value()),
-                ("workers".into(), Value::U64(router.workers().len() as u64)),
-                ("workers_up".into(), Value::U64(router.up_count() as u64)),
-            ])))
-        }
-        ("GET", "/cluster/stats") => {
-            state.requests.cluster_stats.fetch_add(1, Ordering::Relaxed);
-            Outcome::ok(serde::json::to_string_pretty(&cluster_stats_value(state)))
-        }
-        ("GET", "/cluster/history") => {
-            state.requests.cluster_stats.fetch_add(1, Ordering::Relaxed);
-            Outcome::ok(serde::json::to_string_pretty(&cluster_history_value(
-                state, query,
-            )))
-        }
-        ("GET", "/metrics/history") => {
-            state.requests.metrics.fetch_add(1, Ordering::Relaxed);
-            let (filter, last) = trace::history_query(query);
-            let dump = state.history.dump(filter.as_deref(), last);
-            Outcome::ok(serde::json::to_string_pretty(&trace::history_value(
-                "mcdla-gateway",
-                &dump,
-            )))
-        }
-        ("GET", "/metrics") => {
-            state.requests.metrics.fetch_add(1, Ordering::Relaxed);
-            Outcome {
-                status: 200,
-                body: metrics_text(state),
-                content_type: mcdla_serve::metrics::CONTENT_TYPE,
-                upstream: None,
+        // Duplicate cells are computed once: only canonical indices reach
+        // the fleet, and the gateway re-emits the canonical line for each
+        // duplicate, so the client still gets one line per input cell.
+        let canon = crate::merge::canonical_indices(&scenarios);
+        let keys = crate::merge::routing_keys(&scenarios);
+        let mut dup_count: Vec<usize> = vec![0; scenarios.len()];
+        for (i, &c) in canon.iter().enumerate() {
+            if c != i {
+                dup_count[c] += 1;
             }
         }
-        ("POST", "/simulate") => {
-            state.requests.simulate.fetch_add(1, Ordering::Relaxed);
-            simulate_endpoint(&request.body, state, rid)
-        }
-        ("POST", "/grid") => {
-            state.requests.grid.fetch_add(1, Ordering::Relaxed);
-            grid_endpoint(&request.body, state, rid)
-        }
-        ("GET", "/debug/requests") => {
-            state.requests.debug.fetch_add(1, Ordering::Relaxed);
-            Outcome::ok(serde::json::to_string_pretty(&trace::debug_requests_value(
-                "mcdla-gateway",
-                &state.recorder,
-                query_param(query, "sort"),
-                query_param(query, "endpoint"),
-                query_param(query, "limit"),
-            )))
-        }
-        ("GET", p) if p.starts_with("/debug/trace/") => {
-            state.requests.debug.fetch_add(1, Ordering::Relaxed);
-            let id = p.trim_start_matches("/debug/trace/");
-            match state.recorder.lookup(id) {
-                Some(rec) => Outcome::ok(serde::json::to_string_pretty(&trace::trace_value(
-                    "mcdla-gateway",
-                    &rec,
-                ))),
-                None => Outcome::error(404, &format!("no trace recorded for request id `{id}`")),
-            }
-        }
-        (
-            _,
-            "/healthz" | "/cluster/stats" | "/cluster/history" | "/metrics" | "/metrics/history",
-        ) => Outcome::error(405, "use GET on this endpoint"),
-        (_, "/simulate" | "/grid") => {
-            Outcome::error(405, "use POST with a JSON body on this endpoint")
-        }
-        (_, p) if p == "/debug/requests" || p.starts_with("/debug/trace/") => {
-            Outcome::error(405, "use GET on this endpoint")
-        }
-        (_, path) => Outcome::error(404, &format!("no such endpoint `{path}`")),
-    }
-}
 
-fn parse_body<T: Deserialize>(body: &[u8], what: &str) -> Result<T, Outcome> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Outcome::error(400, &format!("{what} body is not valid utf-8")))?;
-    serde::json::from_str(text).map_err(|e| Outcome::error(400, &format!("bad {what} JSON: {e}")))
+        // Open phase: partition and start every sub-stream, failing slices
+        // over while nothing has been written to the client yet.
+        let mut opened: Vec<(crate::pool::PooledConn<'_>, Vec<usize>, usize)> = Vec::new();
+        let mut pending: Vec<usize> = (0..scenarios.len()).filter(|&i| canon[i] == i).collect();
+        let mut excluded: BTreeSet<usize> = BTreeSet::new();
+        let mut failures: Vec<String> = Vec::new();
+        while !pending.is_empty() {
+            let parts = match partition_pending(router, &scenarios, &keys, &pending, &excluded) {
+                Ok(parts) => parts,
+                Err(e) => {
+                    let message = if failures.is_empty() {
+                        e.message
+                    } else {
+                        format!("{}: {}", e.message, failures.join("; "))
+                    };
+                    return StreamOutcome::Rejected(Outcome::error(e.status, &message));
+                }
+            };
+            let mut next_pending = Vec::new();
+            for part in parts {
+                let worker = &router.workers()[part.worker];
+                // Streams always ride a fresh connection: a stale pooled
+                // keep-alive would fail only at first read — after the 200
+                // head is out and failover is no longer possible.
+                let attempt = worker.pool().connect_fresh().and_then(|mut conn| {
+                    conn.get()
+                        .start_stream("POST", "/grid?stream=1", Some(&part.body))
+                        .map(|()| conn)
+                });
+                match attempt {
+                    Ok(conn) => opened.push((conn, part.indices, part.worker)),
+                    Err(e) => {
+                        worker.mark_down(&e);
+                        failures.push(format!("worker {} ({}): {e}", part.worker, worker.addr()));
+                        excluded.insert(part.worker);
+                        next_pending.extend(part.indices);
+                    }
+                }
+            }
+            if !next_pending.is_empty() {
+                router.failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            next_pending.sort_unstable();
+            pending = next_pending;
+        }
+
+        if out.open().is_err() {
+            return StreamOutcome::Streamed { clean: false };
+        }
+
+        // Drain phase: worker-index-ordered partitions, lines forwarded as
+        // raw bytes (cell payloads stay byte-identical to the worker's).
+        for (mut conn, indices, worker_idx) in opened {
+            let worker = &router.workers()[worker_idx];
+            let mut stream = match conn.get().read_stream() {
+                Ok(stream) => stream,
+                Err(e) => {
+                    worker.mark_down(&e);
+                    return StreamOutcome::Streamed { clean: false };
+                }
+            };
+            if stream.status != 200 {
+                worker.failures.fetch_add(1, Ordering::Relaxed);
+                stream.abandon();
+                return StreamOutcome::Streamed { clean: false };
+            }
+            let mut lines = 0usize;
+            loop {
+                match stream.next_line() {
+                    Some(Ok(mut line)) => {
+                        line.push('\n');
+                        // One copy for the canonical cell plus one per
+                        // duplicate the gateway held back from the fleet.
+                        let copies = 1 + indices.get(lines).map_or(0, |&i| dup_count[i]);
+                        for _ in 0..copies {
+                            if out.line(line.as_bytes()).is_err() {
+                                // Client went away: abandoning (not
+                                // draining) closes the worker connection,
+                                // cancelling its remaining cells.
+                                stream.abandon();
+                                return StreamOutcome::Streamed { clean: false };
+                            }
+                        }
+                        lines += 1;
+                    }
+                    Some(Err(e)) => {
+                        worker.mark_down(&format!("sub-stream died: {e}"));
+                        stream.abandon();
+                        return StreamOutcome::Streamed { clean: false };
+                    }
+                    None => break,
+                }
+            }
+            drop(stream);
+            if lines != indices.len() {
+                // A clean terminal chunk with missing cells is a protocol
+                // violation; the client must not see it as a complete grid.
+                worker.mark_down(&format!(
+                    "sub-stream ended cleanly after {lines} of {} cells",
+                    indices.len()
+                ));
+                return StreamOutcome::Streamed { clean: false };
+            }
+            worker.answered.fetch_add(1, Ordering::Relaxed);
+            // `conn` drops here un-parked — fresh-per-stream policy.
+        }
+        StreamOutcome::Streamed { clean: true }
+    }
+
+    /// Fetches the answering worker's recorded trace for `rid` and
+    /// wraps it as the `upstream` block of a gateway trace:
+    /// `[{worker, addr, trace}]`. A worker that cannot produce the trace
+    /// yields `"trace": null` rather than failing the response.
+    fn upstream_trace(&self, worker: usize, rid: &str) -> Value {
+        let w = &self.router.workers()[worker];
+        let trace = w
+            .pool()
+            .request("GET", &format!("/debug/trace/{rid}"), None)
+            .ok()
+            .filter(|r| r.status == 200)
+            .and_then(|r| serde::json::parse(&r.body).ok())
+            .unwrap_or(Value::Null);
+        Value::Seq(vec![Value::Map(vec![
+            ("worker".into(), Value::U64(worker as u64)),
+            ("addr".into(), Value::Str(w.addr().to_owned())),
+            ("trace".into(), trace),
+        ])])
+    }
 }
 
 /// `POST /simulate`: validate locally (the same 400s a worker would
 /// answer), then forward the client's body verbatim along the scenario
 /// key's failover chain. A worker's 2xx/4xx answer passes through
 /// byte-for-byte; worker-unreachable becomes a 502 naming the workers.
-fn simulate_endpoint(body: &[u8], state: &Arc<GatewayState>, rid: &str) -> Outcome {
-    let scenario: Scenario = match parse_body(body, "scenario") {
+fn simulate_endpoint(router: &Router, body: &[u8], rid: &str) -> Outcome {
+    let scenario = match node::scenario(body) {
         Ok(s) => s,
         Err(outcome) => return outcome,
     };
-    if let Err(msg) = scenario.validate() {
-        return Outcome::error(400, &msg);
-    }
     let key = mcdla_core::key_hash(&scenario);
     let text = std::str::from_utf8(body).expect("validated utf-8 above");
-    match state.router.forward_with(
+    match router.forward_with(
         key,
         "POST",
         "/simulate",
         &[(REQUEST_ID_HEADER, rid)],
         Some(text),
     ) {
-        Ok((worker, response)) => {
-            let mut outcome = Outcome::passthrough(response.status, response.body);
-            outcome.upstream = Some(worker);
-            outcome
-        }
+        Ok((worker, response)) => Outcome {
+            upstream: Some(worker),
+            ..Outcome::json(response.status, response.body)
+        },
         Err(e) => Outcome::error_with_rid(e.status, &e.message, rid),
     }
 }
 
-/// `POST /grid` (buffered): expand, partition by owner, scatter-gather,
-/// merge back into single-node cell order.
-fn grid_endpoint(body: &[u8], state: &Arc<GatewayState>, rid: &str) -> Outcome {
-    let scenarios = match gateway_grid_scenarios(body, MAX_GRID_CELLS) {
-        Ok(s) => s,
-        Err(outcome) => return outcome,
-    };
-    match scatter_buffered(&state.router, &scenarios) {
-        Ok(cells) => Outcome::ok(serde::json::to_string_pretty(&Value::Map(vec![
-            ("count".into(), Value::U64(cells.len() as u64)),
-            ("cells".into(), Value::Seq(cells)),
-        ]))),
-        Err(e) => Outcome::error_with_rid(e.status, &e.message, rid),
-    }
-}
-
-/// Parses and validates a grid body into runnable scenarios (the same
-/// rules the worker applies, so rejections never reach the fleet).
-fn gateway_grid_scenarios(body: &[u8], max_cells: usize) -> Result<Vec<Scenario>, Outcome> {
-    let request: GridRequest = parse_body(body, "grid")?;
-    let scenarios = request
-        .scenarios_bounded(max_cells)
-        .map_err(|msg| Outcome::error(400, &msg))?;
-    if let Some(msg) = scenarios.iter().find_map(|s| s.validate().err()) {
-        return Err(Outcome::error(400, &msg));
-    }
-    Ok(scenarios)
-}
-
-/// How `POST /grid?stream=1` ended at the gateway.
-enum StreamOutcome {
-    /// Rejected before any chunk was written (400/502 buffered answer).
-    Rejected(Outcome),
-    /// The 200 head went out. `clean` is false when a worker stream or
-    /// the client write failed mid-flight — the gateway then closes
-    /// without the terminal chunk, exactly the worker's contract.
-    Streamed {
-        /// Payload bytes forwarded (cell lines, not chunk framing).
-        bytes: u64,
-        clean: bool,
-    },
-}
-
-/// Scatter-gather streaming: open one `?stream=1` sub-stream per owning
-/// worker (every worker starts computing immediately), then forward
-/// each worker's NDJSON lines — verbatim bytes — in worker-index order.
-///
-/// * Worker unreachable **at open time** (before the gateway's 200
-///   head): its slice fails over to the next replicas; if no worker can
-///   take a slice, the whole request is a buffered 502.
-/// * Worker failure **mid-stream** (truncated sub-stream, short cell
-///   count, or a non-200 sub-stream head): the gateway closes its own
-///   response without the terminal chunk and drops the remaining worker
-///   connections, which cancels their outstanding cells.
-fn stream_grid(
-    body: &[u8],
-    state: &Arc<GatewayState>,
-    writer: &mut TcpStream,
-    keep_alive: bool,
-    rid: &str,
-) -> StreamOutcome {
-    let scenarios = match gateway_grid_scenarios(body, MAX_STREAM_CELLS) {
-        Ok(s) => s,
-        Err(outcome) => return StreamOutcome::Rejected(outcome),
-    };
-    let router = &state.router;
-
-    // Duplicate cells are computed once: only canonical indices reach
-    // the fleet, and the gateway re-emits the canonical line for each
-    // duplicate, so the client still gets one line per input cell.
-    let canon = crate::merge::canonical_indices(&scenarios);
-    let keys = crate::merge::routing_keys(&scenarios);
-    let mut dup_count: Vec<usize> = vec![0; scenarios.len()];
-    for (i, &c) in canon.iter().enumerate() {
-        if c != i {
-            dup_count[c] += 1;
-        }
-    }
-
-    // Open phase: partition and start every sub-stream, failing slices
-    // over while nothing has been written to the client yet.
-    let mut opened: Vec<(crate::pool::PooledConn<'_>, Vec<usize>, usize)> = Vec::new();
-    let mut pending: Vec<usize> = (0..scenarios.len()).filter(|&i| canon[i] == i).collect();
-    let mut excluded: BTreeSet<usize> = BTreeSet::new();
-    let mut failures: Vec<String> = Vec::new();
-    while !pending.is_empty() {
-        let parts = match partition_pending(router, &scenarios, &keys, &pending, &excluded) {
-            Ok(parts) => parts,
-            Err(e) => {
-                let message = if failures.is_empty() {
-                    e.message
-                } else {
-                    format!("{}: {}", e.message, failures.join("; "))
-                };
-                return StreamOutcome::Rejected(Outcome::error(e.status, &message));
+/// Scrapes `GET path` from every worker. Each entry holds `index`,
+/// `addr`, the `fields` the caller adds, `up`, and then either `key`
+/// with the parsed body (`null` when it does not parse) or `error`.
+fn scrape(
+    router: &Router,
+    path: &str,
+    key: &str,
+    fields: impl Fn(&WorkerState) -> Vec<(String, Value)>,
+) -> Vec<Value> {
+    let mut entries = Vec::new();
+    for (i, worker) in router.workers().iter().enumerate() {
+        let mut entry = vec![
+            ("index".into(), Value::U64(i as u64)),
+            ("addr".into(), Value::Str(worker.addr().to_owned())),
+        ];
+        entry.extend(fields(worker));
+        match worker.pool().request("GET", path, None) {
+            Ok(response) if response.status == 200 => {
+                worker.mark_up();
+                let body = serde::json::parse(&response.body).unwrap_or(Value::Null);
+                entry.push(("up".into(), Value::Bool(true)));
+                entry.push((key.into(), body));
             }
-        };
-        let mut next_pending = Vec::new();
-        for part in parts {
-            let worker = &router.workers()[part.worker];
-            // Streams always ride a fresh connection: a stale pooled
-            // keep-alive would fail only at first read — after the 200
-            // head is out and failover is no longer possible.
-            let attempt = worker.pool().connect_fresh().and_then(|mut conn| {
-                conn.get()
-                    .start_stream("POST", "/grid?stream=1", Some(&part.body))
-                    .map(|()| conn)
-            });
-            match attempt {
-                Ok(conn) => opened.push((conn, part.indices, part.worker)),
-                Err(e) => {
-                    worker.mark_down(&e);
-                    failures.push(format!("worker {} ({}): {e}", part.worker, worker.addr()));
-                    excluded.insert(part.worker);
-                    next_pending.extend(part.indices);
-                }
+            Ok(response) => {
+                entry.push(("up".into(), Value::Bool(worker.is_up())));
+                let error = format!("{key} answered HTTP {}", response.status);
+                entry.push(("error".into(), Value::Str(error)));
             }
-        }
-        if !next_pending.is_empty() {
-            router.failovers.fetch_add(1, Ordering::Relaxed);
-        }
-        next_pending.sort_unstable();
-        pending = next_pending;
-    }
-
-    if write_chunked_head_with(writer, 200, &[(REQUEST_ID_HEADER, rid)], keep_alive).is_err() {
-        return StreamOutcome::Streamed {
-            bytes: 0,
-            clean: false,
-        };
-    }
-
-    // Drain phase: worker-index-ordered partitions, lines forwarded as
-    // raw bytes (cell payloads stay byte-identical to the worker's).
-    let mut bytes = 0u64;
-    for (mut conn, indices, worker_idx) in opened {
-        let worker = &router.workers()[worker_idx];
-        let mut stream = match conn.get().read_stream() {
-            Ok(stream) => stream,
             Err(e) => {
                 worker.mark_down(&e);
-                return StreamOutcome::Streamed {
-                    bytes,
-                    clean: false,
-                };
-            }
-        };
-        if stream.status != 200 {
-            worker.failures.fetch_add(1, Ordering::Relaxed);
-            stream.abandon();
-            return StreamOutcome::Streamed {
-                bytes,
-                clean: false,
-            };
-        }
-        let mut lines = 0usize;
-        loop {
-            match stream.next_line() {
-                Some(Ok(mut line)) => {
-                    line.push('\n');
-                    // One copy for the canonical cell plus one per
-                    // duplicate the gateway held back from the fleet.
-                    let copies = 1 + indices.get(lines).map_or(0, |&i| dup_count[i]);
-                    for _ in 0..copies {
-                        if write_chunk(writer, line.as_bytes()).is_err() {
-                            // Client went away: abandoning (not
-                            // draining) closes the worker connection,
-                            // cancelling its remaining cells.
-                            stream.abandon();
-                            return StreamOutcome::Streamed {
-                                bytes,
-                                clean: false,
-                            };
-                        }
-                        bytes += line.len() as u64;
-                    }
-                    lines += 1;
-                }
-                Some(Err(e)) => {
-                    worker.mark_down(&format!("sub-stream died: {e}"));
-                    stream.abandon();
-                    return StreamOutcome::Streamed {
-                        bytes,
-                        clean: false,
-                    };
-                }
-                None => break,
+                entry.push(("up".into(), Value::Bool(false)));
+                entry.push(("error".into(), Value::Str(e)));
             }
         }
-        drop(stream);
-        if lines != indices.len() {
-            // A clean terminal chunk with missing cells is a protocol
-            // violation; the client must not see it as a complete grid.
-            worker.mark_down(&format!(
-                "sub-stream ended cleanly after {lines} of {} cells",
-                indices.len()
-            ));
-            return StreamOutcome::Streamed {
-                bytes,
-                clean: false,
-            };
-        }
-        worker.answered.fetch_add(1, Ordering::Relaxed);
-        // `conn` drops here un-parked — fresh-per-stream policy.
+        entries.push(Value::Map(entry));
     }
-    StreamOutcome::Streamed {
-        bytes,
-        clean: finish_chunked(writer).is_ok(),
-    }
+    entries
 }
 
-/// Pulls a `u64` out of a nested JSON map (`path` of keys).
-fn value_u64(value: &Value, path: &[&str]) -> Option<u64> {
-    let mut current = value;
-    for key in path {
-        let Value::Map(entries) = current else {
-            return None;
-        };
-        current = &entries.iter().find(|(k, _)| k == key)?.1;
-    }
-    match current {
-        Value::U64(n) => Some(*n),
-        Value::I64(n) => u64::try_from(*n).ok(),
-        Value::F64(n) if *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-/// Pulls an `f64` out of a JSON scalar.
-fn value_f64(value: &Value) -> Option<f64> {
-    match value {
-        Value::F64(n) => Some(*n),
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// Pulls one named series out of a worker's `/metrics/history` body.
-fn history_series(history: &Value, name: &str) -> Option<Vec<f64>> {
-    let Value::Map(entries) = history else {
-        return None;
-    };
-    let series = &entries.iter().find(|(k, _)| k == "series")?.1;
-    let Value::Map(series) = series else {
-        return None;
-    };
-    let Value::Seq(points) = &series.iter().find(|(k, _)| k == name)?.1 else {
-        return None;
-    };
-    Some(points.iter().filter_map(value_f64).collect())
-}
-
-/// Pulls the timestamp ring out of a worker's `/metrics/history` body.
-fn history_timestamps(history: &Value) -> Option<Vec<u64>> {
-    let Value::Map(entries) = history else {
-        return None;
-    };
-    let Value::Seq(points) = &entries.iter().find(|(k, _)| k == "timestamps_ms")?.1 else {
-        return None;
-    };
-    Some(
-        points
-            .iter()
-            .filter_map(|v| value_f64(v).map(|n| n as u64))
-            .collect(),
-    )
+/// The scraped bodies of the workers that answered 200 (`null` where
+/// the body did not parse).
+fn scraped<'a>(entries: &'a [Value], key: &'a str) -> impl Iterator<Item = &'a Value> {
+    entries.iter().filter_map(move |e| e.get(key))
 }
 
 /// `GET /cluster/history`: the gateway's own retained series plus one
@@ -1192,127 +549,41 @@ fn history_timestamps(history: &Value) -> Option<Vec<u64>> {
 /// spans the window every reachable worker has retained. `?last=` is
 /// forwarded to the workers; `?series=` filters only the gateway's own
 /// block (the fleet aggregate always needs the store series).
-/// One worker's scraped rings: (timestamps, req/s, hits/s, misses/s).
-type WorkerTail = (Vec<u64>, Vec<f64>, Vec<f64>, Vec<f64>);
-
-fn cluster_history_value(state: &Arc<GatewayState>, query: Option<&str>) -> Value {
-    let (filter, last) = trace::history_query(query);
-    let router = &state.router;
-    let path = match last {
+fn cluster_history_value(node: &Node<Fleet>, query: Option<&str>) -> Value {
+    let router = &node.tier.router;
+    let path = match trace::history_query(query).1 {
         Some(n) => format!("/metrics/history?last={n}"),
         None => "/metrics/history".to_owned(),
     };
-    // Tail-aligned accumulators: per-worker (timestamps, req, hits,
-    // misses) kept until every reachable worker has answered.
-    let mut tails: Vec<WorkerTail> = Vec::new();
-    let mut workers = Vec::new();
-    let mut up = 0u64;
-    for (i, worker) in router.workers().iter().enumerate() {
-        let mut entry = vec![
-            ("index".into(), Value::U64(i as u64)),
-            ("addr".into(), Value::Str(worker.addr().to_owned())),
-        ];
-        match worker.pool().request("GET", &path, None) {
-            Ok(response) if response.status == 200 => {
-                worker.mark_up();
-                up += 1;
-                match serde::json::parse(&response.body) {
-                    Ok(history) => {
-                        let timestamps = history_timestamps(&history).unwrap_or_default();
-                        let req = history_series(&history, "req_per_s").unwrap_or_default();
-                        let hits = history_series(&history, "store.hits_per_s").unwrap_or_default();
-                        let misses =
-                            history_series(&history, "store.misses_per_s").unwrap_or_default();
-                        tails.push((timestamps, req, hits, misses));
-                        entry.push(("up".into(), Value::Bool(true)));
-                        entry.push(("history".into(), history));
-                    }
-                    Err(_) => {
-                        entry.push(("up".into(), Value::Bool(true)));
-                        entry.push(("history".into(), Value::Null));
-                    }
-                }
-            }
-            Ok(response) => {
-                entry.push(("up".into(), Value::Bool(worker.is_up())));
-                entry.push((
-                    "error".into(),
-                    Value::Str(format!("history answered HTTP {}", response.status)),
-                ));
-            }
-            Err(e) => {
-                worker.mark_down(&e);
-                entry.push(("up".into(), Value::Bool(false)));
-                entry.push(("error".into(), Value::Str(e)));
-            }
-        }
-        workers.push(Value::Map(entry));
-    }
-
-    // The overlapping window: the shortest retained tail across every
-    // scraped worker (zero when any worker has no samples yet).
-    let samples = tails.iter().map(|(ts, ..)| ts.len()).min().unwrap_or(0);
-    let tail = |ring: &[f64], j: usize| ring[ring.len() - samples + j];
-    let mut timestamps = Vec::with_capacity(samples);
-    let mut fleet_req = Vec::with_capacity(samples);
-    let mut fleet_hits = Vec::with_capacity(samples);
-    let mut fleet_misses = Vec::with_capacity(samples);
-    let mut fleet_hit_rate = Vec::with_capacity(samples);
-    for j in 0..samples {
-        // Each fleet sample is stamped with the newest worker stamp it
-        // folds in — the most recent moment the sample describes.
-        timestamps.push(Value::U64(
-            tails
-                .iter()
-                .map(|(ts, ..)| ts[ts.len() - samples + j])
-                .max()
-                .unwrap_or(0),
-        ));
-        let (mut req, mut hits, mut misses) = (0.0, 0.0, 0.0);
-        for (_, r, h, m) in &tails {
-            // A worker tail shorter than `samples` cannot happen (the
-            // window is the minimum), but stay defensive on ring sizes.
-            if r.len() >= samples {
-                req += tail(r, j);
-            }
-            if h.len() >= samples {
-                hits += tail(h, j);
-            }
-            if m.len() >= samples {
-                misses += tail(m, j);
-            }
-        }
-        fleet_req.push(Value::F64(req));
-        fleet_hits.push(Value::F64(hits));
-        fleet_misses.push(Value::F64(misses));
-        fleet_hit_rate.push(Value::F64(if hits + misses > 0.0 {
-            hits / (hits + misses)
-        } else {
-            0.0
-        }));
-    }
-
-    let gateway_dump = state.history.dump(filter.as_deref(), last);
+    let workers = scrape(router, &path, "history", |_| Vec::new());
+    let histories: Vec<&Value> = scraped(&workers, "history")
+        .filter(|h| **h != Value::Null)
+        .collect();
+    let (timestamps, [req, hits, misses, hit_rate]) = fleet_rings(&histories);
+    let seq = |ring: Vec<f64>| Value::Seq(ring.into_iter().map(Value::F64).collect());
     Value::Map(vec![
-        ("service".into(), Value::Str("mcdla-gateway".into())),
-        (
-            "gateway".into(),
-            trace::history_value("mcdla-gateway", &gateway_dump),
-        ),
+        ("service".into(), Value::Str(Fleet::SERVICE.into())),
+        ("gateway".into(), node.history_value(query)),
         (
             "fleet".into(),
             Value::Map(vec![
                 ("workers".into(), Value::U64(router.workers().len() as u64)),
-                ("up".into(), Value::U64(up)),
-                ("samples".into(), Value::U64(samples as u64)),
-                ("timestamps_ms".into(), Value::Seq(timestamps)),
+                (
+                    "up".into(),
+                    Value::U64(scraped(&workers, "history").count() as u64),
+                ),
+                ("samples".into(), Value::U64(timestamps.len() as u64)),
+                (
+                    "timestamps_ms".into(),
+                    Value::Seq(timestamps.into_iter().map(Value::U64).collect()),
+                ),
                 (
                     "series".into(),
                     Value::Map(vec![
-                        ("req_per_s".into(), Value::Seq(fleet_req)),
-                        ("store.hits_per_s".into(), Value::Seq(fleet_hits)),
-                        ("store.misses_per_s".into(), Value::Seq(fleet_misses)),
-                        ("store.hit_rate".into(), Value::Seq(fleet_hit_rate)),
+                        ("req_per_s".into(), seq(req)),
+                        ("store.hits_per_s".into(), seq(hits)),
+                        ("store.misses_per_s".into(), seq(misses)),
+                        ("store.hit_rate".into(), seq(hit_rate)),
                     ]),
                 ),
             ]),
@@ -1323,18 +594,10 @@ fn cluster_history_value(state: &Arc<GatewayState>, query: Option<&str>) -> Valu
 
 /// `GET /cluster/stats`: gateway counters plus one `GET /stats` scrape
 /// of every worker, with fleet-wide store totals.
-fn cluster_stats_value(state: &GatewayState) -> Value {
-    let router = &state.router;
-    let mut workers = Vec::new();
-    let mut fleet_entries = 0u64;
-    let mut fleet_hits = 0u64;
-    let mut fleet_misses = 0u64;
-    let mut fleet_evictions = 0u64;
-    let mut reachable = 0u64;
-    for (i, worker) in router.workers().iter().enumerate() {
-        let mut entry = vec![
-            ("index".into(), Value::U64(i as u64)),
-            ("addr".into(), Value::Str(worker.addr().to_owned())),
+fn cluster_stats_value(node: &Node<Fleet>) -> Value {
+    let router = &node.tier.router;
+    let workers = scrape(router, "/stats", "stats", |worker| {
+        vec![
             (
                 "answered".into(),
                 Value::U64(worker.answered.load(Ordering::Relaxed)),
@@ -1343,229 +606,33 @@ fn cluster_stats_value(state: &GatewayState) -> Value {
                 "failures".into(),
                 Value::U64(worker.failures.load(Ordering::Relaxed)),
             ),
-        ];
-        match worker.pool().request("GET", "/stats", None) {
-            Ok(response) if response.status == 200 => {
-                worker.mark_up();
-                reachable += 1;
-                if let Ok(stats) = serde::json::parse(&response.body) {
-                    fleet_entries += value_u64(&stats, &["store", "entries"]).unwrap_or(0);
-                    fleet_hits += value_u64(&stats, &["store", "hits"]).unwrap_or(0);
-                    fleet_misses += value_u64(&stats, &["store", "misses"]).unwrap_or(0);
-                    fleet_evictions += value_u64(&stats, &["store", "evictions"]).unwrap_or(0);
-                    entry.push(("up".into(), Value::Bool(true)));
-                    entry.push(("stats".into(), stats));
-                } else {
-                    entry.push(("up".into(), Value::Bool(true)));
-                    entry.push(("stats".into(), Value::Null));
-                }
-            }
-            Ok(response) => {
-                entry.push(("up".into(), Value::Bool(worker.is_up())));
-                entry.push((
-                    "error".into(),
-                    Value::Str(format!("stats answered HTTP {}", response.status)),
-                ));
-            }
-            Err(e) => {
-                worker.mark_down(&e);
-                entry.push(("up".into(), Value::Bool(false)));
-                entry.push(("error".into(), Value::Str(e)));
-            }
-        }
-        workers.push(Value::Map(entry));
-    }
+        ]
+    });
+    let total = |field: &str| {
+        let store = scraped(&workers, "stats").filter_map(|s| s.get("store"));
+        Value::U64(store.filter_map(|s| s.get(field)?.as_u64()).sum())
+    };
     Value::Map(vec![
-        ("service".into(), Value::Str("mcdla-gateway".into())),
-        (
-            "uptime_seconds".into(),
-            Value::F64(state.started.elapsed().as_secs_f64()),
-        ),
+        ("service".into(), Value::Str(Fleet::SERVICE.into())),
+        ("uptime_seconds".into(), Value::F64(node.uptime())),
         ("build".into(), trace::build_value()),
-        (
-            "gateway".into(),
-            Value::Map(vec![
-                ("requests".into(), state.requests.to_value()),
-                (
-                    "connections".into(),
-                    Value::Map(vec![
-                        ("open".into(), Value::U64(state.loop_stats.open())),
-                        ("accepted".into(), Value::U64(state.loop_stats.accepted())),
-                        ("shed".into(), Value::U64(state.loop_stats.shed())),
-                        (
-                            "request_timeouts".into(),
-                            Value::U64(state.loop_stats.request_timeouts()),
-                        ),
-                        (
-                            "idle_closed".into(),
-                            Value::U64(state.loop_stats.idle_closed()),
-                        ),
-                    ]),
-                ),
-                (
-                    "failovers".into(),
-                    Value::U64(router.failovers.load(Ordering::Relaxed)),
-                ),
-                ("retries".into(), Value::U64(router.retries())),
-            ]),
-        ),
+        ("gateway".into(), Value::Map(node.stats_blocks())),
         (
             "fleet".into(),
             Value::Map(vec![
                 ("workers".into(), Value::U64(router.workers().len() as u64)),
-                ("up".into(), Value::U64(reachable)),
-                ("entries".into(), Value::U64(fleet_entries)),
-                ("hits".into(), Value::U64(fleet_hits)),
-                ("misses".into(), Value::U64(fleet_misses)),
-                ("evictions".into(), Value::U64(fleet_evictions)),
+                (
+                    "up".into(),
+                    Value::U64(scraped(&workers, "stats").count() as u64),
+                ),
+                ("entries".into(), total("entries")),
+                ("hits".into(), total("hits")),
+                ("misses".into(), total("misses")),
+                ("evictions".into(), total("evictions")),
             ]),
         ),
         ("workers".into(), Value::Seq(workers)),
     ])
-}
-
-/// The gateway's `GET /metrics` Prometheus exposition.
-fn metrics_text(state: &GatewayState) -> String {
-    let router = &state.router;
-    let mut b = MetricsBuilder::new();
-    b.scalar(
-        "mcdla_gateway_up",
-        "Whether this gateway is serving.",
-        "gauge",
-        1.0,
-    );
-    b.scalar(
-        "mcdla_gateway_uptime_seconds",
-        "Seconds since this gateway started.",
-        "gauge",
-        state.started.elapsed().as_secs_f64(),
-    );
-    b.family(
-        "mcdla_build_info",
-        "Build metadata as labels (constant 1).",
-        "gauge",
-    );
-    b.sample(
-        "mcdla_build_info",
-        &[
-            ("version", mcdla_obs::build_version()),
-            ("build", mcdla_obs::build_id()),
-        ],
-        1.0,
-    );
-    b.family(
-        "mcdla_gateway_requests_total",
-        "Requests handled, by endpoint (`errors` counts 4xx/5xx answers).",
-        "counter",
-    );
-    for (endpoint, count) in state.requests.snapshot() {
-        b.sample(
-            "mcdla_gateway_requests_total",
-            &[("endpoint", endpoint)],
-            count as f64,
-        );
-    }
-    b.scalar(
-        "mcdla_gateway_open_connections",
-        "Connections attached to the gateway event loop right now.",
-        "gauge",
-        state.loop_stats.open() as f64,
-    );
-    b.scalar(
-        "mcdla_gateway_accepted_connections_total",
-        "Connections accepted since start.",
-        "counter",
-        state.loop_stats.accepted() as f64,
-    );
-    b.scalar(
-        "mcdla_gateway_requests_shed_total",
-        "Requests answered 429 because the admission queue was full.",
-        "counter",
-        state.loop_stats.shed() as f64,
-    );
-    b.scalar(
-        "mcdla_gateway_request_timeouts_total",
-        "Requests answered 408 after stalling mid-head or mid-body.",
-        "counter",
-        state.loop_stats.request_timeouts() as f64,
-    );
-    b.scalar(
-        "mcdla_gateway_idle_connections_closed_total",
-        "Idle keep-alive connections closed silently.",
-        "counter",
-        state.loop_stats.idle_closed() as f64,
-    );
-    b.scalar(
-        "mcdla_gateway_failovers_total",
-        "Requests or grid slices answered by a non-owner worker.",
-        "counter",
-        router.failovers.load(Ordering::Relaxed) as f64,
-    );
-    b.scalar(
-        "mcdla_gateway_retries_total",
-        "Stale pooled-connection retries across all workers.",
-        "counter",
-        router.retries() as f64,
-    );
-    b.family(
-        "mcdla_gateway_worker_up",
-        "Health belief per worker (1 = up).",
-        "gauge",
-    );
-    for worker in router.workers() {
-        b.sample(
-            "mcdla_gateway_worker_up",
-            &[("worker", worker.addr())],
-            if worker.is_up() { 1.0 } else { 0.0 },
-        );
-    }
-    b.family(
-        "mcdla_gateway_worker_answered_total",
-        "Requests each worker answered for this gateway.",
-        "counter",
-    );
-    for worker in router.workers() {
-        b.sample(
-            "mcdla_gateway_worker_answered_total",
-            &[("worker", worker.addr())],
-            worker.answered.load(Ordering::Relaxed) as f64,
-        );
-    }
-    b.family(
-        "mcdla_gateway_worker_failures_total",
-        "Errors observed against each worker (connect/read failures and 5xx).",
-        "counter",
-    );
-    for worker in router.workers() {
-        b.sample(
-            "mcdla_gateway_worker_failures_total",
-            &[("worker", worker.addr())],
-            worker.failures.load(Ordering::Relaxed) as f64,
-        );
-    }
-    b.histogram_family(
-        "mcdla_gateway_request_seconds",
-        "Gateway request latency by endpoint, seconds.",
-    );
-    for (endpoint, snap) in state.latency.snapshots() {
-        b.histogram(
-            "mcdla_gateway_request_seconds",
-            &[("endpoint", endpoint)],
-            &snap,
-        );
-    }
-    b.histogram_family(
-        "mcdla_gateway_upstream_seconds",
-        "Gateway->worker round-trip latency per upstream worker, seconds.",
-    );
-    for worker in router.workers() {
-        b.histogram(
-            "mcdla_gateway_upstream_seconds",
-            &[("worker", worker.addr())],
-            &worker.latency.snapshot(),
-        );
-    }
-    b.finish()
 }
 
 /// A whole local fleet: `n` in-process workers on ephemeral loopback

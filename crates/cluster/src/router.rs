@@ -123,11 +123,6 @@ impl Router {
         })
     }
 
-    /// The fleet topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Per-worker state, in topology index order.
     pub fn workers(&self) -> &[WorkerState] {
         &self.workers
@@ -154,7 +149,8 @@ impl Router {
         order
     }
 
-    /// Forwards one buffered request along `key`'s failover chain.
+    /// Forwards one buffered request along `key`'s failover chain,
+    /// sending `headers` (request-id propagation) on every attempt.
     ///
     /// * A `< 500` answer (success **or** a worker-side 4xx) is final
     ///   and passes through — a 4xx is the worker's verdict on the
@@ -164,18 +160,6 @@ impl Router {
     ///   leaves the worker up (it is alive enough to answer).
     /// * When every worker fails, the caller gets a [`GatewayError`]
     ///   (502) naming each worker and what it said.
-    pub fn forward(
-        &self,
-        key: u64,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<(usize, Response), GatewayError> {
-        self.forward_with(key, method, path, &[], body)
-    }
-
-    /// [`Router::forward`] with extra request headers forwarded to the
-    /// worker on every attempt (request-id propagation).
     pub fn forward_with(
         &self,
         key: u64,
@@ -315,7 +299,9 @@ mod tests {
         // Whichever worker owns the key, the answer must come from the
         // live one; a key owned by the dead worker records a failover.
         for key in 0..8u64 {
-            let (i, resp) = router.forward(key, "GET", "/x", None).expect("failover");
+            let (i, resp) = router
+                .forward_with(key, "GET", "/x", &[], None)
+                .expect("failover");
             assert_eq!(router.workers()[i].addr(), live);
             assert_eq!(resp.status, 200);
         }
@@ -335,7 +321,9 @@ mod tests {
         let (a, stop_a) = stub_worker(418, "{\"error\":\"teapot\"}");
         let (b, stop_b) = stub_worker(418, "{\"error\":\"teapot\"}");
         let router = Router::new([a, b], Timeouts::default(), 2).unwrap();
-        let (_, resp) = router.forward(7, "POST", "/simulate", Some("{}")).unwrap();
+        let (_, resp) = router
+            .forward_with(7, "POST", "/simulate", &[], Some("{}"))
+            .unwrap();
         assert_eq!(resp.status, 418);
         assert_eq!(resp.body, "{\"error\":\"teapot\"}");
         assert_eq!(router.failovers.load(Ordering::Relaxed), 0);
@@ -350,7 +338,7 @@ mod tests {
         let router = Router::new([sick.clone(), live], Timeouts::default(), 2).unwrap();
         for key in 0..8u64 {
             let (_, resp) = router
-                .forward(key, "GET", "/x", None)
+                .forward_with(key, "GET", "/x", &[], None)
                 .expect("5xx failover");
             assert_eq!(resp.status, 200);
         }
@@ -366,7 +354,7 @@ mod tests {
         let a = refusing_addr();
         let b = refusing_addr();
         let router = Router::new([a.clone(), b.clone()], Timeouts::default(), 2).unwrap();
-        let err = router.forward(1, "GET", "/x", None).unwrap_err();
+        let err = router.forward_with(1, "GET", "/x", &[], None).unwrap_err();
         assert_eq!(err.status, 502);
         assert!(
             err.message.contains(&a) && err.message.contains(&b),

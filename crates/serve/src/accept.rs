@@ -123,18 +123,6 @@ pub struct LoopConfig {
     pub request_timeout: Duration,
 }
 
-impl Default for LoopConfig {
-    fn default() -> Self {
-        LoopConfig {
-            loops: 1,
-            workers: 4,
-            queue_depth: 128,
-            idle_timeout: Duration::from_secs(30),
-            request_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
 /// Counters the event loop maintains, for `/stats` and `/metrics`.
 #[derive(Debug, Default)]
 pub struct LoopStats {

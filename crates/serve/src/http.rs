@@ -16,7 +16,7 @@
 //! version table (see [`parse_request`]); anything that is not a known
 //! `HTTP/1.x` version is served conservatively or refused.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Maximum accepted request-head size (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -94,20 +94,6 @@ impl WireError {
 /// `Content-Length` headers and non-numeric lengths are 400, any
 /// `Transfer-Encoding` (chunked included) is 501.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> {
-    match parse_inner(buf)? {
-        Parsed::Complete(request, consumed) => Ok(Some((request, consumed))),
-        Parsed::NeedMore(_) => Ok(None),
-    }
-}
-
-/// Incremental parse status: either a complete request or "read more",
-/// with the total request size attached once the head has arrived.
-enum Parsed {
-    Complete(Request, usize),
-    NeedMore(Option<usize>),
-}
-
-fn parse_inner(buf: &[u8]) -> Result<Parsed, WireError> {
     let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
     let Some(head_len) = find_head_end(window) else {
         if buf.len() >= MAX_HEAD_BYTES {
@@ -116,7 +102,7 @@ fn parse_inner(buf: &[u8]) -> Result<Parsed, WireError> {
                 format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit"),
             ));
         }
-        return Ok(Parsed::NeedMore(None)); // incomplete head: keep reading
+        return Ok(None); // incomplete head: keep reading
     };
     let head = std::str::from_utf8(&buf[..head_len])
         .map_err(|_| WireError::new(400, "request head is not valid utf-8"))?;
@@ -216,9 +202,9 @@ fn parse_inner(buf: &[u8]) -> Result<Parsed, WireError> {
     let body_start = head_len + 4;
     let total = body_start + content_length;
     if buf.len() < total {
-        return Ok(Parsed::NeedMore(Some(total))); // body still arriving
+        return Ok(None); // body still arriving
     }
-    Ok(Parsed::Complete(
+    Ok(Some((
         Request {
             method: method.to_owned(),
             path: path.to_owned(),
@@ -227,7 +213,7 @@ fn parse_inner(buf: &[u8]) -> Result<Parsed, WireError> {
             headers,
         },
         total,
-    ))
+    )))
 }
 
 /// The error to answer when the peer stopped sending (EOF or timeout)
@@ -257,68 +243,6 @@ fn is_http_1x(version: &str) -> bool {
     version
         .strip_prefix("HTTP/1.")
         .is_some_and(|minor| !minor.is_empty() && minor.bytes().all(|b| b.is_ascii_digit()))
-}
-
-/// Reads one request from a blocking stream (the worker-pool side and
-/// the tests use this; the event loop calls [`parse_request`] against
-/// its per-connection inbox instead).
-///
-/// Returns `Ok(None)` on a clean close (EOF before the first byte of a
-/// request) — the keep-alive loop's normal exit. Every malformed input
-/// is an `Err` naming the 4xx to answer with.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, WireError> {
-    // The head is read byte-by-byte (the reader is buffered, so this
-    // costs nanoseconds per byte) and the body with one `read_exact`,
-    // so exactly one request is consumed — pipelined bytes after it
-    // stay in the reader for the next call.
-    let mut buf: Vec<u8> = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    loop {
-        match parse_inner(&buf)? {
-            Parsed::Complete(request, consumed) => {
-                debug_assert_eq!(consumed, buf.len(), "read_request reads one request");
-                return Ok(Some(request));
-            }
-            Parsed::NeedMore(Some(total)) => {
-                let mut body = vec![0u8; total - buf.len()];
-                reader.read_exact(&mut body).map_err(|e| {
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) {
-                        WireError::new(408, "timed out reading the request body")
-                    } else {
-                        WireError::new(400, "truncated request body")
-                    }
-                })?;
-                buf.extend_from_slice(&body);
-            }
-            Parsed::NeedMore(None) => match reader.read(&mut byte) {
-                Ok(0) => {
-                    return if buf.is_empty() {
-                        Ok(None) // clean close between requests
-                    } else {
-                        Err(incomplete_error(&buf, false))
-                    };
-                }
-                Ok(_) => buf.push(byte[0]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return if buf.is_empty() {
-                        Ok(None) // idle keep-alive connection: close quietly
-                    } else {
-                        Err(incomplete_error(&buf, true))
-                    };
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Ok(None), // reset mid-idle: nothing to answer
-            },
-        }
-    }
 }
 
 /// The canonical reason phrase for the statuses this service answers.
@@ -366,18 +290,9 @@ pub fn query_param<'q>(query: Option<&'q str>, key: &str) -> Option<&'q str> {
         .map(|(_, v)| v)
 }
 
-/// Starts a chunked NDJSON response: status line and headers only; the
-/// body follows as [`write_chunk`] calls ended by [`finish_chunked`].
-pub fn write_chunked_head(
-    w: &mut impl Write,
-    status: u16,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_chunked_head_with(w, status, &[], keep_alive)
-}
-
-/// [`write_chunked_head`] with extra response headers (the request-id
-/// echo on streamed grids).
+/// Starts a chunked NDJSON response: status line and headers (`extra_headers`
+/// carry the request-id echo) only; the body follows as [`write_chunk`]
+/// calls ended by [`finish_chunked`].
 pub fn write_chunked_head_with(
     w: &mut impl Write,
     status: u16,
@@ -419,29 +334,7 @@ pub fn finish_chunked(w: &mut impl Write) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Writes one JSON response (the content type almost everything speaks).
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_typed(w, status, "application/json", body, keep_alive)
-}
-
-/// Writes one response with an explicit content type (`GET /metrics`
-/// answers Prometheus text exposition, everything else JSON).
-pub fn write_response_typed(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with(w, status, content_type, &[], body, keep_alive)
-}
-
-/// [`write_response_typed`] with extra response headers (the
+/// Writes one response with its content type and extra headers (the
 /// `X-Mcdla-Request-Id` echo).
 pub fn write_response_with(
     w: &mut impl Write,
@@ -483,10 +376,15 @@ pub fn error_body(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses `bytes` as everything a peer sent before closing: a
+    /// request cut short earns the 400 the event loop answers at EOF.
     fn parse(bytes: &[u8]) -> Result<Option<Request>, WireError> {
-        read_request(&mut BufReader::new(bytes))
+        match parse_request(bytes)? {
+            Some((request, _)) => Ok(Some(request)),
+            None if bytes.is_empty() => Ok(None),
+            None => Err(incomplete_error(bytes, false)),
+        }
     }
 
     #[test]
@@ -694,7 +592,15 @@ mod tests {
     #[test]
     fn responses_carry_length_and_connection() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}", true).unwrap();
+        write_response_with(
+            &mut out,
+            200,
+            "application/json",
+            &[],
+            "{\"ok\":true}",
+            true,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 11\r\n"));
@@ -722,7 +628,7 @@ mod tests {
     #[test]
     fn chunked_framing_round_trips() {
         let mut out = Vec::new();
-        write_chunked_head(&mut out, 200, true).unwrap();
+        write_chunked_head_with(&mut out, 200, &[], true).unwrap();
         write_chunk(&mut out, b"{\"a\":1}\n").unwrap();
         write_chunk(&mut out, b"").unwrap(); // skipped, not a terminator
         write_chunk(&mut out, b"{\"b\":2}\n").unwrap();

@@ -61,6 +61,7 @@ pub mod client;
 pub mod epoll;
 pub mod http;
 pub mod metrics;
+pub mod node;
 mod server;
 pub mod trace;
 

@@ -1,8 +1,17 @@
 //! Prometheus text-exposition rendering (format version 0.0.4) for the
 //! worker's and the gateway's `GET /metrics` endpoints — counters,
-//! gauges, and (since the `mcdla-obs` layer) latency histograms.
+//! gauges, and (since the `mcdla-obs` layer) latency histograms — and
+//! the metric table every telemetry surface renders from.
+//!
+//! Each tier declares every metric once, as a [`Metric`] entry: its
+//! Prometheus name, kind, help, label, and read function, plus an
+//! optional `/stats` key and its `/metrics/history` series. `/metrics`
+//! ([`render`]), the counter blocks of `/stats` ([`stats_blocks`]),
+//! and the history rings ([`series_values`]) are three views of the
+//! same table, so they cannot drift apart.
 
 use mcdla_obs::HistogramSnapshot;
+use serde::Value;
 
 /// The `content-type` a Prometheus scrape expects.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -67,12 +76,6 @@ impl MetricsBuilder {
         self
     }
 
-    /// A one-sample family (header + single unlabeled line).
-    pub fn scalar(&mut self, name: &str, help: &str, kind: &str, value: f64) -> &mut Self {
-        self.family(name, help, kind);
-        self.sample(name, &[], value)
-    }
-
     /// Starts a `histogram` family; follow with
     /// [`MetricsBuilder::histogram`] calls for each label set.
     pub fn histogram_family(&mut self, name: &str, help: &str) -> &mut Self {
@@ -105,6 +108,312 @@ impl MetricsBuilder {
     }
 }
 
+/// A metric family's type, as its `# TYPE` line names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone count; history retains its per-second rate.
+    Counter,
+    /// Point-in-time value; history retains the value itself.
+    Gauge,
+    /// Latency histogram; history retains windowed rates and quantiles.
+    Histogram,
+}
+
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// One read of a metric family.
+#[derive(Debug, Clone)]
+pub enum Reading {
+    /// `(label value, value)` samples. An unlabeled family holds one
+    /// sample labeled `""`; an empty list omits the family.
+    Values(Vec<(String, f64)>),
+    /// `(label value, histogram)` series.
+    Histograms(Vec<(String, HistogramSnapshot)>),
+}
+
+impl Reading {
+    /// The single sample of an unlabeled family.
+    pub fn value(v: f64) -> Reading {
+        Reading::Values(vec![(String::new(), v)])
+    }
+
+    /// Labeled samples.
+    pub fn labeled<L: ToString>(samples: impl IntoIterator<Item = (L, f64)>) -> Reading {
+        Reading::Values(
+            samples
+                .into_iter()
+                .map(|(l, v)| (l.to_string(), v))
+                .collect(),
+        )
+    }
+
+    fn sample(&self, label: &str) -> f64 {
+        match self {
+            Reading::Values(samples) => samples
+                .iter()
+                .find(|(l, _)| l == label)
+                .map_or(0.0, |(_, v)| *v),
+            Reading::Histograms(_) => 0.0,
+        }
+    }
+}
+
+/// How a family feeds `/metrics/history`. Counters retain per-second
+/// rates over the sample window, gauges their value; a `{}` in a name
+/// takes each label value, and a labeled family under a name without
+/// `{}` sums its samples.
+#[derive(Debug, Clone, Copy)]
+pub enum Series {
+    /// Every sample (or their sum) under this name.
+    Each(&'static str),
+    /// Only the sample with label value `.0`, under name `.1`.
+    Only(&'static str, &'static str),
+    /// The windowed hit rate `hits / (hits + misses)` under name `.0`:
+    /// this family counts hits, the family named `.1` the misses.
+    HitRate(&'static str, &'static str),
+    /// A latency histogram: the total request rate under this name, and
+    /// `{label}.req_per_s`, `{label}.p50_ms`, `{label}.p99_ms` per label,
+    /// all from histogram deltas over the window.
+    Latency(&'static str),
+}
+
+/// One metric family, declared once (see the module docs).
+pub struct Metric<S> {
+    /// Prometheus family name.
+    pub name: String,
+    /// Family type.
+    pub kind: Kind,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// Label name of a labeled family (`""` for an unlabeled one).
+    pub label: &'static str,
+    /// Reads the family off the node's state.
+    pub read: fn(&S) -> Reading,
+    /// Dotted `/stats` path; labeled families add one key per label.
+    pub stats: Option<&'static str>,
+    /// Retained history series.
+    pub series: Vec<Series>,
+}
+
+impl<S> std::fmt::Debug for Metric<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Metric").field("name", &self.name).finish()
+    }
+}
+
+impl<S> Metric<S> {
+    fn new(
+        kind: Kind,
+        name: impl Into<String>,
+        help: &'static str,
+        read: fn(&S) -> Reading,
+    ) -> Self {
+        Metric {
+            name: name.into(),
+            kind,
+            help,
+            label: "",
+            read,
+            stats: None,
+            series: Vec::new(),
+        }
+    }
+
+    /// A counter family.
+    pub fn counter(name: impl Into<String>, help: &'static str, read: fn(&S) -> Reading) -> Self {
+        Metric::new(Kind::Counter, name, help, read)
+    }
+
+    /// A gauge family.
+    pub fn gauge(name: impl Into<String>, help: &'static str, read: fn(&S) -> Reading) -> Self {
+        Metric::new(Kind::Gauge, name, help, read)
+    }
+
+    /// A histogram family, labeled by `label`.
+    pub fn histogram(
+        name: impl Into<String>,
+        help: &'static str,
+        label: &'static str,
+        read: fn(&S) -> Reading,
+    ) -> Self {
+        Metric::new(Kind::Histogram, name, help, read).labeled(label)
+    }
+
+    /// Labels the family's samples by `label`.
+    pub fn labeled(mut self, label: &'static str) -> Self {
+        self.label = label;
+        self
+    }
+
+    /// Reports the family in `/stats` at `path`.
+    pub fn stats(mut self, path: &'static str) -> Self {
+        self.stats = Some(path);
+        self
+    }
+
+    /// Retains `series` in `/metrics/history`.
+    pub fn series(mut self, series: Series) -> Self {
+        self.series.push(series);
+        self
+    }
+}
+
+/// Renders every family of `table` into an exposition document.
+pub fn render<S>(b: &mut MetricsBuilder, table: &[Metric<S>], state: &S) {
+    for m in table {
+        match (m.read)(state) {
+            Reading::Values(samples) if samples.is_empty() => {}
+            Reading::Values(samples) => {
+                b.family(&m.name, m.help, m.kind.as_str());
+                for (label, v) in &samples {
+                    if m.label.is_empty() {
+                        b.sample(&m.name, &[], *v);
+                    } else {
+                        b.sample(&m.name, &[(m.label, label)], *v);
+                    }
+                }
+            }
+            Reading::Histograms(series) => {
+                b.histogram_family(&m.name, m.help);
+                for (label, snap) in &series {
+                    b.histogram(&m.name, &[(m.label, label)], snap);
+                }
+            }
+        }
+    }
+}
+
+/// The `/stats` entries of every family with a stats key, nested by
+/// their dotted paths, in table order. Stats-keyed families are
+/// integral counters and gauges, so values render as integers.
+pub fn stats_blocks<S>(table: &[Metric<S>], state: &S) -> Vec<(String, Value)> {
+    let mut root = Vec::new();
+    for m in table {
+        let (Some(path), Reading::Values(samples)) = (m.stats, (m.read)(state)) else {
+            continue;
+        };
+        for (label, v) in samples {
+            let key = if m.label.is_empty() {
+                path.to_owned()
+            } else {
+                format!("{path}.{label}")
+            };
+            insert_path(&mut root, &key, Value::U64(v as u64));
+        }
+    }
+    root
+}
+
+fn insert_path(map: &mut Vec<(String, Value)>, path: &str, value: Value) {
+    let Some((head, rest)) = path.split_once('.') else {
+        map.push((path.to_owned(), value));
+        return;
+    };
+    let i = match map.iter().position(|(k, _)| k == head) {
+        Some(i) => i,
+        None => {
+            map.push((head.to_owned(), Value::Map(Vec::new())));
+            map.len() - 1
+        }
+    };
+    if let Value::Map(inner) = &mut map[i].1 {
+        insert_path(inner, rest, value);
+    }
+}
+
+/// Reads the families the history needs: every family with series,
+/// plus the miss counters their hit rates divide by. Others read as
+/// empty, so a sampler tick skips them.
+pub fn read_tracked<S>(table: &[Metric<S>], state: &S) -> Vec<Reading> {
+    table
+        .iter()
+        .map(|m| {
+            let referenced = table
+                .iter()
+                .flat_map(|t| &t.series)
+                .any(|s| matches!(s, Series::HitRate(_, misses) if *misses == m.name));
+            if m.series.is_empty() && !referenced {
+                Reading::Values(Vec::new())
+            } else {
+                (m.read)(state)
+            }
+        })
+        .collect()
+}
+
+/// Every history series of `table` with its value over the window
+/// between two [`read_tracked`] readings taken `dt` seconds apart.
+pub fn series_values<S>(
+    table: &[Metric<S>],
+    prev: &[Reading],
+    cur: &[Reading],
+    dt: f64,
+) -> Vec<(String, f64)> {
+    let dt = dt.max(1e-3);
+    let rate = |now: f64, then: f64| (now - then).max(0.0) / dt;
+    let ratio = |h: f64, m: f64| if h + m > 0.0 { h / (h + m) } else { 0.0 };
+    let mut out = Vec::new();
+    for (i, m) in table.iter().enumerate() {
+        let windowed = |label: &str| {
+            let now = cur[i].sample(label);
+            match m.kind {
+                Kind::Counter => rate(now, prev[i].sample(label)),
+                _ => now,
+            }
+        };
+        for series in &m.series {
+            match (*series, &cur[i], &prev[i]) {
+                (Series::Each(name), Reading::Values(samples), _) if name.contains("{}") => {
+                    for (label, _) in samples {
+                        out.push((name.replace("{}", label), windowed(label)));
+                    }
+                }
+                (Series::Each(name), Reading::Values(samples), _) => {
+                    let sum = samples.iter().map(|(label, _)| windowed(label)).sum();
+                    out.push((name.to_owned(), sum));
+                }
+                (Series::Only(label, name), ..) => out.push((name.to_owned(), windowed(label))),
+                (Series::HitRate(name, misses), Reading::Values(samples), _) => {
+                    let j = table.iter().position(|t| t.name == misses);
+                    for (label, _) in samples {
+                        let missed =
+                            j.map_or(0.0, |j| rate(cur[j].sample(label), prev[j].sample(label)));
+                        out.push((name.replace("{}", label), ratio(windowed(label), missed)));
+                    }
+                }
+                (Series::Latency(name), Reading::Histograms(now), Reading::Histograms(then)) => {
+                    let windows: Vec<(&String, HistogramSnapshot)> = now
+                        .iter()
+                        .map(
+                            |(label, snap)| match then.iter().find(|(l, _)| l == label) {
+                                Some((_, old)) => (label, snap.delta(old)),
+                                None => (label, snap.clone()),
+                            },
+                        )
+                        .collect();
+                    let requests: u64 = windows.iter().map(|(_, w)| w.count()).sum();
+                    out.push((name.to_owned(), requests as f64 / dt));
+                    for (label, w) in windows {
+                        out.push((format!("{label}.req_per_s"), w.count() as f64 / dt));
+                        out.push((format!("{label}.p50_ms"), w.quantile(0.5) * 1e3));
+                        out.push((format!("{label}.p99_ms"), w.quantile(0.99) * 1e3));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
 /// Formats a bucket bound as Prometheus expects: plain decimal for
 /// finite bounds, the literal `+Inf` for the overflow bucket.
 fn fmt_le(bound: f64) -> String {
@@ -125,7 +434,7 @@ mod tests {
         b.family("x_total", "things", "counter");
         b.sample("x_total", &[("endpoint", "simulate")], 3.0);
         b.sample("x_total", &[("endpoint", "a\"b\\c")], 1.5);
-        b.scalar("up", "liveness", "gauge", 1.0);
+        b.family("up", "liveness", "gauge").sample("up", &[], 1.0);
         let text = b.finish();
         assert!(text.contains("# HELP x_total things\n# TYPE x_total counter\n"));
         assert!(text.contains("x_total{endpoint=\"simulate\"} 3\n"));

@@ -1,13 +1,11 @@
-//! The `mcdla-serve` server: an epoll event loop owning every
-//! connection's I/O (see [`crate::accept`]), with simulation work on a
-//! bounded blocking worker pool, routing to the shared scenario store.
+//! The `mcdla-serve` worker tier: the result store behind the node
+//! shell ([`crate::node`]). Cache hits answer on the event-loop
+//! thread; simulation and streaming run on the bounded worker pool.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mcdla_accel::DeviceGeneration;
 use mcdla_core::{
@@ -15,20 +13,14 @@ use mcdla_core::{
     SystemDesign,
 };
 use mcdla_dnn::Benchmark;
-use mcdla_obs::{
-    rss_bytes, unix_ms, FlightRecorder, HistogramSnapshot, History, Sampler, Span, TraceRecord,
-    TraceScope,
-};
+use mcdla_obs::Span;
 use mcdla_parallel::ParallelStrategy;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::accept::{spawn_event_loop, FastAnswer, LoopConfig, LoopHandle, LoopStats, Service};
-use crate::http::{
-    error_body, finish_chunked, query_flag, query_param, split_target, write_chunk,
-    write_chunked_head_with, write_response_with, Request, WireError,
+use crate::metrics::{Metric, Reading, Series};
+use crate::node::{
+    self, BoundNode, Call, CellStream, Node, NodeHandle, Outcome, Route, StreamOutcome, Tier,
 };
-use crate::metrics::MetricsBuilder;
-use crate::trace::{self, LatencyFamily, REQUEST_ID_HEADER};
 
 /// Largest grid one buffered `POST /grid` request may expand to.
 pub const MAX_GRID_CELLS: usize = 10_000;
@@ -94,72 +86,22 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-endpoint request counters, reported by `GET /stats` and
-/// `GET /metrics`.
-#[derive(Debug, Default)]
-struct EndpointCounters {
-    healthz: AtomicU64,
-    stats: AtomicU64,
-    metrics: AtomicU64,
-    simulate: AtomicU64,
-    grid: AtomicU64,
-    debug: AtomicU64,
-    errors: AtomicU64,
-}
-
-impl EndpointCounters {
-    /// `(endpoint name, count)` snapshot, in stable order.
-    fn snapshot(&self) -> [(&'static str, u64); 7] {
-        [
-            ("healthz", self.healthz.load(Ordering::Relaxed)),
-            ("stats", self.stats.load(Ordering::Relaxed)),
-            ("metrics", self.metrics.load(Ordering::Relaxed)),
-            ("simulate", self.simulate.load(Ordering::Relaxed)),
-            ("grid", self.grid.load(Ordering::Relaxed)),
-            ("debug", self.debug.load(Ordering::Relaxed)),
-            ("errors", self.errors.load(Ordering::Relaxed)),
-        ]
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.snapshot()
-                .into_iter()
-                .map(|(name, count)| (name.into(), Value::U64(count)))
-                .collect(),
-        )
-    }
-}
-
+/// The worker tier's state: the store and what serves from it.
 #[derive(Debug)]
-struct ServerState {
+struct Worker {
     store: Arc<ResultStore>,
     runner: Runner,
     snapshot: Option<PathBuf>,
     /// Serializes snapshot writes from concurrent handlers.
     snapshot_write: Mutex<()>,
-    shutdown: AtomicBool,
-    started: Instant,
-    requests: EndpointCounters,
-    /// Event-loop counters (open/accepted/shed/timeouts).
-    loop_stats: Arc<LoopStats>,
     /// Serialized response bodies for `/simulate` cache hits, keyed by
     /// scenario. Only consulted *after* `store.get` confirms residency
     /// (so hit accounting is untouched), and reports are deterministic
     /// per scenario, so a cached body is byte-identical to a fresh one.
     sim_responses: StageCache<Scenario, Arc<str>>,
-    /// The last `MCDLA_TRACE_CAP` completed request traces.
-    recorder: FlightRecorder,
-    /// Request-latency histograms, one per endpoint label.
-    latency: LatencyFamily,
-    /// Slow-request log threshold (`MCDLA_SLOW_MS`; `None` = off).
-    slow_ms: Option<u64>,
-    /// Retained time-series telemetry, fed by the background sampler
-    /// and served by `GET /metrics/history`.
-    history: Arc<History>,
 }
 
-impl ServerState {
+impl Worker {
     /// Rewrites the snapshot file (atomic temp+rename in the store), so
     /// a `kill -9` at any moment leaves a loadable file behind.
     fn persist_snapshot(&self) {
@@ -183,162 +125,99 @@ impl ServerState {
 /// or [`Server::spawn`] starts the event loop and worker pool.
 #[derive(Debug)]
 pub struct Server {
-    listener: TcpListener,
-    loop_config: LoopConfig,
-    state: Arc<ServerState>,
-    /// Resolved sampler cadence (`None` = sampling off).
-    sample_ms: Option<u64>,
+    bound: BoundNode<Worker>,
 }
 
 /// Handle to a running server: its resolved address, a shared view of
 /// the store, and a clean shutdown.
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
-    state: Arc<ServerState>,
-    loops: LoopHandle,
-    /// The background telemetry sampler (absent when sampling is off).
-    sampler: Option<Sampler>,
+    running: NodeHandle<Worker>,
 }
 
 impl Server {
     /// Binds the listener and prepares the store (loading the snapshot
     /// when the configured file exists).
     pub fn bind(config: &ServeConfig) -> Result<Server, String> {
-        if config.threads == 0 {
-            return Err("thread count must be >= 1 (got `0`)".into());
-        }
+        let loop_config = node::loop_config(
+            config.threads,
+            config.loops,
+            config.queue_depth,
+            config.idle_timeout,
+            config.request_timeout,
+        )?;
         let store = Arc::new(match config.cache_cap {
             Some(0) => return Err("cache capacity must be >= 1 (got `0`)".into()),
             Some(cap) => ResultStore::bounded(cap),
             None => ResultStore::unbounded(),
         });
-        if let Some(path) = &config.snapshot {
-            if path.exists() {
-                let loaded = store.load(path)?;
-                let resident = store.len();
-                mcdla_obs::log::info(
-                    "serve",
-                    "snapshot_warmed",
-                    &[
-                        ("cells", loaded.into()),
-                        ("path", path.display().to_string().into()),
-                    ],
-                );
-                if resident < loaded {
-                    // The file outgrew this store's capacity (e.g. it was
-                    // written unbounded and we restarted with --cache-cap):
-                    // compact it now so evicted cells are dropped once
-                    // instead of being re-parsed on every restart.
-                    match store.save(path) {
-                        Ok(()) => mcdla_obs::log::info(
-                            "serve",
-                            "snapshot_compacted",
-                            &[
-                                ("cells", resident.into()),
-                                ("dropped", (loaded - resident).into()),
-                            ],
-                        ),
-                        Err(e) => mcdla_obs::log::error(
-                            "serve",
-                            "snapshot_compact_failed",
-                            &[
-                                ("path", path.display().to_string().into()),
-                                ("error", e.to_string().into()),
-                            ],
-                        ),
-                    }
+        if let Some(path) = config.snapshot.as_deref().filter(|p| p.exists()) {
+            let loaded = store.load(path)?;
+            let resident = store.len();
+            mcdla_obs::log::info(
+                "serve",
+                "snapshot_warmed",
+                &[
+                    ("cells", loaded.into()),
+                    ("path", path.display().to_string().into()),
+                ],
+            );
+            if resident < loaded {
+                // The file outgrew this store's capacity (e.g. it was
+                // written unbounded and we restarted with --cache-cap):
+                // compact it now so evicted cells are dropped once
+                // instead of being re-parsed on every restart.
+                match store.save(path) {
+                    Ok(()) => mcdla_obs::log::info(
+                        "serve",
+                        "snapshot_compacted",
+                        &[
+                            ("cells", resident.into()),
+                            ("dropped", (loaded - resident).into()),
+                        ],
+                    ),
+                    Err(e) => mcdla_obs::log::error(
+                        "serve",
+                        "snapshot_compact_failed",
+                        &[
+                            ("path", path.display().to_string().into()),
+                            ("error", e.to_string().into()),
+                        ],
+                    ),
                 }
             }
         }
-        let listener =
-            TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
         // Simulation threads follow the batch runner's default
         // (MCDLA_THREADS or machine parallelism) — the event loop's
         // worker pool is a separate resource.
         let sim_threads = Runner::new().threads();
-        // Span recording is process-global and off by default (batch
-        // sweeps skip the instrumentation); a serving process turns it
-        // on for request traces and stage latency histograms.
-        mcdla_obs::set_enabled(true);
-        let sample_ms = match config.sample_ms {
-            Some(0) => None,
-            Some(n) => Some(n),
-            None => mcdla_obs::sample_ms_from_env(),
+        let worker = Worker {
+            runner: Runner::with_store(sim_threads, store.clone()),
+            store,
+            snapshot: config.snapshot.clone(),
+            snapshot_write: Mutex::new(()),
+            sim_responses: StageCache::bounded(RESPONSE_CACHE_CAP),
         };
-        let history = Arc::new(History::new(
-            worker_series_names(),
-            mcdla_obs::history_cap_from_env(),
-            sample_ms.unwrap_or(0),
-        ));
-        Ok(Server {
-            listener,
-            sample_ms,
-            loop_config: LoopConfig {
-                loops: config.loops.max(1),
-                workers: config.threads,
-                queue_depth: config.queue_depth.max(1),
-                idle_timeout: config.idle_timeout,
-                request_timeout: config.request_timeout,
-            },
-            state: Arc::new(ServerState {
-                runner: Runner::with_store(sim_threads, store.clone()),
-                store,
-                snapshot: config.snapshot.clone(),
-                snapshot_write: Mutex::new(()),
-                shutdown: AtomicBool::new(false),
-                started: Instant::now(),
-                requests: EndpointCounters::default(),
-                loop_stats: Arc::new(LoopStats::default()),
-                sim_responses: StageCache::bounded(RESPONSE_CACHE_CAP),
-                recorder: FlightRecorder::from_env(),
-                latency: LatencyFamily::new(ENDPOINT_LABELS),
-                slow_ms: trace::slow_ms_from_env(),
-                history,
-            }),
-        })
+        let bound = Node::bind(&config.addr, worker, loop_config, config.sample_ms)?;
+        Ok(Server { bound })
     }
 
     /// The resolved listen address (useful with port 0).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.bound.local_addr()
     }
 
     /// The store this server serves from (shared with any batch work).
     pub fn store(&self) -> &Arc<ResultStore> {
-        &self.state.store
+        &self.bound.node.tier.store
     }
 
     /// Starts the event loop and worker pool in background threads and
     /// returns a handle; the caller keeps running (tests, `mcdla query`
     /// probes, embedded servers).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        let addr = self.listener.local_addr()?;
-        let service = Arc::new(WorkerService {
-            state: self.state.clone(),
-        });
-        let loops = spawn_event_loop(
-            self.listener,
-            service,
-            &self.loop_config,
-            self.state.loop_stats.clone(),
-        )?;
-        let sampler = self.sample_ms.map(|interval_ms| {
-            let state = self.state.clone();
-            let mut previous = WorkerTick::capture(&state);
-            Sampler::spawn(interval_ms, move || {
-                let current = WorkerTick::capture(&state);
-                state
-                    .history
-                    .record(unix_ms(), &current.series_values(&previous));
-                previous = current;
-            })
-        });
         Ok(ServerHandle {
-            addr,
-            state: self.state,
-            loops,
-            sampler,
+            running: self.bound.spawn()?,
         })
     }
 
@@ -346,8 +225,7 @@ impl Server {
     /// thread until they exit — the `mcdla serve` entry point (it runs
     /// until the process is killed).
     pub fn run(self) -> std::io::Result<()> {
-        let handle = self.spawn()?;
-        handle.loops.join();
+        self.spawn()?.running.join();
         Ok(())
     }
 }
@@ -355,12 +233,12 @@ impl Server {
 impl ServerHandle {
     /// The resolved listen address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.running.addr()
     }
 
     /// The running server's store.
     pub fn store(&self) -> &Arc<ResultStore> {
-        &self.state.store
+        &self.running.node.tier.store
     }
 
     /// Stops the event loop and worker pool, flushes a final snapshot,
@@ -368,858 +246,215 @@ impl ServerHandle {
     /// keep-alive connections close immediately (the loop owns them —
     /// no thread is parked in a blocking read anywhere).
     pub fn shutdown(self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        if let Some(sampler) = self.sampler {
-            sampler.stop();
-        }
-        self.loops.shutdown();
-        self.state.persist_snapshot();
+        let node = self.running.node.clone();
+        self.running.shutdown();
+        node.tier.persist_snapshot();
     }
 }
 
-/// The stage tables retained telemetry tracks, in series order
-/// (the fixed display order of `mcdla_core::stages::stage_stats`).
-const STAGE_LABELS: &[&str] = &[
-    "fabric",
-    "network",
-    "layer_timing",
-    "plan",
-    "schedule",
-    "collective",
-    "sync",
-];
-
-/// The worker's retained series, in record order. This list and
-/// [`WorkerTick::series_values`] must enumerate the same series in the
-/// same order — [`History::record`] panics on any arity drift.
-fn worker_series_names() -> Vec<String> {
-    let mut names = vec!["req_per_s".to_string(), "err_per_s".to_string()];
-    for ep in ENDPOINT_LABELS {
-        names.push(format!("{ep}.req_per_s"));
-        names.push(format!("{ep}.p50_ms"));
-        names.push(format!("{ep}.p99_ms"));
-    }
-    names.extend(
-        [
-            "store.hit_rate",
-            "store.hits_per_s",
-            "store.misses_per_s",
-            "store.evictions_per_s",
-            "store.entries",
-        ]
-        .map(String::from),
-    );
-    for stage in STAGE_LABELS {
-        names.push(format!("stage.{stage}.hit_rate"));
-    }
-    names.extend(
-        [
-            "conns.open",
-            "conns.shed_per_s",
-            "conns.timeouts_per_s",
-            "rss_bytes",
-            "uptime_seconds",
-        ]
-        .map(String::from),
-    );
-    names
+/// Store counters as one unlabeled sample.
+fn store_value(n: &Node<Worker>, read: fn(&ResultStore) -> u64) -> Reading {
+    Reading::value(read(&n.tier.store) as f64)
 }
 
-/// One sampler tick's snapshot of every monotone counter the worker
-/// series derive from; consecutive ticks difference into windowed
-/// rates and quantiles.
-struct WorkerTick {
-    at: Instant,
-    errors: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    entries: u64,
-    stage_hits: Vec<u64>,
-    stage_misses: Vec<u64>,
-    shed: u64,
-    timeouts: u64,
-    open: u64,
-    uptime_s: f64,
-    latency: Vec<HistogramSnapshot>,
-}
-
-impl WorkerTick {
-    fn capture(state: &ServerState) -> WorkerTick {
-        let stats = state.store.stats();
-        let stage = |name: &str| stats.stages.iter().find(|s| s.stage == name);
-        WorkerTick {
-            at: Instant::now(),
-            errors: state.requests.errors.load(Ordering::Relaxed),
-            hits: stats.hits,
-            misses: stats.misses,
-            evictions: stats.evictions,
-            entries: stats.entries,
-            stage_hits: STAGE_LABELS
-                .iter()
-                .map(|l| stage(l).map_or(0, |s| s.hits))
-                .collect(),
-            stage_misses: STAGE_LABELS
-                .iter()
-                .map(|l| stage(l).map_or(0, |s| s.misses))
-                .collect(),
-            shed: state.loop_stats.shed(),
-            timeouts: state.loop_stats.request_timeouts(),
-            open: state.loop_stats.open(),
-            uptime_s: state.started.elapsed().as_secs_f64(),
-            latency: state
-                .latency
-                .snapshots()
-                .into_iter()
-                .map(|(_, s)| s)
-                .collect(),
-        }
-    }
-
-    /// The values for one history sample, in [`worker_series_names`]
-    /// order, windowed against the previous tick.
-    fn series_values(&self, prev: &WorkerTick) -> Vec<f64> {
-        let dt = self.at.duration_since(prev.at).as_secs_f64().max(1e-3);
-        let rate = |now: u64, then: u64| now.saturating_sub(then) as f64 / dt;
-        let ratio = |h: f64, m: f64| if h + m > 0.0 { h / (h + m) } else { 0.0 };
-        let windows: Vec<HistogramSnapshot> = self
-            .latency
+/// Per-stage memo-table counters, labeled by stage.
+fn stage_values(read: fn(&mcdla_core::StageStats) -> u64) -> Reading {
+    Reading::labeled(
+        mcdla_core::stages::stage_stats()
             .iter()
-            .zip(&prev.latency)
-            .map(|(now, then)| now.delta(then))
-            .collect();
-        let total: u64 = windows.iter().map(HistogramSnapshot::count).sum();
-        let mut values = vec![total as f64 / dt, rate(self.errors, prev.errors)];
-        for w in &windows {
-            values.push(w.count() as f64 / dt);
-            values.push(w.quantile(0.5) * 1e3);
-            values.push(w.quantile(0.99) * 1e3);
-        }
-        let hits_per_s = rate(self.hits, prev.hits);
-        let misses_per_s = rate(self.misses, prev.misses);
-        values.extend([
-            ratio(hits_per_s, misses_per_s),
-            hits_per_s,
-            misses_per_s,
-            rate(self.evictions, prev.evictions),
-            self.entries as f64,
-        ]);
-        for i in 0..STAGE_LABELS.len() {
-            values.push(ratio(
-                rate(self.stage_hits[i], prev.stage_hits[i]),
-                rate(self.stage_misses[i], prev.stage_misses[i]),
-            ));
-        }
-        values.extend([
-            self.open as f64,
-            rate(self.shed, prev.shed),
-            rate(self.timeouts, prev.timeouts),
-            rss_bytes().unwrap_or(0) as f64,
-            self.uptime_s,
-        ]);
-        values
-    }
-}
-
-/// The worker's [`Service`]: cheap endpoints and cache hits answer on
-/// the loop thread, simulation and streaming detach to the pool.
-struct WorkerService {
-    state: Arc<ServerState>,
-}
-
-impl Service for WorkerService {
-    fn fast(&self, request: &Request) -> Option<FastAnswer> {
-        respond_fast(&self.state, request)
-    }
-
-    fn handle(&self, request: &Request, stream: &mut TcpStream, queued: Duration) -> bool {
-        respond_heavy(&self.state, request, stream, queued)
-    }
-
-    fn shed(&self, request: &Request) -> FastAnswer {
-        shed_answer(&self.state, request, "mcdla-serve")
-    }
-
-    fn wire_error(&self, error: &WireError) -> Vec<u8> {
-        self.state.requests.errors.fetch_add(1, Ordering::Relaxed);
-        trace::wire_error_answer("serve", "mcdla-serve", error)
-    }
-}
-
-/// Builds the 429 + `Retry-After` load-shedding answer and records it
-/// like any other request (error counter, latency histogram, trace).
-fn shed_answer(state: &ServerState, request: &Request, service: &str) -> FastAnswer {
-    state.requests.errors.fetch_add(1, Ordering::Relaxed);
-    let (path, _) = split_target(&request.path);
-    let endpoint = endpoint_label(path);
-    let rid = trace::request_trace_id(request);
-    let scope = TraceScope::begin();
-    let record = scope.finish(rid.clone(), endpoint, 429);
-    if let Some(hist) = state.latency.get(endpoint) {
-        hist.observe(record.total_us as f64 / 1e6);
-    }
-    trace::wide_event("serve", service, state.slow_ms, &record, None, 0, 0, &[]);
-    state.recorder.record(record);
-    let keep_alive = request.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-    let mut out = Vec::new();
-    let _ = write_response_with(
-        &mut out,
-        429,
-        "application/json",
-        &[("retry-after", "1"), (REQUEST_ID_HEADER, &rid)],
-        &error_body("request queue is full; retry shortly"),
-        keep_alive,
-    );
-    FastAnswer {
-        bytes: out,
-        keep_alive,
-    }
-}
-
-/// Answers a request inline on the loop thread when nothing about it
-/// needs the worker pool: every endpoint except `POST /grid` (always
-/// heavy) and `POST /simulate` misses (the simulation itself).
-fn respond_fast(state: &Arc<ServerState>, request: &Request) -> Option<FastAnswer> {
-    let (path, query) = split_target(&request.path);
-    let keep_alive = request.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-    let traced = query_flag(query, "trace");
-    let scope = TraceScope::begin();
-    let outcome = if request.method == "POST" && path == "/simulate" {
-        // Inline only the cases that never simulate: malformed bodies
-        // and resident cache hits. A miss goes to the pool un-counted —
-        // the worker's `route` call counts it there.
-        let scenario = match parse_body::<Scenario>(&request.body, "scenario") {
-            Ok(s) => match s.validate() {
-                Ok(()) => Some(s),
-                Err(msg) => {
-                    state.requests.simulate.fetch_add(1, Ordering::Relaxed);
-                    return Some(finish_fast(
-                        state,
-                        request,
-                        scope,
-                        Outcome::error(400, &msg),
-                        keep_alive,
-                        traced,
-                    ));
-                }
-            },
-            Err(outcome) => {
-                state.requests.simulate.fetch_add(1, Ordering::Relaxed);
-                return Some(finish_fast(
-                    state, request, scope, outcome, keep_alive, traced,
-                ));
-            }
-        };
-        let scenario = scenario?;
-        // The span matches the worker path's `get_or_compute` so traced
-        // hits and misses reconcile against the same span name.
-        let report = {
-            let _s = Span::enter("store.get_or_compute");
-            state.store.get(&scenario)
-        }?;
-        state.requests.simulate.fetch_add(1, Ordering::Relaxed);
-        let body = if traced {
-            // Traced responses graft a per-request span tree: never
-            // from the response cache.
-            serde::json::to_string_pretty(&cell_value(&scenario, &report, true))
-        } else {
-            match state.sim_responses.get(&scenario) {
-                Some(cached) => cached.to_string(),
-                None => {
-                    let body = serde::json::to_string_pretty(&cell_value(&scenario, &report, true));
-                    state
-                        .sim_responses
-                        .insert(scenario, Arc::from(body.as_str()));
-                    body
-                }
-            }
-        };
-        Outcome::ok(body)
-    } else if path == "/grid" && request.method == "POST" {
-        return None; // buffered and streamed grids always take the pool
-    } else {
-        // Every remaining endpoint is cheap: route it right here
-        // (panics still must not take the loop thread down).
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(request, state)))
-            .unwrap_or_else(|_| Outcome::error(500, "internal error handling the request"))
-    };
-    Some(finish_fast(
-        state, request, scope, outcome, keep_alive, traced,
-    ))
-}
-
-/// The shared response tail for loop-thread answers: error counting,
-/// trace finish, optional `?trace=1` graft, serialization.
-fn finish_fast(
-    state: &Arc<ServerState>,
-    request: &Request,
-    scope: TraceScope,
-    outcome: Outcome,
-    keep_alive: bool,
-    traced: bool,
-) -> FastAnswer {
-    let (path, _) = split_target(&request.path);
-    let endpoint = endpoint_label(path);
-    let rid = trace::request_trace_id(request);
-    if outcome.status >= 400 {
-        state.requests.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    let cached = cache_disposition(endpoint, outcome.status, outcome.computed_cells);
-    let record = finish_trace(state, scope, &rid, endpoint, outcome.status);
-    let body = if traced && outcome.status < 400 && outcome.content_type == "application/json" {
-        trace::graft_json(
-            &outcome.body,
-            "trace",
-            trace::trace_value("mcdla-serve", &record),
-        )
-    } else {
-        outcome.body
-    };
-    trace::wide_event(
-        "serve",
-        "mcdla-serve",
-        state.slow_ms,
-        &record,
-        cached,
-        0,
-        body.len() as u64,
-        &[],
-    );
-    let mut out = Vec::new();
-    let _ = write_response_with(
-        &mut out,
-        outcome.status,
-        outcome.content_type,
-        &[(REQUEST_ID_HEADER, &rid)],
-        &body,
-        keep_alive,
-    );
-    FastAnswer {
-        bytes: out,
-        keep_alive,
-    }
-}
-
-/// Handles one heavy request on a pool worker with a blocking stream:
-/// `POST /grid` (buffered and streamed) and `/simulate` misses.
-/// Returns whether the connection should stay open.
-fn respond_heavy(
-    state: &Arc<ServerState>,
-    request: &Request,
-    writer: &mut TcpStream,
-    queued: Duration,
-) -> bool {
-    let keep_alive = request.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-    let (path, query) = split_target(&request.path);
-    let endpoint = endpoint_label(path);
-    let rid = trace::request_trace_id(request);
-    let traced = query_flag(query, "trace");
-    let queue_us = queued.as_micros().min(u128::from(u64::MAX)) as u64;
-    let scope = TraceScope::begin();
-    if request.method == "POST" && path == "/grid" && query_flag(query, "stream") {
-        state.requests.grid.fetch_add(1, Ordering::Relaxed);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stream_grid(&request.body, state, writer, keep_alive, &rid)
-        }));
-        let status = match &outcome {
-            Ok(StreamOutcome::Rejected(o)) => o.status,
-            Ok(StreamOutcome::Streamed { .. }) => 200,
-            Err(_) => 500,
-        };
-        let record = finish_trace(state, scope, &rid, endpoint, status);
-        return match outcome {
-            Ok(StreamOutcome::Rejected(outcome)) => {
-                state.requests.errors.fetch_add(1, Ordering::Relaxed);
-                trace::wide_event(
-                    "serve",
-                    "mcdla-serve",
-                    state.slow_ms,
-                    &record,
-                    None,
-                    queue_us,
-                    outcome.body.len() as u64,
-                    &[("stream", true.into())],
-                );
-                write_response_with(
-                    writer,
-                    outcome.status,
-                    outcome.content_type,
-                    &[(REQUEST_ID_HEADER, &rid)],
-                    &outcome.body,
-                    keep_alive,
-                )
-                .is_ok()
-                    && keep_alive
-            }
-            Ok(StreamOutcome::Streamed {
-                computed_cells,
-                bytes,
-                clean,
-            }) => {
-                trace::wide_event(
-                    "serve",
-                    "mcdla-serve",
-                    state.slow_ms,
-                    &record,
-                    Some(computed_cells == 0),
-                    queue_us,
-                    bytes,
-                    &[("stream", true.into()), ("clean", clean.into())],
-                );
-                if computed_cells > 0 {
-                    state.persist_snapshot();
-                }
-                let _ = writer.flush();
-                clean && keep_alive
-            }
-            // A panic after the 200 head cannot be answered; closing
-            // without the terminal chunk is how the client learns the
-            // stream died (the worker thread itself survives).
-            Err(_) => {
-                state.requests.errors.fetch_add(1, Ordering::Relaxed);
-                trace::wide_event(
-                    "serve",
-                    "mcdla-serve",
-                    state.slow_ms,
-                    &record,
-                    None,
-                    queue_us,
-                    0,
-                    &[("stream", true.into()), ("panic", true.into())],
-                );
-                false
-            }
-        };
-    }
-    // A panicking handler must not take its worker thread (and the
-    // pool slot) with it: answer 500 and carry on.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(request, state)))
-        .unwrap_or_else(|_| Outcome::error(500, "internal error handling the request"));
-    if outcome.status >= 400 {
-        state.requests.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    let cached = cache_disposition(endpoint, outcome.status, outcome.computed_cells);
-    let record = finish_trace(state, scope, &rid, endpoint, outcome.status);
-    let body = if traced && outcome.status < 400 && outcome.content_type == "application/json" {
-        trace::graft_json(
-            &outcome.body,
-            "trace",
-            trace::trace_value("mcdla-serve", &record),
-        )
-    } else {
-        outcome.body
-    };
-    trace::wide_event(
-        "serve",
-        "mcdla-serve",
-        state.slow_ms,
-        &record,
-        cached,
-        queue_us,
-        body.len() as u64,
-        &[],
-    );
-    let wrote = write_response_with(
-        writer,
-        outcome.status,
-        outcome.content_type,
-        &[(REQUEST_ID_HEADER, &rid)],
-        &body,
-        keep_alive,
+            .map(|s| (&s.stage, read(s) as f64)),
     )
-    .is_ok();
-    if outcome.computed_cells > 0 {
-        state.persist_snapshot();
-    }
-    wrote && keep_alive
 }
 
-/// The endpoint labels request-latency histograms are registered for.
-const ENDPOINT_LABELS: &[&str] = &[
-    "healthz", "stats", "metrics", "simulate", "grid", "debug", "other",
-];
+impl Tier for Worker {
+    const SERVICE: &'static str = "mcdla-serve";
+    const TARGET: &'static str = "serve";
+    const PREFIX: &'static str = "mcdla_";
+    const ENDPOINTS: &'static [&'static str] =
+        &["healthz", "stats", "metrics", "simulate", "grid", "debug"];
+    const ROUTES: &'static [Route] = &[
+        ("GET", "/stats", "stats"),
+        ("POST", "/simulate", "simulate"),
+        ("POST", "/grid", "grid"),
+    ];
 
-/// The histogram/trace label for a request path.
-fn endpoint_label(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "healthz",
-        "/stats" => "stats",
-        "/metrics" | "/metrics/history" => "metrics",
-        "/simulate" => "simulate",
-        "/grid" => "grid",
-        p if p.starts_with("/debug/") => "debug",
-        _ => "other",
+    fn metrics() -> Vec<Metric<Node<Self>>> {
+        type M = Metric<Node<Worker>>;
+        vec![
+            M::counter(
+                "mcdla_store_hits_total",
+                "Requests answered from the result cache (including coalesced waiters).",
+                |n| store_value(n, ResultStore::hits),
+            )
+            .series(Series::Each("store.hits_per_s"))
+            .series(Series::HitRate(
+                "store.hit_rate",
+                "mcdla_store_misses_total",
+            )),
+            M::counter(
+                "mcdla_store_misses_total",
+                "Cells actually simulated.",
+                |n| store_value(n, ResultStore::misses),
+            )
+            .series(Series::Each("store.misses_per_s")),
+            M::counter(
+                "mcdla_store_evictions_total",
+                "Entries evicted to stay within the capacity bound.",
+                |n| store_value(n, ResultStore::evictions),
+            )
+            .series(Series::Each("store.evictions_per_s")),
+            M::counter(
+                "mcdla_store_dedup_waits_total",
+                "Requests that coalesced onto another caller's in-flight simulation.",
+                |n| store_value(n, ResultStore::dedup_waits),
+            ),
+            M::gauge(
+                "mcdla_store_in_flight",
+                "Simulations executing right now.",
+                |n| Reading::value(n.tier.store.stats().in_flight as f64),
+            ),
+            M::gauge(
+                "mcdla_store_entries",
+                "Distinct cells currently resident.",
+                |n| Reading::value(n.tier.store.len() as f64),
+            )
+            .series(Series::Each("store.entries")),
+            M::gauge(
+                "mcdla_store_capacity",
+                "Configured result-store capacity bound.",
+                |n| Reading::labeled(n.tier.store.capacity().map(|c| ("", c as f64))),
+            ),
+            M::counter(
+                "mcdla_stage_hits_total",
+                "Staged-engine memo-table lookups answered from the table, by stage.",
+                |_| stage_values(|s| s.hits),
+            )
+            .labeled("stage")
+            .series(Series::HitRate(
+                "stage.{}.hit_rate",
+                "mcdla_stage_misses_total",
+            )),
+            M::counter(
+                "mcdla_stage_misses_total",
+                "Staged-engine artifacts actually built, by stage.",
+                |_| stage_values(|s| s.misses),
+            )
+            .labeled("stage"),
+            M::counter(
+                "mcdla_stage_evictions_total",
+                "Staged-engine memo entries evicted to stay within each table's bound.",
+                |_| stage_values(|s| s.evictions),
+            )
+            .labeled("stage"),
+            M::gauge(
+                "mcdla_stage_entries",
+                "Staged-engine artifacts currently resident, by stage.",
+                |_| stage_values(|s| s.entries),
+            )
+            .labeled("stage"),
+            M::histogram(
+                "mcdla_stage_seconds",
+                "Staged-engine section latency (lookup plus compute on miss), by stage, seconds.",
+                "stage",
+                |_| {
+                    let stages = mcdla_core::stages::stage_latency().into_iter();
+                    Reading::Histograms(stages.map(|(s, h)| (s.to_owned(), h)).collect())
+                },
+            ),
+        ]
     }
-}
 
-/// Closes a request's trace scope and runs the per-request
-/// observability tail: endpoint latency histogram and admission into
-/// the flight recorder. Returns the shared record (for `?trace=1`
-/// grafting and the wide event the call site emits — only the call
-/// site knows the cache disposition, queue time, and byte count).
-fn finish_trace(
-    state: &ServerState,
-    scope: TraceScope,
-    rid: &str,
-    endpoint: &'static str,
-    status: u16,
-) -> Arc<TraceRecord> {
-    let record = scope.finish(rid.to_string(), endpoint, status);
-    if let Some(hist) = state.latency.get(endpoint) {
-        hist.observe(record.total_us as f64 / 1e6);
-    }
-    state.recorder.record(record)
-}
-
-/// The cache disposition a wide event reports. Only the simulation
-/// endpoints answer from the store; a successful answer that computed
-/// zero cells was served entirely from cache.
-fn cache_disposition(endpoint: &str, status: u16, computed_cells: usize) -> Option<bool> {
-    (matches!(endpoint, "simulate" | "grid") && status < 400).then_some(computed_cells == 0)
-}
-
-struct Outcome {
-    status: u16,
-    body: String,
-    /// Response content type (JSON everywhere except `/metrics`).
-    content_type: &'static str,
-    /// Cells this request actually simulated (drives snapshot rewrites).
-    computed_cells: usize,
-}
-
-impl Outcome {
-    fn ok(body: String) -> Self {
-        Outcome {
-            status: 200,
-            body,
-            content_type: "application/json",
-            computed_cells: 0,
+    /// Answers inline when nothing about the request needs the pool:
+    /// `/stats`, malformed `/simulate` bodies, and resident cache hits.
+    /// A `/simulate` miss and every `/grid` take the pool.
+    fn fast(node: &Node<Self>, call: &Call) -> Option<Outcome> {
+        match call.path {
+            "/stats" => Some(Outcome::ok(serde::json::to_string_pretty(&stats_value(
+                node,
+            )))),
+            "/simulate" => {
+                let scenario = match node::scenario(&call.request.body) {
+                    Ok(s) => s,
+                    Err(outcome) => return Some(outcome),
+                };
+                node.tier.cached_simulate(scenario, call.traced)
+            }
+            _ => None,
         }
     }
 
-    fn text(body: String, content_type: &'static str) -> Self {
-        Outcome {
-            status: 200,
-            body,
-            content_type,
-            computed_cells: 0,
+    fn heavy(node: &Node<Self>, call: &Call) -> Outcome {
+        let worker = &node.tier;
+        if call.path == "/simulate" {
+            return match node::scenario(&call.request.body) {
+                Ok(scenario) => worker.simulate(scenario),
+                Err(outcome) => outcome,
+            };
+        }
+        match node::grid_scenarios(&call.request.body, MAX_GRID_CELLS) {
+            Ok(scenarios) => worker.grid(&scenarios),
+            Err(outcome) => outcome,
         }
     }
 
-    fn error(status: u16, message: &str) -> Self {
-        Outcome {
-            status,
-            body: error_body(message),
-            content_type: "application/json",
-            computed_cells: 0,
+    /// Streams a grid as chunked NDJSON: one [`cell_value`] object per
+    /// line, one line per chunk, written **as workers finish**
+    /// (completion order). Cells are memoized through the same shared
+    /// store as every other endpoint, so streamed payloads are
+    /// byte-identical to the buffered `/grid` cells for the same
+    /// scenarios.
+    fn stream(node: &Node<Self>, scenarios: Vec<Scenario>, out: &mut CellStream) -> StreamOutcome {
+        let runner = &node.tier.runner;
+        out.computed_cells = Some(0);
+        if out.open().is_err() {
+            return StreamOutcome::Streamed { clean: false };
         }
-    }
-}
-
-fn route(request: &Request, state: &Arc<ServerState>) -> Outcome {
-    let (path, query) = split_target(&request.path);
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            state.requests.healthz.fetch_add(1, Ordering::Relaxed);
-            Outcome::ok(serde::json::to_string(&Value::Map(vec![
-                ("status".into(), Value::Str("ok".into())),
-                ("service".into(), Value::Str("mcdla-serve".into())),
-                (
-                    "uptime_seconds".into(),
-                    Value::F64(state.started.elapsed().as_secs_f64()),
-                ),
-                ("build".into(), trace::build_value()),
-            ])))
-        }
-        ("GET", "/stats") => {
-            state.requests.stats.fetch_add(1, Ordering::Relaxed);
-            Outcome::ok(serde::json::to_string_pretty(&stats_value(state)))
-        }
-        ("GET", "/metrics") => {
-            state.requests.metrics.fetch_add(1, Ordering::Relaxed);
-            Outcome::text(metrics_text(state), crate::metrics::CONTENT_TYPE)
-        }
-        ("GET", "/metrics/history") => {
-            state.requests.metrics.fetch_add(1, Ordering::Relaxed);
-            let (filter, last) = trace::history_query(query);
-            let dump = state.history.dump(filter.as_deref(), last);
-            Outcome::ok(serde::json::to_string_pretty(&trace::history_value(
-                "mcdla-serve",
-                &dump,
-            )))
-        }
-        ("POST", "/simulate") => {
-            state.requests.simulate.fetch_add(1, Ordering::Relaxed);
-            simulate_endpoint(&request.body, state)
-        }
-        ("POST", "/grid") => {
-            state.requests.grid.fetch_add(1, Ordering::Relaxed);
-            grid_endpoint(&request.body, state)
-        }
-        ("GET", "/debug/requests") => {
-            state.requests.debug.fetch_add(1, Ordering::Relaxed);
-            Outcome::ok(serde::json::to_string_pretty(&trace::debug_requests_value(
-                "mcdla-serve",
-                &state.recorder,
-                query_param(query, "sort"),
-                query_param(query, "endpoint"),
-                query_param(query, "limit"),
-            )))
-        }
-        ("GET", p) if p.starts_with("/debug/trace/") => {
-            state.requests.debug.fetch_add(1, Ordering::Relaxed);
-            let id = p.trim_start_matches("/debug/trace/");
-            match state.recorder.lookup(id) {
-                Some(rec) => Outcome::ok(serde::json::to_string_pretty(&trace::trace_value(
-                    "mcdla-serve",
-                    &rec,
-                ))),
-                None => Outcome::error(404, &format!("no trace recorded for request id `{id}`")),
+        let mut computed = 0;
+        for run in runner.run_grid_streaming(scenarios, 2 * runner.threads()) {
+            computed += usize::from(!run.cached);
+            out.computed_cells = Some(computed);
+            let mut line =
+                serde::json::to_string(&cell_value(&run.scenario, &run.report, run.cached));
+            line.push('\n');
+            if out.line(line.as_bytes()).is_err() {
+                // The client went away mid-stream: dropping the stream
+                // cancels the remaining cells; close without the terminator.
+                return StreamOutcome::Streamed { clean: false };
             }
         }
-        (_, "/healthz" | "/stats" | "/metrics" | "/metrics/history") => {
-            Outcome::error(405, "use GET on this endpoint")
-        }
-        (_, p) if p == "/debug/requests" || p.starts_with("/debug/trace/") => {
-            Outcome::error(405, "use GET on this endpoint")
-        }
-        (_, "/simulate" | "/grid") => {
-            Outcome::error(405, "use POST with a JSON body on this endpoint")
-        }
-        (_, path) => Outcome::error(404, &format!("no such endpoint `{path}`")),
+        StreamOutcome::Streamed { clean: true }
+    }
+
+    fn computed(&self, _cells: usize) {
+        self.persist_snapshot();
     }
 }
 
-fn stats_value(state: &ServerState) -> Value {
-    Value::Map(vec![
-        ("service".into(), Value::Str("mcdla-serve".into())),
-        (
-            "uptime_seconds".into(),
-            Value::F64(state.started.elapsed().as_secs_f64()),
-        ),
-        ("build".into(), trace::build_value()),
+/// The worker's `GET /stats` body.
+fn stats_value(node: &Node<Worker>) -> Value {
+    let worker = &node.tier;
+    let mut fields = vec![
+        ("service".into(), Value::Str(Worker::SERVICE.into())),
+        ("uptime_seconds".into(), Value::F64(node.uptime())),
+        ("build".into(), crate::trace::build_value()),
         (
             "simulation_threads".into(),
-            Value::U64(state.runner.threads() as u64),
+            Value::U64(worker.runner.threads() as u64),
         ),
-        ("store".into(), state.store.stats().to_value()),
-        ("requests".into(), state.requests.to_value()),
-        (
-            "connections".into(),
-            Value::Map(vec![
-                ("open".into(), Value::U64(state.loop_stats.open())),
-                ("accepted".into(), Value::U64(state.loop_stats.accepted())),
-                ("shed".into(), Value::U64(state.loop_stats.shed())),
-                (
-                    "request_timeouts".into(),
-                    Value::U64(state.loop_stats.request_timeouts()),
-                ),
-                (
-                    "idle_closed".into(),
-                    Value::U64(state.loop_stats.idle_closed()),
-                ),
-            ]),
-        ),
-        (
-            "recorder".into(),
-            Value::Map(vec![
-                (
-                    "capacity".into(),
-                    Value::U64(state.recorder.capacity() as u64),
-                ),
-                ("recorded".into(), Value::U64(state.recorder.len() as u64)),
-            ]),
-        ),
-    ])
-}
-
-/// Renders the worker's `GET /metrics` Prometheus exposition: request
-/// counters per endpoint plus the result-store counters and gauges —
-/// the same numbers `GET /stats` reports as JSON, in the format
-/// standard scrapers speak.
-fn metrics_text(state: &ServerState) -> String {
-    let stats = state.store.stats();
-    let mut b = MetricsBuilder::new();
-    b.scalar(
-        "mcdla_up",
-        "Whether this mcdla-serve worker is serving.",
-        "gauge",
-        1.0,
-    );
-    b.scalar(
-        "mcdla_uptime_seconds",
-        "Seconds since this worker started.",
-        "gauge",
-        state.started.elapsed().as_secs_f64(),
-    );
-    b.family(
-        "mcdla_build_info",
-        "Build metadata as labels (constant 1).",
-        "gauge",
-    );
-    b.sample(
-        "mcdla_build_info",
-        &[
-            ("version", mcdla_obs::build_version()),
-            ("build", mcdla_obs::build_id()),
-        ],
-        1.0,
-    );
-    b.family(
-        "mcdla_requests_total",
-        "Requests handled, by endpoint (`errors` counts 4xx/5xx answers).",
-        "counter",
-    );
-    for (endpoint, count) in state.requests.snapshot() {
-        b.sample(
-            "mcdla_requests_total",
-            &[("endpoint", endpoint)],
-            count as f64,
-        );
-    }
-    b.scalar(
-        "mcdla_open_connections",
-        "Connections attached to the event loop right now.",
-        "gauge",
-        state.loop_stats.open() as f64,
-    );
-    b.scalar(
-        "mcdla_accepted_connections_total",
-        "Connections accepted since start.",
-        "counter",
-        state.loop_stats.accepted() as f64,
-    );
-    b.scalar(
-        "mcdla_requests_shed_total",
-        "Requests answered 429 because the admission queue was full.",
-        "counter",
-        state.loop_stats.shed() as f64,
-    );
-    b.scalar(
-        "mcdla_request_timeouts_total",
-        "Requests answered 408 after stalling mid-head or mid-body.",
-        "counter",
-        state.loop_stats.request_timeouts() as f64,
-    );
-    b.scalar(
-        "mcdla_idle_connections_closed_total",
-        "Idle keep-alive connections closed silently.",
-        "counter",
-        state.loop_stats.idle_closed() as f64,
-    );
-    b.scalar(
-        "mcdla_store_hits_total",
-        "Requests answered from the result cache (including coalesced waiters).",
-        "counter",
-        stats.hits as f64,
-    );
-    b.scalar(
-        "mcdla_store_misses_total",
-        "Cells actually simulated.",
-        "counter",
-        stats.misses as f64,
-    );
-    b.scalar(
-        "mcdla_store_evictions_total",
-        "Entries evicted to stay within the capacity bound.",
-        "counter",
-        stats.evictions as f64,
-    );
-    b.scalar(
-        "mcdla_store_dedup_waits_total",
-        "Requests that coalesced onto another caller's in-flight simulation.",
-        "counter",
-        stats.dedup_waits as f64,
-    );
-    b.scalar(
-        "mcdla_store_in_flight",
-        "Simulations executing right now.",
-        "gauge",
-        stats.in_flight as f64,
-    );
-    b.scalar(
-        "mcdla_store_entries",
-        "Distinct cells currently resident.",
-        "gauge",
-        stats.entries as f64,
-    );
-    if let Some(capacity) = stats.capacity {
-        b.scalar(
-            "mcdla_store_capacity",
-            "Configured result-store capacity bound.",
-            "gauge",
-            capacity as f64,
-        );
-    }
-    b.family(
-        "mcdla_stage_hits_total",
-        "Staged-engine memo-table lookups answered from the table, by stage.",
-        "counter",
-    );
-    for stage in &stats.stages {
-        b.sample(
-            "mcdla_stage_hits_total",
-            &[("stage", &stage.stage)],
-            stage.hits as f64,
-        );
-    }
-    b.family(
-        "mcdla_stage_misses_total",
-        "Staged-engine artifacts actually built, by stage.",
-        "counter",
-    );
-    for stage in &stats.stages {
-        b.sample(
-            "mcdla_stage_misses_total",
-            &[("stage", &stage.stage)],
-            stage.misses as f64,
-        );
-    }
-    b.family(
-        "mcdla_stage_evictions_total",
-        "Staged-engine memo entries evicted to stay within each table's bound.",
-        "counter",
-    );
-    for stage in &stats.stages {
-        b.sample(
-            "mcdla_stage_evictions_total",
-            &[("stage", &stage.stage)],
-            stage.evictions as f64,
-        );
-    }
-    b.family(
-        "mcdla_stage_entries",
-        "Staged-engine artifacts currently resident, by stage.",
-        "gauge",
-    );
-    for stage in &stats.stages {
-        b.sample(
-            "mcdla_stage_entries",
-            &[("stage", &stage.stage)],
-            stage.entries as f64,
-        );
-    }
-    b.histogram_family(
-        "mcdla_request_seconds",
-        "Request latency by endpoint, seconds.",
-    );
-    for (endpoint, snap) in state.latency.snapshots() {
-        b.histogram("mcdla_request_seconds", &[("endpoint", endpoint)], &snap);
-    }
-    b.histogram_family(
-        "mcdla_stage_seconds",
-        "Staged-engine section latency (lookup plus compute on miss), by stage, seconds.",
-    );
-    for (stage, snap) in mcdla_core::stages::stage_latency() {
-        b.histogram("mcdla_stage_seconds", &[("stage", stage)], &snap);
-    }
-    b.finish()
-}
-
-fn parse_body<T: Deserialize>(body: &[u8], what: &str) -> Result<T, Outcome> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Outcome::error(400, &format!("{what} body is not valid utf-8")))?;
-    serde::json::from_str(text).map_err(|e| Outcome::error(400, &format!("bad {what} JSON: {e}")))
+        ("store".into(), worker.store.stats().to_value()),
+    ];
+    fields.extend(node.stats_blocks());
+    fields.push((
+        "recorder".into(),
+        Value::Map(vec![
+            (
+                "capacity".into(),
+                Value::U64(node.recorder().capacity() as u64),
+            ),
+            ("recorded".into(), Value::U64(node.recorder().len() as u64)),
+        ]),
+    ));
+    Value::Map(fields)
 }
 
 /// One result cell as the wire represents it (shared by `/simulate`,
@@ -1241,26 +476,63 @@ pub fn cell_value(
     ])
 }
 
-fn simulate_endpoint(body: &[u8], state: &Arc<ServerState>) -> Outcome {
-    let scenario: Scenario = match parse_body(body, "scenario") {
-        Ok(s) => s,
-        Err(outcome) => return outcome,
-    };
-    if let Err(msg) = scenario.validate() {
-        return Outcome::error(400, &msg);
+impl Worker {
+    /// A resident cell's `/simulate` answer, or `None` on a miss. The
+    /// span matches [`Worker::simulate`]'s so traced hits and misses
+    /// reconcile against the same span name.
+    fn cached_simulate(&self, scenario: Scenario, traced: bool) -> Option<Outcome> {
+        let report = {
+            let _s = Span::enter("store.get_or_compute");
+            self.store.get(&scenario)
+        }?;
+        let encode = || serde::json::to_string_pretty(&cell_value(&scenario, &report, true));
+        // Traced responses graft a per-request span tree: never from
+        // the response cache.
+        let body = if traced {
+            encode()
+        } else if let Some(cached) = self.sim_responses.get(&scenario) {
+            cached.to_string()
+        } else {
+            let body = encode();
+            self.sim_responses
+                .insert(scenario, Arc::from(body.as_str()));
+            body
+        };
+        Some(Outcome {
+            computed_cells: Some(0),
+            ..Outcome::ok(body)
+        })
     }
-    let fetched = {
-        let _s = Span::enter("store.get_or_compute");
-        state.store.get_or_compute(scenario, || scenario.simulate())
-    };
-    let computed = fetched.provenance == Provenance::Computed;
-    Outcome {
-        computed_cells: usize::from(computed),
-        ..Outcome::ok(serde::json::to_string_pretty(&cell_value(
-            &scenario,
-            &fetched.report,
-            !computed,
-        )))
+
+    fn simulate(&self, scenario: Scenario) -> Outcome {
+        let fetched = {
+            let _s = Span::enter("store.get_or_compute");
+            self.store.get_or_compute(scenario, || scenario.simulate())
+        };
+        let computed = fetched.provenance == Provenance::Computed;
+        Outcome {
+            computed_cells: Some(usize::from(computed)),
+            ..Outcome::ok(serde::json::to_string_pretty(&cell_value(
+                &scenario,
+                &fetched.report,
+                !computed,
+            )))
+        }
+    }
+
+    fn grid(&self, scenarios: &[Scenario]) -> Outcome {
+        let runs = self.runner.run_grid_timed(scenarios);
+        let cells: Vec<Value> = runs
+            .iter()
+            .map(|t| cell_value(&t.scenario, &t.report, t.cached))
+            .collect();
+        Outcome {
+            computed_cells: Some(runs.iter().filter(|t| !t.cached).count()),
+            ..Outcome::ok(serde::json::to_string_pretty(&Value::Map(vec![
+                ("count".into(), Value::U64(runs.len() as u64)),
+                ("cells".into(), Value::Seq(cells)),
+            ])))
+        }
     }
 }
 
@@ -1368,102 +640,6 @@ impl GridRequest {
             ));
         }
         Ok(grid.scenarios())
-    }
-}
-
-/// Parses and validates a grid body into runnable scenarios.
-fn grid_scenarios(body: &[u8], max_cells: usize) -> Result<Vec<Scenario>, Outcome> {
-    let request: GridRequest = parse_body(body, "grid")?;
-    let scenarios = request
-        .scenarios_bounded(max_cells)
-        .map_err(|msg| Outcome::error(400, &msg))?;
-    if let Some(msg) = scenarios.iter().find_map(|s| s.validate().err()) {
-        return Err(Outcome::error(400, &msg));
-    }
-    Ok(scenarios)
-}
-
-fn grid_endpoint(body: &[u8], state: &Arc<ServerState>) -> Outcome {
-    let scenarios = match grid_scenarios(body, MAX_GRID_CELLS) {
-        Ok(s) => s,
-        Err(outcome) => return outcome,
-    };
-    let runs = state.runner.run_grid_timed(&scenarios);
-    let computed_cells = runs.iter().filter(|t| !t.cached).count();
-    let cells: Vec<Value> = runs
-        .iter()
-        .map(|t| cell_value(&t.scenario, &t.report, t.cached))
-        .collect();
-    Outcome {
-        computed_cells,
-        ..Outcome::ok(serde::json::to_string_pretty(&Value::Map(vec![
-            ("count".into(), Value::U64(runs.len() as u64)),
-            ("cells".into(), Value::Seq(cells)),
-        ])))
-    }
-}
-
-/// How `POST /grid?stream=1` ended.
-enum StreamOutcome {
-    /// The request was rejected before any chunk was written; answer
-    /// with a normal buffered error response.
-    Rejected(Outcome),
-    /// The 200 head went out and cells streamed. `clean` is false when
-    /// the client disappeared (or a write failed) mid-stream — the
-    /// connection must close without the terminal chunk.
-    Streamed {
-        computed_cells: usize,
-        /// Payload bytes written (cell lines, not chunk framing).
-        bytes: u64,
-        clean: bool,
-    },
-}
-
-/// Streams a grid as chunked NDJSON: one [`cell_value`] object per
-/// line, one line per chunk, written **as workers finish** (completion
-/// order). Cells are memoized through the same shared store as every
-/// other endpoint, so streamed payloads are byte-identical to the
-/// buffered `/grid` cells for the same scenarios.
-fn stream_grid(
-    body: &[u8],
-    state: &Arc<ServerState>,
-    writer: &mut TcpStream,
-    keep_alive: bool,
-    rid: &str,
-) -> StreamOutcome {
-    let scenarios = match grid_scenarios(body, MAX_STREAM_CELLS) {
-        Ok(s) => s,
-        Err(outcome) => return StreamOutcome::Rejected(outcome),
-    };
-    if write_chunked_head_with(writer, 200, &[(REQUEST_ID_HEADER, rid)], keep_alive).is_err() {
-        return StreamOutcome::Streamed {
-            computed_cells: 0,
-            bytes: 0,
-            clean: false,
-        };
-    }
-    let buffer = 2 * state.runner.threads();
-    let mut computed_cells = 0usize;
-    let mut bytes = 0u64;
-    for run in state.runner.run_grid_streaming(scenarios, buffer) {
-        computed_cells += usize::from(!run.cached);
-        let mut line = serde::json::to_string(&cell_value(&run.scenario, &run.report, run.cached));
-        line.push('\n');
-        if write_chunk(writer, line.as_bytes()).is_err() {
-            // The client went away mid-stream: dropping the stream
-            // cancels the remaining cells; close without the terminator.
-            return StreamOutcome::Streamed {
-                computed_cells,
-                bytes,
-                clean: false,
-            };
-        }
-        bytes += line.len() as u64;
-    }
-    StreamOutcome::Streamed {
-        computed_cells,
-        bytes,
-        clean: finish_chunked(writer).is_ok(),
     }
 }
 

@@ -18,10 +18,8 @@
 //!   slow (over `MCDLA_SLOW_MS`), shed, timed out, or 5xx, and at
 //!   `debug` otherwise.
 
-use std::sync::Arc;
-
-use mcdla_obs::log::{Level, LogValue};
-use mcdla_obs::{Histogram, HistogramSnapshot, HistoryDump, TraceRecord};
+use mcdla_obs::log::Level;
+use mcdla_obs::{HistoryDump, TraceRecord};
 use serde::Value;
 
 use crate::http::{error_body, write_response_with, Request, WireError};
@@ -38,41 +36,6 @@ pub fn request_trace_id(request: &Request) -> String {
     match request.header(REQUEST_ID_HEADER) {
         Some(id) if mcdla_obs::valid_request_id(id) => id.to_string(),
         _ => mcdla_obs::request_id(),
-    }
-}
-
-/// A fixed set of labeled latency histograms (one per endpoint): the
-/// handles are pre-registered so the request path never touches a map.
-#[derive(Debug)]
-pub struct LatencyFamily {
-    entries: Vec<(&'static str, Arc<Histogram>)>,
-}
-
-impl LatencyFamily {
-    /// A family with one histogram per label.
-    pub fn new(labels: &[&'static str]) -> LatencyFamily {
-        LatencyFamily {
-            entries: labels
-                .iter()
-                .map(|&l| (l, Arc::new(Histogram::new())))
-                .collect(),
-        }
-    }
-
-    /// The histogram for a label (`None` for labels not registered).
-    pub fn get(&self, label: &str) -> Option<&Arc<Histogram>> {
-        self.entries
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, h)| h)
-    }
-
-    /// `(label, snapshot)` pairs in registration order.
-    pub fn snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        self.entries
-            .iter()
-            .map(|(l, h)| (*l, h.snapshot()))
-            .collect()
     }
 }
 
@@ -206,50 +169,6 @@ pub fn wide_event_level(slow_ms: Option<u64>, status: u16, total_us: u64) -> Lev
     } else {
         Level::Debug
     }
-}
-
-/// Emits the per-request *wide event*: one flat JSON line carrying the
-/// whole request story — id, endpoint, status, cache disposition,
-/// queue + service micros, response bytes — through the leveled
-/// [`mcdla_obs::log`] pipeline (see [`wide_event_level`]). `cached` is
-/// the cache disposition where the endpoint has one (`/simulate`,
-/// `/grid`); `extra` carries tier-specific fields (the gateway adds
-/// the upstream worker index).
-#[allow(clippy::too_many_arguments)]
-pub fn wide_event(
-    target: &str,
-    service: &str,
-    slow_ms: Option<u64>,
-    rec: &TraceRecord,
-    cached: Option<bool>,
-    queue_us: u64,
-    bytes: u64,
-    extra: &[(&str, LogValue)],
-) {
-    let level = wide_event_level(slow_ms, rec.status, rec.total_us);
-    if !mcdla_obs::log::log_enabled(level, target) {
-        return;
-    }
-    let mut fields: Vec<(&str, LogValue)> = vec![
-        ("id", rec.id.as_str().into()),
-        ("service", service.into()),
-        ("endpoint", rec.endpoint.as_str().into()),
-        ("status", rec.status.into()),
-        (
-            "cache",
-            match cached {
-                Some(true) => "hit",
-                Some(false) => "miss",
-                None => "none",
-            }
-            .into(),
-        ),
-        ("queue_us", queue_us.into()),
-        ("total_us", rec.total_us.into()),
-        ("bytes", bytes.into()),
-    ];
-    fields.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
-    mcdla_obs::log::log(level, target, "request", &fields);
 }
 
 /// Serializes a wire-level failure answer (parse 4xx or stall 408):
