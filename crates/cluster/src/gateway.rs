@@ -13,6 +13,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use mcdla_core::Scenario;
+use mcdla_serve::accept::LoopConfig;
 use mcdla_serve::client::Timeouts;
 use mcdla_serve::metrics::{Metric, Reading, Series};
 use mcdla_serve::node::{
@@ -99,13 +100,13 @@ pub struct GatewayHandle {
 impl Gateway {
     /// Binds the listener and builds the router over the backends.
     pub fn bind(config: &GatewayConfig) -> Result<Gateway, String> {
-        let loop_config = node::loop_config(
-            config.threads,
-            config.loops,
-            config.queue_depth,
-            READ_TIMEOUT,
-            READ_TIMEOUT,
-        )?;
+        let loop_config = LoopConfig {
+            loops: config.loops,
+            workers: config.threads,
+            queue_depth: config.queue_depth,
+            idle_timeout: READ_TIMEOUT,
+            request_timeout: READ_TIMEOUT,
+        };
         let router = Router::new(
             config.backends.iter().cloned(),
             config.timeouts,

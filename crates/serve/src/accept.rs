@@ -1,10 +1,9 @@
 //! The shared serving core both servers in this workspace run on: a
 //! non-blocking readiness loop over raw epoll (see [`crate::epoll`])
 //! that owns every connection's I/O, plus a bounded worker pool that
-//! owns the blocking work. `mcdla-serve`'s worker and `mcdla-cluster`'s
-//! gateway differ only in their [`Service`] implementation — everything
-//! about accepting, parsing, pipelining, load-shedding, timeouts, and
-//! teardown lives here once.
+//! owns the blocking work. Both tiers plug in the same [`Service`], the
+//! node shell in [`crate::node`] — everything about accepting, parsing,
+//! pipelining, load-shedding, timeouts, and teardown lives here once.
 //!
 //! ## Architecture
 //!

@@ -11,6 +11,10 @@
 //! a restarted service answers its first requests from cache. The event
 //! loop owns all connection I/O (pipelining, timeouts, 429
 //! load-shedding); simulation runs on a bounded blocking worker pool.
+//! The worker is one tier of the node shell ([`node`]) that the
+//! `mcdla-cluster` gateway runs in too: request lifecycle, shared
+//! routes, and one metric table per tier behind every telemetry
+//! surface ([`metrics`]).
 //!
 //! ## Endpoints
 //!

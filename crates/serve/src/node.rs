@@ -284,26 +284,6 @@ impl<T: Tier> std::fmt::Debug for Node<T> {
     }
 }
 
-/// The loop configuration for a node, rejecting a zero-thread pool.
-pub fn loop_config(
-    threads: usize,
-    loops: usize,
-    queue_depth: usize,
-    idle_timeout: Duration,
-    request_timeout: Duration,
-) -> Result<LoopConfig, String> {
-    if threads == 0 {
-        return Err("thread count must be >= 1 (got `0`)".into());
-    }
-    Ok(LoopConfig {
-        loops: loops.max(1),
-        workers: threads,
-        queue_depth: queue_depth.max(1),
-        idle_timeout,
-        request_timeout,
-    })
-}
-
 /// A bound node: listening, not yet serving.
 #[derive(Debug)]
 pub struct BoundNode<T: Tier> {
@@ -334,6 +314,9 @@ impl<T: Tier> Node<T> {
         loop_config: LoopConfig,
         sample_ms: Option<u64>,
     ) -> Result<BoundNode<T>, String> {
+        if loop_config.workers == 0 {
+            return Err("thread count must be >= 1 (got `0`)".into());
+        }
         let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
         // Span recording is process-global and off by default (batch
         // sweeps skip the instrumentation); a serving process turns it

@@ -17,6 +17,7 @@ use mcdla_obs::Span;
 use mcdla_parallel::ParallelStrategy;
 use serde::{Deserialize, Serialize, Value};
 
+use crate::accept::LoopConfig;
 use crate::metrics::{Metric, Reading, Series};
 use crate::node::{
     self, BoundNode, Call, CellStream, Node, NodeHandle, Outcome, Route, StreamOutcome, Tier,
@@ -139,13 +140,6 @@ impl Server {
     /// Binds the listener and prepares the store (loading the snapshot
     /// when the configured file exists).
     pub fn bind(config: &ServeConfig) -> Result<Server, String> {
-        let loop_config = node::loop_config(
-            config.threads,
-            config.loops,
-            config.queue_depth,
-            config.idle_timeout,
-            config.request_timeout,
-        )?;
         let store = Arc::new(match config.cache_cap {
             Some(0) => return Err("cache capacity must be >= 1 (got `0`)".into()),
             Some(cap) => ResultStore::bounded(cap),
@@ -197,6 +191,13 @@ impl Server {
             snapshot: config.snapshot.clone(),
             snapshot_write: Mutex::new(()),
             sim_responses: StageCache::bounded(RESPONSE_CACHE_CAP),
+        };
+        let loop_config = LoopConfig {
+            loops: config.loops,
+            workers: config.threads,
+            queue_depth: config.queue_depth,
+            idle_timeout: config.idle_timeout,
+            request_timeout: config.request_timeout,
         };
         let bound = Node::bind(&config.addr, worker, loop_config, config.sample_ms)?;
         Ok(Server { bound })

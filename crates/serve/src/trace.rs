@@ -1,6 +1,6 @@
 //! Request-trace wire helpers shared by the worker and the gateway:
 //! request-id extraction, trace → JSON rendering, the `/debug/requests`
-//! listing, wide-event emission, the `/metrics/history` body, and
+//! listing, wide-event levels, the `/metrics/history` body, and
 //! build-info blocks.
 //!
 //! The observability contract (`docs/observability.md`):
