@@ -329,28 +329,9 @@ fn insert_path(map: &mut Vec<(String, Value)>, path: &str, value: Value) {
     }
 }
 
-/// Reads the families the history needs: every family with series,
-/// plus the miss counters their hit rates divide by. Others read as
-/// empty, so a sampler tick skips them.
-pub fn read_tracked<S>(table: &[Metric<S>], state: &S) -> Vec<Reading> {
-    table
-        .iter()
-        .map(|m| {
-            let referenced = table
-                .iter()
-                .flat_map(|t| &t.series)
-                .any(|s| matches!(s, Series::HitRate(_, misses) if *misses == m.name));
-            if m.series.is_empty() && !referenced {
-                Reading::Values(Vec::new())
-            } else {
-                (m.read)(state)
-            }
-        })
-        .collect()
-}
-
 /// Every history series of `table` with its value over the window
-/// between two [`read_tracked`] readings taken `dt` seconds apart.
+/// between two readings of the whole table (one [`Reading`] per
+/// family, in table order) taken `dt` seconds apart.
 pub fn series_values<S>(
     table: &[Metric<S>],
     prev: &[Reading],

@@ -381,9 +381,12 @@ impl<T: Tier> Node<T> {
         metrics::stats_blocks(&self.metrics, self)
     }
 
-    /// One sampler reading: when, and every tracked family.
+    /// One sampler reading: when, and every family.
     fn tick(&self) -> Tick {
-        (Instant::now(), metrics::read_tracked(&self.metrics, self))
+        (
+            Instant::now(),
+            self.metrics.iter().map(|m| (m.read)(self)).collect(),
+        )
     }
 
     /// One history sample: every series windowed between two ticks,
@@ -615,6 +618,27 @@ impl<T: Tier> Node<T> {
         mcdla_obs::log::log(level, T::TARGET, "request", &fields);
     }
 
+    /// The 429 + `Retry-After` answer for a request the admission queue
+    /// turned away, recorded like any other request.
+    fn shed_answer(&self, request: &Request) -> FastAnswer {
+        let call = self.call(request);
+        let scope = TraceScope::begin();
+        let outcome = Outcome::error(429, "request queue is full; retry shortly");
+        let mut bytes = Vec::new();
+        self.respond(
+            &call,
+            scope,
+            outcome,
+            &[("retry-after", "1")],
+            &[],
+            &mut bytes,
+        );
+        FastAnswer {
+            bytes,
+            keep_alive: call.keep_alive,
+        }
+    }
+
     /// `POST /grid?stream=1` on a pool thread: parse and validate, let
     /// the tier stream, then frame the end. Returns whether the
     /// connection stays open.
@@ -696,22 +720,7 @@ impl<T: Tier> Service for Node<T> {
     }
 
     fn shed(&self, request: &Request) -> FastAnswer {
-        let call = self.call(request);
-        let scope = TraceScope::begin();
-        let outcome = Outcome::error(429, "request queue is full; retry shortly");
-        let mut bytes = Vec::new();
-        self.respond(
-            &call,
-            scope,
-            outcome,
-            &[("retry-after", "1")],
-            &[],
-            &mut bytes,
-        );
-        FastAnswer {
-            bytes,
-            keep_alive: call.keep_alive,
-        }
+        self.shed_answer(request)
     }
 
     fn wire_error(&self, error: &WireError) -> Vec<u8> {
