@@ -6,8 +6,8 @@
 //! Each tier declares every metric once, as a [`Metric`] entry: its
 //! Prometheus name, kind, help, label, and read function, plus an
 //! optional `/stats` key and its `/metrics/history` series. `/metrics`
-//! ([`render`]), the counter blocks of `/stats` ([`stats_blocks`]),
-//! and the history rings ([`series_values`]) are three views of the
+//! (`render`), the counter blocks of `/stats` (`stats_blocks`), and
+//! the history rings (`series_values`) are three views of the
 //! same table, so they cannot drift apart.
 
 use mcdla_obs::HistogramSnapshot;
@@ -110,7 +110,7 @@ impl MetricsBuilder {
 
 /// A metric family's type, as its `# TYPE` line names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
+pub(crate) enum Kind {
     /// Monotone count; history retains its per-second rate.
     Counter,
     /// Point-in-time value; history retains the value itself.
@@ -188,19 +188,19 @@ pub enum Series {
 /// One metric family, declared once (see the module docs).
 pub struct Metric<S> {
     /// Prometheus family name.
-    pub name: String,
+    pub(crate) name: String,
     /// Family type.
-    pub kind: Kind,
+    pub(crate) kind: Kind,
     /// `# HELP` text.
-    pub help: &'static str,
+    pub(crate) help: &'static str,
     /// Label name of a labeled family (`""` for an unlabeled one).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Reads the family off the node's state.
-    pub read: fn(&S) -> Reading,
+    pub(crate) read: fn(&S) -> Reading,
     /// Dotted `/stats` path; labeled families add one key per label.
-    pub stats: Option<&'static str>,
+    pub(crate) stats: Option<&'static str>,
     /// Retained history series.
-    pub series: Vec<Series>,
+    pub(crate) series: Vec<Series>,
 }
 
 impl<S> std::fmt::Debug for Metric<S> {
@@ -267,7 +267,7 @@ impl<S> Metric<S> {
 }
 
 /// Renders every family of `table` into an exposition document.
-pub fn render<S>(b: &mut MetricsBuilder, table: &[Metric<S>], state: &S) {
+pub(crate) fn render<S>(b: &mut MetricsBuilder, table: &[Metric<S>], state: &S) {
     for m in table {
         match (m.read)(state) {
             Reading::Values(samples) if samples.is_empty() => {}
@@ -294,7 +294,7 @@ pub fn render<S>(b: &mut MetricsBuilder, table: &[Metric<S>], state: &S) {
 /// The `/stats` entries of every family with a stats key, nested by
 /// their dotted paths, in table order. Stats-keyed families are
 /// integral counters and gauges, so values render as integers.
-pub fn stats_blocks<S>(table: &[Metric<S>], state: &S) -> Vec<(String, Value)> {
+pub(crate) fn stats_blocks<S>(table: &[Metric<S>], state: &S) -> Vec<(String, Value)> {
     let mut root = Vec::new();
     for m in table {
         let (Some(path), Reading::Values(samples)) = (m.stats, (m.read)(state)) else {
@@ -332,7 +332,7 @@ fn insert_path(map: &mut Vec<(String, Value)>, path: &str, value: Value) {
 /// Every history series of `table` with its value over the window
 /// between two readings of the whole table (one [`Reading`] per
 /// family, in table order) taken `dt` seconds apart.
-pub fn series_values<S>(
+pub(crate) fn series_values<S>(
     table: &[Metric<S>],
     prev: &[Reading],
     cur: &[Reading],

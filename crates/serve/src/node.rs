@@ -167,7 +167,7 @@ pub struct CellStream<'a> {
     keep_alive: bool,
     bytes: u64,
     /// Cells simulated, for streams served from a result store.
-    pub computed_cells: Option<usize>,
+    pub(crate) computed_cells: Option<usize>,
 }
 
 impl CellStream<'_> {
@@ -211,7 +211,7 @@ pub struct Call<'a> {
     /// The request id: propagated when well-formed, else generated.
     pub rid: String,
     /// Whether the client asked for the span tree (`?trace=1`).
-    pub traced: bool,
+    pub(crate) traced: bool,
     /// How long the request waited for a pool thread, in microseconds.
     queue_us: u64,
     endpoint: usize,
@@ -220,7 +220,7 @@ pub struct Call<'a> {
 }
 
 /// Parses a JSON body, answering 400 on invalid UTF-8 or JSON.
-pub fn parse_body<T: Deserialize>(body: &[u8], what: &str) -> Result<T, Outcome> {
+fn parse_body<T: Deserialize>(body: &[u8], what: &str) -> Result<T, Outcome> {
     let text = std::str::from_utf8(body)
         .map_err(|_| Outcome::error(400, &format!("{what} body is not valid utf-8")))?;
     serde::json::from_str(text).map_err(|e| Outcome::error(400, &format!("bad {what} JSON: {e}")))
@@ -366,7 +366,7 @@ impl<T: Tier> Node<T> {
     }
 
     /// The node's flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
+    pub(crate) fn recorder(&self) -> &FlightRecorder {
         &self.recorder
     }
 
