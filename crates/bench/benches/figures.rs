@@ -8,21 +8,17 @@
 //! exactly the performance a user of `mcdla all` experiences. The cold
 //! path is covered by `substrates.rs`'s grid benches on fresh runners.
 
-use std::hint::black_box;
-
-use mcdla_bench::timing::bench;
+use mcdla_bench::measure::{time_ms, Envelope};
 use mcdla_core::experiment;
 use mcdla_interconnect::{CollectiveKind, CollectiveModel, RingShape};
 use mcdla_parallel::ParallelStrategy;
 use mcdla_sim::Bytes;
 
 fn main() {
-    bench("fig2/generations_sweep", 10, || {
-        black_box(experiment::fig2())
-    });
+    let mut metrics = vec![time_ms("fig2/generations_sweep", 10, experiment::fig2)];
 
     let model = CollectiveModel::paper_fig9();
-    bench("fig9/collective_sweep", 10, || {
+    metrics.push(time_ms("fig9/collective_sweep", 10, || {
         let mut acc = 0.0f64;
         for nodes in 2..=36 {
             for kind in CollectiveKind::ALL {
@@ -31,24 +27,30 @@ fn main() {
                     .as_secs_f64();
             }
         }
-        black_box(acc)
-    });
+        acc
+    }));
 
     for strategy in ParallelStrategy::ALL {
-        bench(&format!("fig11/breakdown_{strategy}"), 10, || {
-            black_box(experiment::fig11(strategy))
-        });
+        metrics.push(time_ms(&format!("fig11/breakdown_{strategy}"), 10, || {
+            experiment::fig11(strategy)
+        }));
     }
 
-    bench("fig12/cpu_bandwidth", 10, || black_box(experiment::fig12()));
+    metrics.push(time_ms("fig12/cpu_bandwidth", 10, experiment::fig12));
 
     for strategy in ParallelStrategy::ALL {
-        bench(&format!("fig13/performance_{strategy}"), 10, || {
-            black_box(experiment::fig13(strategy))
-        });
+        metrics.push(time_ms(
+            &format!("fig13/performance_{strategy}"),
+            10,
+            || experiment::fig13(strategy),
+        ));
     }
 
-    bench("fig14/batch_sweep", 10, || {
-        black_box(experiment::fig14(&[128, 256, 1024, 2048]))
-    });
+    metrics.push(time_ms("fig14/batch_sweep", 10, || {
+        experiment::fig14(&[128, 256, 1024, 2048])
+    }));
+    print!(
+        "{}",
+        Envelope::new("cargo bench --bench figures", metrics).render()
+    );
 }

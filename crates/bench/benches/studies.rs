@@ -1,27 +1,24 @@
 //! Timing benches for the §V-B sensitivity and §V-D scalability studies.
 
-use std::hint::black_box;
-
-use mcdla_bench::timing::bench;
+use mcdla_bench::measure::{time_ms, Envelope};
 use mcdla_core::experiment;
 use mcdla_dnn::Benchmark;
 
 fn main() {
-    bench("scalability/cnn_1_to_8_devices", 10, || {
-        black_box(experiment::scalability(&Benchmark::CNNS))
-    });
-
-    bench("sensitivity/all_studies", 10, || {
-        black_box(experiment::sensitivity())
-    });
-
-    bench("ablations/dc_dla_suite", 10, || {
-        black_box(mcdla_core::ablation::ablations(
-            mcdla_core::SystemDesign::DcDla,
-        ))
-    });
-
-    bench("scale_out/resnet_8_to_64", 10, || {
-        black_box(experiment::scale_out(Benchmark::ResNet, &[8, 16, 32, 64]))
-    });
+    let metrics = vec![
+        time_ms("scalability/cnn_1_to_8_devices", 10, || {
+            experiment::scalability(&Benchmark::CNNS)
+        }),
+        time_ms("sensitivity/all_studies", 10, experiment::sensitivity),
+        time_ms("ablations/dc_dla_suite", 10, || {
+            mcdla_core::ablation::ablations(mcdla_core::SystemDesign::DcDla)
+        }),
+        time_ms("scale_out/resnet_8_to_64", 10, || {
+            experiment::scale_out(Benchmark::ResNet, &[8, 16, 32, 64])
+        }),
+    ];
+    print!(
+        "{}",
+        Envelope::new("cargo bench --bench studies", metrics).render()
+    );
 }

@@ -1,23 +1,20 @@
 //! The routed-fabric bench behind `mcdla fabric-bench`: measures the
-//! flow-level fabric two ways and packages the result as
-//! `BENCH_fabric.json`.
+//! flow-level fabric two ways at each device-count scale.
 //!
-//! * **solver throughput** — all-reduces priced on a standalone
-//!   three-plane ring [`RoutedFabric`] at 8/64/1024 devices, reported as
-//!   flows drained per second (each collective opens one flow per ring
-//!   hop per plane, so the flow count grows with the device count);
-//! * **end-to-end overhead** — the same DC-DLA/VGG-E iteration priced
-//!   analytically vs through the routed fabric (both monolithic, no
-//!   stage cache), reported as cells/sec on each side plus the ratio —
-//!   what the `topology` knob costs a sweep.
+//! * **solver cost** — one all-reduce priced on a standalone
+//!   three-plane ring [`RoutedFabric`] (one flow per ring hop per
+//!   plane, so the flow count grows with the device count), in µs per
+//!   collective; the 1024-device cost is gated by a ceiling;
+//! * **end-to-end cost** — the same DC-DLA/VGG-E iteration priced
+//!   analytically and through the routed fabric (both monolithic, no
+//!   stage cache), in cells/s on each side: what the `topology` knob
+//!   costs a sweep. A routed 1024-device cell takes tens of seconds, so
+//!   that one side is a single ungated sample.
 //!
 //! The bench also replays the single-backplane agreement matrix (every
 //! design x {2, 4, 8} devices): inside one island the routed ring has
 //! dedicated links, so the flow price must collapse to the analytical
-//! formula. The worst relative iteration-time error is the number CI
-//! gates (<= 1%) — the bench doubles as a fabric-vs-analytical smoke.
-
-use std::time::Instant;
+//! formula. The worst relative iteration-time error is gated at 1%.
 
 use mcdla_core::{Scenario, SystemDesign};
 use mcdla_dnn::Benchmark;
@@ -26,50 +23,27 @@ use mcdla_interconnect::{
 };
 use mcdla_parallel::ParallelStrategy;
 use mcdla_sim::Bytes;
-use serde::Value;
 
-use crate::render_table;
+use crate::measure::{sample, sample_pair, secs, Better, Metric};
 
-/// The `mcdla fabric-bench` result.
-#[derive(Debug)]
-pub struct FabricBenchResult {
-    /// Pretty-printed JSON payload (the `BENCH_fabric.json` content).
-    pub json: String,
-    /// Human-readable summary table.
-    pub summary: String,
-    /// Worst fabric-vs-analytical relative iteration-time error across
-    /// the single-backplane agreement matrix — the number CI gates
-    /// (<= 0.01).
-    pub max_rel_err: f64,
-}
+/// Measured chunks per metric.
+const CHUNKS: usize = 9;
 
 /// The committed `BENCH_fabric.json` scales: `(devices, global batch)`.
 /// The batch grows with the device count so the data-parallel split
 /// stays valid (a worker needs at least one sample).
 pub const PAPER_SCALES: [(usize, u64); 3] = [(8, 512), (64, 512), (1024, 4096)];
 
-/// One device-count scale's measurements.
-struct ScaleRow {
-    devices: usize,
-    batch: u64,
-    /// Flows one collective opens on the standalone ring fabric.
-    flows_per_collective: usize,
-    /// Solver throughput: flows drained per second across the timed
-    /// collective calls.
-    flows_per_sec: f64,
-    analytic_cells_per_sec: f64,
-    fabric_cells_per_sec: f64,
-    /// Fabric-over-analytic slowdown per cell (>= 1 means the routed
-    /// fabric costs more, as expected).
-    overhead: f64,
-}
+/// Ceiling on one routed 1024-device all-reduce, in µs.
+const ALLREDUCE_1024_CEILING_US: f64 = 6e6;
 
-/// Times one `(devices, batch)` scale. `reps` is the timed repetition
-/// count at this scale (already scaled down by the caller for large
-/// fabrics, whose single calls are far heavier).
-fn bench_scale(devices: usize, batch: u64, reps: usize) -> ScaleRow {
-    // Solver throughput on a standalone three-plane device ring with the
-    // paper's link budget: 50 GB/s collective planes over 8-device
+/// Devices past which a routed cell is a single sample.
+const SINGLE_SAMPLE_DEVICES: usize = 256;
+
+/// Measures one `(devices, batch)` scale; a chunk prices `reps` cells
+/// per side.
+fn bench_scale(devices: usize, batch: u64, reps: usize) -> Vec<Metric> {
+    // The paper's link budget: 50 GB/s collective planes over 8-device
     // backplane islands bridged by a PCIe-share escape channel.
     let spec = FabricSpec {
         devices,
@@ -80,19 +54,25 @@ fn bench_scale(devices: usize, batch: u64, reps: usize) -> ScaleRow {
     };
     let fabric = RoutedFabric::build(FabricTopology::Ring, &spec);
     let model = CollectiveModel::with_link_bandwidth(50.0);
-    let size = Bytes::new(64 << 20);
-    std::hint::black_box(fabric.collective_time(&model, CollectiveKind::AllReduce, size));
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(fabric.collective_time(&model, CollectiveKind::AllReduce, size));
+    let allreduce_us = sample(CHUNKS, || {
+        1e6 * secs(|| {
+            std::hint::black_box(fabric.collective_time(
+                &model,
+                CollectiveKind::AllReduce,
+                Bytes::new(64 << 20),
+            ));
+        })
+    });
+    let mut allreduce = Metric::sampled(
+        format!("d{devices}.allreduce_us"),
+        "us",
+        Better::Lower,
+        &allreduce_us,
+    );
+    if devices == 1024 {
+        allreduce = allreduce.floor(ALLREDUCE_1024_CEILING_US);
     }
-    let flow_wall = start.elapsed().as_secs_f64();
-    let flows_per_sec = (reps * fabric.flows_per_collective()) as f64 / flow_wall.max(1e-9);
 
-    // End-to-end overhead: the same iteration priced analytically vs
-    // through the routed fabric. Monolithic on both sides (no stage
-    // cache — every rep re-prices every collective), interleaved so
-    // ambient frequency drift lands on both sides equally.
     let analytic = Scenario::new(
         SystemDesign::DcDla,
         Benchmark::VggE,
@@ -101,33 +81,53 @@ fn bench_scale(devices: usize, batch: u64, reps: usize) -> ScaleRow {
     .with_devices(devices)
     .with_batch(batch);
     let routed = analytic.with_topology(FabricTopology::Ring);
-    std::hint::black_box(analytic.simulate_monolithic());
-    std::hint::black_box(routed.simulate_monolithic());
-    let (mut a_wall, mut f_wall) = (0.0f64, 0.0f64);
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(analytic.simulate_monolithic());
-        a_wall += start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        std::hint::black_box(routed.simulate_monolithic());
-        f_wall += start.elapsed().as_secs_f64();
-    }
-    ScaleRow {
-        devices,
-        batch,
-        flows_per_collective: fabric.flows_per_collective(),
-        flows_per_sec,
-        analytic_cells_per_sec: reps as f64 / a_wall.max(1e-9),
-        fabric_cells_per_sec: reps as f64 / f_wall.max(1e-9),
-        overhead: f_wall.max(1e-9) / a_wall.max(1e-9),
-    }
+    let cells_per_s = |cell: &Scenario| {
+        reps as f64
+            / secs(|| {
+                for _ in 0..reps {
+                    std::hint::black_box(cell.simulate_monolithic());
+                }
+            })
+            .max(1e-9)
+    };
+    let name = |side: &str| format!("d{devices}.{side}_cells_per_s");
+    let (analytic_metric, routed_metric) = if devices > SINGLE_SAMPLE_DEVICES {
+        let analytic_rates = sample(CHUNKS, || cells_per_s(&analytic));
+        (
+            Metric::sampled(name("analytic"), "cells/s", Better::Higher, &analytic_rates),
+            Metric::exact(
+                name("routed"),
+                "cells/s",
+                Better::Higher,
+                cells_per_s(&routed),
+            ),
+        )
+    } else {
+        let pairs = sample_pair(CHUNKS, || cells_per_s(&analytic), || cells_per_s(&routed));
+        let (a, r): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+        (
+            Metric::sampled(name("analytic"), "cells/s", Better::Higher, &a),
+            Metric::sampled(name("routed"), "cells/s", Better::Higher, &r),
+        )
+    };
+    vec![
+        Metric::exact(
+            format!("d{devices}.flows_per_allreduce"),
+            "flows",
+            Better::Lower,
+            fabric.flows_per_collective() as f64,
+        ),
+        allreduce,
+        analytic_metric,
+        routed_metric,
+    ]
 }
 
 /// Replays the single-backplane agreement matrix (the property the core
 /// test suite pins): every design x {2, 4, 8} devices, AlexNet
-/// data-parallel, routed ring vs analytical. Returns `(cells, worst
-/// relative iteration-time error)`.
-fn agreement() -> (usize, f64) {
+/// data-parallel, routed ring vs analytical. Returns the worst relative
+/// iteration-time error.
+fn agreement() -> f64 {
     let mut cells = 0usize;
     let mut max_rel = 0.0f64;
     for design in SystemDesign::ALL {
@@ -144,110 +144,24 @@ fn agreement() -> (usize, f64) {
             cells += 1;
         }
     }
-    (cells, max_rel)
+    assert_eq!(cells, 18, "the agreement matrix is 6 designs x 3 sizes");
+    max_rel
 }
 
-fn scale_value(r: &ScaleRow) -> Value {
-    Value::Map(vec![
-        ("devices".into(), Value::U64(r.devices as u64)),
-        ("batch".into(), Value::U64(r.batch)),
-        (
-            "flows_per_collective".into(),
-            Value::U64(r.flows_per_collective as u64),
-        ),
-        ("flows_per_sec".into(), Value::F64(r.flows_per_sec)),
-        (
-            "analytic_cells_per_sec".into(),
-            Value::F64(r.analytic_cells_per_sec),
-        ),
-        (
-            "fabric_cells_per_sec".into(),
-            Value::F64(r.fabric_cells_per_sec),
-        ),
-        ("overhead_x".into(), Value::F64(r.overhead)),
-    ])
-}
-
-/// Runs the routed-fabric bench: solver throughput and per-cell overhead
-/// at each `(devices, batch)` scale, plus the agreement matrix. `reps`
-/// is the timed repetition count at 8 devices; larger fabrics run
-/// proportionally fewer reps (one call does proportionally more work).
-pub fn fabric_bench(reps: usize, scales: &[(usize, u64)]) -> FabricBenchResult {
+/// Runs the routed-fabric bench at each `(devices, batch)` scale, plus
+/// the agreement matrix. A chunk prices `reps` cells per side at 8
+/// devices; larger fabrics price proportionally fewer (one call does
+/// proportionally more work).
+pub fn fabric_bench(reps: usize, scales: &[(usize, u64)]) -> Vec<Metric> {
     let reps = reps.max(1);
-    let rows: Vec<ScaleRow> = scales
+    let mut metrics: Vec<Metric> = scales
         .iter()
-        .map(|&(devices, batch)| bench_scale(devices, batch, (reps * 8 / devices.max(8)).max(1)))
+        .flat_map(|&(devices, batch)| bench_scale(devices, batch, (reps * 8 / devices).max(1)))
         .collect();
-    let (cells, max_rel_err) = agreement();
-
-    let payload = Value::Map(vec![
-        (
-            "generated_by".into(),
-            Value::Str("mcdla fabric-bench".into()),
-        ),
-        (
-            "topology".into(),
-            Value::Str(FabricTopology::Ring.wire_name().into()),
-        ),
-        (
-            "workload".into(),
-            Value::Str("DC-DLA / VGG-E data-parallel cells; 3-plane ring solver".into()),
-        ),
-        (
-            "scales".into(),
-            Value::Seq(rows.iter().map(scale_value).collect()),
-        ),
-        (
-            "agreement".into(),
-            Value::Map(vec![
-                (
-                    "workload".into(),
-                    Value::Str("6 designs x {2,4,8} devices, AlexNet data-parallel".into()),
-                ),
-                ("cells".into(), Value::U64(cells as u64)),
-                ("max_rel_err".into(), Value::F64(max_rel_err)),
-                ("gate".into(), Value::F64(0.01)),
-            ]),
-        ),
-    ]);
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.devices.to_string(),
-                r.batch.to_string(),
-                r.flows_per_collective.to_string(),
-                format!("{:.0}", r.flows_per_sec),
-                format!("{:.1}", r.analytic_cells_per_sec),
-                format!("{:.3}", r.fabric_cells_per_sec),
-                crate::fmt_x(r.overhead),
-            ]
-        })
-        .collect();
-    let mut summary = render_table(
-        "fabric-bench (routed ring fabric vs analytical pricing)",
-        &[
-            "devices",
-            "batch",
-            "flows/coll",
-            "flows/s",
-            "analytic cells/s",
-            "fabric cells/s",
-            "overhead",
-        ],
-        &table,
+    metrics.push(
+        Metric::exact("agreement.max_rel_err", "ratio", Better::Lower, agreement()).floor(0.01),
     );
-    summary.push_str(&format!(
-        "agreement: max rel err {:.2e} over {} single-backplane cells (gate 1%)\n",
-        max_rel_err, cells
-    ));
-
-    FabricBenchResult {
-        json: serde::json::to_string_pretty(&payload),
-        summary,
-        max_rel_err,
-    }
+    metrics
 }
 
 #[cfg(test)]
@@ -258,38 +172,29 @@ mod tests {
     fn fabric_bench_reports_scales_and_gates_agreement() {
         // Small scales for a debug-build test; the committed
         // `BENCH_fabric.json` runs `PAPER_SCALES` in release.
-        let result = fabric_bench(1, &[(8, 512), (64, 512)]);
-        assert!(
-            result.max_rel_err <= 0.01,
-            "single-backplane ring must agree with the analytical model: {}",
-            result.max_rel_err
-        );
-        let payload = serde::json::parse(&result.json).unwrap();
-        let scales = payload
-            .get("scales")
-            .and_then(|s| s.as_seq())
-            .expect("scales");
-        assert_eq!(scales.len(), 2);
-        for (s, (devices, _)) in scales.iter().zip([(8, 512u64), (64, 512)]) {
-            assert_eq!(s.get("devices").and_then(|v| v.as_u64()), Some(devices));
-            let flows = s
-                .get("flows_per_sec")
-                .and_then(|v| v.as_f64())
-                .expect("flows_per_sec");
-            assert!(flows > 0.0, "solver throughput must be positive: {flows}");
-            let overhead = s
-                .get("overhead_x")
-                .and_then(|v| v.as_f64())
-                .expect("overhead_x");
-            assert!(overhead > 0.0, "overhead must be positive: {overhead}");
-        }
-        let agreement = payload.get("agreement").expect("agreement block");
-        assert_eq!(agreement.get("cells").and_then(|v| v.as_u64()), Some(18));
+        let metrics = fabric_bench(1, &[(8, 512), (16, 512)]);
+        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
-            agreement.get("max_rel_err").and_then(|v| v.as_f64()),
-            Some(result.max_rel_err)
+            names,
+            [
+                "d8.flows_per_allreduce",
+                "d8.allreduce_us",
+                "d8.analytic_cells_per_s",
+                "d8.routed_cells_per_s",
+                "d16.flows_per_allreduce",
+                "d16.allreduce_us",
+                "d16.analytic_cells_per_s",
+                "d16.routed_cells_per_s",
+                "agreement.max_rel_err",
+            ]
         );
-        assert!(result.summary.contains("fabric-bench"));
-        assert!(result.summary.contains("agreement"));
+        for m in &metrics {
+            assert!(m.value.is_finite() && m.value >= 0.0, "{m:?}");
+        }
+        let agreement = metrics.last().unwrap();
+        assert!(
+            !agreement.misses_floor(),
+            "single-backplane ring must agree with the analytical model: {agreement:?}"
+        );
     }
 }

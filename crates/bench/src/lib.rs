@@ -23,7 +23,6 @@
 //! | `energy` | dynamic energy-per-iteration comparison |
 //! | `paper-report` | the full paper-vs-measured summary |
 //! | `sweep` | times every grid cell, writes `BENCH_scenarios.json` |
-//! | `fabric-bench` | times the routed flow-level fabric vs the analytical model, writes `BENCH_fabric.json` |
 //! | `all` | every report above, in order |
 //!
 //! Global flags: `--json` (machine-readable experiment data where
@@ -32,8 +31,11 @@
 //! path). The report bodies live in [`reports`]; the `mcdla` binary is a
 //! thin dispatcher.
 //!
-//! Timing benches (`cargo bench -p mcdla-bench`) time the simulator
-//! itself on each experiment through the [`timing`] harness.
+//! The `*-bench` subcommands and the timing benches (`cargo bench -p
+//! mcdla-bench`, which time the simulator itself on each experiment)
+//! all measure through the [`measure`] core; each subcommand writes one
+//! [`measure::Envelope`] and `bench-report` ([`collate`]) reads the six
+//! back.
 
 #![warn(missing_docs)]
 
@@ -42,12 +44,12 @@ use std::fmt::Write as _;
 pub mod cluster_bench;
 pub mod collate;
 pub mod fabric_bench;
+pub mod measure;
 pub mod obs_bench;
 pub mod reports;
 pub mod service;
 pub mod stage_bench;
 pub mod store_bench;
-pub mod timing;
 
 /// Renders an aligned ASCII table.
 ///

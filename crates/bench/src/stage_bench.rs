@@ -1,60 +1,37 @@
 //! The staged-engine bench behind `mcdla stage-bench`: times mega-grid
-//! sweeps through the staged pipeline against the monolithic engine and
-//! packages the result as `BENCH_stages.json`.
+//! sweeps through the staged pipeline against the monolithic engine.
 //!
 //! Two grid shapes, both one-knob-varying over the full six-design
 //! matrix:
 //!
-//! * **knob grid** (CI-gated, `speedup >= 5`): sweeps the cDMA
+//! * **knob grid** (speedup gated at 5x): sweeps the cDMA
 //!   activation-compression ratio (§V-B), a per-cell knob that enters
 //!   the pipeline only at report assembly. Every stage table stays hot
 //!   after the first handful of cells, so this shape measures the
 //!   staged engine's designed sweet spot: fabric summaries, layer
 //!   timings, worker plans, schedules, and collective costs are each
 //!   built a handful of times instead of once per cell.
-//! * **batch grid** (reported, not gated): sweeps the global batch
+//! * **batch grid** (speedup gated at 1.5x): sweeps the global batch
 //!   size, the knob with the *widest* key blast radius — plans,
 //!   schedules, and collective costs all key on it, so only the
 //!   across-design reuse (six designs share one batch's artifacts)
 //!   amortizes. The honest lower bound on what staging buys.
 //!
-//! Each grid also cross-checks a deterministic sample of cells for
-//! bit-identical staged-vs-monolithic reports, so the bench doubles as
-//! an end-to-end equivalence smoke at mega-grid scale.
-
-use std::time::Instant;
+//! Both engines run the same knob values chunk by chunk, alternating
+//! which goes first, so drift lands on both sides; the speedup is the
+//! median of the per-chunk ratios. Each grid also cross-checks a
+//! deterministic sample of cells for bit-identical staged-vs-monolithic
+//! reports, so the bench doubles as an equivalence smoke at mega-grid
+//! scale.
 
 use mcdla_core::{stages, Scenario, StageStats, SystemDesign};
 use mcdla_dnn::Benchmark;
 use mcdla_parallel::ParallelStrategy;
-use serde::{Serialize as _, Value};
 
-use crate::render_table;
+use crate::measure::{sample_pair, secs, Better, Metric, MIN_CHUNKS};
 
-/// The `mcdla stage-bench` result.
-#[derive(Debug)]
-pub struct StageBenchResult {
-    /// Pretty-printed JSON payload (the `BENCH_stages.json` content).
-    pub json: String,
-    /// Human-readable summary table.
-    pub summary: String,
-    /// Staged-over-monolithic speedup on the knob grid (median of the
-    /// per-chunk ratios) — the number the CI floor gates (>= 5x).
-    pub speedup: f64,
-}
-
-/// One grid shape's measurements.
-struct GridRow {
-    label: String,
-    knob: &'static str,
-    cells: usize,
-    mono_cells_per_sec: f64,
-    staged_cells_per_sec: f64,
-    /// Median of the per-chunk staged-over-monolithic ratios.
-    speedup: f64,
-    /// Per-stage counter deltas across this grid's staged pass.
-    stages: Vec<StageStats>,
-}
+/// Most measured chunks per grid.
+const MAX_CHUNKS: usize = 64;
 
 const DESIGNS: [SystemDesign; 6] = [
     SystemDesign::DcDla,
@@ -72,113 +49,69 @@ const SUITE: [Benchmark; 4] = [
     Benchmark::VggE,
 ];
 
-/// Subtracts `before` from `after` counter-wise (gauges keep the after
-/// value), yielding this grid's traffic out of the process-global
-/// tables.
-fn stage_delta(before: &[StageStats], after: &[StageStats]) -> Vec<StageStats> {
-    after
+/// Total `(hits, misses)` across every stage table.
+fn stage_traffic(stats: &[StageStats]) -> (u64, u64) {
+    stats
         .iter()
-        .zip(before)
-        .map(|(a, b)| {
-            debug_assert_eq!(a.stage, b.stage);
-            let hits = a.hits - b.hits;
-            let misses = a.misses - b.misses;
-            StageStats {
-                stage: a.stage.clone(),
-                hits,
-                misses,
-                evictions: a.evictions - b.evictions,
-                entries: a.entries,
-                capacity: a.capacity,
-                hit_rate: if hits + misses > 0 {
-                    hits as f64 / (hits + misses) as f64
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect()
+        .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses))
 }
 
 /// Times one grid shape: `make(i, benchmark, design)` yields the cell
 /// at the i-th knob setting for one workload on one design; the grid is
-/// `values` settings crossed with the full benchmark-suite x design
-/// matrix. Every `sample_every`-th cell is cross-checked for a
-/// bit-identical staged-vs-monolithic report.
+/// about `values` settings crossed with the full benchmark-suite x
+/// design matrix, split into one warm-up chunk and up to 64 measured
+/// ones. `prefix` names the metrics; the speedup is gated on
+/// `speedup_floor`, the stage-table hit share on `hit_floor`.
 fn bench_grid(
-    label: &str,
-    knob: &'static str,
+    prefix: &str,
     values: usize,
+    speedup_floor: f64,
+    hit_floor: Option<f64>,
     make: impl Fn(u64, Benchmark, SystemDesign) -> Scenario,
-) -> GridRow {
-    let cells = values * SUITE.len() * DESIGNS.len();
-    let sample_every = (cells / 64).max(1);
-
-    // Untimed warmup through both engines: the first pass in a fresh
-    // process otherwise pays its lazy startup costs (heap growth,
-    // first-touch paging) and skews the ratio.
-    for i in 0..(values.min(64)) as u64 {
-        for &benchmark in &SUITE {
-            for &design in &DESIGNS {
-                std::hint::black_box(make(i, benchmark, design).simulate());
-                std::hint::black_box(make(i, benchmark, design).simulate_monolithic());
-            }
-        }
-    }
-
-    // Time the engines interleaved over the same knob chunks: a
-    // mega-grid pass runs for a minute-plus, so back-to-back whole-grid
-    // passes would fold ambient frequency/thermal drift into the ratio.
-    // The monolithic pass never touches the stage tables, so the
-    // whole-loop counter delta is still pure staged traffic (and the
-    // warmup above touches only the first few knob values, leaving the
-    // tables effectively cold for the sweep).
-    let before = stages::stage_stats();
-    let chunk = (values / 64).max(1) as u64;
-    let (mut staged_wall, mut mono_wall) = (0.0f64, 0.0f64);
-    let mut ratios: Vec<f64> = Vec::new();
-    let mut lo = 0u64;
-    while lo < values as u64 {
-        let hi = (lo + chunk).min(values as u64);
-        let start = Instant::now();
-        for i in lo..hi {
-            for &benchmark in &SUITE {
-                for &design in &DESIGNS {
-                    std::hint::black_box(make(i, benchmark, design).simulate());
+) -> Vec<Metric> {
+    let chunks = (values.saturating_sub(1)).clamp(MIN_CHUNKS, MAX_CHUNKS);
+    let per_chunk = (values / (chunks + 1)).max(1) as u64;
+    let cells_per_chunk = per_chunk as usize * SUITE.len() * DESIGNS.len();
+    // Each engine walks the knob values with its own cursor; both see
+    // the same values in every chunk.
+    let run = |cursor: &mut u64, staged: bool| {
+        let lo = *cursor;
+        *cursor += per_chunk;
+        secs(|| {
+            for i in lo..*cursor {
+                for &benchmark in &SUITE {
+                    for &design in &DESIGNS {
+                        let cell = make(i, benchmark, design);
+                        std::hint::black_box(if staged {
+                            cell.simulate()
+                        } else {
+                            cell.simulate_monolithic()
+                        });
+                    }
                 }
             }
-        }
-        let staged_chunk = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        for i in lo..hi {
-            for &benchmark in &SUITE {
-                for &design in &DESIGNS {
-                    std::hint::black_box(make(i, benchmark, design).simulate_monolithic());
-                }
-            }
-        }
-        let mono_chunk = start.elapsed().as_secs_f64();
-        staged_wall += staged_chunk;
-        mono_wall += mono_chunk;
-        ratios.push(mono_chunk / staged_chunk.max(1e-9));
-        lo = hi;
-    }
-    let stage_traffic = stage_delta(&before, &stages::stage_stats());
-
-    // The gated speedup is the *median* of the per-chunk ratios: both
-    // engines see the same cells per chunk, so each ratio is an
-    // unbiased sample, and the median votes out chunks where another
-    // tenant of the host happened to steal memory bandwidth. The
-    // cells/sec columns stay whole-grid totals.
-    ratios.sort_by(f64::total_cmp);
-    let speedup = ratios[ratios.len() / 2];
+        })
+    };
+    // The monolithic engine never touches the stage tables, so the
+    // counter delta is pure staged traffic.
+    let before = stage_traffic(&stages::stage_stats());
+    let (mut staged_cursor, mut mono_cursor) = (0u64, 0u64);
+    let pairs = sample_pair(
+        chunks,
+        || run(&mut staged_cursor, true),
+        || run(&mut mono_cursor, false),
+    );
+    let after = stage_traffic(&stages::stage_stats());
+    let (hits, misses) = (after.0 - before.0, after.1 - before.1);
 
     // Equivalence spot-check on a deterministic sample: the staged
     // report must be bit-identical to a from-scratch compute.
-    let mut checked = 0usize;
-    for n in (0..cells).step_by(sample_every) {
-        let i = n / (SUITE.len() * DESIGNS.len());
-        let rest = n % (SUITE.len() * DESIGNS.len());
+    let cells = staged_cursor as usize * SUITE.len() * DESIGNS.len();
+    for n in (0..cells).step_by((cells / 64).max(1)) {
+        let (i, rest) = (
+            n / (SUITE.len() * DESIGNS.len()),
+            n % (SUITE.len() * DESIGNS.len()),
+        );
         let cell = make(
             i as u64,
             SUITE[rest / DESIGNS.len()],
@@ -190,126 +123,62 @@ fn bench_grid(
             "staged report diverged from monolithic on {}",
             cell.label()
         );
-        checked += 1;
     }
-    assert!(checked > 0, "equivalence sample must be non-empty");
 
-    let mono_cells_per_sec = cells as f64 / mono_wall.max(1e-9);
-    let staged_cells_per_sec = cells as f64 / staged_wall.max(1e-9);
-    GridRow {
-        label: label.to_owned(),
-        knob,
-        cells,
-        mono_cells_per_sec,
-        staged_cells_per_sec,
-        speedup,
-        stages: stage_traffic,
-    }
+    let rate = |secs: f64| cells_per_chunk as f64 / secs.max(1e-9);
+    let speedups: Vec<f64> = pairs.iter().map(|(s, m)| m / s.max(1e-9)).collect();
+    let staged: Vec<f64> = pairs.iter().map(|p| rate(p.0)).collect();
+    let mono: Vec<f64> = pairs.iter().map(|p| rate(p.1)).collect();
+    vec![
+        Metric::sampled(format!("{prefix}.speedup"), "x", Better::Higher, &speedups)
+            .floor(speedup_floor),
+        Metric::sampled(
+            format!("{prefix}.staged_cells_per_s"),
+            "cells/s",
+            Better::Higher,
+            &staged,
+        ),
+        Metric::sampled(
+            format!("{prefix}.mono_cells_per_s"),
+            "cells/s",
+            Better::Higher,
+            &mono,
+        ),
+        Metric {
+            floor: hit_floor,
+            ..Metric::exact(
+                format!("{prefix}.stage_hit_share"),
+                "ratio",
+                Better::Higher,
+                hits as f64 / (hits + misses).max(1) as f64,
+            )
+        },
+    ]
 }
 
-fn grid_value(r: &GridRow) -> Value {
-    Value::Map(vec![
-        ("label".into(), Value::Str(r.label.clone())),
-        ("knob".into(), Value::Str(r.knob.into())),
-        ("cells".into(), Value::U64(r.cells as u64)),
-        (
-            "mono_cells_per_sec".into(),
-            Value::F64(r.mono_cells_per_sec),
-        ),
-        (
-            "staged_cells_per_sec".into(),
-            Value::F64(r.staged_cells_per_sec),
-        ),
-        ("speedup".into(), Value::F64(r.speedup)),
-        (
-            "stages".into(),
-            Value::Seq(r.stages.iter().map(|s| s.to_value()).collect()),
-        ),
-    ])
-}
-
-/// Runs the staged-engine bench: a `knob_values`-point compression
-/// sweep and a `batch_values`-point batch sweep, each across the full
-/// four-benchmark x six-design data-parallel matrix.
-pub fn stage_bench(knob_values: usize, batch_values: usize) -> StageBenchResult {
+/// Runs the staged-engine bench: a compression sweep over about
+/// `knob_values` settings and a batch sweep over about `batch_values`,
+/// each across the full four-benchmark x six-design data-parallel
+/// matrix.
+pub fn stage_bench(knob_values: usize, batch_values: usize) -> Vec<Metric> {
     let base = |benchmark, design| Scenario::new(design, benchmark, ParallelStrategy::DataParallel);
-    let knob = bench_grid(
-        "compression sweep",
-        "compression",
-        knob_values.max(1),
+    // Staging must pay off on both shapes, and the compression knob
+    // must leave the stage tables hot (> 4 hits per miss).
+    let mut metrics = bench_grid(
+        "knob",
+        knob_values,
+        5.0,
+        Some(0.8),
         |i, benchmark, design| base(benchmark, design).with_compression(1.0 + 1e-5 * i as f64),
     );
-    let batch = bench_grid(
-        "batch sweep",
-        "global_batch",
-        batch_values.max(1),
+    metrics.extend(bench_grid(
+        "batch",
+        batch_values,
+        1.5,
+        None,
         |i, benchmark, design| base(benchmark, design).with_batch(512 + 8 * i),
-    );
-
-    let payload = Value::Map(vec![
-        (
-            "generated_by".into(),
-            Value::Str("mcdla stage-bench".into()),
-        ),
-        (
-            "workload".into(),
-            Value::Str("4-benchmark suite x 6 designs, data-parallel".into()),
-        ),
-        ("knob_grid".into(), grid_value(&knob)),
-        ("batch_grid".into(), grid_value(&batch)),
-        ("speedup".into(), Value::F64(knob.speedup)),
-    ]);
-
-    let table: Vec<Vec<String>> = [&knob, &batch]
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                r.knob.into(),
-                r.cells.to_string(),
-                format!("{:.0}", r.mono_cells_per_sec),
-                format!("{:.0}", r.staged_cells_per_sec),
-                format!("{:.2}x", r.speedup),
-            ]
-        })
-        .collect();
-    let mut summary = render_table(
-        "stage-bench (cells/sec, staged pipeline vs monolithic engine)",
-        &[
-            "grid",
-            "swept knob",
-            "cells",
-            "mono cells/s",
-            "staged cells/s",
-            "speedup",
-        ],
-        &table,
-    );
-    let stage_table: Vec<Vec<String>> = knob
-        .stages
-        .iter()
-        .zip(&batch.stages)
-        .map(|(k, b)| {
-            vec![
-                k.stage.clone(),
-                format!("{}/{}", k.hits, k.misses),
-                crate::fmt_pct(k.hit_rate),
-                format!("{}/{}", b.hits, b.misses),
-                crate::fmt_pct(b.hit_rate),
-            ]
-        })
-        .collect();
-    summary.push_str(&render_table(
-        "per-stage traffic (hits/misses during the staged pass)",
-        &["stage", "knob grid", "hit rate", "batch grid", "hit rate"],
-        &stage_table,
     ));
-
-    StageBenchResult {
-        json: serde::json::to_string_pretty(&payload),
-        summary,
-        speedup: knob.speedup,
-    }
+    metrics
 }
 
 #[cfg(test)]
@@ -318,59 +187,27 @@ mod tests {
 
     #[test]
     fn stage_bench_reports_both_grids_and_checks_equivalence() {
-        // Small enough for a debug-build test; the release-build floor
-        // (knob-grid speedup >= 5x) is gated in CI on the real run.
-        let result = stage_bench(8, 8);
-        assert!(result.speedup > 0.0);
-        let payload = serde::json::parse(&result.json).unwrap();
-        for grid in ["knob_grid", "batch_grid"] {
-            let g = payload.get(grid).expect(grid);
-            assert_eq!(g.get("cells").and_then(|v| v.as_u64()), Some(192));
-            let stages = g
-                .get("stages")
-                .and_then(|s| s.as_seq())
-                .expect("stage traffic");
-            assert_eq!(stages.len(), 7, "one row per stage table");
-            for s in stages {
-                let stage = s.get("stage").and_then(|v| v.as_str()).unwrap();
-                let hits = s.get("hits").and_then(|v| v.as_u64()).unwrap();
-                let misses = s.get("misses").and_then(|v| v.as_u64()).unwrap();
-                // The per-op collective table only sees traffic when the
-                // per-plan sync vector misses; on a warm knob grid it is
-                // legitimately idle.
-                assert!(
-                    hits + misses > 0 || stage == "collective",
-                    "stage saw no traffic: {s:?}"
-                );
-            }
-        }
-        // The compression knob only touches report assembly, so the
-        // knob grid's stage traffic must be hit-dominated. (Aggregate,
-        // not per-stage: other tests in this process share the global
-        // tables, so a concurrent sweep can add a few misses.)
-        let knob_stages = payload
-            .get("knob_grid")
-            .and_then(|g| g.get("stages"))
-            .and_then(|s| s.as_seq())
-            .unwrap();
-        let (hits, misses) = knob_stages.iter().fold((0, 0), |(h, m), s| {
-            (
-                h + s.get("hits").and_then(|v| v.as_u64()).unwrap(),
-                m + s.get("misses").and_then(|v| v.as_u64()).unwrap(),
-            )
-        });
-        assert!(
-            hits > 4 * misses,
-            "knob grid should stay hot: {hits} hits vs {misses} misses"
-        );
-        assert!(result.summary.contains("staged cells/s"));
+        // Small enough for a debug-build test (the bench itself asserts
+        // staged == monolithic on a sample); the release floors are
+        // checked by `mcdla stage-bench`.
+        let metrics = stage_bench(8, 8);
+        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
-            payload.get("speedup").and_then(|v| v.as_f64()),
-            payload
-                .get("knob_grid")
-                .and_then(|g| g.get("speedup"))
-                .and_then(|v| v.as_f64()),
-            "the gated speedup is the knob grid's"
+            names,
+            [
+                "knob.speedup",
+                "knob.staged_cells_per_s",
+                "knob.mono_cells_per_s",
+                "knob.stage_hit_share",
+                "batch.speedup",
+                "batch.staged_cells_per_s",
+                "batch.mono_cells_per_s",
+                "batch.stage_hit_share",
+            ]
         );
+        for m in &metrics {
+            assert!(m.value.is_finite() && m.value > 0.0, "{m:?}");
+        }
+        assert_eq!(metrics[0].floor, Some(5.0));
     }
 }

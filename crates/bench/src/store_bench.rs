@@ -1,49 +1,23 @@
 //! The store bench behind `mcdla store-bench`: hammers the
-//! [`ResultStore`] cache core directly — no sockets, no simulator — and
-//! packages the result as `BENCH_store.json`.
+//! [`ResultStore`] cache core directly — no sockets, no simulator.
 //!
 //! The store is the hot layer under every serving path (`Runner` memo
 //! hits, `/simulate` cached cells, streamed grids), so this bench tracks
-//! the numbers that layer lives or dies by: cached-get throughput,
-//! insert throughput, and eviction churn under several **capacity
-//! pressures** (how much smaller the bound is than the key space),
-//! against the unbounded store as the baseline. The CI gate reads
-//! `min(.pressures[].get_per_sec)` — cached gets must stay in the
-//! hundreds of thousands per second even while eviction is churning.
-
-use std::time::Instant;
+//! cached-get, insert and mixed get-or-compute throughput, plus each
+//! phase's eviction churn, under several **capacity pressures** (how
+//! much smaller the bound is than the key space) against the unbounded
+//! store as the baseline. Cached gets are gated at every pressure: they
+//! must stay fast even while eviction is churning.
 
 use mcdla_core::{IterationReport, ResultStore, Scenario, SystemDesign};
 use mcdla_dnn::Benchmark;
 use mcdla_parallel::ParallelStrategy;
 use mcdla_sim::{Bytes, SimDuration};
-use serde::Value;
 
-use crate::render_table;
+use crate::measure::{sample, secs, Better, Metric};
 
-/// The `mcdla store-bench` result.
-#[derive(Debug)]
-pub struct StoreBenchResult {
-    /// Pretty-printed JSON payload (the `BENCH_store.json` content).
-    pub json: String,
-    /// Human-readable summary table.
-    pub summary: String,
-    /// The slowest cached-get throughput across all pressures — the
-    /// number the CI floor gates.
-    pub min_get_per_sec: f64,
-}
-
-/// One capacity pressure's measurements.
-struct PressureRow {
-    label: String,
-    capacity: Option<usize>,
-    insert_per_sec: f64,
-    get_per_sec: f64,
-    mix_per_sec: f64,
-    evictions: u64,
-    entries: usize,
-    hit_rate: f64,
-}
+/// Measured chunks per phase.
+const CHUNKS: usize = 16;
 
 /// A distinguishable dummy report; store mechanics do not care what the
 /// simulator would have produced, and constructing one keeps the bench
@@ -81,7 +55,32 @@ fn key_space(keys: usize) -> Vec<Scenario> {
         .collect()
 }
 
-/// Measures one store at one capacity pressure.
+/// Samples `ops`-per-chunk throughput of `op(thread, i)` across
+/// `threads` workers. Each thread walks its own stride from a cursor
+/// that advances every chunk, so chunks touch fresh key sequences.
+/// Returns ops/s per measured chunk and the total ops run (warm-up
+/// included).
+fn phase(threads: usize, ops: usize, op: impl Fn(usize, usize) + Sync) -> (Vec<f64>, usize) {
+    let per_thread = ops.div_ceil(CHUNKS * threads).max(1);
+    let mut cursor = 0;
+    let rates = sample(CHUNKS, || {
+        let base = cursor;
+        cursor += per_thread;
+        let wall = secs(|| {
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let op = &op;
+                    scope.spawn(move || (base..base + per_thread).for_each(|i| op(t, i)));
+                }
+            })
+        });
+        (per_thread * threads) as f64 / wall.max(1e-9)
+    });
+    (rates, cursor * threads)
+}
+
+/// Measures one store at one capacity pressure; `label` prefixes its
+/// metric names.
 fn bench_pressure(
     label: &str,
     capacity: Option<usize>,
@@ -89,202 +88,120 @@ fn bench_pressure(
     threads: usize,
     insert_ops: usize,
     get_ops: usize,
-) -> PressureRow {
+) -> Vec<Metric> {
     let store = match capacity {
         Some(cap) => ResultStore::bounded(cap),
         None => ResultStore::unbounded(),
     };
+    let stride = |t: usize, i: usize, len: usize| (i * (2 * t + 1) + t) % len;
 
     // Insert churn: every thread walks the whole key space at a
     // different stride, so inserts collide across shards and (for
     // bounded stores) evict continuously.
-    let per_thread = insert_ops.div_ceil(threads);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let store = &store;
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let k = (i * (2 * t + 1) + t) % keys.len();
-                    store.insert(keys[k], template_report(k as u64));
-                }
-            });
-        }
+    let (inserts, insert_count) = phase(threads, insert_ops, |t, i| {
+        let k = stride(t, i, keys.len());
+        store.insert(keys[k], template_report(k as u64));
     });
-    let insert_per_sec = (per_thread * threads) as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    let insert_evictions = store.evictions();
+    if capacity.is_some_and(|cap| cap < keys.len()) {
+        assert!(
+            insert_evictions > 0,
+            "{label}: an under-capacity store must evict"
+        );
+    }
 
     // Pin a hot set the size of the residency bound: re-inserting it
     // sequentially makes it the `min(cap, keys)` most-recently-used
-    // entries, so the get phase below is 100% cached.
+    // entries, so the get phase is 100% cached.
     let hot = capacity.map_or(keys.len(), |cap| cap.min(keys.len()));
     for (i, key) in keys[..hot].iter().enumerate() {
         store.insert(*key, template_report(i as u64));
     }
-    let hits_before = store.hits();
-    let per_thread = get_ops.div_ceil(threads);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let store = &store;
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let k = (i * (2 * t + 1) + t) % hot;
-                    assert!(
-                        store.get(&keys[k]).is_some(),
-                        "hot key {k} evicted from a {capacity:?}-cap store"
-                    );
-                }
-            });
-        }
+    let (hits, misses) = (store.hits(), store.misses());
+    let (gets, get_count) = phase(threads, get_ops, |t, i| {
+        let k = stride(t, i, hot);
+        assert!(
+            store.get(&keys[k]).is_some(),
+            "{label}: hot key {k} evicted"
+        );
     });
-    let get_per_sec = (per_thread * threads) as f64 / start.elapsed().as_secs_f64().max(1e-9);
     assert_eq!(
-        store.hits() - hits_before,
-        (per_thread * threads) as u64,
-        "the get phase must be 100% cached"
+        (store.hits() - hits, store.misses() - misses),
+        (get_count as u64, 0),
+        "{label}: the get phase must be 100% cached"
     );
 
     // Mixed get_or_compute over the whole key space: resident keys hit,
     // evicted keys recompute and re-evict — the realistic under-pressure
     // serving mix.
-    let per_thread = get_ops.div_ceil(threads);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let store = &store;
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let k = (i * (2 * t + 1) + t) % keys.len();
-                    let _ = store.get_or_compute(keys[k], || template_report(k as u64));
-                }
-            });
-        }
+    let (hits, evictions) = (store.hits(), store.evictions());
+    let (mixes, mix_count) = phase(threads, get_ops, |t, i| {
+        let k = stride(t, i, keys.len());
+        let _ = store.get_or_compute(keys[k], || template_report(k as u64));
     });
-    let mix_per_sec = (per_thread * threads) as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    let mix_hits = store.hits() - hits;
+    let mix_evictions = store.evictions() - evictions;
 
     let stats = store.stats();
     if let Some(cap) = capacity {
         assert!(
             stats.entries as usize <= cap,
-            "store over its bound after the bench: {stats:?}"
+            "{label}: store over its bound after the bench: {stats:?}"
         );
     }
-    PressureRow {
-        label: label.to_owned(),
-        capacity,
-        insert_per_sec,
-        get_per_sec,
-        mix_per_sec,
-        evictions: stats.evictions,
-        entries: stats.entries as usize,
-        hit_rate: stats.hit_rate,
-    }
+    let per_op = |n: u64, ops: usize| n as f64 / ops.max(1) as f64;
+    vec![
+        Metric::sampled(
+            format!("{label}.insert_per_s"),
+            "ops/s",
+            Better::Higher,
+            &inserts,
+        ),
+        Metric::sampled(format!("{label}.get_per_s"), "ops/s", Better::Higher, &gets)
+            .floor(1_000_000.0),
+        Metric::sampled(
+            format!("{label}.mix_per_s"),
+            "ops/s",
+            Better::Higher,
+            &mixes,
+        ),
+        Metric::exact(
+            format!("{label}.insert_evictions_per_op"),
+            "ratio",
+            Better::Lower,
+            per_op(insert_evictions, insert_count),
+        ),
+        Metric::exact(
+            format!("{label}.mix_evictions_per_op"),
+            "ratio",
+            Better::Lower,
+            per_op(mix_evictions, mix_count),
+        ),
+        Metric::exact(
+            format!("{label}.mix_hit_rate"),
+            "ratio",
+            Better::Higher,
+            per_op(mix_hits, mix_count),
+        ),
+    ]
 }
 
 /// Runs the store bench: `keys` distinct cells through an unbounded
 /// store and three bounded ones (capacity = 100%, 25%, and ~6% of the
-/// key space), `threads` concurrent workers, `insert_ops` insert-churn
-/// operations and `get_ops` operations per read phase.
-pub fn store_bench(
-    keys: usize,
-    threads: usize,
-    insert_ops: usize,
-    get_ops: usize,
-) -> StoreBenchResult {
+/// key space), `threads` concurrent workers, about `insert_ops`
+/// insert-churn operations and `get_ops` operations per read phase.
+pub fn store_bench(keys: usize, threads: usize, insert_ops: usize, get_ops: usize) -> Vec<Metric> {
     let keys = key_space(keys.max(64));
     let threads = threads.max(1);
-    let pressures = [
-        ("unbounded".to_owned(), None),
-        ("cap 100%".to_owned(), Some(keys.len())),
-        ("cap 25%".to_owned(), Some((keys.len() / 4).max(1))),
-        ("cap 6%".to_owned(), Some((keys.len() / 16).max(1))),
-    ];
-    let rows: Vec<PressureRow> = pressures
-        .iter()
-        .map(|(label, cap)| bench_pressure(label, *cap, &keys, threads, insert_ops, get_ops))
-        .collect();
-    let min_get_per_sec = rows.iter().map(|r| r.get_per_sec).fold(f64::MAX, f64::min);
-
-    let payload = Value::Map(vec![
-        (
-            "generated_by".into(),
-            Value::Str("mcdla store-bench".into()),
-        ),
-        ("keys".into(), Value::U64(keys.len() as u64)),
-        ("threads".into(), Value::U64(threads as u64)),
-        ("insert_ops".into(), Value::U64(insert_ops as u64)),
-        ("get_ops".into(), Value::U64(get_ops as u64)),
-        (
-            "pressures".into(),
-            Value::Seq(
-                rows.iter()
-                    .map(|r| {
-                        Value::Map(vec![
-                            ("label".into(), Value::Str(r.label.clone())),
-                            (
-                                "capacity".into(),
-                                match r.capacity {
-                                    Some(c) => Value::U64(c as u64),
-                                    None => Value::Null,
-                                },
-                            ),
-                            ("insert_per_sec".into(), Value::F64(r.insert_per_sec)),
-                            ("get_per_sec".into(), Value::F64(r.get_per_sec)),
-                            ("mix_per_sec".into(), Value::F64(r.mix_per_sec)),
-                            ("evictions".into(), Value::U64(r.evictions)),
-                            (
-                                "evictions_per_insert".into(),
-                                Value::F64(r.evictions as f64 / insert_ops.max(1) as f64),
-                            ),
-                            ("entries".into(), Value::U64(r.entries as u64)),
-                            ("hit_rate".into(), Value::F64(r.hit_rate)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("min_get_per_sec".into(), Value::F64(min_get_per_sec)),
-    ]);
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                match r.capacity {
-                    Some(c) => c.to_string(),
-                    None => "-".into(),
-                },
-                format!("{:.0}", r.insert_per_sec),
-                format!("{:.0}", r.get_per_sec),
-                format!("{:.0}", r.mix_per_sec),
-                r.evictions.to_string(),
-                r.entries.to_string(),
-            ]
-        })
-        .collect();
-    let summary = render_table(
-        &format!(
-            "store-bench ({} keys, {threads} threads, in-process)",
-            keys.len()
-        ),
-        &[
-            "pressure",
-            "capacity",
-            "inserts/s",
-            "cached gets/s",
-            "mixed ops/s",
-            "evictions",
-            "resident",
-        ],
-        &table,
-    );
-
-    StoreBenchResult {
-        json: serde::json::to_string_pretty(&payload),
-        summary,
-        min_get_per_sec,
-    }
+    [
+        ("unbounded", None),
+        ("cap100", Some(keys.len())),
+        ("cap25", Some((keys.len() / 4).max(1))),
+        ("cap6", Some((keys.len() / 16).max(1))),
+    ]
+    .into_iter()
+    .flat_map(|(label, cap)| bench_pressure(label, cap, &keys, threads, insert_ops, get_ops))
+    .collect()
 }
 
 #[cfg(test)]
@@ -293,30 +210,28 @@ mod tests {
 
     #[test]
     fn store_bench_measures_all_pressures_and_holds_bounds() {
-        // Small enough for a debug-build test; the release-build floor
-        // (>= 100k cached gets/s) is gated in CI on the real run.
-        let result = store_bench(128, 2, 2_000, 4_000);
-        assert!(result.min_get_per_sec > 0.0);
-        let payload = serde::json::parse(&result.json).unwrap();
-        let pressures = payload
-            .get("pressures")
-            .and_then(|p| p.as_seq())
-            .expect("pressures array");
-        assert_eq!(pressures.len(), 4, "unbounded + 3 capacity pressures");
-        // Bounded pressures must show churn; the unbounded baseline none.
-        assert_eq!(
-            pressures[0].get("evictions").and_then(|v| v.as_u64()),
-            Some(0)
-        );
-        for p in &pressures[2..] {
-            assert!(
-                p.get("evictions").and_then(|v| v.as_u64()).unwrap() > 0,
-                "under-capacity pressure must evict: {p:?}"
-            );
-            let entries = p.get("entries").and_then(|v| v.as_u64()).unwrap();
-            let cap = p.get("capacity").and_then(|v| v.as_u64()).unwrap();
-            assert!(entries <= cap, "resident {entries} > capacity {cap}");
+        // Small enough for a debug-build test; the bench itself asserts
+        // residency <= capacity and that every under-capacity store
+        // evicts. The release floors are checked by `mcdla store-bench`.
+        let metrics = store_bench(128, 2, 2_000, 4_000);
+        assert_eq!(metrics.len(), 4 * 6, "unbounded + 3 capacity pressures");
+        for label in ["unbounded", "cap100", "cap25", "cap6"] {
+            for suffix in [
+                "insert_per_s",
+                "get_per_s",
+                "mix_per_s",
+                "insert_evictions_per_op",
+                "mix_evictions_per_op",
+                "mix_hit_rate",
+            ] {
+                let name = format!("{label}.{suffix}");
+                let m = metrics.iter().find(|m| m.name == name).expect(&name);
+                assert!(m.value.is_finite() && m.value >= 0.0, "{m:?}");
+            }
         }
-        assert!(result.summary.contains("cached gets/s"));
+        let churn = |name: &str| metrics.iter().find(|m| m.name == name).unwrap().value;
+        assert_eq!(churn("unbounded.insert_evictions_per_op"), 0.0);
+        assert!(churn("cap6.insert_evictions_per_op") > 0.0);
+        assert!(churn("cap6.mix_evictions_per_op") <= 1.0);
     }
 }

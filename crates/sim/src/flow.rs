@@ -52,8 +52,6 @@ impl fmt::Display for FlowId {
 struct Channel {
     capacity: f64, // bytes/sec
     label: String,
-    /// Peak instantaneous throughput observed on this channel.
-    peak_rate: f64,
     /// Total bytes that have traversed this channel.
     bytes_carried: f64,
 }
@@ -63,10 +61,6 @@ struct FlowState {
     path: Vec<ChannelId>,
     remaining: f64, // bytes
     rate: f64,      // bytes/sec, updated on every recompute
-    opened_at: SimTime,
-    /// Rate ceiling independent of channel contention (e.g. a DMA engine's
-    /// own maximum issue rate). `f64::INFINITY` when unconstrained.
-    rate_cap: f64,
 }
 
 /// Errors returned by [`FlowNetwork`] operations.
@@ -132,7 +126,6 @@ impl FlowNetwork {
         self.channels.push(Channel {
             capacity: capacity.as_bytes_per_sec(),
             label: label.into(),
-            peak_rate: 0.0,
             bytes_carried: 0.0,
         });
         id
@@ -160,18 +153,6 @@ impl FlowNetwork {
     /// Panics if `channel` does not belong to this network.
     pub fn capacity(&self, channel: ChannelId) -> Bandwidth {
         Bandwidth::bytes_per_sec(self.channels[channel.index()].capacity)
-    }
-
-    /// Peak instantaneous throughput ever allocated on `channel`.
-    ///
-    /// This is the quantity behind the paper's Figure 12 "max" bars (peak CPU
-    /// memory-bandwidth draw).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` does not belong to this network.
-    pub fn peak_rate(&self, channel: ChannelId) -> Bandwidth {
-        Bandwidth::bytes_per_sec(self.channels[channel.index()].peak_rate)
     }
 
     /// Total bytes carried by `channel` so far (behind Figure 12's "avg" bars
@@ -209,45 +190,7 @@ impl FlowNetwork {
         path: &[ChannelId],
         bytes: Bytes,
     ) -> Result<FlowId, FlowError> {
-        self.open_flow_capped(at, path, bytes, Bandwidth::bytes_per_sec(f64::MAX))
-    }
-
-    /// Like [`FlowNetwork::open_flow`], with an additional per-flow rate
-    /// ceiling (e.g. a DMA engine's maximum issue rate).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlowNetwork::open_flow`].
-    pub fn open_flow_capped(
-        &mut self,
-        at: SimTime,
-        path: &[ChannelId],
-        bytes: Bytes,
-        rate_cap: Bandwidth,
-    ) -> Result<FlowId, FlowError> {
-        if path.is_empty() {
-            return Err(FlowError::EmptyPath);
-        }
-        for &c in path {
-            if c.index() >= self.channels.len() {
-                return Err(FlowError::UnknownChannel(c));
-            }
-        }
-        self.advance_to(at)?;
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.flows.insert(
-            id,
-            FlowState {
-                path: path.to_vec(),
-                remaining: bytes.as_f64(),
-                rate: 0.0,
-                opened_at: at,
-                rate_cap: rate_cap.as_bytes_per_sec(),
-            },
-        );
-        self.recompute_rates();
-        Ok(id)
+        Ok(self.open_flows(at, [(path.to_vec(), bytes)])?[0])
     }
 
     /// Opens a batch of flows at the same instant with a **single** rate
@@ -293,8 +236,6 @@ impl FlowNetwork {
                     path,
                     remaining: bytes.as_f64(),
                     rate: 0.0,
-                    opened_at: at,
-                    rate_cap: f64::MAX,
                 },
             );
             ids.push(id);
@@ -365,18 +306,6 @@ impl FlowNetwork {
             .map(|f| Bandwidth::bytes_per_sec(f.rate))
     }
 
-    /// Remaining bytes of `flow`; `None` once completed/unknown.
-    pub fn flow_remaining(&self, flow: FlowId) -> Option<Bytes> {
-        self.flows
-            .get(&flow)
-            .map(|f| Bytes::new(f.remaining.max(0.0).round() as u64))
-    }
-
-    /// Time at which `flow` was opened; `None` once completed/unknown.
-    pub fn flow_opened_at(&self, flow: FlowId) -> Option<SimTime> {
-        self.flows.get(&flow).map(|f| f.opened_at)
-    }
-
     /// Runs the network until all flows complete, returning them in
     /// completion order. Flows starved at zero rate make this return `None`
     /// (the network cannot drain).
@@ -419,8 +348,7 @@ impl FlowNetwork {
     ///
     /// Repeatedly finds the most-constrained channel (smallest equal share
     /// for its unfrozen flows), freezes those flows at that share, removes
-    /// the consumed capacity, and iterates. Per-flow rate caps are treated as
-    /// single-flow virtual channels.
+    /// the consumed capacity, and iterates.
     fn recompute_rates(&mut self) {
         let n_ch = self.channels.len();
         let mut residual: Vec<f64> = self.channels.iter().map(|c| c.capacity).collect();
@@ -428,12 +356,10 @@ impl FlowNetwork {
         let ids: Vec<FlowId> = self.flows.keys().copied().collect();
         let mut unfrozen: Vec<bool> = vec![true; ids.len()];
         let mut rates: Vec<f64> = vec![0.0; ids.len()];
-        for (i, id) in ids.iter().enumerate() {
+        for id in &ids {
             for &c in &self.flows[id].path {
                 load[c.index()] += 1;
             }
-            rates[i] = self.flows[id].rate_cap; // provisional ceiling
-            let _ = i;
         }
         let mut remaining_flows = ids.len();
         while remaining_flows > 0 {
@@ -443,25 +369,6 @@ impl FlowNetwork {
                 if load[c] > 0 {
                     share = share.min(residual[c].max(0.0) / load[c] as f64);
                 }
-            }
-            // Flows whose own cap binds before the channel share freeze at
-            // their cap first.
-            let mut capped_any = false;
-            for (i, id) in ids.iter().enumerate() {
-                if unfrozen[i] && self.flows[id].rate_cap < share {
-                    let r = self.flows[id].rate_cap;
-                    rates[i] = r;
-                    unfrozen[i] = false;
-                    remaining_flows -= 1;
-                    for &c in &self.flows[id].path {
-                        residual[c.index()] -= r;
-                        load[c.index()] -= 1;
-                    }
-                    capped_any = true;
-                }
-            }
-            if capped_any {
-                continue; // shares changed; restart the fill step
             }
             if !share.is_finite() {
                 break;
@@ -510,18 +417,6 @@ impl FlowNetwork {
         for (i, id) in ids.iter().enumerate() {
             let f = self.flows.get_mut(id).expect("flow present");
             f.rate = rates[i].max(0.0);
-        }
-        // Track per-channel peak throughput.
-        let mut ch_rate = vec![0.0f64; n_ch];
-        for f in self.flows.values() {
-            for &c in &f.path {
-                ch_rate[c.index()] += f.rate;
-            }
-        }
-        for (c, r) in ch_rate.into_iter().enumerate() {
-            if r > self.channels[c].peak_rate {
-                self.channels[c].peak_rate = r;
-            }
         }
     }
 }
@@ -634,21 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_cap_binds_before_channel_share() {
-        let mut net = FlowNetwork::new();
-        let c = net.add_channel("link", gb(100.0));
-        let a = net
-            .open_flow_capped(SimTime::ZERO, &[c], Bytes::from_gb(10), gb(10.0))
-            .unwrap();
-        let b = net
-            .open_flow(SimTime::ZERO, &[c], Bytes::from_gb(10))
-            .unwrap();
-        assert!((net.flow_rate(a).unwrap().as_gb_per_sec() - 10.0).abs() < 1e-9);
-        // B soaks up the remainder.
-        assert!((net.flow_rate(b).unwrap().as_gb_per_sec() - 90.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_capacity_channel_starves_flow() {
         let mut net = FlowNetwork::new();
         let c = net.add_channel("dead", Bandwidth::ZERO);
@@ -698,7 +578,6 @@ mod tests {
             net.open_flow(SimTime::ZERO, &[c], Bytes::from_gb(20))
                 .unwrap();
         }
-        assert!((net.peak_rate(c).as_gb_per_sec() - 80.0).abs() < 1e-9);
         net.drain_all().unwrap();
         assert!((net.bytes_carried(c).as_gb() - 80.0).abs() < 1e-6);
         assert_eq!(net.channel_label(c), "socket-dram");

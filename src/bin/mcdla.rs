@@ -86,10 +86,10 @@ subcommands
                 monolithic one, write BENCH_stages.json
   fabric-bench  time the routed flow-level fabric against the analytical
                 collective model, write BENCH_fabric.json
-  obs-bench     A/B the telemetry sampler on/off over the pipelined
-                cached path, write BENCH_obs.json (gate: < 1% overhead)
-  bench-report  collate every committed BENCH_*.json into one headline
-                trajectory table [--json]
+  obs-bench     time the telemetry sampler thread's own CPU under the
+                pipelined cached load, write BENCH_obs.json
+  bench-report  print the six committed bench envelopes and check every
+                floor they record
   all           every report above, in order
   help          this message
 
@@ -100,7 +100,8 @@ options
   --threads N       simulation worker threads (same as MCDLA_THREADS=N);
                     for `serve`, the simulation worker pool behind the
                     event loop (connections are handled non-blocking)
-  --out FILE        sweep/serve-bench/store-bench output path
+  --out FILE        sweep and *-bench output path (each *-bench exits
+                    non-zero when a metric misses its floor)
   --batches LIST    sweep: comma-separated batch sizes to add as an axis
   --devices LIST    sweep: comma-separated device counts to add as an axis
   --topologies LIST sweep: comma-separated fabric topologies to add as an
@@ -442,7 +443,7 @@ fn run(args: &Args) -> Result<(), String> {
                 println!("{}", serde::json::to_string_pretty(&data()));
                 return Ok(());
             }
-            None if !matches!(args.command.as_str(), "sweep" | "bench-report") => {
+            None if args.command != "sweep" => {
                 return Err(format!("`{}` has no JSON form (tables only)", args.command));
             }
             None => {}
@@ -716,118 +717,34 @@ fn run(args: &Args) -> Result<(), String> {
             );
             gateway.run().map_err(|e| format!("serving gateway: {e}"))?;
         }
-        "serve-bench" => {
-            let result = mcdla_bench::service::service_bench(4, 5_000);
-            let path = args.out.as_deref().unwrap_or("BENCH_service.json");
-            std::fs::write(path, &result.json).map_err(|e| format!("writing {path}: {e}"))?;
-            print!("{}", result.summary);
-            println!(
-                "cached-cell throughput {:.0} req/s ({} the 10k req/s service bar)",
-                result.cached_rps,
-                if result.cached_rps >= 10_000.0 {
-                    "meets"
-                } else {
-                    "below"
+        "serve-bench" | "store-bench" | "cluster-bench" | "stage-bench" | "fabric-bench"
+        | "obs-bench" => {
+            use mcdla_bench::*;
+            let (file, metrics) = match args.command.as_str() {
+                "serve-bench" => ("BENCH_service.json", service::service_bench(4, 5_000)),
+                "store-bench" => {
+                    let threads = args.threads.unwrap_or(4);
+                    let metrics = store_bench::store_bench(2048, threads, 128_000, 512_000);
+                    ("BENCH_store.json", metrics)
                 }
-            );
-            println!("wrote {path}");
-        }
-        "cluster-bench" => {
-            let result = mcdla_bench::cluster_bench::cluster_bench(4, 2_000);
-            let path = args.out.as_deref().unwrap_or("BENCH_cluster.json");
-            std::fs::write(path, &result.json).map_err(|e| format!("writing {path}: {e}"))?;
-            print!("{}", result.summary);
-            println!(
-                "capacity-pressure scaling {:.2}x at 4 workers ({} the 2.5x fleet bar)",
-                result.pressure_scaling,
-                if result.pressure_scaling >= 2.5 {
-                    "meets"
-                } else {
-                    "below"
-                }
-            );
-            println!("wrote {path}");
-        }
-        "stage-bench" => {
-            // A true mega-grid: 10^6 cells on the gated knob sweep, the
-            // measured batch-sweep shape as the reported lower bound.
-            let result = mcdla_bench::stage_bench::stage_bench(41_667, 375);
-            let path = args.out.as_deref().unwrap_or("BENCH_stages.json");
-            std::fs::write(path, &result.json).map_err(|e| format!("writing {path}: {e}"))?;
-            print!("{}", result.summary);
-            println!(
-                "staged-over-monolithic {:.2}x cells/sec on the knob mega-grid ({} the 5x bar)",
-                result.speedup,
-                if result.speedup >= 5.0 {
-                    "meets"
-                } else {
-                    "below"
-                }
-            );
-            println!("wrote {path}");
-        }
-        "fabric-bench" => {
-            let result = mcdla_bench::fabric_bench::fabric_bench(
-                256,
-                &mcdla_bench::fabric_bench::PAPER_SCALES,
-            );
-            let path = args.out.as_deref().unwrap_or("BENCH_fabric.json");
-            std::fs::write(path, &result.json).map_err(|e| format!("writing {path}: {e}"))?;
-            print!("{}", result.summary);
-            println!(
-                "fabric-vs-analytical max rel err {:.2e} on single-backplane rings ({} the 1% bar)",
-                result.max_rel_err,
-                if result.max_rel_err <= 0.01 {
-                    "meets"
-                } else {
-                    "exceeds"
-                }
-            );
-            println!("wrote {path}");
-        }
-        "obs-bench" => {
-            let result = mcdla_bench::obs_bench::obs_bench(4, 20_000, 5);
-            let path = args.out.as_deref().unwrap_or("BENCH_obs.json");
-            std::fs::write(path, &result.json).map_err(|e| format!("writing {path}: {e}"))?;
-            print!("{}", result.summary);
-            println!(
-                "sampler overhead {:+.2}% on the pipelined cached path ({} the 1% bar)",
-                result.overhead_ratio * 100.0,
-                if result.meets_gate {
-                    "meets"
-                } else {
-                    "exceeds"
-                }
-            );
-            println!("wrote {path}");
+                "cluster-bench" => ("BENCH_cluster.json", cluster_bench::cluster_bench(4, 2_000)),
+                // A true mega-grid: 10^6 cells on the knob sweep.
+                "stage-bench" => ("BENCH_stages.json", stage_bench::stage_bench(41_667, 375)),
+                "fabric-bench" => (
+                    "BENCH_fabric.json",
+                    fabric_bench::fabric_bench(64, &fabric_bench::PAPER_SCALES),
+                ),
+                _ => ("BENCH_obs.json", obs_bench::obs_bench(4, 10_000, 16)),
+            };
+            let path = args.out.as_deref().unwrap_or(file);
+            measure::publish(&format!("mcdla {}", args.command), path, metrics)?;
         }
         "bench-report" => {
-            let rows = mcdla_bench::collate::collect(std::path::Path::new("."));
-            if args.json {
-                println!(
-                    "{}",
-                    serde::json::to_string_pretty(&mcdla_bench::collate::report_json(&rows))
-                );
-            } else {
-                print!("{}", mcdla_bench::collate::report_text(&rows));
+            let envelopes = mcdla_bench::collate::collect(std::path::Path::new("."))?;
+            for envelope in &envelopes {
+                print!("{}", envelope.render());
             }
-        }
-        "store-bench" => {
-            let threads = args.threads.unwrap_or(4);
-            let result = mcdla_bench::store_bench::store_bench(2048, threads, 64_000, 256_000);
-            let path = args.out.as_deref().unwrap_or("BENCH_store.json");
-            std::fs::write(path, &result.json).map_err(|e| format!("writing {path}: {e}"))?;
-            print!("{}", result.summary);
-            println!(
-                "slowest cached-get throughput {:.0} gets/s ({} the 100k gets/s store bar)",
-                result.min_get_per_sec,
-                if result.min_get_per_sec >= 100_000.0 {
-                    "meets"
-                } else {
-                    "below"
-                }
-            );
-            println!("wrote {path}");
+            mcdla_bench::collate::check(&envelopes)?;
         }
         "all" => {
             for text in [
