@@ -47,11 +47,15 @@ pub fn check(envelopes: &[Envelope]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::{Better, Metric};
+
+    fn repo_root() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
 
     #[test]
     fn collator_reads_the_committed_benchmarks() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let envelopes = collect(&dir).unwrap();
+        let envelopes = collect(&repo_root()).unwrap();
         assert_eq!(envelopes.len(), FILES.len());
         for (envelope, file) in envelopes.iter().zip(FILES) {
             assert!(
@@ -62,8 +66,41 @@ mod tests {
     }
 
     #[test]
-    fn a_missing_envelope_is_an_error() {
-        let err = collect(Path::new("/nonexistent")).unwrap_err();
-        assert!(err.contains("BENCH_service.json"), "{err}");
+    fn json_report_carries_floor_verdicts() {
+        // Every committed envelope records at least one gate, and the
+        // committed measurements clear all of them.
+        let envelopes = collect(&repo_root()).unwrap();
+        for envelope in &envelopes {
+            assert!(
+                envelope.metrics.iter().any(|m| m.floor.is_some()),
+                "{} records no floor",
+                envelope.generated_by
+            );
+        }
+        check(&envelopes).unwrap();
+    }
+
+    #[test]
+    fn text_report_flags_floors_and_missing_values() {
+        let dir = std::env::temp_dir().join(format!("mcdla-collate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, file) in FILES.iter().enumerate() {
+            let floor = if i == 0 { 2.0 } else { 0.5 };
+            let metric = Metric::exact("m", "x", Better::Higher, 1.0).floor(floor);
+            Envelope::new("mcdla test-bench", vec![metric])
+                .write(&dir.join(file))
+                .unwrap();
+        }
+        let envelopes = collect(&dir).unwrap();
+        let text: String = envelopes.iter().map(Envelope::render).collect();
+        assert!(
+            text.contains(">= 2.000 FAIL") && text.contains(">= 0.5000 ok"),
+            "{text}"
+        );
+        assert_eq!(check(&envelopes).unwrap_err().lines().count(), 1);
+        std::fs::remove_file(dir.join(FILES[5])).unwrap();
+        let err = collect(&dir).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(err.contains(FILES[5]), "{err}");
     }
 }

@@ -35,7 +35,7 @@ const CHUNKS: usize = 9;
 pub const PAPER_SCALES: [(usize, u64); 3] = [(8, 512), (64, 512), (1024, 4096)];
 
 /// Ceiling on one routed 1024-device all-reduce, in µs.
-const ALLREDUCE_1024_CEILING_US: f64 = 6e6;
+const ALLREDUCE_1024_CEILING_US: f64 = 5e6;
 
 /// Devices past which a routed cell is a single sample.
 const SINGLE_SAMPLE_DEVICES: usize = 256;

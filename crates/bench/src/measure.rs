@@ -105,6 +105,17 @@ impl Metric {
             (Some(floor), Better::Lower) => self.hi.is_nan() || self.hi > floor,
         }
     }
+
+    /// `>= floor` or `<= floor`; empty when ungated.
+    fn gate(&self) -> String {
+        let op = if self.better == Better::Higher {
+            ">="
+        } else {
+            "<="
+        };
+        self.floor
+            .map_or_else(String::new, |f| format!("{op} {}", num(f)))
+    }
 }
 
 /// The median of `samples` and the exact 95% confidence interval for
@@ -274,14 +285,11 @@ impl Envelope {
                     } else {
                         format!("[{}, {}]", num(m.lo), num(m.hi))
                     },
-                    match (m.floor, m.better) {
+                    match (m.floor, m.misses_floor()) {
                         (None, _) => String::new(),
-                        (Some(f), better) => format!(
-                            "{} {} {}",
-                            if better == Better::Higher { ">=" } else { "<=" },
-                            num(f),
-                            if m.misses_floor() { "FAIL" } else { "ok" }
-                        ),
+                        (Some(_), missed) => {
+                            format!("{} {}", m.gate(), if missed { "FAIL" } else { "ok" })
+                        }
                     },
                 ]
             })
@@ -308,12 +316,12 @@ impl Envelope {
             .filter(|m| m.misses_floor())
             .map(|m| {
                 format!(
-                    "{} [{}, {}] {} misses floor {}",
+                    "{} [{}, {}] {} misses {}",
                     m.name,
                     num(m.lo),
                     num(m.hi),
                     m.unit,
-                    num(m.floor.unwrap_or(f64::NAN))
+                    m.gate()
                 )
             })
             .collect();
@@ -389,6 +397,16 @@ mod tests {
         }
         let rate = covered as f64 / trials as f64;
         assert!(rate >= 0.94, "coverage {rate} over {trials} trials");
+    }
+
+    #[test]
+    fn sample_warms_up_then_measures_n_chunks() {
+        let mut calls = 0;
+        let samples = sample(6, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!(samples, [2, 3, 4, 5, 6, 7], "call 1 is the warm-up");
     }
 
     #[test]

@@ -23,7 +23,8 @@ use crate::service::{hammer, PIPELINE_DEPTH};
 /// Sampler cadence under test.
 const SAMPLE_MS: u64 = 25;
 
-/// The `/proc/self/task/<tid>` ids of every thread named `mcdla-sampler`.
+/// The `/proc/self/task/<tid>` directory of every thread named
+/// `mcdla-sampler`.
 fn sampler_tasks() -> Vec<PathBuf> {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return Vec::new();

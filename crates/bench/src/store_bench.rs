@@ -158,7 +158,7 @@ fn bench_pressure(
             &inserts,
         ),
         Metric::sampled(format!("{label}.get_per_s"), "ops/s", Better::Higher, &gets)
-            .floor(1_000_000.0),
+            .floor(800_000.0),
         Metric::sampled(
             format!("{label}.mix_per_s"),
             "ops/s",

@@ -719,7 +719,9 @@ fn run(args: &Args) -> Result<(), String> {
         }
         "serve-bench" | "store-bench" | "cluster-bench" | "stage-bench" | "fabric-bench"
         | "obs-bench" => {
-            use mcdla_bench::*;
+            use mcdla_bench::{
+                cluster_bench, fabric_bench, measure, obs_bench, service, stage_bench, store_bench,
+            };
             let (file, metrics) = match args.command.as_str() {
                 "serve-bench" => ("BENCH_service.json", service::service_bench(4, 5_000)),
                 "store-bench" => {
