@@ -24,8 +24,8 @@ use mcdla_parallel::ParallelStrategy;
 use mcdla_serve::client::Connection;
 use serde::{Serialize, Value};
 
-use crate::measure::{sample, sample_pair, secs, Better, Metric};
-use crate::service::hammer;
+use crate::measure::{sample, sample_pair, Better, Metric};
+use crate::service::{hammer, serial_load, stream_cells_per_s};
 
 /// Measured chunks per metric.
 const CHUNKS: usize = 12;
@@ -115,37 +115,18 @@ fn hot_path(workers: usize, threads: usize, per_thread: usize) -> Vec<Metric> {
         .iter()
         .map(|cell| serde::json::to_string(cell.get("scenario").expect("cell scenario")))
         .collect();
-    let cached = sample(CHUNKS, || {
-        let (rps, hist) = hammer(&addr, &bodies, threads, per_thread, 1);
-        (rps, hist.quantile(0.5) * 1e6, hist.quantile(0.99) * 1e6)
-    });
+    let prefix = format!("w{workers}.");
+    let [rps, p50, p99] = serial_load(&prefix, CHUNKS, &addr, &bodies, threads, per_thread);
     // Streamed grid, fully cached: the gateway's scatter-gather merge.
-    let stream = sample(CHUNKS, || {
-        let mut cells = 0;
-        let wall = secs(|| {
-            let stream = probe
-                .request_stream("POST", "/grid?stream=1", Some("{}"))
-                .expect("grid stream");
-            assert_eq!(stream.status, 200, "grid stream rejected");
-            cells = stream.collect_lines().expect("clean stream").len();
-        });
-        cells as f64 / wall.max(1e-9)
-    });
+    let stream = sample(CHUNKS, || stream_cells_per_s(&mut probe));
     drop(probe);
     fleet.shutdown();
-    let name = |what: &str| format!("w{workers}.{what}");
-    let column = |pick: fn(&(f64, f64, f64)) -> f64| cached.iter().map(pick).collect::<Vec<_>>();
     vec![
+        rps,
+        p50,
+        p99,
         Metric::sampled(
-            name("cached.req_per_s"),
-            "req/s",
-            Better::Higher,
-            &column(|c| c.0),
-        ),
-        Metric::sampled(name("cached.p50_us"), "us", Better::Lower, &column(|c| c.1)),
-        Metric::sampled(name("cached.p99_us"), "us", Better::Lower, &column(|c| c.2)),
-        Metric::sampled(
-            name("grid_stream.cells_per_s"),
+            format!("{prefix}grid_stream.cells_per_s"),
             "cells/s",
             Better::Higher,
             &stream,

@@ -22,6 +22,8 @@ use crate::service::{hammer, PIPELINE_DEPTH};
 
 /// Sampler cadence under test.
 const SAMPLE_MS: u64 = 25;
+/// Measured chunks.
+const CHUNKS: usize = 16;
 
 /// The `/proc/self/task/<tid>` directory of every thread named
 /// `mcdla-sampler`.
@@ -51,15 +53,15 @@ fn cpu_ns(task: &std::path::Path) -> u64 {
         .unwrap_or_else(|| panic!("no CPU time in {}", path.display()))
 }
 
-/// Runs the sampler-cost bench: `chunks` chunks, each of
-/// `client_threads` connections pushing `requests_per_thread` cached
-/// `/simulate`s in depth-64 batches.
+/// Runs the sampler-cost bench: every chunk has `client_threads`
+/// connections pushing `requests_per_thread` cached `/simulate`s in
+/// depth-64 batches.
 ///
 /// # Panics
 ///
 /// Panics when the server cannot bind, a request fails, or the sampler
 /// thread's schedstat cannot be read.
-pub fn obs_bench(client_threads: usize, requests_per_thread: usize, chunks: usize) -> Vec<Metric> {
+pub fn obs_bench(client_threads: usize, requests_per_thread: usize) -> Vec<Metric> {
     let threads = client_threads.max(1);
     let per_thread = requests_per_thread.max(PIPELINE_DEPTH);
     let before = sampler_tasks();
@@ -97,13 +99,13 @@ pub fn obs_bench(client_threads: usize, requests_per_thread: usize, chunks: usiz
 
     let bodies = [body];
     let nproc = Host::current().nproc as f64;
-    let chunks = sample(chunks, || {
+    let chunks = sample(CHUNKS, || {
         let cpu = cpu_ns(&task);
         let mut rps = 0.0;
         let wall = secs(|| rps = hammer(&addr, &bodies, threads, per_thread, PIPELINE_DEPTH).0);
         let cpu_s = (cpu_ns(&task) - cpu) as f64 * 1e-9;
         let ticks = wall * 1e3 / SAMPLE_MS as f64;
-        (cpu_s / (wall * nproc), 1e6 * cpu_s / ticks, rps)
+        [cpu_s / (wall * nproc), 1e6 * cpu_s / ticks, rps]
     });
 
     // The sampled server must actually have been recording.
@@ -118,17 +120,11 @@ pub fn obs_bench(client_threads: usize, requests_per_thread: usize, chunks: usiz
     drop(probe);
     handle.shutdown();
 
-    let column = |pick: fn(&(f64, f64, f64)) -> f64| chunks.iter().map(pick).collect::<Vec<_>>();
+    let column = |i: usize| chunks.iter().map(|c| c[i]).collect::<Vec<_>>();
     vec![
-        Metric::sampled(
-            "sampler.host_share",
-            "ratio",
-            Better::Lower,
-            &column(|c| c.0),
-        )
-        .floor(0.01),
-        Metric::sampled("sampler.us_per_tick", "us", Better::Lower, &column(|c| c.1)),
-        Metric::sampled("load.req_per_s", "req/s", Better::Higher, &column(|c| c.2)),
+        Metric::sampled("sampler.host_share", "ratio", Better::Lower, &column(0)).floor(0.01),
+        Metric::sampled("sampler.us_per_tick", "us", Better::Lower, &column(1)),
+        Metric::sampled("load.req_per_s", "req/s", Better::Higher, &column(2)),
     ]
 }
 
@@ -141,7 +137,7 @@ mod tests {
         // Small sizes: a smoke test of the harness; the release gate is
         // checked by `mcdla obs-bench`. Other tests' servers run their
         // own samplers in this process, so no value is asserted.
-        let metrics = obs_bench(2, 256, 6);
+        let metrics = obs_bench(2, 256);
         let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,

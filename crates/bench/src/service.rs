@@ -65,6 +65,48 @@ pub(crate) fn hammer(
     (requests as f64 / wall.max(1e-9), hist.snapshot())
 }
 
+/// Samples `chunks` chunks of serial (one request per write) cached
+/// load through [`hammer`]: `{prefix}cached.req_per_s`, `.p50_us` and
+/// `.p99_us`.
+pub(crate) fn serial_load(
+    prefix: &str,
+    chunks: usize,
+    addr: &str,
+    bodies: &[String],
+    threads: usize,
+    per_thread: usize,
+) -> [Metric; 3] {
+    let samples = sample(chunks, || {
+        let (rps, hist) = hammer(addr, bodies, threads, per_thread, 1);
+        [rps, hist.quantile(0.5) * 1e6, hist.quantile(0.99) * 1e6]
+    });
+    let column = |i: usize| samples.iter().map(|s| s[i]).collect::<Vec<_>>();
+    let name = |what: &str| format!("{prefix}cached.{what}");
+    [
+        Metric::sampled(name("req_per_s"), "req/s", Better::Higher, &column(0)),
+        Metric::sampled(name("p50_us"), "us", Better::Lower, &column(1)),
+        Metric::sampled(name("p99_us"), "us", Better::Lower, &column(2)),
+    ]
+}
+
+/// Streams the full paper matrix (`POST /grid?stream=1`) through
+/// `probe` once; returns cells/s.
+///
+/// # Panics
+///
+/// Panics when the stream is refused or cut short.
+pub(crate) fn stream_cells_per_s(probe: &mut Connection) -> f64 {
+    let mut cells = 0;
+    let wall = secs(|| {
+        let stream = probe
+            .request_stream("POST", "/grid?stream=1", Some("{}"))
+            .expect("grid stream");
+        assert_eq!(stream.status, 200, "grid stream rejected");
+        cells = stream.collect_lines().expect("clean stream").len();
+    });
+    cells as f64 / wall.max(1e-9)
+}
+
 /// Runs the service bench: every chunk sends `requests_per_thread`
 /// requests on each of `client_threads` connections.
 ///
@@ -86,16 +128,18 @@ pub fn service_bench(client_threads: usize, requests_per_thread: usize) -> Vec<M
     let mut probe = Connection::open(&addr).expect("open probe connection");
 
     // Cold cells: each chunk is one store miss on a distinct batch size.
-    let mut batch = 512;
-    let cold_ms = sample(CHUNKS, || {
-        batch += 1;
+    let cell = |batch| {
         let cell = Scenario::new(
             SystemDesign::DcDla,
             Benchmark::AlexNet,
             ParallelStrategy::DataParallel,
-        )
-        .with_batch(batch);
-        let body = serde::json::to_string(&cell);
+        );
+        serde::json::to_string(&cell.with_batch(batch))
+    };
+    let mut batch = 512;
+    let cold_ms = sample(CHUNKS, || {
+        batch += 1;
+        let body = cell(batch);
         1e3 * secs(|| {
             let resp = probe
                 .request("POST", "/simulate", Some(&body))
@@ -105,48 +149,21 @@ pub fn service_bench(client_threads: usize, requests_per_thread: usize) -> Vec<M
     });
 
     // Cached cells: the last cold cell, now resident.
-    let bodies = [serde::json::to_string(
-        &Scenario::new(
-            SystemDesign::DcDla,
-            Benchmark::AlexNet,
-            ParallelStrategy::DataParallel,
-        )
-        .with_batch(batch),
-    )];
-    let serial = sample(CHUNKS, || {
-        let (rps, hist) = hammer(&addr, &bodies, threads, per_thread, 1);
-        (rps, hist.quantile(0.5) * 1e6, hist.quantile(0.99) * 1e6)
-    });
+    let bodies = [cell(batch)];
+    let [cached, p50, p99] = serial_load("", CHUNKS, &addr, &bodies, threads, per_thread);
     let pipelined = sample(CHUNKS, || {
         hammer(&addr, &bodies, threads, per_thread, PIPELINE_DEPTH).0
     });
 
     // The full paper matrix over `?stream=1`; the warm-up pass fills it.
-    let stream = sample(CHUNKS, || {
-        let mut cells = 0;
-        let wall = secs(|| {
-            let stream = probe
-                .request_stream("POST", "/grid?stream=1", Some("{}"))
-                .expect("grid stream");
-            assert_eq!(stream.status, 200, "grid stream rejected");
-            cells = stream.collect_lines().expect("clean stream").len();
-        });
-        cells as f64 / wall.max(1e-9)
-    });
+    let stream = sample(CHUNKS, || stream_cells_per_s(&mut probe));
     drop(probe);
     handle.shutdown();
 
-    let column = |pick: fn(&(f64, f64, f64)) -> f64| serial.iter().map(pick).collect::<Vec<_>>();
     vec![
-        Metric::sampled(
-            "cached.req_per_s",
-            "req/s",
-            Better::Higher,
-            &column(|c| c.0),
-        )
-        .floor(30_000.0),
-        Metric::sampled("cached.p50_us", "us", Better::Lower, &column(|c| c.1)),
-        Metric::sampled("cached.p99_us", "us", Better::Lower, &column(|c| c.2)),
+        cached.floor(30_000.0),
+        p50,
+        p99,
         Metric::sampled("pipelined.req_per_s", "req/s", Better::Higher, &pipelined)
             .floor(100_000.0),
         Metric::sampled("cold_simulate_ms", "ms", Better::Lower, &cold_ms),

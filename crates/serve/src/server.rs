@@ -67,7 +67,7 @@ pub struct ServeConfig {
     /// Telemetry-sampler cadence override: `None` reads
     /// `MCDLA_SAMPLE_MS` (default 1 s), `Some(0)` disables sampling,
     /// `Some(n)` ticks every `n` ms. The override exists so benches can
-    /// A/B sampler-on/off in-process without racing on env vars.
+    /// set a cadence in-process without racing on env vars.
     pub sample_ms: Option<u64>,
 }
 

@@ -736,7 +736,8 @@ fn run(args: &Args) -> Result<(), String> {
                     "BENCH_fabric.json",
                     fabric_bench::fabric_bench(64, &fabric_bench::PAPER_SCALES),
                 ),
-                _ => ("BENCH_obs.json", obs_bench::obs_bench(4, 10_000, 16)),
+                "obs-bench" => ("BENCH_obs.json", obs_bench::obs_bench(4, 10_000)),
+                other => unreachable!("`{other}` is not a bench"),
             };
             let path = args.out.as_deref().unwrap_or(file);
             measure::publish(&format!("mcdla {}", args.command), path, metrics)?;
