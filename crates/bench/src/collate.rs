@@ -66,6 +66,47 @@ mod tests {
     }
 
     #[test]
+    fn headlines_extract_known_fields_and_tolerate_missing_files() {
+        // A hand-written envelope in the committed file format reads back
+        // field by field, an ungated `null` floor included. With only
+        // that file present, the collator names the first missing one
+        // instead of passing over it.
+        let dir = std::env::temp_dir().join(format!("mcdla-collate-fields-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(FILES[0]),
+            r#"{"generated_by": "mcdla serve-bench", "commit": "0123abcd",
+                "host": {"nproc": 2, "os": "linux"},
+                "metrics": [
+                  {"name": "cached.req_per_s", "unit": "req/s", "better": "Higher",
+                   "value": 77000.0, "lo": 70000.0, "hi": 80000.0, "floor": 30000.0},
+                  {"name": "cached.p50_us", "unit": "us", "better": "Lower",
+                   "value": 76.0, "lo": 70.0, "hi": 81.0, "floor": null}]}"#,
+        )
+        .unwrap();
+        let service = Envelope::read(&dir.join(FILES[0])).unwrap();
+        let err = collect(&dir).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            (service.generated_by.as_str(), service.commit.as_str()),
+            ("mcdla serve-bench", "0123abcd")
+        );
+        assert_eq!((service.host.nproc, service.host.os.as_str()), (2, "linux"));
+        let cached = &service.metrics[0];
+        assert_eq!(
+            (cached.name.as_str(), cached.unit.as_str(), cached.better),
+            ("cached.req_per_s", "req/s", Better::Higher)
+        );
+        assert_eq!(
+            (cached.value, cached.lo, cached.hi, cached.floor),
+            (77000.0, 70000.0, 80000.0, Some(30000.0))
+        );
+        assert_eq!(service.metrics[1].floor, None);
+        service.check().unwrap();
+        assert!(err.contains(FILES[1]), "{err}");
+    }
+
+    #[test]
     fn json_report_carries_floor_verdicts() {
         // Every committed envelope records at least one gate, and the
         // committed measurements clear all of them.
