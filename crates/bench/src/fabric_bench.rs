@@ -8,8 +8,7 @@
 //! * **end-to-end cost** — the same DC-DLA/VGG-E iteration priced
 //!   analytically and through the routed fabric (both monolithic, no
 //!   stage cache), in cells/s on each side: what the `topology` knob
-//!   costs a sweep. A routed 1024-device cell takes tens of seconds, so
-//!   that one side is a single ungated sample.
+//!   costs a sweep.
 //!
 //! The bench also replays the single-backplane agreement matrix (every
 //! design x {2, 4, 8} devices): inside one island the routed ring has
@@ -35,10 +34,7 @@ const CHUNKS: usize = 9;
 pub const PAPER_SCALES: [(usize, u64); 3] = [(8, 512), (64, 512), (1024, 4096)];
 
 /// Ceiling on one routed 1024-device all-reduce, in µs.
-const ALLREDUCE_1024_CEILING_US: f64 = 5e6;
-
-/// Devices past which a routed cell is a single sample.
-const SINGLE_SAMPLE_DEVICES: usize = 256;
+const ALLREDUCE_1024_CEILING_US: f64 = 2.5e3;
 
 /// Measures one `(devices, batch)` scale; a chunk prices `reps` cells
 /// per side.
@@ -91,25 +87,8 @@ fn bench_scale(devices: usize, batch: u64, reps: usize) -> Vec<Metric> {
             .max(1e-9)
     };
     let name = |side: &str| format!("d{devices}.{side}_cells_per_s");
-    let (analytic_metric, routed_metric) = if devices > SINGLE_SAMPLE_DEVICES {
-        let analytic_rates = sample(CHUNKS, || cells_per_s(&analytic));
-        (
-            Metric::sampled(name("analytic"), "cells/s", Better::Higher, &analytic_rates),
-            Metric::exact(
-                name("routed"),
-                "cells/s",
-                Better::Higher,
-                cells_per_s(&routed),
-            ),
-        )
-    } else {
-        let pairs = sample_pair(CHUNKS, || cells_per_s(&analytic), || cells_per_s(&routed));
-        let (a, r): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-        (
-            Metric::sampled(name("analytic"), "cells/s", Better::Higher, &a),
-            Metric::sampled(name("routed"), "cells/s", Better::Higher, &r),
-        )
-    };
+    let pairs = sample_pair(CHUNKS, || cells_per_s(&analytic), || cells_per_s(&routed));
+    let (a, r): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
     vec![
         Metric::exact(
             format!("d{devices}.flows_per_allreduce"),
@@ -118,8 +97,8 @@ fn bench_scale(devices: usize, batch: u64, reps: usize) -> Vec<Metric> {
             fabric.flows_per_collective() as f64,
         ),
         allreduce,
-        analytic_metric,
-        routed_metric,
+        Metric::sampled(name("analytic"), "cells/s", Better::Higher, &a),
+        Metric::sampled(name("routed"), "cells/s", Better::Higher, &r),
     ]
 }
 

@@ -3,9 +3,9 @@
 //!
 //! The analytical [`CollectiveModel`](crate::CollectiveModel) prices a ring
 //! collective as `steps × t_step + wire_bytes / B` — exact for dedicated
-//! per-hop links, blind to contention. A [`RoutedFabric`] instead *builds*
-//! the interconnect as a [`Topology`] graph, computes shortest-path route
-//! tables (deterministic BFS), and drives each collective as a batch of
+//! per-hop links, blind to contention. A [`RoutedFabric`] instead *wires*
+//! the interconnect as an explicit node/link graph, computes shortest-path
+//! routes (deterministic BFS), and drives each collective as a batch of
 //! timed flows through a [`mcdla_sim::FlowNetwork`]: one flow per logical
 //! ring hop, each occupying the channel list of its route, all sharing
 //! links max-min fairly. On uncontended topologies the flow price collapses
@@ -21,7 +21,6 @@ use serde::Serialize;
 use mcdla_sim::{Bandwidth, Bytes, ChannelId, FlowNetwork, SimDuration, SimTime};
 
 use crate::collective::{CollectiveKind, CollectiveModel};
-use crate::graph::{NodeId, NodeKind, Topology};
 use crate::ring::RingShape;
 
 /// The fabric shapes the `topology` scenario knob selects.
@@ -144,49 +143,246 @@ pub struct FabricSpec {
 
 /// A concrete topology with shortest-path routes and flow-level collective
 /// pricing.
+///
+/// The fabric keeps only what pricing reads: link capacities, the ring
+/// shapes, and ring 0's routes. Links are numbered as they are wired:
+/// `planes × stride` per-plane lanes first (plane `k`'s copy of lane `l`
+/// is link `l + k·stride`), then the links every plane shares. Every
+/// plane follows the same node path, so plane `k` rides lane
+/// `l + k·stride` wherever ring 0 rides lane `l`, and the same shared
+/// links as ring 0.
 #[derive(Debug, Clone)]
 pub struct RoutedFabric {
     kind: FabricTopology,
-    topology: Topology,
-    /// One channel per uni-directional link, in link-id order.
-    template: FlowNetwork,
     rings: Vec<RingShape>,
-    /// `[ring][hop] -> channel route` for the flow batch of one collective.
-    ring_hop_paths: Vec<Vec<Vec<ChannelId>>>,
+    /// Plane 0's lane capacities as `(links, capacity)` runs.
+    lanes: Vec<(usize, Bandwidth)>,
+    /// The shared links' capacities as `(links, capacity)` runs.
+    shared: Vec<(usize, Bandwidth)>,
+    stride: usize,
+    /// Ring 0's routes as link ids, hop after hop; each hop's last link
+    /// is tagged with [`HOP_END`].
+    routes: Vec<u32>,
 }
 
-/// Deterministic BFS shortest path (node list, inclusive); neighbors are
-/// explored in link-id order so ties always break the same way.
-fn shortest_node_path(t: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-    if src == dst {
-        return Some(vec![src]);
+/// Tags the last link of a hop in [`RoutedFabric`]'s routes.
+const HOP_END: u32 = 1 << 31;
+
+/// `(links, capacity)` runs of equal bandwidth, in link-id order.
+fn capacity_runs(gbs: &[f64]) -> Vec<(usize, Bandwidth)> {
+    gbs.chunk_by(|a, b| a == b)
+        .map(|run| (run.len(), Bandwidth::gb_per_sec(run[0])))
+        .collect()
+}
+
+/// The wired graph of one fabric, in the numbering [`RoutedFabric`]
+/// documents: node ids (devices first, then switches), and each link's
+/// endpoints and bandwidth in link-id order.
+#[derive(Default)]
+struct Wiring {
+    nodes: usize,
+    links: Vec<(usize, usize)>,
+    gbs: Vec<f64>,
+    stride: usize,
+}
+
+impl Wiring {
+    fn add_node(&mut self) -> usize {
+        self.nodes += 1;
+        self.nodes - 1
     }
-    let n = t.nodes().len();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[src.index()] = true;
-    let mut queue = VecDeque::from([src]);
-    while let Some(u) = queue.pop_front() {
-        for l in t.links_from(u) {
-            let v = l.dst();
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                parent[v.index()] = Some(u);
-                if v == dst {
-                    let mut path = vec![dst];
-                    let mut cur = dst;
-                    while let Some(p) = parent[cur.index()] {
-                        path.push(p);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(v);
-            }
+
+    fn add_duplex_link(&mut self, a: usize, b: usize, gbs: f64) {
+        self.links.extend([(a, b), (b, a)]);
+        self.gbs.extend([gbs, gbs]);
+    }
+
+    /// Ends plane 0's lanes and copies them for planes `1..planes`.
+    fn replicate_lanes(&mut self, planes: usize) {
+        self.stride = self.links.len();
+        for _ in 1..planes {
+            self.links.extend_from_within(..self.stride);
+            self.gbs.extend_from_within(..self.stride);
         }
     }
-    None
+
+    /// The `kind` fabric for `spec` (at least 2 devices and one plane).
+    fn new(kind: FabricTopology, spec: &FabricSpec) -> Wiring {
+        let n = spec.devices;
+        let planes = spec.planes.len();
+        let bp = spec.backplane;
+        let islands = n.div_ceil(bp);
+        let mut w = Wiring {
+            nodes: n,
+            ..Wiring::default()
+        };
+        match kind {
+            FabricTopology::Ring | FabricTopology::Line => {
+                // Dedicated per-plane neighbor links inside an island.
+                for i in 0..n {
+                    let j = (i + 1) % n;
+                    if kind == FabricTopology::Line && j == 0 {
+                        continue; // no wrap link on a line
+                    }
+                    if n == 2 && i == 1 {
+                        continue; // the first duplex pair already covers both directions
+                    }
+                    if i / bp == j / bp {
+                        w.add_duplex_link(i, j, spec.plane_gbs);
+                    }
+                }
+                w.replicate_lanes(planes);
+                // Shared escape channels across island boundaries (one
+                // switch per boundary, shared by all planes).
+                if islands > 1 {
+                    let boundaries = if kind == FabricTopology::Line {
+                        islands - 1
+                    } else {
+                        islands
+                    };
+                    for b in 0..boundaries {
+                        let i = ((b + 1) * bp).min(n) - 1;
+                        let j = ((b + 1) % islands) * bp;
+                        let x = w.add_node();
+                        w.add_duplex_link(i, x, spec.escape_gbs);
+                        w.add_duplex_link(x, j, spec.escape_gbs);
+                    }
+                }
+            }
+            FabricTopology::Mesh => {
+                let wide = mesh_width(n);
+                for i in 0..n {
+                    if (i + 1) % wide != 0 && i + 1 < n {
+                        w.add_duplex_link(i, i + 1, spec.plane_gbs);
+                    }
+                    if i + wide < n {
+                        w.add_duplex_link(i, i + wide, spec.plane_gbs);
+                    }
+                }
+                w.replicate_lanes(planes);
+            }
+            FabricTopology::PooledSwitch => {
+                let sw = w.add_node();
+                for d in 0..n {
+                    w.add_duplex_link(d, sw, spec.plane_gbs);
+                }
+                w.replicate_lanes(planes);
+            }
+            FabricTopology::FatTree => {
+                let core = w.add_node();
+                let edges: Vec<usize> = (0..islands).map(|_| w.add_node()).collect();
+                for d in 0..n {
+                    w.add_duplex_link(d, edges[d / bp], spec.plane_gbs);
+                }
+                w.replicate_lanes(planes);
+                // One fat trunk per pod, pod-width capacity, shared by all
+                // planes (a full-bisection tree).
+                for &e in &edges {
+                    w.add_duplex_link(e, core, spec.plane_gbs * bp as f64);
+                }
+            }
+        }
+        w
+    }
+}
+
+fn mesh_width(n: usize) -> usize {
+    (n as f64).sqrt().ceil() as usize
+}
+
+/// The collective ring order over device indices: the device cycle,
+/// except on a mesh, where the ring snakes row by row.
+fn ring_order(kind: FabricTopology, n: usize) -> Vec<usize> {
+    if kind != FabricTopology::Mesh {
+        return (0..n).collect();
+    }
+    let w = mesh_width(n);
+    let mut o = Vec::with_capacity(n);
+    for r in 0..n.div_ceil(w) {
+        let row = r * w..((r + 1) * w).min(n);
+        if r % 2 == 0 {
+            o.extend(row);
+        } else {
+            o.extend(row.rev());
+        }
+    }
+    o
+}
+
+/// Deterministic BFS over a [`Wiring`]: each node's out-links are
+/// explored in link-id order, so ties always break the same way, and
+/// a by-destination index finds the last hop without scanning a
+/// switch's whole out-list. Scratch state is reused across searches.
+struct Router {
+    out: Vec<Vec<usize>>,
+    /// The lowest-id link for each `(src, dst)` pair.
+    first_link: HashMap<(usize, usize), usize>,
+    /// Search stamp per node: equal to `stamp` once seen this search.
+    seen: Vec<u32>,
+    /// The link a seen node was reached by.
+    via: Vec<usize>,
+    stamp: u32,
+    queue: VecDeque<usize>,
+}
+
+impl Router {
+    fn new(w: &Wiring) -> Router {
+        let mut out = vec![Vec::new(); w.nodes];
+        let mut first_link = HashMap::with_capacity(w.links.len());
+        for (l, &(src, dst)) in w.links.iter().enumerate() {
+            out[src].push(l);
+            first_link.entry((src, dst)).or_insert(l);
+        }
+        Router {
+            out,
+            first_link,
+            seen: vec![0; w.nodes],
+            via: vec![0; w.nodes],
+            stamp: 0,
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Appends to `route` the links of the shortest `src -> dst` path
+    /// (`src != dst`), taking the lowest-id link between each node pair;
+    /// `false` if `dst` is unreachable.
+    ///
+    /// BFS finishes through the first node, in discovery order, that
+    /// links to `dst`, so the search stops as soon as it discovers one.
+    fn route(&mut self, w: &Wiring, src: usize, dst: usize, route: &mut Vec<u32>) -> bool {
+        self.stamp += 1;
+        self.seen[src] = self.stamp;
+        self.queue.clear();
+        self.queue.push_back(src);
+        let (mut cur, last) = 'search: {
+            if let Some(&last) = self.first_link.get(&(src, dst)) {
+                break 'search (src, last);
+            }
+            while let Some(u) = self.queue.pop_front() {
+                for &l in &self.out[u] {
+                    let v = w.links[l].1;
+                    if self.seen[v] == self.stamp {
+                        continue;
+                    }
+                    self.seen[v] = self.stamp;
+                    self.via[v] = l;
+                    if let Some(&last) = self.first_link.get(&(v, dst)) {
+                        break 'search (v, last);
+                    }
+                    self.queue.push_back(v);
+                }
+            }
+            return false;
+        };
+        let start = route.len();
+        route.push(last as u32);
+        while cur != src {
+            route.push(self.via[cur] as u32);
+            cur = w.links[self.via[cur]].0;
+        }
+        route[start..].reverse();
+        true
+    }
 }
 
 fn pipeline_steps(kind: CollectiveKind, participants: usize) -> f64 {
@@ -204,151 +400,56 @@ impl RoutedFabric {
     /// their collectives price to [`SimDuration::MAX`], matching
     /// [`CollectiveModel::striped_latency`] over an empty ring set.
     ///
+    /// A zero bandwidth is accepted: its links carry nothing, and every
+    /// collective whose routes cross one prices to [`SimDuration::MAX`].
+    ///
     /// # Panics
     ///
-    /// Panics if `spec.backplane` is zero or a bandwidth is not positive.
+    /// Panics if `spec.backplane` is zero, or if a wired link's bandwidth
+    /// is negative or not finite.
     pub fn build(kind: FabricTopology, spec: &FabricSpec) -> RoutedFabric {
         assert!(spec.backplane >= 1, "backplane island must hold a device");
         let n = spec.devices;
-        if n < 2 || spec.planes.is_empty() {
-            return RoutedFabric {
-                kind,
-                topology: Topology::new(),
-                template: FlowNetwork::new(),
-                rings: Vec::new(),
-                ring_hop_paths: Vec::new(),
-            };
-        }
-        let planes = spec.planes.len();
-        let bp = spec.backplane;
-        let islands = n.div_ceil(bp);
-        let mut t = Topology::new();
-        let dev: Vec<NodeId> = (0..n)
-            .map(|i| t.add_node(NodeKind::Device, format!("D{i}")))
-            .collect();
-        match kind {
-            FabricTopology::Ring | FabricTopology::Line => {
-                // Dedicated per-plane neighbor links inside an island.
-                for _ in 0..planes {
-                    for i in 0..n {
-                        let j = (i + 1) % n;
-                        if kind == FabricTopology::Line && j == 0 {
-                            continue; // no wrap link on a line
-                        }
-                        if n == 2 && i == 1 {
-                            continue; // the first duplex pair already covers both directions
-                        }
-                        if i / bp == j / bp {
-                            t.add_duplex_link(dev[i], dev[j], spec.plane_gbs);
-                        }
-                    }
-                }
-                // Shared escape channels across island boundaries (one
-                // switch per boundary, shared by all planes).
-                if islands > 1 {
-                    let boundaries = if kind == FabricTopology::Line {
-                        islands - 1
-                    } else {
-                        islands
-                    };
-                    for b in 0..boundaries {
-                        let i = ((b + 1) * bp).min(n) - 1;
-                        let j = ((b + 1) % islands) * bp;
-                        let x = t.add_node(NodeKind::Switch, format!("X{b}"));
-                        t.add_duplex_link(dev[i], x, spec.escape_gbs);
-                        t.add_duplex_link(x, dev[j], spec.escape_gbs);
-                    }
-                }
-            }
-            FabricTopology::Mesh => {
-                let w = (n as f64).sqrt().ceil() as usize;
-                for _ in 0..planes {
-                    for i in 0..n {
-                        if (i + 1) % w != 0 && i + 1 < n {
-                            t.add_duplex_link(dev[i], dev[i + 1], spec.plane_gbs);
-                        }
-                        if i + w < n {
-                            t.add_duplex_link(dev[i], dev[i + w], spec.plane_gbs);
-                        }
-                    }
-                }
-            }
-            FabricTopology::PooledSwitch => {
-                let sw = t.add_node(NodeKind::Switch, "SW");
-                for _ in 0..planes {
-                    for &d in &dev {
-                        t.add_duplex_link(d, sw, spec.plane_gbs);
-                    }
-                }
-            }
-            FabricTopology::FatTree => {
-                let core = t.add_node(NodeKind::Switch, "C");
-                let pods = islands;
-                let edges: Vec<NodeId> = (0..pods)
-                    .map(|p| t.add_node(NodeKind::Switch, format!("E{p}")))
-                    .collect();
-                for _ in 0..planes {
-                    for (i, &d) in dev.iter().enumerate() {
-                        t.add_duplex_link(d, edges[i / bp], spec.plane_gbs);
-                    }
-                }
-                // One fat trunk per pod, pod-width capacity, shared by all
-                // planes (a full-bisection tree).
-                for &e in &edges {
-                    t.add_duplex_link(e, core, spec.plane_gbs * bp as f64);
-                }
-            }
-        }
-        // The collective ring order over device indices.
-        let order: Vec<usize> = match kind {
-            FabricTopology::Mesh => {
-                let w = (n as f64).sqrt().ceil() as usize;
-                let mut o = Vec::with_capacity(n);
-                for r in 0..n.div_ceil(w) {
-                    let row: Vec<usize> = (r * w..((r + 1) * w).min(n)).collect();
-                    if r % 2 == 0 {
-                        o.extend(row);
-                    } else {
-                        o.extend(row.into_iter().rev());
-                    }
-                }
-                o
-            }
-            _ => (0..n).collect(),
+        let mut fabric = RoutedFabric {
+            kind,
+            rings: Vec::new(),
+            lanes: Vec::new(),
+            shared: Vec::new(),
+            stride: 0,
+            routes: Vec::new(),
         };
-        // One flow-network channel per link, in link-id order.
-        let mut template = FlowNetwork::new();
-        let chan: Vec<ChannelId> = t
-            .links()
+        if n < 2 || spec.planes.is_empty() {
+            return fabric;
+        }
+        let w = Wiring::new(kind, spec);
+        assert!(
+            w.links.len() <= HOP_END as usize,
+            "link ids must stay below the hop tag"
+        );
+        fabric.stride = w.stride;
+        fabric.lanes = capacity_runs(&w.gbs[..w.stride]);
+        fabric.shared = capacity_runs(&w.gbs[spec.planes.len() * w.stride..]);
+        // Route ring 0's hops; the other planes follow the same node
+        // paths (see `lane`).
+        let order = ring_order(kind, n);
+        let mut router = Router::new(&w);
+        for i in 0..n {
+            let (u, v) = (order[i], order[(i + 1) % n]);
+            assert!(
+                router.route(&w, u, v, &mut fabric.routes),
+                "fabric graph is connected"
+            );
+            *fabric
+                .routes
+                .last_mut()
+                .expect("ring hops join distinct devices") |= HOP_END;
+        }
+        fabric.routes.shrink_to_fit();
+        let realized = fabric.routes.len();
+        fabric.rings = spec
+            .planes
             .iter()
-            .map(|l| {
-                template.add_channel(
-                    format!("{}->{}", t.node(l.src()).name(), t.node(l.dst()).name()),
-                    Bandwidth::gb_per_sec(l.bandwidth_gbs()),
-                )
-            })
-            .collect();
-        // Route every ring hop; plane k takes parallel link k (mod count)
-        // between a node pair, so planes get dedicated lanes where the
-        // graph provides them and share where it does not.
-        let mut rings = Vec::with_capacity(planes);
-        let mut ring_hop_paths = Vec::with_capacity(planes);
-        for (k, plane) in spec.planes.iter().enumerate() {
-            let mut hops = Vec::with_capacity(n);
-            let mut realized = 0usize;
-            for i in 0..n {
-                let u = dev[order[i]];
-                let v = dev[order[(i + 1) % n]];
-                let nodes = shortest_node_path(&t, u, v).expect("fabric graph is connected");
-                let mut route = Vec::with_capacity(nodes.len() - 1);
-                for pair in nodes.windows(2) {
-                    let parallel = t.links_between(pair[0], pair[1]);
-                    route.push(chan[parallel[k % parallel.len()].index()]);
-                }
-                realized += route.len();
-                hops.push(route);
-            }
-            let shape = match kind {
+            .map(|plane| match kind {
                 // The ring realizes the design's analytical planes: keep
                 // their hop counts (memory-node relays included) so the
                 // pipeline-fill term matches the analytical model exactly,
@@ -361,17 +462,24 @@ impl RoutedFabric {
                     participants: n,
                     hops: realized,
                 },
-            };
-            rings.push(shape);
-            ring_hop_paths.push(hops);
+            })
+            .collect();
+        fabric
+    }
+
+    /// The link plane `k` rides where ring 0 rides link `l`.
+    fn lane(&self, l: u32, k: usize) -> usize {
+        let l = (l & !HOP_END) as usize;
+        if l < self.stride {
+            l + k * self.stride
+        } else {
+            l
         }
-        RoutedFabric {
-            kind,
-            topology: t,
-            template,
-            rings,
-            ring_hop_paths,
-        }
+    }
+
+    /// Ring 0's route of each hop, as link ids.
+    fn hops(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.routes.split_inclusive(|&l| l & HOP_END != 0)
     }
 
     /// Which topology this fabric realizes.
@@ -379,24 +487,14 @@ impl RoutedFabric {
         self.kind
     }
 
-    /// The underlying node/link graph.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// The logical collective planes (participants + hop counts).
     pub fn ring_shapes(&self) -> &[RingShape] {
         &self.rings
     }
 
-    /// Channels in the flow template (= uni-directional links).
-    pub fn channel_count(&self) -> usize {
-        self.template.channel_count()
-    }
-
     /// Flows one collective opens (one per ring hop across all planes).
     pub fn flows_per_collective(&self) -> usize {
-        self.ring_hop_paths.iter().map(Vec::len).sum()
+        self.rings.len() * self.hops().count()
     }
 
     /// Prices one collective of `size` bytes, striped evenly across the
@@ -426,10 +524,20 @@ impl RoutedFabric {
             return SimDuration::ZERO;
         }
         let share = Bytes::new(size.as_u64().div_ceil(self.rings.len() as u64));
+        // One channel per link, in link-id order.
+        let mut net = FlowNetwork::new();
+        let mut chan: Vec<ChannelId> = Vec::new();
+        let lanes = self
+            .lanes
+            .iter()
+            .cycle()
+            .take(self.rings.len() * self.lanes.len());
+        for &(links, cap) in lanes.chain(&self.shared) {
+            chan.extend((0..links).map(|_| net.add_channel("", cap)));
+        }
         let mut batch = Vec::new();
         let mut ring_of = Vec::new();
-        for (r, hops) in self.ring_hop_paths.iter().enumerate() {
-            let shape = self.rings[r];
+        for (k, &shape) in self.rings.iter().enumerate() {
             if shape.participants < 2 {
                 continue;
             }
@@ -437,27 +545,25 @@ impl RoutedFabric {
             if wire.is_zero() {
                 continue;
             }
-            for route in hops {
-                batch.push((route.clone(), wire));
-                ring_of.push(r);
+            for route in self.hops() {
+                batch.push((route.iter().map(|&c| chan[self.lane(c, k)]).collect(), wire));
+                ring_of.push(k);
             }
         }
         if batch.is_empty() {
             return SimDuration::ZERO;
         }
-        let mut net = self.template.clone();
         let ids = net
             .open_flows(SimTime::ZERO, batch)
             .expect("fabric routes are valid");
         let Some(done) = net.drain_all() else {
             return SimDuration::MAX; // a starved (zero-capacity) route
         };
-        let finished: HashMap<_, _> = done.into_iter().map(|(t, id)| (id, t)).collect();
         let mut drain = vec![SimDuration::ZERO; self.rings.len()];
-        for (i, id) in ids.iter().enumerate() {
-            let t = SimDuration::from_secs_f64(finished[id].as_secs_f64());
-            let r = ring_of[i];
-            drain[r] = drain[r].max(t);
+        for (t, id) in done {
+            // Ids are issued in batch order, so the search finds the entry.
+            let r = ring_of[ids.binary_search(&id).expect("opened flow")];
+            drain[r] = drain[r].max(SimDuration::from_secs_f64(t.as_secs_f64()));
         }
         let b = model.link_bandwidth_gbs * 1e9;
         let mut total = SimDuration::ZERO;
@@ -478,6 +584,7 @@ impl RoutedFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{NodeId, NodeKind, Topology};
 
     fn spec(devices: usize, plane_gbs: f64, escape_gbs: f64) -> FabricSpec {
         FabricSpec {
@@ -675,11 +782,115 @@ mod tests {
 
     #[test]
     fn routes_are_shortest_and_deterministic() {
-        let fab = RoutedFabric::build(FabricTopology::PooledSwitch, &spec(4, 50.0, 4.0));
-        let t = fab.topology();
-        let devs: Vec<NodeId> = t.nodes_of_kind(NodeKind::Device).map(|n| n.id()).collect();
-        let p = shortest_node_path(t, devs[0], devs[3]).unwrap();
-        assert_eq!(p.len(), 3, "device-switch-device");
-        assert_eq!(p, shortest_node_path(t, devs[0], devs[3]).unwrap());
+        let w = Wiring::new(FabricTopology::PooledSwitch, &spec(4, 50.0, 4.0));
+        let mut router = Router::new(&w);
+        let (mut first, mut again) = (Vec::new(), Vec::new());
+        assert!(router.route(&w, 0, 3, &mut first));
+        assert_eq!(first.len(), 2, "device-switch-device");
+        assert!(router.route(&w, 0, 3, &mut again));
+        assert_eq!(first, again);
+    }
+
+    /// BFS shortest node path (inclusive), exploring each node's links
+    /// in link-id order with `Topology::links_from`.
+    fn shortest_node_path(t: &Topology, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+        let mut parent: Vec<Option<NodeId>> = vec![None; t.nodes().len()];
+        let mut seen = vec![false; t.nodes().len()];
+        seen[src.index()] = true;
+        let mut queue = VecDeque::from([src]);
+        while let Some(u) = queue.pop_front() {
+            for l in t.links_from(u) {
+                let v = l.dst();
+                if seen[v.index()] {
+                    continue;
+                }
+                seen[v.index()] = true;
+                parent[v.index()] = Some(u);
+                if v == dst {
+                    let mut path = vec![dst];
+                    while let Some(p) = parent[path.last().unwrap().index()] {
+                        path.push(p);
+                    }
+                    path.reverse();
+                    return path;
+                }
+                queue.push_back(v);
+            }
+        }
+        panic!("{dst} unreachable from {src}");
+    }
+
+    /// `[plane][hop] -> link ids` by BFS over a `Topology` of the same
+    /// wiring, plane `k` taking parallel link `k` (mod count) between a
+    /// node pair.
+    fn topology_routes(kind: FabricTopology, spec: &FabricSpec) -> Vec<Vec<Vec<usize>>> {
+        let w = Wiring::new(kind, spec);
+        let mut t = Topology::new();
+        let nodes: Vec<NodeId> = (0..w.nodes)
+            .map(|i| t.add_node(NodeKind::Device, format!("N{i}")))
+            .collect();
+        for (&(a, b), &gbs) in w.links.iter().zip(&w.gbs) {
+            t.add_link(nodes[a], nodes[b], gbs);
+        }
+        let n = spec.devices;
+        let order = ring_order(kind, n);
+        (0..spec.planes.len())
+            .map(|k| {
+                (0..n)
+                    .map(|i| {
+                        let path =
+                            shortest_node_path(&t, nodes[order[i]], nodes[order[(i + 1) % n]]);
+                        path.windows(2)
+                            .map(|pair| {
+                                let parallel = t.links_between(pair[0], pair[1]);
+                                parallel[k % parallel.len()].index()
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compact_routes_expand_to_the_topology_routes() {
+        for kind in FabricTopology::ALL {
+            for devices in 2..=64 {
+                for planes in [1, 3] {
+                    let spec = FabricSpec {
+                        planes: vec![RingShape::device_ring(devices); planes],
+                        ..spec(devices, 50.0, 4.0)
+                    };
+                    let fab = RoutedFabric::build(kind, &spec);
+                    let expanded: Vec<Vec<Vec<usize>>> = (0..planes)
+                        .map(|k| {
+                            fab.hops()
+                                .map(|route| route.iter().map(|&c| fab.lane(c, k)).collect())
+                                .collect()
+                        })
+                        .collect();
+                    assert_eq!(
+                        expanded,
+                        topology_routes(kind, &spec),
+                        "{kind} at {devices} devices, {planes} planes"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_capacity_routes_price_to_max() {
+        // Past one island the ring crosses the (here dead) escape channels.
+        let model = CollectiveModel::with_link_bandwidth(50.0);
+        let size = Bytes::from_mib(1);
+        let fab = RoutedFabric::build(FabricTopology::Ring, &spec(16, 50.0, 0.0));
+        assert_eq!(
+            fab.collective_time(&model, CollectiveKind::AllReduce, size),
+            SimDuration::MAX
+        );
+        // Inside one island no escape channel is wired.
+        let fab = RoutedFabric::build(FabricTopology::Ring, &spec(8, 50.0, 0.0));
+        assert!(fab.collective_time(&model, CollectiveKind::AllReduce, size) < SimDuration::MAX);
     }
 }

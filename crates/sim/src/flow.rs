@@ -250,32 +250,56 @@ impl FlowNetwork {
     /// Ties break toward the oldest flow id, keeping event order
     /// deterministic.
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, FlowId)> = None;
+        self.flows
+            .iter()
+            .filter_map(|(&id, f)| Some((self.completion(f)?, id)))
+            .min()
+    }
+
+    /// When `f` finishes at its current rate; `None` if it is starved.
+    fn completion(&self, f: &FlowState) -> Option<SimTime> {
+        if f.rate <= 0.0 {
+            // A zero-byte flow completes immediately.
+            return (f.remaining <= BYTE_EPSILON).then_some(self.now);
+        }
+        let secs = (f.remaining / f.rate).max(0.0);
+        Some(self.now + SimDuration::from_secs_f64(secs))
+    }
+
+    /// The earliest completion tick and its cohort: every flow that
+    /// finishes on that same tick, in flow-id order.
+    fn next_cohort(&self) -> Option<(SimTime, Vec<FlowId>)> {
+        let mut tick: Option<SimTime> = None;
+        let mut cohort = Vec::new();
         for (&id, f) in &self.flows {
-            if f.rate <= 0.0 {
-                if f.remaining <= BYTE_EPSILON {
-                    // Zero-byte flow: completes immediately.
-                    let cand = (self.now, id);
-                    best = Some(match best {
-                        Some(b) if b <= cand => b,
-                        _ => cand,
-                    });
-                }
+            let Some(t) = self.completion(f) else {
+                continue;
+            };
+            if tick.is_some_and(|best| t > best) {
                 continue;
             }
-            let secs = (f.remaining / f.rate).max(0.0);
-            let t = self.now + SimDuration::from_secs_f64(secs);
-            let cand = (t, id);
-            best = Some(match best {
-                Some(b) if b <= cand => b,
-                _ => cand,
-            });
+            if tick != Some(t) {
+                tick = Some(t);
+                cohort.clear();
+            }
+            cohort.push(id);
         }
-        best
+        tick.map(|t| (t, cohort))
+    }
+
+    /// Drains to `t`, removes the cohort finishing there, and recomputes
+    /// rates once for the survivors.
+    fn retire(&mut self, t: SimTime, cohort: &[FlowId]) {
+        self.drain(t);
+        for id in cohort {
+            self.flows.remove(id);
+        }
+        self.recompute_rates();
     }
 
     /// Advances the clock to `to`, draining bytes from in-flight flows, and
-    /// returns the flows that completed (in completion order).
+    /// returns the flows that completed (in completion order, each tick's
+    /// cohort in flow-id order).
     ///
     /// # Errors
     ///
@@ -285,15 +309,12 @@ impl FlowNetwork {
             return Err(FlowError::TimeRegression);
         }
         let mut completed = Vec::new();
-        // Flows complete at staggered instants; process piecewise.
-        while let Some((t, id)) = self.next_completion() {
+        while let Some((t, cohort)) = self.next_cohort() {
             if t > to {
                 break;
             }
-            self.drain(t);
-            self.flows.remove(&id);
-            completed.push(id);
-            self.recompute_rates();
+            self.retire(t, &cohort);
+            completed.extend(cohort);
         }
         self.drain(to);
         Ok(completed)
@@ -309,22 +330,17 @@ impl FlowNetwork {
     /// Runs the network until all flows complete, returning them in
     /// completion order. Flows starved at zero rate make this return `None`
     /// (the network cannot drain).
+    ///
+    /// Every flow that finishes on the same tick retires as one cohort,
+    /// in flow-id order, with one rate recompute for the survivors: a
+    /// symmetric collective of thousands of flows drains in a handful of
+    /// recomputes instead of one per flow.
     pub fn drain_all(&mut self) -> Option<Vec<(SimTime, FlowId)>> {
-        let mut done = Vec::new();
+        let mut done = Vec::with_capacity(self.flows.len());
         while !self.flows.is_empty() {
-            let (t, id) = self.next_completion()?;
-            if self
-                .flows
-                .get(&id)
-                .map(|f| f.rate <= 0.0 && f.remaining > BYTE_EPSILON)
-                .unwrap_or(false)
-            {
-                return None;
-            }
-            self.drain(t);
-            self.flows.remove(&id);
-            self.recompute_rates();
-            done.push((t, id));
+            let (t, cohort) = self.next_cohort()?;
+            self.retire(t, &cohort);
+            done.extend(cohort.into_iter().map(|id| (t, id)));
         }
         Some(done)
     }
@@ -353,16 +369,14 @@ impl FlowNetwork {
         let n_ch = self.channels.len();
         let mut residual: Vec<f64> = self.channels.iter().map(|c| c.capacity).collect();
         let mut load: Vec<usize> = vec![0; n_ch];
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-        let mut unfrozen: Vec<bool> = vec![true; ids.len()];
-        let mut rates: Vec<f64> = vec![0.0; ids.len()];
-        for id in &ids {
-            for &c in &self.flows[id].path {
+        let mut bottleneck: Vec<bool> = vec![false; n_ch];
+        let mut unfrozen: Vec<&mut FlowState> = self.flows.values_mut().collect();
+        for f in &unfrozen {
+            for &c in &f.path {
                 load[c.index()] += 1;
             }
         }
-        let mut remaining_flows = ids.len();
-        while remaining_flows > 0 {
+        while !unfrozen.is_empty() {
             // Bottleneck share across channels with load.
             let mut share = f64::INFINITY;
             for c in 0..n_ch {
@@ -374,49 +388,32 @@ impl FlowNetwork {
                 break;
             }
             // Freeze every unfrozen flow crossing a bottleneck channel.
-            let mut bottlenecks: Vec<usize> = Vec::new();
             for c in 0..n_ch {
-                if load[c] > 0
-                    && (residual[c].max(0.0) / load[c] as f64) <= share * (1.0 + RATE_EPSILON)
-                {
-                    bottlenecks.push(c);
-                }
+                bottleneck[c] = load[c] > 0
+                    && (residual[c].max(0.0) / load[c] as f64) <= share * (1.0 + RATE_EPSILON);
             }
-            let mut froze_any = false;
-            for (i, id) in ids.iter().enumerate() {
-                if !unfrozen[i] {
-                    continue;
+            let before = unfrozen.len();
+            unfrozen.retain_mut(|f| {
+                if !f.path.iter().any(|c| bottleneck[c.index()]) {
+                    return true;
                 }
-                let hits = self.flows[id]
-                    .path
-                    .iter()
-                    .any(|c| bottlenecks.contains(&c.index()));
-                if hits {
-                    rates[i] = share;
-                    unfrozen[i] = false;
-                    remaining_flows -= 1;
-                    for &c in &self.flows[id].path {
-                        residual[c.index()] -= share;
-                        load[c.index()] -= 1;
-                    }
-                    froze_any = true;
+                f.rate = share;
+                for &c in &f.path {
+                    residual[c.index()] -= share;
+                    load[c.index()] -= 1;
                 }
-            }
-            if !froze_any {
+                false
+            });
+            if unfrozen.len() == before {
                 // No channel constrains the remaining flows (shouldn't happen
                 // for non-empty paths); freeze them at the current share.
-                for (i, _) in ids.iter().enumerate() {
-                    if unfrozen[i] {
-                        rates[i] = share;
-                        unfrozen[i] = false;
-                        remaining_flows -= 1;
-                    }
+                for f in unfrozen.drain(..) {
+                    f.rate = share;
                 }
             }
         }
-        for (i, id) in ids.iter().enumerate() {
-            let f = self.flows.get_mut(id).expect("flow present");
-            f.rate = rates[i].max(0.0);
+        for f in unfrozen {
+            f.rate = 0.0;
         }
     }
 }
@@ -646,6 +643,34 @@ mod tests {
         assert_eq!(done, vec![a, b]);
         assert_eq!(net.active_flows(), 0);
         assert_eq!(net.now(), SimTime::from_secs(3));
+    }
+
+    #[test]
+    fn advance_to_a_cohort_tick_returns_every_member() {
+        // ch1 carries d, a and b; ch2 carries b and c. ch1 is the first
+        // bottleneck (7.3/3 each), leaving c twice d's rate on ch2, so d
+        // and c (twice d's bytes) finish on one tick. When d leaves, b
+        // takes more of ch2 and c slows, so retiring d alone would leave
+        // c a sub-byte residue that lands a tick later.
+        let mut net = FlowNetwork::new();
+        let ch1 = net.add_channel("ch1", gb(7.3));
+        let ch2 = net.add_channel("ch2", gb(7.3));
+        let bytes = 1_000_000_003;
+        let d = net
+            .open_flow(SimTime::ZERO, &[ch1], Bytes::new(bytes))
+            .unwrap();
+        let c = net
+            .open_flow(SimTime::ZERO, &[ch2], Bytes::new(2 * bytes))
+            .unwrap();
+        for path in [vec![ch1], vec![ch1, ch2]] {
+            net.open_flow(SimTime::ZERO, &path, Bytes::from_gb(10))
+                .unwrap();
+        }
+        let (tick, first) = net.next_completion().unwrap();
+        assert_eq!(first, d);
+        assert_eq!(net.advance_to(tick).unwrap(), vec![d, c]);
+        assert_eq!(net.now(), tick);
+        assert_eq!(net.active_flows(), 2);
     }
 
     impl SimTime {

@@ -3,7 +3,7 @@
 //! which the offline build environment cannot fetch; every case is
 //! deterministic per seed, so failures reproduce exactly).
 
-use mcdla_sim::{Bandwidth, Bytes, FlowNetwork, SimTime};
+use mcdla_sim::{Bandwidth, Bytes, FlowNetwork, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -280,4 +280,153 @@ fn later_release_never_finishes_earlier() {
             "seed {seed}: later release finished earlier: {t1} < {t0}"
         );
     }
+}
+
+/// A random network built for exact ties: a few flow templates over
+/// channels drawn from a handful of capacities, each template opened
+/// 1-5 times, in shuffled order. Identical flows on shared channels
+/// finish on the same tick; multi-channel paths couple the cohorts.
+fn tied_network(seed: u64) -> (Vec<f64>, Vec<(Vec<usize>, u64)>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_ch = rng.gen_range(1..8usize);
+    let caps: Vec<f64> = (0..n_ch)
+        .map(|_| [10.0, 25.0, 50.0, 100.0][rng.gen_range(0..4usize)])
+        .collect();
+    let mut flows = Vec::new();
+    for _ in 0..rng.gen_range(1..6usize) {
+        let path_len = rng.gen_range(1..=n_ch.min(4));
+        let path: Vec<usize> = (0..path_len).map(|_| rng.gen_range(0..n_ch)).collect();
+        let bytes = [1u64 << 20, 64 << 20, 1 << 30, 3_000_000_007][rng.gen_range(0..4usize)];
+        for _ in 0..rng.gen_range(1..=5usize) {
+            flows.push((path.clone(), bytes));
+        }
+    }
+    for i in (1..flows.len()).rev() {
+        flows.swap(i, rng.gen_range(0..=i));
+    }
+    (caps, flows)
+}
+
+/// The one-flow-per-event reference solver: retire the earliest
+/// `(time, flow)` completion, rerun the whole progressive fill, repeat.
+/// Returns each flow's completion time, in input order.
+fn one_at_a_time(caps_gbs: &[f64], flows: &[(Vec<usize>, u64)]) -> Vec<SimTime> {
+    struct Live {
+        input: usize,
+        path: Vec<usize>,
+        remaining: f64,
+        rate: f64,
+    }
+    fn fill(caps: &[f64], live: &mut [Live]) {
+        let mut residual = caps.to_vec();
+        let mut load = vec![0usize; caps.len()];
+        for f in live.iter() {
+            for &c in &f.path {
+                load[c] += 1;
+            }
+        }
+        let mut frozen = vec![false; live.len()];
+        loop {
+            let per_flow = |c: usize| residual[c].max(0.0) / load[c] as f64;
+            let share = (0..caps.len())
+                .filter(|&c| load[c] > 0)
+                .map(per_flow)
+                .fold(f64::INFINITY, f64::min);
+            if !share.is_finite() {
+                return;
+            }
+            let bottlenecks: Vec<usize> = (0..caps.len())
+                .filter(|&c| load[c] > 0 && per_flow(c) <= share * (1.0 + 1e-9))
+                .collect();
+            for (i, f) in live.iter_mut().enumerate() {
+                if frozen[i] || !f.path.iter().any(|c| bottlenecks.contains(c)) {
+                    continue;
+                }
+                f.rate = share;
+                frozen[i] = true;
+                for &c in &f.path {
+                    residual[c] -= share;
+                    load[c] -= 1;
+                }
+            }
+        }
+    }
+    let caps: Vec<f64> = caps_gbs
+        .iter()
+        .map(|&c| Bandwidth::gb_per_sec(c).as_bytes_per_sec())
+        .collect();
+    let mut live: Vec<Live> = flows
+        .iter()
+        .enumerate()
+        .map(|(input, (path, bytes))| Live {
+            input,
+            path: path.clone(),
+            remaining: *bytes as f64,
+            rate: 0.0,
+        })
+        .collect();
+    let mut now = SimTime::ZERO;
+    let mut done = vec![SimTime::ZERO; flows.len()];
+    fill(&caps, &mut live);
+    while !live.is_empty() {
+        let (t, pos) = live
+            .iter()
+            .enumerate()
+            .map(|(pos, f)| {
+                let secs = (f.remaining / f.rate).max(0.0);
+                ((now + SimDuration::from_secs_f64(secs), f.input), pos)
+            })
+            .min()
+            .map(|((t, _), pos)| (t, pos))
+            .expect("a live flow");
+        let dt = t.saturating_since(now).as_secs_f64();
+        for f in &mut live {
+            f.remaining = (f.remaining - f.rate * dt).max(0.0);
+        }
+        now = now.max(t);
+        done[live.remove(pos).input] = t;
+        fill(&caps, &mut live);
+    }
+    done
+}
+
+#[test]
+fn cohort_retirement_matches_one_flow_per_event() {
+    let mut shared_ticks = 0usize;
+    for seed in 0..SEEDS {
+        let (caps, flows) = tied_network(seed);
+        let mut net = FlowNetwork::new();
+        let chs: Vec<_> = caps
+            .iter()
+            .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
+            .collect();
+        let ids = net
+            .open_flows(
+                SimTime::ZERO,
+                flows.iter().map(|(path, bytes)| {
+                    (path.iter().map(|i| chs[*i]).collect(), Bytes::new(*bytes))
+                }),
+            )
+            .unwrap();
+        let done = net.drain_all().unwrap();
+        assert_eq!(done.len(), flows.len(), "seed {seed}");
+        // Completion order, and flow-id order inside each tick's cohort.
+        for w in done.windows(2) {
+            assert!(w[0] < w[1], "seed {seed}: {:?} before {:?}", w[0], w[1]);
+            shared_ticks += usize::from(w[0].0 == w[1].0);
+        }
+        let reference = one_at_a_time(&caps, &flows);
+        for (t, id) in &done {
+            let input = ids.iter().position(|i| i == id).unwrap();
+            let (got, want) = (t.as_secs_f64(), reference[input].as_secs_f64());
+            assert!(
+                (got - want).abs() <= want * 1e-9,
+                "seed {seed}: flow {input} done at {got}, one at a time {want}"
+            );
+        }
+    }
+    assert!(
+        shared_ticks > SEEDS as usize,
+        "too few ties: {shared_ticks}"
+    );
 }
