@@ -17,7 +17,8 @@ use serde::{Deserialize, Serialize};
 /// let dev = DeviceConfig::paper_baseline();
 /// assert_eq!(dev.pe_count, 1024);
 /// // 1024 PEs x 125 MACs x 1 GHz = 128 TMAC/s peak.
-/// assert_eq!(dev.peak_macs_per_sec(), 128_000_000_000_000);
+/// assert_eq!(dev.pe_count * dev.macs_per_pe, 128_000);
+/// assert_eq!(dev.frequency_ghz, 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceConfig {
@@ -94,24 +95,25 @@ impl DeviceConfig {
     }
 
     /// Peak MAC throughput: `pe_count x macs_per_pe x frequency`.
-    pub fn peak_macs_per_sec(&self) -> u64 {
+    pub(crate) fn peak_macs_per_sec(&self) -> u64 {
         (self.pe_count as f64 * self.macs_per_pe as f64 * self.frequency_ghz * 1e9).round() as u64
     }
 
     /// MAC lanes available per cycle (`pe_count x macs_per_pe`) — the
     /// output-stationary array's parallel width.
-    pub fn mac_lanes(&self) -> u64 {
+    pub(crate) fn mac_lanes(&self) -> u64 {
         self.pe_count * self.macs_per_pe
     }
 
     /// Memory access latency in seconds.
-    pub fn memory_latency_secs(&self) -> f64 {
+    pub(crate) fn memory_latency_secs(&self) -> f64 {
         self.memory_latency_cycles as f64 / (self.frequency_ghz * 1e9)
     }
 
     /// Aggregate uni-directional high-bandwidth link throughput in GB/s
     /// (N x B; 150 GB/s for the Table II baseline).
-    pub fn aggregate_link_bandwidth_gbs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn aggregate_link_bandwidth_gbs(&self) -> f64 {
         self.link_count as f64 * self.link_bandwidth_gbs
     }
 
@@ -120,7 +122,7 @@ impl DeviceConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.pe_count == 0 || self.macs_per_pe == 0 {
             return Err("PE array must have non-zero dimensions".into());
         }

@@ -44,7 +44,7 @@ impl DeviceGeneration {
 
     /// The wire (serde) name — the variant identifier the derived
     /// `Serialize` emits.
-    pub fn wire_name(self) -> &'static str {
+    pub(crate) fn wire_name(self) -> &'static str {
         match self {
             DeviceGeneration::Kepler => "Kepler",
             DeviceGeneration::Maxwell => "Maxwell",
@@ -55,7 +55,7 @@ impl DeviceGeneration {
     }
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DeviceGeneration::Kepler => "Kepler",
             DeviceGeneration::Maxwell => "Maxwell",
@@ -66,7 +66,7 @@ impl DeviceGeneration {
     }
 
     /// Sustained training throughput in tera-MACs per second.
-    pub fn sustained_tmacs(self) -> f64 {
+    pub(crate) fn sustained_tmacs(self) -> f64 {
         match self {
             DeviceGeneration::Kepler => 2.1,  // K40 4.3 TFLOPS fp32
             DeviceGeneration::Maxwell => 3.4, // M40 6.8 TFLOPS fp32
@@ -77,7 +77,7 @@ impl DeviceGeneration {
     }
 
     /// Device memory bandwidth in GB/s.
-    pub fn memory_bandwidth_gbs(self) -> f64 {
+    pub(crate) fn memory_bandwidth_gbs(self) -> f64 {
         match self {
             DeviceGeneration::Kepler => 288.0,
             DeviceGeneration::Maxwell => 288.0,
@@ -89,7 +89,7 @@ impl DeviceGeneration {
 
     /// Device memory capacity in bytes (M40's 12 GB vs V100's 16 GB, as the
     /// paper contrasts in §III-B).
-    pub fn memory_capacity_bytes(self) -> u64 {
+    pub(crate) fn memory_capacity_bytes(self) -> u64 {
         match self {
             DeviceGeneration::Kepler | DeviceGeneration::Maxwell => 12 * (1 << 30),
             _ => 16 * (1 << 30),

@@ -29,11 +29,9 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
-mod dataflow;
 mod generations;
 mod timing;
 
 pub use config::DeviceConfig;
-pub use dataflow::Dataflow;
 pub use generations::DeviceGeneration;
-pub use timing::{AccelTimingModel, LayerTiming};
+pub use timing::AccelTimingModel;

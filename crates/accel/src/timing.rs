@@ -24,7 +24,7 @@ use crate::config::DeviceConfig;
 
 /// Forward/backward execution times of one layer.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
-pub struct LayerTiming {
+pub(crate) struct LayerTiming {
     /// Forward-propagation time.
     pub forward: SimDuration,
     /// Backward-propagation time (dX + dW computation).
@@ -33,7 +33,7 @@ pub struct LayerTiming {
 
 impl LayerTiming {
     /// Sum of forward and backward time.
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.forward + self.backward
     }
 }
@@ -48,10 +48,10 @@ impl LayerTiming {
 ///
 /// let model = AccelTimingModel::new(DeviceConfig::paper_baseline(), DataType::F32);
 /// let net = Benchmark::AlexNet.build();
-/// let t = model.network_timing(&net, 64);
 /// // Backward is roughly twice forward for GEMM-dominated networks.
-/// let f = t.iter().map(|lt| lt.forward.as_secs_f64()).sum::<f64>();
-/// let b = t.iter().map(|lt| lt.backward.as_secs_f64()).sum::<f64>();
+/// let layers = net.layers().iter();
+/// let f: f64 = layers.clone().map(|l| model.forward_time(l, 64).as_secs_f64()).sum();
+/// let b: f64 = layers.map(|l| model.backward_time(l, 64).as_secs_f64()).sum();
 /// assert!(b > 1.5 * f && b < 2.5 * f);
 /// ```
 #[derive(Debug, Clone)]
@@ -65,7 +65,9 @@ impl AccelTimingModel {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`DeviceConfig::validate`].
+    /// Panics if the configuration is invalid: an empty PE array, a
+    /// non-positive frequency or bandwidth, no links, or a sustained
+    /// efficiency outside `(0, 1]`.
     pub fn new(config: DeviceConfig, dtype: DataType) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid device config: {e}");
@@ -74,18 +76,14 @@ impl AccelTimingModel {
     }
 
     /// The underlying device configuration.
-    pub fn config(&self) -> &DeviceConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &DeviceConfig {
         &self.config
-    }
-
-    /// Element precision assumed for all tensors.
-    pub fn dtype(&self) -> DataType {
-        self.dtype
     }
 
     /// Occupancy of the output-stationary array for a layer at a batch size:
     /// the fraction of MAC lanes that find an output element to work on.
-    pub fn occupancy(&self, layer: &Layer, batch: u64) -> f64 {
+    pub(crate) fn occupancy(&self, layer: &Layer, batch: u64) -> f64 {
         let outputs = layer.output_shape().elements().saturating_mul(batch);
         let lanes = self.config.mac_lanes();
         if outputs == 0 {
@@ -130,7 +128,7 @@ impl AccelTimingModel {
 
     /// Timings for every layer of `network` at a batch size, in topological
     /// order.
-    pub fn network_timing(&self, network: &Network, batch: u64) -> Vec<LayerTiming> {
+    pub(crate) fn network_timing(&self, network: &Network, batch: u64) -> Vec<LayerTiming> {
         network
             .layers()
             .iter()

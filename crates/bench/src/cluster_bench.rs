@@ -6,16 +6,16 @@
 //!   keep-alive connections: cached req/s and p50/p99 latency, plus
 //!   streamed-grid cells/s. This prices the gateway hop; on a box with
 //!   enough cores it also shows worker parallelism.
-//! * **Capacity pressure** — the fleet gate. A working set of
-//!   [`PRESSURE_WORKING_SET`] distinct cells is served by workers whose
-//!   stores are bounded to [`PRESSURE_CACHE_CAP`] cells each. One worker
-//!   can hold only a quarter of the set, so ~3/4 of uniform-random
-//!   requests re-simulate; four workers hold nearly the whole set across
-//!   their consistent-hash slices and answer ~90% from cache. The 1- and
-//!   4-worker fleets run side by side, alternating chunks; the gates are
-//!   their hit rates and the 4-over-1 throughput ratio. Aggregate cache
-//!   capacity is the fleet resource that scales on *any* machine,
-//!   including single-core boxes where wall-clock parallelism cannot.
+//! * **Capacity pressure** — the fleet gate. A working set of 128
+//!   distinct cells is served by workers whose stores are bounded to 32
+//!   cells each. One worker can hold only a quarter of the set, so ~3/4
+//!   of uniform-random requests re-simulate; four workers hold nearly
+//!   the whole set across their consistent-hash slices and answer ~90%
+//!   from cache. The 1- and 4-worker fleets run side by side,
+//!   alternating chunks; the gates are their hit rates and the 4-over-1
+//!   throughput ratio. Aggregate cache capacity is the fleet resource
+//!   that scales on *any* machine, including single-core boxes where
+//!   wall-clock parallelism cannot.
 
 use mcdla_cluster::{spawn_local_fleet, FleetConfig, LocalFleet};
 use mcdla_core::{Scenario, SystemDesign};
@@ -31,11 +31,11 @@ use crate::service::{hammer, serial_load, stream_cells_per_s};
 const CHUNKS: usize = 12;
 
 /// Distinct cells in the capacity-pressure working set.
-pub const PRESSURE_WORKING_SET: usize = 128;
+pub(crate) const PRESSURE_WORKING_SET: usize = 128;
 
 /// Per-worker store bound for the pressure workload: a quarter of the
 /// working set, so one worker thrashes and four hold everything.
-pub const PRESSURE_CACHE_CAP: usize = 32;
+pub(crate) const PRESSURE_CACHE_CAP: usize = 32;
 
 /// The capacity-pressure working set. Distinct global batch sizes make
 /// distinct cells of near-identical simulation cost. The cells are
@@ -43,7 +43,7 @@ pub const PRESSURE_CACHE_CAP: usize = 32;
 /// fabric) — because the capacity story is about what a miss costs: a
 /// cheap-to-recompute working set doesn't need a bigger cache, a
 /// 4096-device sweep does.
-pub fn pressure_cells() -> Vec<Scenario> {
+pub(crate) fn pressure_cells() -> Vec<Scenario> {
     (0..PRESSURE_WORKING_SET)
         .map(|i| {
             Scenario::new(

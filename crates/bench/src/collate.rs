@@ -9,7 +9,7 @@ use crate::measure::Envelope;
 
 /// The bench envelopes `bench-report` reads. `BENCH_scenarios.json` is
 /// the sweep's data output, not a bench, and is not among them.
-pub const FILES: [&str; 6] = [
+pub(crate) const FILES: [&str; 6] = [
     "BENCH_service.json",
     "BENCH_store.json",
     "BENCH_stages.json",
@@ -18,7 +18,7 @@ pub const FILES: [&str; 6] = [
     "BENCH_cluster.json",
 ];
 
-/// Reads every envelope in [`FILES`] under `dir`.
+/// Reads the six committed `BENCH_*.json` envelopes under `dir`.
 ///
 /// # Errors
 ///

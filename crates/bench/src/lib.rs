@@ -31,11 +31,9 @@
 //! path). The report bodies live in [`reports`]; the `mcdla` binary is a
 //! thin dispatcher.
 //!
-//! The `*-bench` subcommands and the timing benches (`cargo bench -p
-//! mcdla-bench`, which time the simulator itself on each experiment)
-//! all measure through the [`measure`] core; each subcommand writes one
-//! [`measure::Envelope`] and `bench-report` ([`collate`]) reads the six
-//! back.
+//! The six `*-bench` subcommands measure through the [`measure`] core;
+//! each writes one [`measure::Envelope`] and `bench-report` ([`collate`])
+//! reads the six back.
 
 #![warn(missing_docs)]
 
@@ -52,19 +50,7 @@ pub mod stage_bench;
 pub mod store_bench;
 
 /// Renders an aligned ASCII table.
-///
-/// # Examples
-///
-/// ```
-/// let t = mcdla_bench::render_table(
-///     "demo",
-///     &["name", "value"],
-///     &[vec!["a".into(), "1".into()], vec!["b".into(), "2".into()]],
-/// );
-/// assert!(t.contains("name"));
-/// assert!(t.contains("| b"));
-/// ```
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -100,29 +86,36 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     out
 }
 
-/// Prints an aligned ASCII table to stdout.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", render_table(title, headers, rows));
-}
-
 /// Formats a ratio as `N.NNx`.
-pub fn fmt_x(v: f64) -> String {
+pub(crate) fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")
 }
 
 /// Formats a fraction as a percentage.
-pub fn fmt_pct(v: f64) -> String {
+pub(crate) fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
 /// Formats a GB/s quantity.
-pub fn fmt_gbs(v: f64) -> String {
+pub(crate) fn fmt_gbs(v: f64) -> String {
     format!("{v:.1} GB/s")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn render_table_prints_headers_and_rows() {
+        let t = render_table(
+            "demo",
+            &["name", "value"],
+            &[vec!["a".into(), "1".into()], vec!["b".into(), "2".into()]],
+        );
+        assert!(t.starts_with("== demo =="));
+        assert!(t.contains("| name | value |"));
+        assert!(t.contains("| b    | 2     |"));
+    }
 
     #[test]
     fn table_alignment() {

@@ -1,15 +1,15 @@
 //! The measurement core every `mcdla *-bench` shares.
 //!
-//! A bench returns a list of [`Metric`]s. Timings come from [`sample`]
-//! (one untimed warm-up call, then N measured chunks) or [`sample_pair`]
+//! A bench returns a list of [`Metric`]s. Timings come from `sample`
+//! (one untimed warm-up call, then N measured chunks) or `sample_pair`
 //! (the same for two sides, alternating which goes first so drift lands
-//! on both equally), summarized by [`Metric::sampled`] as the median
+//! on both equally), summarized by `Metric::sampled` as the median
 //! with an exact order-statistic 95% interval: distribution-free, and
 //! deterministic for given samples. Correctness checks are
-//! [`Metric::exact`] (`lo = hi = value`).
+//! `Metric::exact` (`lo = hi = value`).
 //!
 //! A metric may carry a `floor`, written once next to the metric in its
-//! bench. [`Envelope::check`] fails a metric whose interval misses it:
+//! bench. An envelope check fails a metric whose interval misses it:
 //! `lo < floor` when higher is better, `hi > floor` when lower is
 //! better. Every `BENCH_*.json` a bench writes is one [`Envelope`], and
 //! `mcdla bench-report` reads them back and applies the same check.
@@ -24,7 +24,7 @@ use crate::render_table;
 /// The fewest samples whose order-statistic interval reaches 95%
 /// coverage: with n = 5 even `[min, max]` covers the median only with
 /// probability 1 − 2/32 = 93.75%.
-pub const MIN_CHUNKS: usize = 6;
+pub(crate) const MIN_CHUNKS: usize = 6;
 
 /// Which direction of a metric is an improvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,7 +60,7 @@ pub struct Metric {
 impl Metric {
     /// An exact metric (a count, a ratio of counts, a correctness check,
     /// or a single sample too costly to repeat): `lo = hi = value`.
-    pub fn exact(name: impl Into<String>, unit: &str, better: Better, value: f64) -> Metric {
+    pub(crate) fn exact(name: impl Into<String>, unit: &str, better: Better, value: f64) -> Metric {
         Metric {
             name: name.into(),
             unit: unit.to_owned(),
@@ -78,7 +78,12 @@ impl Metric {
     ///
     /// Panics when `samples` has fewer than [`MIN_CHUNKS`] values or a
     /// non-finite one: a bench that asks for fewer chunks is broken.
-    pub fn sampled(name: impl Into<String>, unit: &str, better: Better, samples: &[f64]) -> Metric {
+    pub(crate) fn sampled(
+        name: impl Into<String>,
+        unit: &str,
+        better: Better,
+        samples: &[f64],
+    ) -> Metric {
         let name = name.into();
         let (value, lo, hi) = median_interval(samples).unwrap_or_else(|e| panic!("{name}: {e}"));
         Metric {
@@ -89,7 +94,7 @@ impl Metric {
     }
 
     /// Gates this metric on `floor` (see [`Metric::misses_floor`]).
-    pub fn floor(self, floor: f64) -> Metric {
+    pub(crate) fn floor(self, floor: f64) -> Metric {
         Metric {
             floor: Some(floor),
             ..self
@@ -98,7 +103,7 @@ impl Metric {
 
     /// Whether the interval misses the floor: `lo < floor` when higher
     /// is better, `hi > floor` when lower is better. A NaN end misses.
-    pub fn misses_floor(&self) -> bool {
+    pub(crate) fn misses_floor(&self) -> bool {
         match (self.floor, self.better) {
             (None, _) => false,
             (Some(floor), Better::Higher) => self.lo.is_nan() || self.lo < floor,
@@ -126,7 +131,7 @@ impl Metric {
 /// # Errors
 ///
 /// Fewer than [`MIN_CHUNKS`] samples, or a non-finite sample.
-pub fn median_interval(samples: &[f64]) -> Result<(f64, f64, f64), String> {
+pub(crate) fn median_interval(samples: &[f64]) -> Result<(f64, f64, f64), String> {
     let n = samples.len();
     if n < MIN_CHUNKS {
         return Err(format!(
@@ -158,7 +163,7 @@ pub fn median_interval(samples: &[f64]) -> Result<(f64, f64, f64), String> {
 }
 
 /// Wall-clock seconds `f` takes.
-pub fn secs(f: impl FnOnce()) -> f64 {
+pub(crate) fn secs(f: impl FnOnce()) -> f64 {
     let start = Instant::now();
     f();
     start.elapsed().as_secs_f64()
@@ -167,7 +172,7 @@ pub fn secs(f: impl FnOnce()) -> f64 {
 /// Calls `chunk` once untimed (warm-up), then `n` times, and returns
 /// the `n` values it measured. A chunk that walks through a workload
 /// keeps its own cursor, so the warm-up consumes the first piece.
-pub fn sample<T>(n: usize, mut chunk: impl FnMut() -> T) -> Vec<T> {
+pub(crate) fn sample<T>(n: usize, mut chunk: impl FnMut() -> T) -> Vec<T> {
     chunk();
     (0..n).map(|_| chunk()).collect()
 }
@@ -175,7 +180,7 @@ pub fn sample<T>(n: usize, mut chunk: impl FnMut() -> T) -> Vec<T> {
 /// Two-sided [`sample`]: warms `a` and `b` once each, then measures `n`
 /// chunks of both, `a` first in even chunks and `b` first in odd ones.
 /// Returns `(a, b)` per chunk.
-pub fn sample_pair<A, B>(
+pub(crate) fn sample_pair<A, B>(
     n: usize,
     mut a: impl FnMut() -> A,
     mut b: impl FnMut() -> B,
@@ -195,17 +200,6 @@ pub fn sample_pair<A, B>(
         .collect()
 }
 
-/// Times `f`: one warm-up call, then `n` timed calls, as a
-/// lower-is-better per-call wall time in milliseconds.
-pub fn time_ms<T>(name: &str, n: usize, mut f: impl FnMut() -> T) -> Metric {
-    let samples = sample(n, || {
-        1e3 * secs(|| {
-            std::hint::black_box(f());
-        })
-    });
-    Metric::sampled(name, "ms", Better::Lower, &samples)
-}
-
 /// The machine a bench ran on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Host {
@@ -217,7 +211,7 @@ pub struct Host {
 
 impl Host {
     /// This machine.
-    pub fn current() -> Host {
+    pub(crate) fn current() -> Host {
         Host {
             nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             os: std::env::consts::OS.to_owned(),
@@ -241,7 +235,7 @@ pub struct Envelope {
 
 impl Envelope {
     /// Wraps `metrics` measured by `generated_by` on this build and host.
-    pub fn new(generated_by: &str, metrics: Vec<Metric>) -> Envelope {
+    pub(crate) fn new(generated_by: &str, metrics: Vec<Metric>) -> Envelope {
         Envelope {
             generated_by: generated_by.to_owned(),
             commit: mcdla_obs::build_id().to_owned(),
@@ -255,7 +249,7 @@ impl Envelope {
     /// # Errors
     ///
     /// The I/O error, naming the path.
-    pub fn write(&self, path: &Path) -> Result<(), String> {
+    pub(crate) fn write(&self, path: &Path) -> Result<(), String> {
         std::fs::write(path, serde::json::to_string_pretty(self) + "\n")
             .map_err(|e| format!("writing {}: {e}", path.display()))
     }
@@ -265,7 +259,7 @@ impl Envelope {
     /// # Errors
     ///
     /// A missing or unreadable file, or one that is not an envelope.
-    pub fn read(path: &Path) -> Result<Envelope, String> {
+    pub(crate) fn read(path: &Path) -> Result<Envelope, String> {
         let body = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         serde::json::from_str(&body).map_err(|e| format!("parsing {}: {e}", path.display()))
@@ -309,7 +303,7 @@ impl Envelope {
     /// # Errors
     ///
     /// Names every metric that missed, with its interval and floor.
-    pub fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         let missed: Vec<String> = self
             .metrics
             .iter()

@@ -1002,7 +1002,7 @@ fn sweep_cell_value(t: &mcdla_core::TimedRun, provenance: Option<(f64, bool)>) -
 }
 
 /// One `--ndjson` line for a streamed sweep cell (no trailing newline).
-pub fn sweep_cell_line(t: &mcdla_core::TimedRun) -> String {
+pub(crate) fn sweep_cell_line(t: &mcdla_core::TimedRun) -> String {
     serde::json::to_string(&sweep_cell_value(t, None))
 }
 

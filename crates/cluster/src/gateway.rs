@@ -129,11 +129,6 @@ impl Gateway {
         self.bound.local_addr()
     }
 
-    /// The routing core (topology + worker health).
-    pub fn router(&self) -> &Router {
-        &self.bound.node.tier.router
-    }
-
     /// Starts the event loop and worker pool (and the health prober) in
     /// background threads and returns a handle.
     pub fn spawn(self) -> std::io::Result<GatewayHandle> {

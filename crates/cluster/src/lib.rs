@@ -15,10 +15,10 @@
 //!   beyond failover).
 //!
 //! On top of routing sit the operational layers a fleet needs:
-//! per-worker **connection pooling** ([`pool`]), passive + probed
-//! **health tracking** and bounded **retry/failover** ([`router`]),
+//! per-worker **connection pooling**, passive + probed **health
+//! tracking** and bounded **retry/failover** ([`Router`]),
 //! **scatter-gather** for grid requests — buffered and streamed —
-//! merged back into single-node cell order (`merge`, [`gateway`]),
+//! merged back into single-node cell order ([`Gateway`]),
 //! fleet-wide stats aggregation (`GET /cluster/stats`), and Prometheus
 //! `GET /metrics` on the gateway (workers grew their own in
 //! `mcdla-serve`).
@@ -60,15 +60,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod console;
-pub mod gateway;
+mod gateway;
 mod merge;
-pub mod pool;
-pub mod router;
-pub mod topology;
+mod pool;
+mod router;
+mod topology;
 
 pub use gateway::{
     spawn_local_fleet, worker_snapshot_path, FleetConfig, Gateway, GatewayConfig, GatewayHandle,
     LocalFleet,
 };
-pub use router::{GatewayError, Router, WorkerState};
+pub use router::{Router, WorkerState};
 pub use topology::Topology;

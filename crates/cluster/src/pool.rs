@@ -17,7 +17,7 @@ use mcdla_serve::client::{Connection, Response, Timeouts};
 
 /// A pool of idle keep-alive connections to one worker address.
 #[derive(Debug)]
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     addr: String,
     timeouts: Timeouts,
     idle: Mutex<Vec<Connection>>,
@@ -29,7 +29,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// A pool for `addr`, keeping at most `max_idle` parked connections.
-    pub fn new(addr: impl Into<String>, timeouts: Timeouts, max_idle: usize) -> Self {
+    pub(crate) fn new(addr: impl Into<String>, timeouts: Timeouts, max_idle: usize) -> Self {
         WorkerPool {
             addr: addr.into(),
             timeouts,
@@ -40,19 +40,19 @@ impl WorkerPool {
     }
 
     /// The worker address this pool connects to.
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         &self.addr
     }
 
     /// Stale-connection retries performed so far.
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
 
     /// Checks out a connection: a parked one when available, else a
     /// fresh connect (which fails fast on a dead worker — the connect
     /// timeout is the health signal).
-    pub fn checkout(&self) -> Result<PooledConn<'_>, String> {
+    pub(crate) fn checkout(&self) -> Result<PooledConn<'_>, String> {
         if let Some(conn) = self.idle.lock().expect("pool lock").pop() {
             return Ok(PooledConn {
                 pool: self,
@@ -64,7 +64,7 @@ impl WorkerPool {
     }
 
     /// Checks out a guaranteed-fresh connection (stale-retry path).
-    pub fn connect_fresh(&self) -> Result<PooledConn<'_>, String> {
+    pub(crate) fn connect_fresh(&self) -> Result<PooledConn<'_>, String> {
         let conn = Connection::open_with(&self.addr, self.timeouts)?;
         Ok(PooledConn {
             pool: self,
@@ -76,7 +76,7 @@ impl WorkerPool {
     /// One buffered request through the pool. A failure on a **reused**
     /// connection (stale keep-alive) retries once on a fresh one; a
     /// failure on a fresh connection is the worker's answer.
-    pub fn request(
+    pub(crate) fn request(
         &self,
         method: &str,
         path: &str,
@@ -87,7 +87,7 @@ impl WorkerPool {
 
     /// [`WorkerPool::request`] with extra request headers (the gateway
     /// propagates `X-Mcdla-Request-Id` this way).
-    pub fn request_with(
+    pub(crate) fn request_with(
         &self,
         method: &str,
         path: &str,
@@ -126,7 +126,8 @@ impl WorkerPool {
     }
 
     /// Parked connections right now (observability / tests).
-    pub fn idle_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn idle_len(&self) -> usize {
         self.idle.lock().expect("pool lock").len()
     }
 }
@@ -135,7 +136,7 @@ impl WorkerPool {
 /// the safe default for every error path; call [`PooledConn::release`]
 /// after a cleanly-framed exchange to park it for reuse.
 #[derive(Debug)]
-pub struct PooledConn<'a> {
+pub(crate) struct PooledConn<'a> {
     pool: &'a WorkerPool,
     conn: Option<Connection>,
     /// True when this connection came from the idle stack (and may
@@ -145,7 +146,7 @@ pub struct PooledConn<'a> {
 
 impl PooledConn<'_> {
     /// The underlying connection.
-    pub fn get(&mut self) -> &mut Connection {
+    pub(crate) fn get(&mut self) -> &mut Connection {
         self.conn
             .as_mut()
             .expect("connection present until release")
@@ -154,7 +155,7 @@ impl PooledConn<'_> {
     /// Returns the connection to the pool for reuse. Only call when the
     /// last response was fully read — a mid-response connection would
     /// desync the next user.
-    pub fn release(mut self) {
+    pub(crate) fn release(mut self) {
         if let Some(conn) = self.conn.take() {
             self.pool.park(conn);
         }

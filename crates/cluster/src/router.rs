@@ -14,7 +14,7 @@ use crate::topology::Topology;
 /// A gateway-level failure, carrying the HTTP status the gateway
 /// answers with (`502` when no worker could take the request).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GatewayError {
+pub(crate) struct GatewayError {
     /// Response status (e.g. 502).
     pub status: u16,
     /// Human-readable cause, naming the workers involved.
@@ -61,12 +61,12 @@ impl WorkerState {
     }
 
     /// The worker's address.
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         self.pool.addr()
     }
 
     /// This worker's connection pool.
-    pub fn pool(&self) -> &WorkerPool {
+    pub(crate) fn pool(&self) -> &WorkerPool {
         &self.pool
     }
 
@@ -76,7 +76,7 @@ impl WorkerState {
     }
 
     /// Marks the worker healthy.
-    pub fn mark_up(&self) {
+    pub(crate) fn mark_up(&self) {
         self.up.store(true, Ordering::Relaxed);
     }
 
@@ -88,7 +88,8 @@ impl WorkerState {
     }
 
     /// The most recent error observed against this worker.
-    pub fn last_error(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn last_error(&self) -> String {
         self.last_error.lock().expect("last_error lock").clone()
     }
 }
@@ -105,7 +106,7 @@ pub struct Router {
 impl Router {
     /// Builds a router over worker addresses. `max_idle` bounds parked
     /// connections per worker.
-    pub fn new<S: Into<String>>(
+    pub(crate) fn new<S: Into<String>>(
         addrs: impl IntoIterator<Item = S>,
         timeouts: Timeouts,
         max_idle: usize,
@@ -129,7 +130,7 @@ impl Router {
     }
 
     /// Workers currently believed up.
-    pub fn up_count(&self) -> usize {
+    pub(crate) fn up_count(&self) -> usize {
         self.workers.iter().filter(|w| w.is_up()).count()
     }
 
@@ -141,7 +142,7 @@ impl Router {
     /// Worker indices to try for `key`, in order: the rendezvous ranking
     /// with down workers demoted to the tail (still tried last — the
     /// health belief may be stale, and a down worker beats no answer).
-    pub fn route(&self, key: u64) -> Vec<usize> {
+    pub(crate) fn route(&self, key: u64) -> Vec<usize> {
         let ranked = self.topology.ranked(key);
         let (mut order, down): (Vec<usize>, Vec<usize>) =
             ranked.into_iter().partition(|&i| self.workers[i].is_up());
@@ -160,7 +161,7 @@ impl Router {
     ///   leaves the worker up (it is alive enough to answer).
     /// * When every worker fails, the caller gets a [`GatewayError`]
     ///   (502) naming each worker and what it said.
-    pub fn forward_with(
+    pub(crate) fn forward_with(
         &self,
         key: u64,
         method: &str,
@@ -212,7 +213,7 @@ impl Router {
 
     /// Probes one worker's `GET /healthz`, updating its health belief.
     /// Returns the new belief.
-    pub fn probe(&self, i: usize) -> bool {
+    pub(crate) fn probe(&self, i: usize) -> bool {
         let worker = &self.workers[i];
         match worker.pool.request("GET", "/healthz", None) {
             Ok(response) if response.is_ok() => {
@@ -231,7 +232,7 @@ impl Router {
     }
 
     /// Probes every worker once (the background prober's tick).
-    pub fn probe_all(&self) {
+    pub(crate) fn probe_all(&self) {
         for i in 0..self.workers.len() {
             self.probe(i);
         }

@@ -76,18 +76,8 @@ impl Topology {
     }
 
     /// The worker addresses, in index order.
-    pub fn workers(&self) -> &[String] {
+    pub(crate) fn workers(&self) -> &[String] {
         &self.workers
-    }
-
-    /// Fleet size.
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Always false — construction rejects empty fleets.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
     }
 
     /// The rendezvous score of `(key, worker i)`.
@@ -98,7 +88,7 @@ impl Topology {
     /// Worker indices ranked for `key`: the owner first, then each
     /// failover replica in preference order. Deterministic for a given
     /// (key, address list) everywhere.
-    pub fn ranked(&self, key: u64) -> Vec<usize> {
+    pub(crate) fn ranked(&self, key: u64) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.workers.len()).collect();
         // Descending score; ties (score collisions) break by index so
         // the order stays total and stable.
@@ -107,14 +97,14 @@ impl Topology {
     }
 
     /// The owning worker index for `key`.
-    pub fn owner(&self, key: u64) -> usize {
+    pub(crate) fn owner(&self, key: u64) -> usize {
         (0..self.workers.len())
             .max_by_key(|&i| (self.score(key, i), std::cmp::Reverse(i)))
             .expect("topology is never empty")
     }
 
-    /// The owning worker index for a scenario — [`Topology::owner`] of
-    /// the canonical store key.
+    /// The owning worker index for a scenario: the rendezvous owner of
+    /// its canonical store key.
     pub fn owner_of(&self, scenario: &Scenario) -> usize {
         self.owner(mcdla_core::key_hash(scenario))
     }

@@ -1,4 +1,4 @@
-//! JSON text encoding and decoding for the [`Value`](crate::Value) data
+//! JSON text encoding and decoding for the [`Value`] data
 //! model — the `serde_json` subset the workspace needs.
 
 use crate::{Deserialize, Error, Serialize, Value};

@@ -5,7 +5,7 @@ use std::fmt;
 use mcdla_accel::DeviceConfig;
 use mcdla_dnn::DataType;
 use mcdla_interconnect::{FabricTopology, ScaleOutPlane};
-use mcdla_memnode::{MemoryNodeConfig, PagePolicy};
+use mcdla_memnode::MemoryNodeConfig;
 use mcdla_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +57,7 @@ impl SystemDesign {
 
     /// The wire (serde) name of this design — the PascalCase variant
     /// identifier the derived `Serialize` emits.
-    pub fn wire_name(self) -> &'static str {
+    pub(crate) fn wire_name(self) -> &'static str {
         match self {
             SystemDesign::DcDla => "DcDla",
             SystemDesign::HcDla => "HcDla",
@@ -81,31 +81,17 @@ impl SystemDesign {
     }
 
     /// True for the three memory-centric proposals.
-    pub fn is_memory_centric(self) -> bool {
+    pub(crate) fn is_memory_centric(self) -> bool {
         matches!(
             self,
             SystemDesign::McDlaStar | SystemDesign::McDlaLocal | SystemDesign::McDlaBwAware
         )
     }
 
-    /// True when virtualization traffic lands in host CPU memory.
-    pub fn uses_host_memory(self) -> bool {
-        matches!(self, SystemDesign::DcDla | SystemDesign::HcDla)
-    }
-
     /// True when the design virtualizes memory at all (the oracle holds
     /// everything in its infinite device memory).
     pub fn virtualizes(self) -> bool {
         !matches!(self, SystemDesign::DcDlaOracle)
-    }
-
-    /// The page-placement policy of the MC ring designs (Fig. 10);
-    /// meaningful only for memory-centric designs.
-    pub fn page_policy(self) -> PagePolicy {
-        match self {
-            SystemDesign::McDlaBwAware => PagePolicy::BwAware,
-            _ => PagePolicy::Local,
-        }
     }
 }
 
@@ -153,7 +139,7 @@ pub enum PcieGen {
 
 impl PcieGen {
     /// Per-endpoint x16 bandwidth in GB/s.
-    pub fn x16_gbs(self) -> f64 {
+    pub(crate) fn x16_gbs(self) -> f64 {
         match self {
             PcieGen::Gen3 => 16.0,
             PcieGen::Gen4 => 32.0,
@@ -179,7 +165,7 @@ pub struct HostConfig {
 impl HostConfig {
     /// A dual-socket Xeon host as in the DGX baseline (§II-C: "only"
     /// 80 GB/s per socket).
-    pub fn xeon() -> Self {
+    pub(crate) fn xeon() -> Self {
         HostConfig {
             sockets: 2,
             socket_dram_gbs: 80.0,
@@ -190,7 +176,7 @@ impl HostConfig {
 
     /// HC-DLA's hypothetical host: 300 GB/s per socket, enough to serve
     /// four devices at 75 GB/s each (§IV).
-    pub fn hc_hypothetical() -> Self {
+    pub(crate) fn hc_hypothetical() -> Self {
         HostConfig {
             socket_dram_gbs: 300.0,
             ..HostConfig::xeon()
@@ -298,7 +284,7 @@ impl SystemConfig {
 
     /// Returns the configuration with PCIe gen4 on the host interface
     /// (§V-B).
-    pub fn with_pcie_gen4(mut self) -> Self {
+    pub(crate) fn with_pcie_gen4(mut self) -> Self {
         self.host.pcie = PcieGen::Gen4;
         self
     }
@@ -306,7 +292,7 @@ impl SystemConfig {
     /// Returns the configuration with a different device-node (§V-B's
     /// TPUv2-like and DGX-2-like studies). The calibration factor is
     /// preserved.
-    pub fn with_device(mut self, mut device: DeviceConfig) -> Self {
+    pub(crate) fn with_device(mut self, mut device: DeviceConfig) -> Self {
         device.sustained_efficiency = self.device.sustained_efficiency;
         self.device = device;
         self
@@ -322,7 +308,7 @@ impl SystemConfig {
 
     /// Returns the configuration with collectives routed as flows over a
     /// concrete topology instead of the analytical model.
-    pub fn with_topology(mut self, topology: FabricTopology) -> Self {
+    pub(crate) fn with_topology(mut self, topology: FabricTopology) -> Self {
         self.topology = Some(topology);
         self
     }
@@ -331,7 +317,7 @@ impl SystemConfig {
     /// [`BACKPLANE_DEVICES`] scale out across system nodes, each with its
     /// own host, so host-side sharing never spreads thinner than one
     /// node's worth of devices.
-    pub fn backplane_devices(&self) -> usize {
+    pub(crate) fn backplane_devices(&self) -> usize {
         self.devices.min(BACKPLANE_DEVICES)
     }
 
@@ -339,7 +325,7 @@ impl SystemConfig {
     /// wires devices to switches in fixed pairs, so any multi-device run
     /// halves the uplink (§V-D's scaling penalty). Scale-out runs replicate
     /// the host per backplane, so sharing is computed per system node.
-    pub fn devices_per_switch(&self) -> usize {
+    pub(crate) fn devices_per_switch(&self) -> usize {
         let node_devices = self.backplane_devices();
         if node_devices < 2 {
             1
@@ -350,7 +336,7 @@ impl SystemConfig {
 
     /// Devices drawing on one CPU socket when all are active (per system
     /// node; scale-out runs replicate the host per backplane).
-    pub fn devices_per_socket(&self) -> usize {
+    pub(crate) fn devices_per_socket(&self) -> usize {
         self.backplane_devices().div_ceil(self.host.sockets).max(1)
     }
 
@@ -401,15 +387,7 @@ mod tests {
     fn design_classification() {
         assert!(!SystemDesign::DcDla.is_memory_centric());
         assert!(SystemDesign::McDlaBwAware.is_memory_centric());
-        assert!(SystemDesign::DcDla.uses_host_memory());
-        assert!(SystemDesign::HcDla.uses_host_memory());
-        assert!(!SystemDesign::McDlaLocal.uses_host_memory());
         assert!(!SystemDesign::DcDlaOracle.virtualizes());
-        assert_eq!(
-            SystemDesign::McDlaBwAware.page_policy(),
-            PagePolicy::BwAware
-        );
-        assert_eq!(SystemDesign::McDlaLocal.page_policy(), PagePolicy::Local);
     }
 
     #[test]

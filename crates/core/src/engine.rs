@@ -17,7 +17,7 @@
 //!
 //! All devices execute the same schedule in lock-step, so shared-channel
 //! contention reduces to the static division computed by
-//! [`VirtPath`](crate::VirtPath) (validated against the fluid-flow solver
+//! [`VirtPath`] (validated against the fluid-flow solver
 //! in that module's tests), and simulating one representative device yields
 //! the node-level timeline.
 //!
@@ -89,7 +89,7 @@ impl<'a> IterationSim<'a> {
 
     /// Prepares a simulation with an explicit overlay policy (ablations;
     /// the oracle design always ignores the policy and disables overlay).
-    pub fn with_policy(
+    pub(crate) fn with_policy(
         cfg: SystemConfig,
         net: &'a Network,
         strategy: ParallelStrategy,
@@ -116,28 +116,8 @@ impl<'a> IterationSim<'a> {
         }
     }
 
-    /// The worker plan in effect.
-    pub fn plan(&self) -> &WorkerPlan {
-        &self.plan
-    }
-
-    /// The overlay schedule in effect.
-    pub fn schedule(&self) -> &VirtSchedule {
-        &self.schedule
-    }
-
-    /// Ring shapes the collectives run over.
-    pub fn ring_shapes(&self) -> &[RingShape] {
-        self.fabric.ring_shapes()
-    }
-
-    /// The communication fabric pricing this simulation's collectives.
-    pub fn fabric(&self) -> &dyn CommFabric {
-        &*self.fabric
-    }
-
     /// Duration of one collective under this design's fabric.
-    pub fn collective_time(&self, kind: CollectiveKind, bytes: u64) -> SimDuration {
+    pub(crate) fn collective_time(&self, kind: CollectiveKind, bytes: u64) -> SimDuration {
         if self.fabric.ring_shapes().is_empty() || self.plan.workers < 2 {
             return SimDuration::ZERO;
         }
@@ -214,7 +194,7 @@ impl Csr {
         Csr { off, idx }
     }
 
-    pub fn row(&self, l: usize) -> &[u32] {
+    pub(crate) fn row(&self, l: usize) -> &[u32] {
         &self.idx[self.off[l] as usize..self.off[l + 1] as usize]
     }
 }
@@ -230,7 +210,7 @@ pub(crate) struct NetShape {
 }
 
 impl NetShape {
-    pub fn of(net: &Network) -> NetShape {
+    pub(crate) fn of(net: &Network) -> NetShape {
         let n = net.layers().len();
         let mut fwd: Vec<(u32, u32)> = Vec::new();
         let mut bwd: Vec<(u32, u32)> = Vec::new();
@@ -295,7 +275,7 @@ pub(crate) struct PlanArt {
 }
 
 impl PlanArt {
-    pub fn build(plan: &WorkerPlan, layers: usize, cfg: &SystemConfig) -> PlanArt {
+    pub(crate) fn build(plan: &WorkerPlan, layers: usize, cfg: &SystemConfig) -> PlanArt {
         let fused = plan.fuse_buckets(cfg.sync_bucket_bytes);
         let mut fwd: Vec<(u32, u32)> = Vec::new();
         let mut bwd: Vec<(u32, u32)> = Vec::new();
@@ -337,7 +317,7 @@ pub(crate) struct SchedArt {
 }
 
 impl SchedArt {
-    pub fn build(
+    pub(crate) fn build(
         schedule: &VirtSchedule,
         net: &Network,
         virt_batch: u64,
@@ -506,7 +486,7 @@ pub(crate) struct FabricSummary {
 }
 
 impl FabricSummary {
-    pub fn of(cfg: &SystemConfig) -> FabricSummary {
+    pub(crate) fn of(cfg: &SystemConfig) -> FabricSummary {
         FabricSummary {
             fabric: build_fabric(cfg),
         }
@@ -712,7 +692,7 @@ pub(crate) fn assemble(
 ///   switch (2 hops), and the per-ring rate is what the plane's bisection
 ///   bandwidth sustains — the switched fabric erases the star/ring
 ///   attachment asymmetry for collectives (the designs keep their
-///   distinct *virtualization* paths in [`VirtPath`](crate::VirtPath));
+///   distinct *virtualization* paths in [`VirtPath`]);
 /// * **DC-DLA** (and its oracle) crosses backplanes over the host PCIe
 ///   interface: rings pay switch hops *and* are throttled to the shared
 ///   PCIe uplink rate — the §VI motivation for NVSwitch-class planes;

@@ -4,7 +4,7 @@
 //! `mcdla-bench` harness formats them into the paper's rows/series.
 //!
 //! Every runner is phrased as a [`Scenario`] grid handed to the shared
-//! [`global_runner`](crate::scenario::global_runner): cells execute across
+//! [`global_runner`]: cells execute across
 //! worker threads (`MCDLA_THREADS` controls the count) and land in a
 //! process-wide memo cache, so figures that share cells — Fig. 11 and
 //! Fig. 13 span the same 96-cell matrix, every §V-B study reuses the
@@ -33,7 +33,7 @@ pub fn simulate(
 
 /// Runs one cell with an explicit configuration (uncached: arbitrary
 /// configurations have no scenario key).
-pub fn simulate_with(
+pub(crate) fn simulate_with(
     cfg: SystemConfig,
     benchmark: Benchmark,
     strategy: ParallelStrategy,
@@ -98,7 +98,7 @@ pub fn speedup_vs_dc(design: SystemDesign, strategy: ParallelStrategy) -> Speedu
 /// Like [`speedup_vs_dc`] with a benchmark subset and a scenario
 /// transformation applied to **both** the design and the DC-DLA baseline
 /// — the memoized, parallel path for every standard study.
-pub fn speedup_vs_dc_scenarios(
+pub(crate) fn speedup_vs_dc_scenarios(
     design: SystemDesign,
     strategy: ParallelStrategy,
     benchmarks: &[Benchmark],
@@ -127,8 +127,8 @@ pub fn speedup_vs_dc_scenarios(
 /// Like [`speedup_vs_dc`] with a benchmark subset and arbitrary config
 /// customization (applied to **both** the design and the DC-DLA
 /// baseline). Arbitrary configurations cannot be keyed by a scenario, so
-/// this path is uncached; prefer [`speedup_vs_dc_scenarios`] when the
-/// change is expressible as scenario overrides.
+/// this path is uncached, unlike the scenario-keyed studies in this
+/// module.
 pub fn speedup_vs_dc_with(
     design: SystemDesign,
     strategy: ParallelStrategy,

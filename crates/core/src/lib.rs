@@ -6,17 +6,16 @@
 //!
 //! * [`SystemDesign`] / [`SystemConfig`] — the six evaluated design points:
 //!   DC-DLA, HC-DLA, MC-DLA(S), MC-DLA(L), MC-DLA(B), DC-DLA(O);
-//! * [`VirtPath`] — each design's effective memory-virtualization data
-//!   path (PCIe/host for DC/HC, memory-node links for MC), validated
-//!   against the max-min fluid-flow solver;
 //! * [`IterationSim`] — the training-iteration engine overlapping
 //!   computation, ring-collective synchronization and memory-overlaying
-//!   DMA per device (§IV);
+//!   DMA per device (§IV), over each design's effective
+//!   memory-virtualization data path (PCIe/host for DC/HC, memory-node
+//!   links for MC), validated against the max-min fluid-flow solver;
 //! * [`scenario`] — the data-driven experiment layer: [`Scenario`] /
 //!   [`ScenarioGrid`] specs plus the parallel, memoizing [`Runner`];
-//! * [`store`] — the sharded, capacity-bounded, single-flight
-//!   [`ResultStore`] behind the runner (and the `mcdla-serve` service),
-//!   with JSON snapshot/restore for warm restarts;
+//! * [`ResultStore`] — the sharded, capacity-bounded, single-flight
+//!   store behind the runner (and the `mcdla-serve` service), with JSON
+//!   snapshot/restore for warm restarts;
 //! * [`experiment`] — runners for every table and figure of §V, built on
 //!   the scenario grid.
 //!
@@ -48,7 +47,7 @@ pub mod experiment;
 mod report;
 pub mod scenario;
 pub mod stages;
-pub mod store;
+mod store;
 mod virt_path;
 
 pub use design::{HostConfig, PcieGen, SystemConfig, SystemDesign};
@@ -59,4 +58,3 @@ pub use mcdla_interconnect::FabricTopology;
 pub use report::IterationReport;
 pub use scenario::{DeviceModel, GridStream, Overrides, Runner, Scenario, ScenarioGrid, TimedRun};
 pub use store::{key_hash, Fetched, Provenance, ResultStore, StageCache, StageStats, StoreStats};
-pub use virt_path::VirtPath;

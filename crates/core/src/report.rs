@@ -72,7 +72,7 @@ impl IterationReport {
     /// Fraction of iteration time attributable to memory virtualization
     /// exposure (iteration time beyond the compute+sync critical path) —
     /// the Fig. 2 right-axis metric when compared against an oracle run.
-    pub fn virtualization_overhead_vs(&self, oracle: &IterationReport) -> f64 {
+    pub(crate) fn virtualization_overhead_vs(&self, oracle: &IterationReport) -> f64 {
         let t = self.iteration_time.as_secs_f64();
         let o = oracle.iteration_time.as_secs_f64();
         if t <= 0.0 {

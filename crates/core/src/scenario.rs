@@ -63,7 +63,7 @@ pub enum DeviceModel {
 
 impl DeviceModel {
     /// The device configuration this model names.
-    pub fn device_config(self) -> DeviceConfig {
+    pub(crate) fn device_config(self) -> DeviceConfig {
         match self {
             DeviceModel::TpuV2Like => DeviceConfig::tpu_v2_like(),
             DeviceModel::Dgx2Like => DeviceConfig::dgx2_like(),
@@ -593,15 +593,9 @@ impl ScenarioGrid {
         self
     }
 
-    /// Sweeps the topology axis (flow-routed fabrics).
-    pub fn topologies(mut self, topologies: &[FabricTopology]) -> Self {
-        self.topologies = topologies.iter().map(|t| Some(*t)).collect();
-        self
-    }
-
     /// Appends topologies to the existing axis, keeping whatever is
-    /// already there (the analytical default, unless
-    /// [`ScenarioGrid::topologies`] replaced it).
+    /// already there (the analytical default plus any earlier
+    /// extensions).
     pub fn extend_topologies(mut self, topologies: &[FabricTopology]) -> Self {
         self.topologies.extend(topologies.iter().map(|t| Some(*t)));
         self
@@ -755,12 +749,6 @@ impl Runner {
     /// Cells evicted from a capacity-bounded store so far.
     pub fn cache_evictions(&self) -> usize {
         self.store.evictions() as usize
-    }
-
-    /// Requests that blocked on another caller's in-flight simulation of
-    /// the same cell (the single-flight dedup counter).
-    pub fn dedup_waits(&self) -> usize {
-        self.store.dedup_waits() as usize
     }
 
     /// Distinct cells currently memoized.

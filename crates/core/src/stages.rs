@@ -3,7 +3,7 @@
 //!
 //! [`Scenario::simulate`](crate::Scenario::simulate) runs through four
 //! explicit stages, each backed by a process-global
-//! [`StageCache`](crate::StageCache) (the [`ResultStore`](crate::ResultStore)
+//! [`StageCache`] (the [`ResultStore`](crate::ResultStore)
 //! machinery — sharding, global capacity bound, LRU eviction,
 //! single-flight — generic over key and value):
 //!
@@ -34,7 +34,7 @@
 //!    (compression, pinned-budget overrides) enter only here.
 //!
 //! Keys are derived purely from scenario axes, which is sound because
-//! every [`SystemConfig`] field a stage reads is a function of those
+//! every [`SystemConfig`](crate::SystemConfig) field a stage reads is a function of those
 //! axes (the data type never varies across scenarios, and the device
 //! config depends only on the generation/model overrides). Each table is
 //! capacity-bounded — see the README's "Stage tuning" section for the
@@ -224,18 +224,27 @@ fn cap_from_env(var: &str, default: usize) -> Option<usize> {
     }
 }
 
+impl StagePipeline {
+    fn from_env() -> StagePipeline {
+        StagePipeline {
+            fabrics: StageCache::with_shards(cap_from_env("MCDLA_STAGE_FABRIC_CAP", 4096), 16),
+            networks: StageCache::with_shards(cap_from_env("MCDLA_STAGE_NETWORK_CAP", 64), 4),
+            timings: StageCache::with_shards(cap_from_env("MCDLA_STAGE_TIMING_CAP", 8192), 16),
+            plans: StageCache::with_shards(cap_from_env("MCDLA_STAGE_PLAN_CAP", 8192), 16),
+            schedules: StageCache::with_shards(cap_from_env("MCDLA_STAGE_SCHEDULE_CAP", 8192), 16),
+            collectives: StageCache::with_shards(
+                cap_from_env("MCDLA_STAGE_COLLECTIVE_CAP", 65536),
+                16,
+            ),
+            syncs: StageCache::with_shards(cap_from_env("MCDLA_STAGE_SYNC_CAP", 8192), 16),
+            hists: StageHists::new(),
+        }
+    }
+}
+
 fn pipeline() -> &'static StagePipeline {
     static PIPELINE: OnceLock<StagePipeline> = OnceLock::new();
-    PIPELINE.get_or_init(|| StagePipeline {
-        fabrics: StageCache::with_shards(cap_from_env("MCDLA_STAGE_FABRIC_CAP", 4096), 16),
-        networks: StageCache::with_shards(cap_from_env("MCDLA_STAGE_NETWORK_CAP", 64), 4),
-        timings: StageCache::with_shards(cap_from_env("MCDLA_STAGE_TIMING_CAP", 8192), 16),
-        plans: StageCache::with_shards(cap_from_env("MCDLA_STAGE_PLAN_CAP", 8192), 16),
-        schedules: StageCache::with_shards(cap_from_env("MCDLA_STAGE_SCHEDULE_CAP", 8192), 16),
-        collectives: StageCache::with_shards(cap_from_env("MCDLA_STAGE_COLLECTIVE_CAP", 65536), 16),
-        syncs: StageCache::with_shards(cap_from_env("MCDLA_STAGE_SYNC_CAP", 8192), 16),
-        hists: StageHists::new(),
-    })
+    PIPELINE.get_or_init(StagePipeline::from_env)
 }
 
 /// Latency snapshots per pipeline section, in fixed display order:
@@ -280,7 +289,11 @@ pub fn stage_stats() -> Vec<StageStats> {
 /// fresh, and [`assemble`](crate::IterationSim) replays the identical
 /// event loop over them.
 pub fn simulate(scenario: &Scenario) -> IterationReport {
-    let p = pipeline();
+    simulate_in(pipeline(), scenario)
+}
+
+/// [`simulate`] over the tables of `p`.
+fn simulate_in(p: &StagePipeline, scenario: &Scenario) -> IterationReport {
     let _engine = Span::enter("engine.simulate");
     let cfg = scenario.config();
     let device = DeviceKey {
@@ -496,25 +509,21 @@ mod tests {
     fn data_parallel_plans_are_shared_across_batches() {
         // A data-parallel batch sweep normalizes the plan key, so after
         // the first cell the plan (and sync) tables must hit, not miss.
+        // A private pipeline keeps tests running in parallel out of the
+        // counters.
+        let p = StagePipeline::from_env();
+        let misses = || p.plans.stats("plan").misses + p.syncs.stats("sync").misses;
         let warm = Scenario::new(
             SystemDesign::McDlaStar,
             Benchmark::ResNet,
             ParallelStrategy::DataParallel,
         );
-        let _ = simulate(&warm.with_batch(256));
-        let misses_before: u64 = stage_stats()
-            .iter()
-            .filter(|s| s.stage == "plan" || s.stage == "sync")
-            .map(|s| s.misses)
-            .sum();
+        let _ = simulate_in(&p, &warm.with_batch(256));
+        let misses_before = misses();
         for batch in [64u64, 128, 1024, 2048] {
-            let _ = simulate(&warm.with_batch(batch));
+            let _ = simulate_in(&p, &warm.with_batch(batch));
         }
-        let misses_after: u64 = stage_stats()
-            .iter()
-            .filter(|s| s.stage == "plan" || s.stage == "sync")
-            .map(|s| s.misses)
-            .sum();
+        let misses_after = misses();
         assert_eq!(
             misses_before, misses_after,
             "data-parallel plan/sync artifacts must be batch-invariant"

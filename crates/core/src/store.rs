@@ -71,7 +71,7 @@ use crate::scenario::Scenario;
 
 /// Default shard count — plenty of lock spread for a few dozen worker
 /// threads while keeping an eviction scan short.
-pub const DEFAULT_SHARDS: usize = 16;
+pub(crate) const DEFAULT_SHARDS: usize = 16;
 
 /// The canonical 64-bit hash a [`StageCache`] shards its keys by.
 /// `DefaultHasher::new()` uses fixed keys, so the hash is stable across
@@ -317,7 +317,7 @@ impl<K: Copy + Eq + Hash, V: Clone> Default for StageCache<K, V> {
 
 impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
     /// A table with no capacity bound.
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         Self::with_shards(None, DEFAULT_SHARDS)
     }
 
@@ -379,22 +379,22 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
     }
 
     /// Entries evicted to stay within capacity.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
     /// Lookups that blocked on another caller's in-flight compute.
-    pub fn dedup_waits(&self) -> u64 {
+    pub(crate) fn dedup_waits(&self) -> u64 {
         self.dedup_waits.load(Ordering::Relaxed)
     }
 
     /// Computes currently executing.
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Relaxed)
     }
 
     /// Capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
+    pub(crate) fn capacity(&self) -> Option<usize> {
         self.capacity
     }
 
@@ -422,7 +422,7 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
     }
 
     /// Resident entries per shard, in shard order, counted atomically.
-    pub fn shard_entries(&self) -> Vec<u64> {
+    pub(crate) fn shard_entries(&self) -> Vec<u64> {
         self.lock_all()
             .iter()
             .map(|s| s.cells.len() as u64)
@@ -463,7 +463,7 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
     }
 
     /// True when the key is resident (no counter or recency effects).
-    pub fn contains(&self, key: &K) -> bool {
+    pub(crate) fn contains(&self, key: &K) -> bool {
         self.shards[self.shard_index(key)]
             .lock()
             .expect("store shard lock")
@@ -627,7 +627,6 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
 
 /// The sharded, bounded, warmable scenario→report store: a
 /// [`StageCache<Scenario, IterationReport>`] plus JSON snapshot/restore.
-/// See the [module docs](self) for the design.
 pub struct ResultStore {
     inner: StageCache<Scenario, IterationReport>,
     warm_loaded: AtomicU64,
@@ -729,7 +728,7 @@ impl ResultStore {
 
     /// Resident entries per shard, in shard order (the occupancy/balance
     /// telemetry behind `GET /stats`), counted atomically.
-    pub fn shard_entries(&self) -> Vec<u64> {
+    pub(crate) fn shard_entries(&self) -> Vec<u64> {
         self.inner.shard_entries()
     }
 

@@ -4,11 +4,11 @@
 //! symmetric, lock-step workloads of the evaluation (all devices run the
 //! same layer schedule), max-min fair sharing reduces to static division:
 //! each device's effective bandwidth is the minimum over the path of
-//! `capacity / concurrent users`. The [`VirtPath::build_flow_channels`]
-//! helper materializes the same path in a [`FlowNetwork`] so tests can
-//! verify the static model against the fluid-flow solver.
+//! `capacity / concurrent users`. A test materializes the same path in a
+//! `FlowNetwork` and checks the static model against the fluid-flow
+//! solver.
 
-use mcdla_sim::{Bandwidth, ChannelId, FlowNetwork, SimDuration};
+use mcdla_sim::{Bandwidth, SimDuration};
 use serde::{Deserialize, Serialize};
 
 use crate::design::{SystemConfig, SystemDesign};
@@ -16,7 +16,7 @@ use crate::design::{SystemConfig, SystemDesign};
 /// One design point's device-to-backing-store path, reduced to effective
 /// per-device numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VirtPath {
+pub(crate) struct VirtPath {
     /// Human-readable path description.
     pub label: String,
     /// Effective per-device, per-direction bandwidth under full symmetric
@@ -33,13 +33,13 @@ pub struct VirtPath {
 
 impl VirtPath {
     /// Effective bandwidth as a [`Bandwidth`].
-    pub fn bandwidth(&self) -> Bandwidth {
+    pub(crate) fn bandwidth(&self) -> Bandwidth {
         Bandwidth::gb_per_sec(self.per_device_gbs)
     }
 
     /// Derives the virtualization path for a configuration; `None` for the
     /// oracle (nothing to virtualize).
-    pub fn from_config(cfg: &SystemConfig) -> Option<VirtPath> {
+    pub(crate) fn from_config(cfg: &SystemConfig) -> Option<VirtPath> {
         let op_latency = cfg.dma_op_latency;
         match cfg.design {
             SystemDesign::DcDlaOracle => None,
@@ -128,36 +128,29 @@ impl VirtPath {
             }
         }
     }
+}
 
-    /// Materializes one direction of this path for **all** devices of `cfg`
-    /// into a [`FlowNetwork`], returning per-device channel paths. Used to
-    /// validate the static sharing model against the fluid solver.
-    pub fn build_flow_channels(cfg: &SystemConfig, net: &mut FlowNetwork) -> Vec<Vec<ChannelId>> {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcdla_sim::{Bytes, ChannelId, FlowNetwork, SimTime};
+
+    /// Materializes one direction of the virtualization path for **all**
+    /// devices of `cfg` into a [`FlowNetwork`], returning per-device channel
+    /// paths: the reference the static sharing model is checked against.
+    fn build_flow_channels(cfg: &SystemConfig, net: &mut FlowNetwork) -> Vec<Vec<ChannelId>> {
         let mut paths = vec![Vec::new(); cfg.devices];
         match cfg.design {
             SystemDesign::DcDlaOracle => {}
             SystemDesign::DcDla => {
                 let sockets: Vec<ChannelId> = (0..cfg.host.sockets)
-                    .map(|s| {
-                        net.add_channel(
-                            format!("socket{s}-dram"),
-                            Bandwidth::gb_per_sec(cfg.host.socket_dram_gbs),
-                        )
-                    })
+                    .map(|_| net.add_channel(Bandwidth::gb_per_sec(cfg.host.socket_dram_gbs)))
                     .collect();
                 let switches: Vec<ChannelId> = (0..cfg.host.pcie_switches)
-                    .map(|s| {
-                        net.add_channel(
-                            format!("pcie-switch{s}"),
-                            Bandwidth::gb_per_sec(cfg.host.pcie.x16_gbs()),
-                        )
-                    })
+                    .map(|_| net.add_channel(Bandwidth::gb_per_sec(cfg.host.pcie.x16_gbs())))
                     .collect();
                 for (d, path) in paths.iter_mut().enumerate() {
-                    let endpoint = net.add_channel(
-                        format!("dev{d}-pcie"),
-                        Bandwidth::gb_per_sec(cfg.host.pcie.x16_gbs()),
-                    );
+                    let endpoint = net.add_channel(Bandwidth::gb_per_sec(cfg.host.pcie.x16_gbs()));
                     // Fixed pairing: devices 2k and 2k+1 share switch k.
                     let switch = switches[(d / 2) % cfg.host.pcie_switches];
                     let socket = sockets[(d / cfg.devices_per_socket()) % cfg.host.sockets];
@@ -166,17 +159,11 @@ impl VirtPath {
             }
             SystemDesign::HcDla => {
                 let sockets: Vec<ChannelId> = (0..cfg.host.sockets)
-                    .map(|s| {
-                        net.add_channel(
-                            format!("socket{s}-dram"),
-                            Bandwidth::gb_per_sec(cfg.host.socket_dram_gbs),
-                        )
-                    })
+                    .map(|_| net.add_channel(Bandwidth::gb_per_sec(cfg.host.socket_dram_gbs)))
                     .collect();
                 let link_gbs = (cfg.device.link_count / 2) as f64 * cfg.device.link_bandwidth_gbs;
                 for (d, path) in paths.iter_mut().enumerate() {
-                    let links = net
-                        .add_channel(format!("dev{d}-hostlinks"), Bandwidth::gb_per_sec(link_gbs));
+                    let links = net.add_channel(Bandwidth::gb_per_sec(link_gbs));
                     let socket = sockets[(d / cfg.devices_per_socket()) % cfg.host.sockets];
                     path.extend([links, socket]);
                 }
@@ -187,18 +174,12 @@ impl VirtPath {
                 // its left/right clients.
                 let vp = VirtPath::from_config(cfg).expect("memory-centric path");
                 let dimms: Vec<ChannelId> = (0..cfg.devices)
-                    .map(|m| {
-                        net.add_channel(
-                            format!("memnode{m}-dimm"),
-                            Bandwidth::gb_per_sec(cfg.memory_node.memory_bandwidth_gbs),
-                        )
+                    .map(|_| {
+                        net.add_channel(Bandwidth::gb_per_sec(cfg.memory_node.memory_bandwidth_gbs))
                     })
                     .collect();
                 for (d, path) in paths.iter_mut().enumerate() {
-                    let links = net.add_channel(
-                        format!("dev{d}-virtlinks"),
-                        Bandwidth::gb_per_sec(vp.per_device_gbs),
-                    );
+                    let links = net.add_channel(Bandwidth::gb_per_sec(vp.per_device_gbs));
                     path.push(links);
                     match cfg.design {
                         SystemDesign::McDlaBwAware => {
@@ -216,12 +197,6 @@ impl VirtPath {
         }
         paths
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mcdla_sim::{Bytes, SimTime};
 
     fn path(design: SystemDesign) -> VirtPath {
         VirtPath::from_config(&SystemConfig::new(design)).expect("path")
@@ -294,7 +269,7 @@ mod tests {
             let cfg = SystemConfig::new(design);
             let expect = VirtPath::from_config(&cfg).unwrap().per_device_gbs;
             let mut net = FlowNetwork::new();
-            let device_paths = VirtPath::build_flow_channels(&cfg, &mut net);
+            let device_paths = build_flow_channels(&cfg, &mut net);
             let flows: Vec<_> = device_paths
                 .iter()
                 .map(|p| {

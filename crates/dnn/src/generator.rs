@@ -1,15 +1,8 @@
 //! Synthetic workload generation.
 //!
-//! Two generators:
-//!
-//! * [`video_understanding`] — the §V-E motivation workload: a CNN frame
-//!   encoder feeding a recurrent head over many video frames (the
-//!   "mixture of CNNs, LSTMs and memory networks" whose end-to-end
-//!   training "becomes practically impossible because of the memory
-//!   capacity bottleneck");
-//! * [`random_network`] — seeded random-but-valid CNN/RNN topologies for
-//!   property-based testing of the simulator stack (any generated network
-//!   must schedule, virtualize, and simulate without panicking).
+//! [`random_network`] builds seeded random-but-valid CNN/RNN topologies
+//! for property-based testing of the simulator stack (any generated
+//! network must schedule, virtualize, and simulate without panicking).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,96 +10,6 @@ use rand::{Rng, SeedableRng};
 use crate::layer::{LayerKind, PoolKind, RnnCellKind};
 use crate::network::{Application, Network, NetworkBuilder};
 use crate::tensor::TensorShape;
-
-/// Configuration for [`video_understanding`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct VideoConfig {
-    /// Frame resolution (square).
-    pub frame_size: usize,
-    /// CNN encoder stages (each: two 3x3 convolutions + 2x2 pool).
-    pub encoder_stages: usize,
-    /// Base channel width, doubled per stage up to 512.
-    pub base_channels: usize,
-    /// Recurrent hidden width.
-    pub hidden: usize,
-    /// Video frames (recurrent timesteps).
-    pub frames: usize,
-    /// Output vocabulary for the captioning head.
-    pub vocabulary: usize,
-}
-
-impl Default for VideoConfig {
-    fn default() -> Self {
-        VideoConfig {
-            frame_size: 224,
-            encoder_stages: 5,
-            base_channels: 64,
-            hidden: 2048,
-            frames: 64,
-            vocabulary: 20_000,
-        }
-    }
-}
-
-/// Builds a §V-E-style video-understanding network (CNN encoder + LSTM
-/// decoder).
-///
-/// # Examples
-///
-/// ```
-/// use mcdla_dnn::generator::{video_understanding, VideoConfig};
-///
-/// let net = video_understanding(&VideoConfig::default());
-/// assert!(net.weighted_depth() > 70);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the configuration produces an invalid geometry (e.g. more
-/// pooling stages than the frame size supports).
-pub fn video_understanding(cfg: &VideoConfig) -> Network {
-    let mut b = NetworkBuilder::new("video-understanding", Application::LanguageModeling);
-    let mut x = b.input(TensorShape::chw(3, cfg.frame_size, cfg.frame_size));
-    for stage in 0..cfg.encoder_stages {
-        let ch = (cfg.base_channels << stage).min(512);
-        for i in 0..2 {
-            x = b
-                .conv(&format!("enc{stage}_{i}"), x, ch, 3, 1, 1)
-                .expect("encoder conv");
-            x = b.relu(&format!("enc{stage}_{i}/relu"), x).expect("relu");
-        }
-        x = b
-            .pool(&format!("enc{stage}/pool"), x, PoolKind::Max, 2, 2, 0)
-            .expect("pool");
-    }
-    let feat = b.fully_connected("embed", x, cfg.hidden).expect("embed");
-    let mut h = b
-        .unary("embed/drop", feat, LayerKind::Dropout)
-        .expect("dropout");
-    let mut first = None;
-    for t in 0..cfg.frames {
-        h = b
-            .rnn_cell(
-                &format!("lstm_t{t}"),
-                h,
-                RnnCellKind::Lstm,
-                cfg.hidden,
-                cfg.hidden,
-            )
-            .expect("lstm");
-        match first {
-            None => first = Some(h),
-            Some(c0) => b.share_weights(h, c0).expect("share"),
-        }
-    }
-    let logits = b
-        .fully_connected("decoder", h, cfg.vocabulary)
-        .expect("decoder");
-    let _ = b
-        .unary("prob", logits, LayerKind::Softmax)
-        .expect("softmax");
-    b.build()
-}
 
 /// Generates a random valid network from a seed (deterministic per seed).
 ///
@@ -121,7 +24,7 @@ pub fn video_understanding(cfg: &VideoConfig) -> Network {
 /// let a = random_network(7);
 /// let b = random_network(7);
 /// assert_eq!(a, b, "same seed, same network");
-/// assert!(a.layer_count() > 1);
+/// assert!(a.layers().len() > 1);
 /// ```
 pub fn random_network(seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -207,40 +110,16 @@ mod tests {
     use crate::tensor::DataType;
 
     #[test]
-    fn video_network_matches_section_5e_shape() {
-        let net = video_understanding(&VideoConfig::default());
-        // 10 encoder convs + embed + 64 shared LSTM steps + decoder.
-        assert_eq!(net.weighted_depth(), 10 + 1 + 64 + 1);
-        // Weight sharing: decoder-sized params, not 64x the LSTM.
-        assert!(net.total_params() < 300_000_000);
-        let fp = net.footprint(256, DataType::F32);
-        assert!(fp.total_unvirtualized() > 16 * (1u64 << 30));
-    }
-
-    #[test]
-    fn custom_video_configs_build() {
-        let small = VideoConfig {
-            frame_size: 64,
-            encoder_stages: 3,
-            base_channels: 32,
-            hidden: 512,
-            frames: 8,
-            vocabulary: 1000,
-        };
-        let net = video_understanding(&small);
-        assert_eq!(net.weighted_depth(), 6 + 1 + 8 + 1);
-    }
-
-    #[test]
     fn random_networks_are_deterministic_and_valid() {
         for seed in 0..50 {
             let net = random_network(seed);
             assert_eq!(net, random_network(seed), "seed {seed}");
-            assert!(net.layer_count() >= 2, "seed {seed}");
+            assert!(net.layers().len() >= 2, "seed {seed}");
             // Shapes propagate: analytics never panic.
             let _ = net.footprint(16, DataType::F32);
             let _ = net.last_consumer();
-            assert!(net.total_forward_macs(16) > 0, "seed {seed}");
+            let macs: u64 = net.layers().iter().map(|l| l.forward_macs(16)).sum();
+            assert!(macs > 0, "seed {seed}");
         }
     }
 

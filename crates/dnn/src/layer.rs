@@ -64,7 +64,7 @@ pub enum RnnCellKind {
 
 impl RnnCellKind {
     /// Number of GEMM-shaped gates evaluated per timestep.
-    pub const fn gate_count(self) -> u64 {
+    pub(crate) const fn gate_count(self) -> u64 {
         match self {
             RnnCellKind::Vanilla => 1,
             RnnCellKind::Lstm => 4,
@@ -78,7 +78,7 @@ impl RnnCellKind {
     /// Vanilla keeps the pre-activation and hidden state; LSTM additionally
     /// keeps four gate outputs and the cell state; GRU keeps three gates and
     /// two candidate states.
-    pub const fn stash_factor(self) -> u64 {
+    pub(crate) const fn stash_factor(self) -> u64 {
         match self {
             RnnCellKind::Vanilla => 2,
             RnnCellKind::Lstm => 6,
@@ -169,7 +169,7 @@ impl LayerKind {
     }
 
     /// True for GEMM-shaped layers with trainable weights.
-    pub fn has_weights(&self) -> bool {
+    pub(crate) fn has_weights(&self) -> bool {
         matches!(
             self,
             LayerKind::Conv2d { .. } | LayerKind::FullyConnected { .. } | LayerKind::RnnCell { .. }
@@ -215,7 +215,8 @@ impl Layer {
     }
 
     /// Per-sample input shape (for multi-input layers, the combined shape).
-    pub fn input_shape(&self) -> &TensorShape {
+    #[cfg(test)]
+    pub(crate) fn input_shape(&self) -> &TensorShape {
         &self.in_shape
     }
 
@@ -226,7 +227,7 @@ impl Layer {
 
     /// Whether this layer counts toward the paper's Table III depth
     /// (projection shortcuts and plumbing layers do not).
-    pub fn counts_toward_depth(&self) -> bool {
+    pub(crate) fn counts_toward_depth(&self) -> bool {
         self.counts_toward_depth
     }
 
@@ -293,7 +294,7 @@ impl Layer {
     }
 
     /// Trainable parameter count (weights + biases).
-    pub fn weight_params(&self) -> u64 {
+    pub(crate) fn weight_params(&self) -> u64 {
         match self.kind {
             LayerKind::Conv2d {
                 out_channels,
@@ -337,7 +338,7 @@ impl Layer {
 
     /// Bytes this layer must stash for backpropagation. For most layers this
     /// is the input feature map X; recurrent cells additionally stash their
-    /// gate activations ([`RnnCellKind::stash_factor`]).
+    /// gate activations (LSTM and GRU cells stash several per step).
     pub fn stash_bytes(&self, batch: u64, dtype: DataType) -> u64 {
         match self.kind {
             LayerKind::RnnCell { kind, hidden, .. } => {

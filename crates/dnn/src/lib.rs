@@ -39,12 +39,10 @@
 pub mod generator;
 mod layer;
 mod network;
-mod summary;
 mod tensor;
 pub mod zoo;
 
 pub use layer::{ActivationKind, Layer, LayerId, LayerKind, PoolKind, RnnCellKind};
 pub use network::{Application, BuildError, MemoryFootprint, Network, NetworkBuilder};
-pub use summary::{LayerSummary, NetworkSummary};
 pub use tensor::{DataType, TensorShape};
 pub use zoo::Benchmark;

@@ -128,11 +128,6 @@ impl Network {
         &self.layers[id.index()]
     }
 
-    /// Total layer count including plumbing layers (activations, pools, ...).
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Number of depth-counting weighted layers — the Table III "# of
     /// layers" figure (8 for AlexNet, 58 for GoogLeNet, 19 for VGG-E, 34 for
     /// ResNet).
@@ -146,7 +141,7 @@ impl Network {
     /// Layers owning a *physical* weight tensor: the first member of each
     /// weight-sharing group. Unrolled RNN timesteps share one tensor, so
     /// only timestep 0 appears here.
-    pub fn unique_weight_layers(&self) -> impl Iterator<Item = &Layer> + '_ {
+    pub(crate) fn unique_weight_layers(&self) -> impl Iterator<Item = &Layer> + '_ {
         self.layers
             .iter()
             .filter(|l| l.has_weights() && l.weight_group() == l.id().index())
@@ -163,11 +158,6 @@ impl Network {
         self.unique_weight_layers()
             .map(|l| l.weight_bytes(dtype))
             .sum()
-    }
-
-    /// Total forward MACs for a batch.
-    pub fn total_forward_macs(&self, batch: u64) -> u64 {
-        self.layers.iter().map(|l| l.forward_macs(batch)).sum()
     }
 
     /// For every layer, the topological position of its **last forward
@@ -202,12 +192,6 @@ impl Network {
             stashed_activation_bytes: stashed,
             peak_live_bytes: peak_live,
         }
-    }
-
-    /// Sum of weight-gradient bytes — the data-parallel synchronization
-    /// volume per iteration (one all-reduce of dW per weighted layer).
-    pub fn total_gradient_bytes(&self, dtype: DataType) -> u64 {
-        self.total_weight_bytes(dtype)
     }
 }
 
@@ -320,7 +304,7 @@ impl NetworkBuilder {
         id
     }
 
-    /// Adds a convolution (`groups = 1`). See [`NetworkBuilder::conv_grouped`].
+    /// Adds a convolution (`groups = 1`).
     ///
     /// # Errors
     ///
@@ -346,7 +330,7 @@ impl NetworkBuilder {
     /// when the window does not fit, and [`BuildError::UnknownLayer`] for a
     /// bad input id.
     #[allow(clippy::too_many_arguments)]
-    pub fn conv_grouped(
+    pub(crate) fn conv_grouped(
         &mut self,
         name: &str,
         input: LayerId,
@@ -405,7 +389,7 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Same as [`NetworkBuilder::conv_grouped`].
-    pub fn conv_shortcut(
+    pub(crate) fn conv_shortcut(
         &mut self,
         name: &str,
         input: LayerId,
@@ -420,8 +404,7 @@ impl NetworkBuilder {
     }
 
     /// Adds a pooling layer with Caffe-style ceil-mode output geometry
-    /// (AlexNet/GoogLeNet convention). See [`NetworkBuilder::pool_floor`]
-    /// for the floor-mode variant used by ResNet.
+    /// (AlexNet/GoogLeNet convention); the zoo's ResNet uses floor mode.
     ///
     /// # Errors
     ///
@@ -444,7 +427,7 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Propagates [`BuildError`] for unknown inputs or invalid geometry.
-    pub fn pool_floor(
+    pub(crate) fn pool_floor(
         &mut self,
         name: &str,
         input: LayerId,
@@ -509,7 +492,11 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Propagates [`BuildError`] for an unknown or non-CHW input.
-    pub fn global_avg_pool(&mut self, name: &str, input: LayerId) -> Result<LayerId, BuildError> {
+    pub(crate) fn global_avg_pool(
+        &mut self,
+        name: &str,
+        input: LayerId,
+    ) -> Result<LayerId, BuildError> {
         let in_shape = self.shape_of(input)?.clone();
         let (c, h, w) = match in_shape {
             TensorShape::Chw { c, h, w } => (c, h, w),
@@ -577,7 +564,7 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Propagates [`BuildError::UnknownLayer`].
-    pub fn activation(
+    pub(crate) fn activation(
         &mut self,
         name: &str,
         input: LayerId,
@@ -616,7 +603,7 @@ impl NetworkBuilder {
     ///
     /// Returns [`BuildError::ShapeMismatch`] for mismatched spatial sizes,
     /// [`BuildError::InvalidParameter`] for fewer than two inputs.
-    pub fn concat(&mut self, name: &str, inputs: &[LayerId]) -> Result<LayerId, BuildError> {
+    pub(crate) fn concat(&mut self, name: &str, inputs: &[LayerId]) -> Result<LayerId, BuildError> {
         if inputs.len() < 2 {
             return Err(BuildError::InvalidParameter {
                 layer: name.into(),
@@ -652,7 +639,12 @@ impl NetworkBuilder {
     /// # Errors
     ///
     /// Returns [`BuildError::ShapeMismatch`] when shapes differ.
-    pub fn add(&mut self, name: &str, a: LayerId, b: LayerId) -> Result<LayerId, BuildError> {
+    pub(crate) fn add(
+        &mut self,
+        name: &str,
+        a: LayerId,
+        b: LayerId,
+    ) -> Result<LayerId, BuildError> {
         let sa = self.shape_of(a)?.clone();
         let sb = self.shape_of(b)?.clone();
         if sa != sb {
@@ -788,7 +780,7 @@ mod tests {
     #[test]
     fn shapes_propagate() {
         let n = tiny();
-        assert_eq!(n.layer_count(), 6);
+        assert_eq!(n.layers().len(), 6);
         assert_eq!(n.weighted_depth(), 2);
         assert_eq!(n.layers()[1].output_shape(), &TensorShape::chw(8, 32, 32));
         assert_eq!(n.layers()[3].output_shape(), &TensorShape::chw(8, 16, 16));
@@ -889,7 +881,7 @@ mod tests {
         }
         let n = b.build();
         assert_eq!(n.weighted_depth(), 50);
-        assert_eq!(n.layer_count(), 51);
+        assert_eq!(n.layers().len(), 51);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub enum DataType {
 
 impl DataType {
     /// Size of one element in bytes.
-    pub const fn size_bytes(self) -> u64 {
+    pub(crate) const fn size_bytes(self) -> u64 {
         match self {
             DataType::F32 => 4,
             DataType::F16 => 2,
@@ -64,7 +64,7 @@ impl TensorShape {
     }
 
     /// A flat vector of `len` features.
-    pub const fn vector(len: usize) -> Self {
+    pub(crate) const fn vector(len: usize) -> Self {
         TensorShape::Vector { len }
     }
 
@@ -77,12 +77,12 @@ impl TensorShape {
     }
 
     /// Bytes per sample at the given precision.
-    pub fn bytes(&self, dtype: DataType) -> u64 {
+    pub(crate) fn bytes(&self, dtype: DataType) -> u64 {
         self.elements() * dtype.size_bytes()
     }
 
     /// Channel count: `c` for feature maps, `len` for vectors.
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         match *self {
             TensorShape::Chw { c, .. } => c,
             TensorShape::Vector { len } => len,
@@ -90,7 +90,7 @@ impl TensorShape {
     }
 
     /// Spatial size `(h, w)`; vectors are `1 × 1`.
-    pub fn spatial(&self) -> (usize, usize) {
+    pub(crate) fn spatial(&self) -> (usize, usize) {
         match *self {
             TensorShape::Chw { h, w, .. } => (h, w),
             TensorShape::Vector { .. } => (1, 1),
@@ -98,7 +98,7 @@ impl TensorShape {
     }
 
     /// Flattens a feature map into a vector shape (e.g. before an FC layer).
-    pub fn flattened(&self) -> TensorShape {
+    pub(crate) fn flattened(&self) -> TensorShape {
         TensorShape::vector(self.elements() as usize)
     }
 }

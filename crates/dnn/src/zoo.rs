@@ -72,7 +72,8 @@ impl Benchmark {
     }
 
     /// True for the CNN half of the suite.
-    pub fn is_cnn(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_cnn(self) -> bool {
         matches!(
             self,
             Benchmark::AlexNet | Benchmark::GoogLeNet | Benchmark::VggE | Benchmark::ResNet
@@ -135,7 +136,7 @@ impl fmt::Display for Benchmark {
 }
 
 /// AlexNet with the original grouped (two-tower) convolutions.
-pub fn alexnet() -> Network {
+pub(crate) fn alexnet() -> Network {
     let mut b = NetworkBuilder::new("AlexNet", Application::ImageRecognition);
     let x = b.input(TensorShape::chw(3, 227, 227));
     let c1 = b.conv("conv1", x, 96, 11, 4, 0).expect("conv1");
@@ -165,7 +166,7 @@ pub fn alexnet() -> Network {
 }
 
 /// VGG-E (VGG-19): sixteen 3x3 convolutions in five blocks plus three FCs.
-pub fn vgg_e() -> Network {
+pub(crate) fn vgg_e() -> Network {
     let mut b = NetworkBuilder::new("VGG-E", Application::ImageRecognition);
     let mut prev = b.input(TensorShape::chw(3, 224, 224));
     let blocks: [(usize, usize); 5] = [(64, 2), (128, 2), (256, 4), (512, 4), (512, 4)];
@@ -238,7 +239,7 @@ fn inception(
 
 /// GoogLeNet (Inception v1) without auxiliary classifiers: 58 weighted
 /// layers (3 stem convs + 9 modules x 6 convs + 1 FC).
-pub fn googlenet() -> Network {
+pub(crate) fn googlenet() -> Network {
     let mut b = NetworkBuilder::new("GoogLeNet", Application::ImageRecognition);
     let x = b.input(TensorShape::chw(3, 224, 224));
     let c1 = b.conv("conv1/7x7_s2", x, 64, 7, 2, 3).expect("conv1");
@@ -316,7 +317,7 @@ fn basic_block(
 }
 
 /// ResNet-34: 33 depth-counting convolutions plus one FC.
-pub fn resnet34() -> Network {
+pub(crate) fn resnet34() -> Network {
     let mut b = NetworkBuilder::new("ResNet", Application::ImageRecognition);
     let x = b.input(TensorShape::chw(3, 224, 224));
     let c1 = b.conv("conv1", x, 64, 7, 2, 3).expect("conv1");

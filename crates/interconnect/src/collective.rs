@@ -24,7 +24,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use mcdla_sim::{Bandwidth, Bytes, SimDuration};
+use mcdla_sim::{Bytes, SimDuration};
 
 use crate::ring::RingShape;
 
@@ -50,7 +50,7 @@ impl CollectiveKind {
     ];
 
     /// Display name matching the paper's figures.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CollectiveKind::AllGather => "all-gather",
             CollectiveKind::AllReduce => "all-reduce",
@@ -165,7 +165,7 @@ impl CollectiveModel {
     /// `size_on_ring` bytes — the quantity to inject into a
     /// [`mcdla_sim::FlowNetwork`] when modeling contention between
     /// collective and memory-virtualization traffic.
-    pub fn wire_bytes_per_link(
+    pub(crate) fn wire_bytes_per_link(
         &self,
         kind: CollectiveKind,
         size_on_ring: Bytes,
@@ -182,13 +182,6 @@ impl CollectiveModel {
             CollectiveKind::Broadcast => s,
         };
         Bytes::new(bytes.round() as u64)
-    }
-
-    /// Effective per-device injection bandwidth for collectives striped over
-    /// `rings` (the paper's `(#rings) x B`; 75 GB/s for DC-DLA's three
-    /// rings at 25 GB/s).
-    pub fn aggregate_ring_bandwidth(&self, rings: &[RingShape]) -> Bandwidth {
-        Bandwidth::gb_per_sec(self.link_bandwidth_gbs * rings.len() as f64)
     }
 }
 
@@ -370,12 +363,5 @@ mod tests {
             m().striped_latency(CollectiveKind::AllReduce, s, &[]),
             SimDuration::MAX
         );
-    }
-
-    #[test]
-    fn aggregate_bandwidth_is_rings_times_b() {
-        let rings = [RingShape::device_ring(8); 3];
-        let bw = m().aggregate_ring_bandwidth(&rings);
-        assert!((bw.as_gb_per_sec() - 75.0).abs() < 1e-9);
     }
 }

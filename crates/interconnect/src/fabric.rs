@@ -59,7 +59,7 @@ impl FabricTopology {
 
     /// The wire (serde) name of this topology — the PascalCase variant
     /// identifier the derived `Serialize` emits.
-    pub fn wire_name(self) -> &'static str {
+    pub(crate) fn wire_name(self) -> &'static str {
         match self {
             FabricTopology::Ring => "Ring",
             FabricTopology::Line => "Line",
@@ -70,7 +70,7 @@ impl FabricTopology {
     }
 
     /// The human label used in scenario labels and reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FabricTopology::Ring => "ring",
             FabricTopology::Line => "line",
@@ -503,8 +503,7 @@ impl RoutedFabric {
     /// Per plane the cost is the analytical pipeline-fill term
     /// (`steps × t_step`, using `model`'s message size and hop latency)
     /// plus the *simulated* drain: every ring hop opens one flow of that
-    /// ring's [`wire_bytes_per_link`](CollectiveModel::wire_bytes_per_link)
-    /// over its route, all planes at once, and the plane's drain is its
+    /// ring's per-link wire bytes over its route, all planes at once, and the plane's drain is its
     /// slowest flow under max-min fair sharing. The collective completes
     /// when its slowest plane does. On dedicated routes the drain is
     /// exactly `wire_bytes / B`, i.e. the analytical bandwidth term.
@@ -533,7 +532,7 @@ impl RoutedFabric {
             .cycle()
             .take(self.rings.len() * self.lanes.len());
         for &(links, cap) in lanes.chain(&self.shared) {
-            chan.extend((0..links).map(|_| net.add_channel("", cap)));
+            chan.extend((0..links).map(|_| net.add_channel(cap)));
         }
         let mut batch = Vec::new();
         let mut ring_of = Vec::new();

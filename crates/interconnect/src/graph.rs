@@ -6,7 +6,6 @@
 //! paper's convention of quoting B = 25 GB/s of uni-directional bandwidth
 //! per link.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -17,7 +16,7 @@ pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
     /// Index into the topology's node table.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -34,7 +33,8 @@ pub struct LinkId(pub(crate) usize);
 
 impl LinkId {
     /// Index into the topology's link table.
-    pub fn index(self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -62,17 +62,19 @@ pub struct Node {
 
 impl Node {
     /// The node's id.
-    pub fn id(&self) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn id(&self) -> NodeId {
         self.id
     }
 
     /// The node's kind.
-    pub fn kind(&self) -> NodeKind {
+    pub(crate) fn kind(&self) -> NodeKind {
         self.kind
     }
 
     /// The node's display name (`D0`, `M3`, ...).
-    pub fn name(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 }
@@ -87,24 +89,10 @@ pub struct Link {
 }
 
 impl Link {
-    /// The link's id.
-    pub fn id(&self) -> LinkId {
-        self.id
-    }
-
-    /// Transmitting node.
-    pub fn src(&self) -> NodeId {
-        self.src
-    }
-
     /// Receiving node.
-    pub fn dst(&self) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn dst(&self) -> NodeId {
         self.dst
-    }
-
-    /// Uni-directional bandwidth in GB/s.
-    pub fn bandwidth_gbs(&self) -> f64 {
-        self.bandwidth_gbs
     }
 }
 
@@ -120,7 +108,7 @@ impl Link {
 /// let m0 = t.add_node(NodeKind::Memory, "M0");
 /// t.add_duplex_link(d0, m0, 25.0);
 /// assert_eq!(t.links_from(d0).count(), 1);
-/// assert_eq!(t.degree(d0), 2); // one out + one in
+/// assert_eq!(t.links_between(m0, d0).len(), 1); // and one back
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
@@ -150,7 +138,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if either endpoint is unknown or the bandwidth is not positive.
-    pub fn add_link(&mut self, src: NodeId, dst: NodeId, bandwidth_gbs: f64) -> LinkId {
+    pub(crate) fn add_link(&mut self, src: NodeId, dst: NodeId, bandwidth_gbs: f64) -> LinkId {
         assert!(src.index() < self.nodes.len(), "unknown src node");
         assert!(dst.index() < self.nodes.len(), "unknown dst node");
         assert!(bandwidth_gbs > 0.0, "link bandwidth must be positive");
@@ -169,7 +157,7 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Same as [`Topology::add_link`].
+    /// Panics if either endpoint is unknown or the bandwidth is not positive.
     pub fn add_duplex_link(
         &mut self,
         a: NodeId,
@@ -183,12 +171,13 @@ impl Topology {
     }
 
     /// All nodes.
-    pub fn nodes(&self) -> &[Node] {
+    pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
     /// All links.
-    pub fn links(&self) -> &[Link] {
+    #[cfg(test)]
+    pub(crate) fn links(&self) -> &[Link] {
         &self.links
     }
 
@@ -197,32 +186,13 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
-    }
-
-    /// Looks up a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.index()]
-    }
-
-    /// Nodes of a given kind, in id order.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> impl Iterator<Item = &Node> + '_ {
-        self.nodes.iter().filter(move |n| n.kind == kind)
     }
 
     /// Outgoing links of `node`.
     pub fn links_from(&self, node: NodeId) -> impl Iterator<Item = &Link> + '_ {
         self.links.iter().filter(move |l| l.src == node)
-    }
-
-    /// Incoming links of `node`.
-    pub fn links_to(&self, node: NodeId) -> impl Iterator<Item = &Link> + '_ {
-        self.links.iter().filter(move |l| l.dst == node)
     }
 
     /// The uni-directional links from `a` to `b` (parallel links allowed —
@@ -237,7 +207,8 @@ impl Topology {
 
     /// Total port count of `node` (in + out) — each uni-directional link
     /// consumes one port; a duplex link consumes two (one lane pair).
-    pub fn degree(&self, node: NodeId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn degree(&self, node: NodeId) -> usize {
         self.links
             .iter()
             .filter(|l| l.src == node || l.dst == node)
@@ -247,24 +218,9 @@ impl Topology {
     /// Number of bi-directional high-bandwidth links a node terminates,
     /// i.e. `degree / 2` for symmetric wiring. This is the quantity bounded
     /// by Table II's N = 6 per node.
-    pub fn duplex_degree(&self, node: NodeId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn duplex_degree(&self, node: NodeId) -> usize {
         self.degree(node) / 2
-    }
-
-    /// Aggregate per-kind duplex degree statistics, for validating that a
-    /// layout respects each node's link budget.
-    pub fn duplex_degree_by_kind(&self) -> BTreeMap<&'static str, Vec<usize>> {
-        let mut map: BTreeMap<&'static str, Vec<usize>> = BTreeMap::new();
-        for n in &self.nodes {
-            let key = match n.kind {
-                NodeKind::Device => "device",
-                NodeKind::Memory => "memory",
-                NodeKind::HostCpu => "host",
-                NodeKind::Switch => "switch",
-            };
-            map.entry(key).or_default().push(self.duplex_degree(n.id));
-        }
-        map
     }
 }
 
@@ -286,7 +242,6 @@ mod tests {
         assert_eq!(t.duplex_degree(d0), 2);
         assert_eq!(t.links_between(d0, d1).len(), 1);
         assert_eq!(t.links_between(d1, m0).len(), 0);
-        assert_eq!(t.nodes_of_kind(NodeKind::Device).count(), 2);
         assert_eq!(t.node(m0).name(), "M0");
     }
 

@@ -35,7 +35,7 @@ pub struct RingPath {
 /// One device's attachment to a backing-store target for memory
 /// virtualization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VirtTarget {
+pub(crate) struct VirtTarget {
     /// The memory-node or host CPU reached.
     pub node: NodeId,
     /// Device-to-target link lanes (offload direction).
@@ -46,7 +46,7 @@ pub struct VirtTarget {
 
 /// All backing-store targets of one device.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VirtAttachment {
+pub(crate) struct VirtAttachment {
     /// The device.
     pub device: NodeId,
     /// Reachable targets; MC-DLA(B) uses both, MC-DLA(L) only the first.
@@ -55,7 +55,8 @@ pub struct VirtAttachment {
 
 impl VirtAttachment {
     /// Total offload-direction lanes across targets.
-    pub fn total_out_lanes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_out_lanes(&self) -> usize {
         self.targets.iter().map(|t| t.out_links.len()).sum()
     }
 }
@@ -95,7 +96,8 @@ impl SystemInterconnect {
     }
 
     /// Host CPU sockets (HC-DLA only).
-    pub fn hosts(&self) -> &[NodeId] {
+    #[cfg(test)]
+    pub(crate) fn hosts(&self) -> &[NodeId] {
         &self.hosts
     }
 
@@ -114,13 +116,9 @@ impl SystemInterconnect {
 
     /// Per-device virtualization attachments (index-aligned with
     /// [`SystemInterconnect::devices`]); empty for DC designs.
-    pub fn virt_attachments(&self) -> &[VirtAttachment] {
+    #[cfg(test)]
+    pub(crate) fn virt_attachments(&self) -> &[VirtAttachment] {
         &self.virt
-    }
-
-    /// Per-link uni-directional bandwidth in GB/s (Table II's B).
-    pub fn link_bandwidth_gbs(&self) -> f64 {
-        self.link_bandwidth_gbs
     }
 
     /// Per-device virtualization bandwidth in GB/s when using the first

@@ -49,6 +49,6 @@ mod scaleout;
 pub use collective::{CollectiveKind, CollectiveModel};
 pub use fabric::{FabricSpec, FabricTopology, RoutedFabric};
 pub use graph::{Link, LinkId, Node, NodeId, NodeKind, Topology};
-pub use layout::{RingPath, SystemInterconnect, VirtAttachment, VirtTarget};
+pub use layout::{RingPath, SystemInterconnect};
 pub use ring::{check_link_budget, Ring, RingShape};
 pub use scaleout::ScaleOutPlane;

@@ -29,19 +29,19 @@ impl Ring {
     }
 
     /// The cyclic traversal order.
-    pub fn sequence(&self) -> &[NodeId] {
+    pub(crate) fn sequence(&self) -> &[NodeId] {
         &self.sequence
     }
 
     /// Hop count: number of links traversed per lap (= sequence length).
-    pub fn hop_count(&self) -> usize {
+    pub(crate) fn hop_count(&self) -> usize {
         self.sequence.len()
     }
 
     /// Number of *distinct* participant devices in the ring, given the
     /// topology (memory-nodes forward traffic but do not inject collective
     /// messages — footnote 2 of the paper).
-    pub fn participant_count(&self, topo: &Topology) -> usize {
+    pub(crate) fn participant_count(&self, topo: &Topology) -> usize {
         let mut devs: Vec<NodeId> = self
             .sequence
             .iter()
@@ -55,7 +55,8 @@ impl Ring {
 
     /// The consecutive `(src, dst)` pairs of one lap, including the closing
     /// hop.
-    pub fn hops(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn hops(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         let n = self.sequence.len();
         (0..n).map(move |i| (self.sequence[i], self.sequence[(i + 1) % n]))
     }
@@ -90,7 +91,7 @@ impl RingShape {
 
     /// Links separating two adjacent participants (1 for a device-only
     /// ring; 2 for MC-DLA's alternating device/memory ring).
-    pub fn hops_per_step(&self) -> f64 {
+    pub(crate) fn hops_per_step(&self) -> f64 {
         if self.participants == 0 {
             0.0
         } else {

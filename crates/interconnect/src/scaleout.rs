@@ -67,7 +67,8 @@ impl ScaleOutPlane {
     }
 
     /// The underlying graph.
-    pub fn topology(&self) -> &Topology {
+    #[cfg(test)]
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
@@ -82,7 +83,8 @@ impl ScaleOutPlane {
     }
 
     /// The switch node.
-    pub fn switch(&self) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn switch(&self) -> NodeId {
         self.switch
     }
 
@@ -101,7 +103,8 @@ impl ScaleOutPlane {
     /// Per-device virtualization bandwidth to the memory-node pool in GB/s:
     /// all links can reach any memory-node through the switch, bounded by
     /// the pool's aggregate link bandwidth divided among devices.
-    pub fn virt_bandwidth_gbs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn virt_bandwidth_gbs(&self) -> f64 {
         if self.memory_nodes.is_empty() {
             return 0.0;
         }

@@ -53,7 +53,6 @@ impl fmt::Display for PagePolicy {
 /// One allocated remote region: which pages live on which side.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RemoteAllocation {
-    id: u64,
     bytes: u64,
     page_bytes: u64,
     /// Page-index placement, in virtual page order.
@@ -61,18 +60,15 @@ pub struct RemoteAllocation {
 }
 
 impl RemoteAllocation {
-    /// Allocation id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Requested size in bytes.
-    pub fn bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
     /// Page placements in virtual-address order.
-    pub fn placement(&self) -> &[Side] {
+    #[cfg(test)]
+    pub(crate) fn placement(&self) -> &[Side] {
         &self.placement
     }
 
@@ -103,8 +99,6 @@ pub enum AllocError {
         /// Bytes free under the chosen policy.
         available: u64,
     },
-    /// Freed an unknown allocation id.
-    UnknownAllocation(u64),
 }
 
 impl fmt::Display for AllocError {
@@ -117,7 +111,6 @@ impl fmt::Display for AllocError {
                 f,
                 "out of deviceremote memory: requested {requested} bytes, {available} free"
             ),
-            AllocError::UnknownAllocation(id) => write!(f, "unknown allocation id {id}"),
         }
     }
 }
@@ -142,9 +135,6 @@ impl std::error::Error for AllocError {}
 pub struct RemoteAllocator {
     page_bytes: u64,
     free: [u64; 2], // [left, right]
-    capacity: [u64; 2],
-    next_id: u64,
-    live: Vec<RemoteAllocation>,
 }
 
 impl RemoteAllocator {
@@ -159,30 +149,12 @@ impl RemoteAllocator {
         RemoteAllocator {
             page_bytes,
             free: [left_bytes, right_bytes],
-            capacity: [left_bytes, right_bytes],
-            next_id: 0,
-            live: Vec::new(),
         }
     }
 
     /// Total free bytes across both sides.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.free[0] + self.free[1]
-    }
-
-    /// Free bytes on one side.
-    pub fn free_on(&self, side: Side) -> u64 {
-        self.free[side as usize]
-    }
-
-    /// Total capacity across both sides.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity[0] + self.capacity[1]
-    }
-
-    /// Live allocations in creation order.
-    pub fn allocations(&self) -> &[RemoteAllocation] {
-        &self.live
     }
 
     /// `cudaMallocRemote`: places `bytes` under `policy` (Table I).
@@ -236,33 +208,11 @@ impl RemoteAllocator {
         for side in &placement {
             self.free[*side as usize] -= self.page_bytes;
         }
-        let alloc = RemoteAllocation {
-            id: self.next_id,
+        Ok(RemoteAllocation {
             bytes,
             page_bytes: self.page_bytes,
             placement,
-        };
-        self.next_id += 1;
-        self.live.push(alloc.clone());
-        Ok(alloc)
-    }
-
-    /// `cudaFreeRemote`: releases an allocation (Table I).
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::UnknownAllocation`] for ids not currently live.
-    pub fn free_remote(&mut self, id: u64) -> Result<(), AllocError> {
-        let idx = self
-            .live
-            .iter()
-            .position(|a| a.id == id)
-            .ok_or(AllocError::UnknownAllocation(id))?;
-        let alloc = self.live.swap_remove(idx);
-        for side in &alloc.placement {
-            self.free[*side as usize] += self.page_bytes;
-        }
-        Ok(())
+        })
     }
 
     /// Effective transfer bandwidth for an allocation under `policy` given
@@ -324,17 +274,6 @@ mod tests {
         assert_eq!(a.free_bytes(), before - PAGE);
         assert_eq!(r.bytes(), 100);
         assert_eq!(r.bytes_on(Side::Left) + r.bytes_on(Side::Right), 100);
-    }
-
-    #[test]
-    fn free_returns_capacity() {
-        let mut a = alloc();
-        let r = a.malloc_remote(10 * PAGE, PagePolicy::BwAware).unwrap();
-        let id = r.id();
-        let mid = a.free_bytes();
-        a.free_remote(id).unwrap();
-        assert_eq!(a.free_bytes(), mid + 10 * PAGE);
-        assert_eq!(a.free_remote(id), Err(AllocError::UnknownAllocation(id)));
     }
 
     #[test]

@@ -58,14 +58,6 @@ impl MemoryNodeConfig {
         }
     }
 
-    /// The PC4-17000 variant (170 GB/s) mentioned in §III-A.
-    pub fn pc4_17000() -> Self {
-        MemoryNodeConfig {
-            memory_bandwidth_gbs: 170.0,
-            ..MemoryNodeConfig::paper_baseline()
-        }
-    }
-
     /// A baseline populated with a specific DIMM option.
     pub fn with_dimm(dimm: DimmKind) -> Self {
         MemoryNodeConfig {
@@ -91,7 +83,7 @@ impl MemoryNodeConfig {
     }
 
     /// Links per group: `(N/M)`, the paper's per-client allocation.
-    pub fn links_per_group(&self) -> usize {
+    pub(crate) fn links_per_group(&self) -> usize {
         self.link_count / self.link_groups
     }
 
@@ -99,35 +91,6 @@ impl MemoryNodeConfig {
     /// the baseline's two groups).
     pub fn group_bandwidth_gbs(&self) -> f64 {
         self.links_per_group() as f64 * self.link_bandwidth_gbs
-    }
-
-    /// Effective read (or write) bandwidth one client group can sustain:
-    /// link-limited or DIMM-limited, whichever binds. The DIMM bandwidth is
-    /// shared by all M groups.
-    pub fn effective_group_bandwidth_gbs(&self) -> f64 {
-        self.group_bandwidth_gbs()
-            .min(self.memory_bandwidth_gbs / self.link_groups as f64)
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.dimm_count == 0 {
-            return Err("memory-node needs at least one DIMM".into());
-        }
-        if self.memory_bandwidth_gbs <= 0.0 {
-            return Err("memory bandwidth must be positive".into());
-        }
-        if self.link_count == 0 || self.link_bandwidth_gbs <= 0.0 {
-            return Err("memory-node needs high-bandwidth links".into());
-        }
-        if self.link_groups == 0 || self.link_groups > self.link_count {
-            return Err("link groups must satisfy 1 <= M <= N".into());
-        }
-        Ok(())
     }
 }
 
@@ -144,7 +107,6 @@ mod tests {
     #[test]
     fn baseline_matches_table2() {
         let c = MemoryNodeConfig::paper_baseline();
-        assert!(c.validate().is_ok());
         assert_eq!(c.memory_bandwidth_gbs, 256.0);
         assert_eq!(c.memory_latency_ns, 100);
         assert_eq!(c.link_count, 6);
@@ -192,22 +154,8 @@ mod tests {
         let c = MemoryNodeConfig::paper_baseline();
         assert_eq!(c.links_per_group(), 3);
         assert_eq!(c.group_bandwidth_gbs(), 75.0);
-        // DIMM side: 256/2 = 128 GB/s per group; links (75) bind.
-        assert_eq!(c.effective_group_bandwidth_gbs(), 75.0);
-        // A single-group node is DIMM-limited only above 150 GB/s of links.
         let mut one = MemoryNodeConfig::paper_baseline();
         one.link_groups = 1;
         assert_eq!(one.group_bandwidth_gbs(), 150.0);
-        assert_eq!(one.effective_group_bandwidth_gbs(), 150.0);
-    }
-
-    #[test]
-    fn validation_rejects_bad_configs() {
-        let mut c = MemoryNodeConfig::paper_baseline();
-        c.link_groups = 7;
-        assert!(c.validate().is_err());
-        let mut c = MemoryNodeConfig::paper_baseline();
-        c.dimm_count = 0;
-        assert!(c.validate().is_err());
     }
 }

@@ -36,7 +36,7 @@ impl DimmKind {
     ];
 
     /// Module capacity in decimal gigabytes.
-    pub fn capacity_gb(self) -> u64 {
+    pub(crate) fn capacity_gb(self) -> u64 {
         match self {
             DimmKind::Rdimm8 => 8,
             DimmKind::Rdimm16 => 16,
@@ -55,14 +55,6 @@ impl DimmKind {
             DimmKind::Lrdimm64 => 10.2,
             DimmKind::Lrdimm128 => 12.7,
         }
-    }
-
-    /// True for load-reduced (vs registered) modules.
-    pub fn is_load_reduced(self) -> bool {
-        matches!(
-            self,
-            DimmKind::Lrdimm32 | DimmKind::Lrdimm64 | DimmKind::Lrdimm128
-        )
     }
 
     /// Table IV display name.
@@ -99,13 +91,5 @@ mod tests {
     fn capacity_is_monotonic() {
         let caps: Vec<u64> = DimmKind::ALL.iter().map(|d| d.capacity_gb()).collect();
         assert!(caps.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn lrdimm_classification() {
-        assert!(!DimmKind::Rdimm8.is_load_reduced());
-        assert!(!DimmKind::Rdimm16.is_load_reduced());
-        assert!(DimmKind::Lrdimm32.is_load_reduced());
-        assert!(DimmKind::Lrdimm128.is_load_reduced());
     }
 }

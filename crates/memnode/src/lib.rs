@@ -33,10 +33,8 @@ mod alloc;
 mod config;
 mod dimm;
 mod power;
-mod protocol;
 
 pub use alloc::{AllocError, PagePolicy, RemoteAllocation, RemoteAllocator, Side};
 pub use config::MemoryNodeConfig;
 pub use dimm::DimmKind;
 pub use power::{paper_perf_per_watt_range, SystemPower, DGX_GPU_TDP_WATTS, DGX_SYSTEM_TDP_WATTS};
-pub use protocol::{CompressionUnit, EncryptionUnit, ProtocolEngine};

@@ -31,16 +31,6 @@ pub struct SystemPower {
 }
 
 impl SystemPower {
-    /// A DC-DLA system: no memory-nodes.
-    pub fn dc_dla() -> Self {
-        SystemPower {
-            base_watts: DGX_SYSTEM_TDP_WATTS,
-            memnode_watts: 0.0,
-            memnode_count: 0,
-            added_capacity_bytes: 0,
-        }
-    }
-
     /// An MC-DLA system with `count` memory-nodes of the given
     /// configuration.
     pub fn mc_dla(config: &MemoryNodeConfig, count: usize) -> Self {
@@ -115,7 +105,8 @@ mod tests {
 
     #[test]
     fn dc_dla_has_no_overhead() {
-        let p = SystemPower::dc_dla();
+        // DC-DLA is an MC-DLA system with no memory-nodes.
+        let p = SystemPower::mc_dla(&MemoryNodeConfig::paper_baseline(), 0);
         assert_eq!(p.total_watts(), DGX_SYSTEM_TDP_WATTS);
         assert_eq!(p.overhead_fraction(), 0.0);
         assert_eq!(p.perf_per_watt_gain(1.0), 1.0);

@@ -15,7 +15,7 @@ use std::time::Duration;
 /// The finite bucket upper bounds, in seconds: a 1-2-5 ladder per
 /// decade from 1 µs through 10 s. Observations above 10 s land in the
 /// implicit `+Inf` bucket.
-pub const BUCKET_BOUNDS: [f64; 22] = [
+pub(crate) const BUCKET_BOUNDS: [f64; 22] = [
     1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1,
     2e-1, 5e-1, 1.0, 2.0, 5.0, 10.0,
 ];
@@ -204,7 +204,8 @@ impl HistogramSnapshot {
     /// The upper bound of the highest non-empty bucket, in seconds —
     /// a conservative estimate of the maximum observation. Returns 0.0
     /// for an empty histogram.
-    pub fn max_estimate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max_estimate(&self) -> f64 {
         for i in (0..BUCKETS).rev() {
             if self.buckets[i] > 0 {
                 return BUCKET_BOUNDS

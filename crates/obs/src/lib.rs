@@ -44,10 +44,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-pub use hist::{Histogram, HistogramSnapshot, BUCKETS, BUCKET_BOUNDS};
-pub use recorder::{trace_cap_from_env, FlightRecorder, DEFAULT_TRACE_CAP};
-pub use sampler::{rss_bytes, sample_ms_from_env, unix_ms, Sampler, DEFAULT_SAMPLE_MS};
-pub use series::{history_cap_from_env, History, HistoryDump, DEFAULT_HISTORY_CAP};
+pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
+pub use recorder::FlightRecorder;
+pub use sampler::{rss_bytes, sample_ms_from_env, unix_ms, Sampler};
+pub use series::{history_cap_from_env, History, HistoryDump};
 pub use span::{enabled, set_enabled, Span, SpanRecord, TraceRecord, TraceScope};
 
 /// The crate (and workspace) version baked in at compile time.

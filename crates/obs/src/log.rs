@@ -54,7 +54,7 @@ impl Level {
 }
 
 /// Default emission cap, lines per second.
-pub const DEFAULT_LOG_LIMIT: u64 = 500;
+pub(crate) const DEFAULT_LOG_LIMIT: u64 = 500;
 
 /// A typed field value for structured lines. Built via `From`, so call
 /// sites read `("cells", loaded.into())`.
@@ -121,7 +121,7 @@ impl From<bool> for LogValue {
 /// Parsed `MCDLA_LOG` configuration: a default rank plus per-target
 /// overrides.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogConfig {
+pub(crate) struct LogConfig {
     default_rank: u8,
     overrides: Vec<(String, u8)>,
 }
@@ -140,7 +140,7 @@ fn parse_rank(s: &str) -> Option<u8> {
 impl LogConfig {
     /// Parses a spec like `info` or `warn,serve=debug`. Unknown levels
     /// fall back to `info`; malformed clauses are ignored.
-    pub fn parse(spec: &str) -> LogConfig {
+    pub(crate) fn parse(spec: &str) -> LogConfig {
         let mut default_rank = 3;
         let mut overrides = Vec::new();
         for clause in spec.split(',') {
@@ -168,7 +168,7 @@ impl LogConfig {
     }
 
     /// Whether `level` passes the filter for `target`.
-    pub fn enabled(&self, level: Level, target: &str) -> bool {
+    pub(crate) fn enabled(&self, level: Level, target: &str) -> bool {
         let rank = self
             .overrides
             .iter()
@@ -223,7 +223,7 @@ fn push_json_str(out: &mut String, s: &str) {
 
 /// Renders one structured line (without emitting it). Public so tests
 /// and the wide-event path can pin the exact wire shape.
-pub fn format_line(
+pub(crate) fn format_line(
     ts_ms: u64,
     level: Level,
     target: &str,
@@ -259,7 +259,7 @@ pub fn format_line(
 /// A per-second emission window; the global limiter plus any test
 /// instance. Lock-free: the window rolls via compare-exchange.
 #[derive(Debug, Default)]
-pub struct RateWindow {
+pub(crate) struct RateWindow {
     window_s: AtomicU64,
     emitted: AtomicU64,
     dropped: AtomicU64,
@@ -267,7 +267,7 @@ pub struct RateWindow {
 
 impl RateWindow {
     /// A fresh window.
-    pub const fn new() -> RateWindow {
+    pub(crate) const fn new() -> RateWindow {
         RateWindow {
             window_s: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
@@ -279,7 +279,7 @@ impl RateWindow {
     /// Returns `(admit, drops_to_confess)`: when a new window opens,
     /// the previous window's drop count is handed to the caller to
     /// report.
-    pub fn admit(&self, now_s: u64, limit: u64) -> (bool, u64) {
+    pub(crate) fn admit(&self, now_s: u64, limit: u64) -> (bool, u64) {
         if limit == 0 {
             return (true, 0);
         }
@@ -336,11 +336,6 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, LogValue)]) {
 /// [`log`] at [`Level::Error`].
 pub fn error(target: &str, msg: &str, fields: &[(&str, LogValue)]) {
     log(Level::Error, target, msg, fields);
-}
-
-/// [`log`] at [`Level::Warn`].
-pub fn warn(target: &str, msg: &str, fields: &[(&str, LogValue)]) {
-    log(Level::Warn, target, msg, fields);
 }
 
 /// [`log`] at [`Level::Info`].

@@ -22,11 +22,11 @@ use crate::span::TraceRecord;
 const STRIPES: usize = 8;
 
 /// Default recorder capacity (completed traces retained).
-pub const DEFAULT_TRACE_CAP: usize = 1024;
+pub(crate) const DEFAULT_TRACE_CAP: usize = 1024;
 
 /// Reads `MCDLA_TRACE_CAP` for the recorder capacity: unset, zero, or
 /// unparsable → [`DEFAULT_TRACE_CAP`].
-pub fn trace_cap_from_env() -> usize {
+pub(crate) fn trace_cap_from_env() -> usize {
     std::env::var("MCDLA_TRACE_CAP")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())

@@ -17,10 +17,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Default sampler cadence, in milliseconds.
-pub const DEFAULT_SAMPLE_MS: u64 = 1000;
+pub(crate) const DEFAULT_SAMPLE_MS: u64 = 1000;
 
 /// Reads `MCDLA_SAMPLE_MS` for the sampler cadence: unset or
-/// unparsable → [`DEFAULT_SAMPLE_MS`]; `0` → `None` (sampling
+/// unparsable → 1000 ms; `0` → `None` (sampling
 /// disabled).
 pub fn sample_ms_from_env() -> Option<u64> {
     match std::env::var("MCDLA_SAMPLE_MS") {
@@ -107,11 +107,6 @@ impl Sampler {
             thread: Some(thread),
             interval_ms,
         }
-    }
-
-    /// The configured cadence, in milliseconds.
-    pub fn interval_ms(&self) -> u64 {
-        self.interval_ms
     }
 
     /// Signals the thread and joins it. Idempotent via `Drop`.

@@ -14,10 +14,10 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Default number of retained samples per series.
-pub const DEFAULT_HISTORY_CAP: usize = 600;
+pub(crate) const DEFAULT_HISTORY_CAP: usize = 600;
 
 /// Reads `MCDLA_HISTORY_CAP` for the per-series retention: unset,
-/// zero, or unparsable → [`DEFAULT_HISTORY_CAP`].
+/// zero, or unparsable → 600 samples.
 pub fn history_cap_from_env() -> usize {
     std::env::var("MCDLA_HISTORY_CAP")
         .ok()
@@ -89,28 +89,13 @@ impl History {
         &self.names
     }
 
-    /// The configured retention bound (samples per series).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The advertised sampler cadence, in milliseconds.
-    pub fn interval_ms(&self) -> u64 {
-        self.interval_ms
-    }
-
     /// Number of samples currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner
             .lock()
             .expect("history poisoned")
             .timestamps_ms
             .len()
-    }
-
-    /// Whether no sample has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Appends one sample: a timestamp plus one value per series.

@@ -62,7 +62,7 @@ impl ParallelStrategy {
 
     /// The wire (serde) name — the PascalCase variant identifier the
     /// derived `Serialize` emits.
-    pub fn wire_name(self) -> &'static str {
+    pub(crate) fn wire_name(self) -> &'static str {
         match self {
             ParallelStrategy::DataParallel => "DataParallel",
             ParallelStrategy::ModelParallel => "ModelParallel",
@@ -70,7 +70,7 @@ impl ParallelStrategy {
     }
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ParallelStrategy::DataParallel => "data-parallel",
             ParallelStrategy::ModelParallel => "model-parallel",
@@ -120,14 +120,16 @@ pub enum SyncTrigger {
 
 impl SyncTrigger {
     /// The layer this trigger is attached to.
-    pub fn layer(self) -> LayerId {
+    #[cfg(test)]
+    pub(crate) fn layer(self) -> LayerId {
         match self {
             SyncTrigger::AfterForward(l) | SyncTrigger::AfterBackward(l) => l,
         }
     }
 
     /// True for forward-phase triggers.
-    pub fn is_forward(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_forward(self) -> bool {
         matches!(self, SyncTrigger::AfterForward(_))
     }
 }

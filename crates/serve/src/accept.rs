@@ -1,7 +1,7 @@
 //! The shared serving core both servers in this workspace run on: a
-//! non-blocking readiness loop over raw epoll (see [`crate::epoll`])
+//! non-blocking readiness loop over raw epoll (the `epoll` module)
 //! that owns every connection's I/O, plus a bounded worker pool that
-//! owns the blocking work. Both tiers plug in the same [`Service`], the
+//! owns the blocking work. Both tiers plug in the same `Service` trait, the
 //! node shell in [`crate::node`] — everything about accepting, parsing,
 //! pipelining, load-shedding, timeouts, and teardown lives here once.
 //!
@@ -18,18 +18,18 @@
 //!
 //! Parsed requests take one of three paths:
 //!
-//! * **fast**: [`Service::fast`] answers inline on the loop thread
+//! * **fast**: `Service::fast` answers inline on the loop thread
 //!   (cheap GETs, cache hits) — the response bytes go out through the
 //!   connection's outbox, many per wakeup.
 //! * **heavy**: the connection is *detached* — deregistered from epoll,
 //!   switched to blocking — and shipped with its unparsed inbox to the
 //!   worker pool behind a bounded admission queue. The worker answers
-//!   with the existing blocking handler code ([`Service::handle`]),
+//!   with the existing blocking handler code (`Service::handle`),
 //!   then re-attaches the connection to its loop through a mailbox +
 //!   waker. One heavy request per connection is in flight at a time,
 //!   and a re-attached connection's next request re-enters the queue at
 //!   the tail: that is the per-client fairness policy.
-//! * **shed**: when the admission queue is full, [`Service::shed`]
+//! * **shed**: when the admission queue is full, `Service::shed`
 //!   answers 429 + `Retry-After` inline and the connection stays open.
 //!
 //! The loop also owns the timers the old thread-per-connection stack
@@ -74,7 +74,7 @@ const WORKER_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A response the event loop can send without leaving the loop thread.
 #[derive(Debug)]
-pub struct FastAnswer {
+pub(crate) struct FastAnswer {
     /// The complete serialized response (status line through body).
     pub bytes: Vec<u8>,
     /// Whether the connection stays open afterwards.
@@ -83,7 +83,7 @@ pub struct FastAnswer {
 
 /// What a server plugs into the event loop: the split between work the
 /// loop thread may do inline and work that needs a pool worker.
-pub trait Service: Send + Sync + 'static {
+pub(crate) trait Service: Send + Sync + 'static {
     /// Answers a request inline when it is cheap (no simulation, no
     /// upstream I/O): cheap GETs, cache hits, input-validation 4xxs.
     /// `None` routes the request to the worker pool.
@@ -124,7 +124,7 @@ pub struct LoopConfig {
 
 /// Counters the event loop maintains, for `/stats` and `/metrics`.
 #[derive(Debug, Default)]
-pub struct LoopStats {
+pub(crate) struct LoopStats {
     accepted: AtomicU64,
     open: AtomicU64,
     shed: AtomicU64,
@@ -134,28 +134,28 @@ pub struct LoopStats {
 
 impl LoopStats {
     /// Connections accepted since start.
-    pub fn accepted(&self) -> u64 {
+    pub(crate) fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
     }
 
     /// Connections attached to a loop right now (detached connections
     /// being served by a worker are not counted).
-    pub fn open(&self) -> u64 {
+    pub(crate) fn open(&self) -> u64 {
         self.open.load(Ordering::Relaxed)
     }
 
     /// Requests answered 429 because the admission queue was full.
-    pub fn shed(&self) -> u64 {
+    pub(crate) fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 
     /// Requests answered 408 (stalled mid-head or mid-body).
-    pub fn request_timeouts(&self) -> u64 {
+    pub(crate) fn request_timeouts(&self) -> u64 {
         self.request_timeouts.load(Ordering::Relaxed)
     }
 
     /// Idle keep-alive connections closed silently.
-    pub fn idle_closed(&self) -> u64 {
+    pub(crate) fn idle_closed(&self) -> u64 {
         self.idle_closed.load(Ordering::Relaxed)
     }
 }
@@ -200,7 +200,7 @@ struct Core {
 
 /// A running event-loop server; dropping the handle leaks the threads,
 /// call [`LoopHandle::shutdown`] for a clean stop.
-pub struct LoopHandle {
+pub(crate) struct LoopHandle {
     core: Arc<Core>,
     loops: Vec<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -220,7 +220,7 @@ impl LoopHandle {
     /// accepted, attached connections close, queued heavy requests
     /// drain through the pool (in-flight responses finish), then every
     /// thread joins.
-    pub fn shutdown(self) {
+    pub(crate) fn shutdown(self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
         for mailbox in &self.core.mailboxes {
             mailbox.waker.wake();
@@ -235,10 +235,10 @@ impl LoopHandle {
         }
     }
 
-    /// Blocks until the loops exit (they only do on [`shutdown`] from
+    /// Blocks until the loops exit (they only do on [`Self::shutdown`] from
     /// another handle-less path, i.e. never in normal operation) — the
     /// foreground `run()` entry points park here.
-    pub fn join(self) {
+    pub(crate) fn join(self) {
         for t in self.loops {
             let _ = t.join();
         }
@@ -251,7 +251,7 @@ impl LoopHandle {
 /// Starts `config.loops` event-loop threads over `listener` and
 /// `config.workers` pool workers serving `service`. `stats` is shared
 /// so the caller can report loop counters from its own endpoints.
-pub fn spawn_event_loop<S: Service>(
+pub(crate) fn spawn_event_loop<S: Service>(
     listener: TcpListener,
     service: Arc<S>,
     config: &LoopConfig,

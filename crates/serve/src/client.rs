@@ -375,11 +375,6 @@ enum StreamKind<'a> {
 }
 
 impl StreamingResponse<'_> {
-    /// True for 2xx statuses.
-    pub fn is_ok(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
-
     /// The next line of the stream: `None` after a clean terminal chunk,
     /// `Some(Err(..))` on truncation or malformed framing.
     #[allow(clippy::should_implement_trait)] // borrows self.reader; not an owned Iterator

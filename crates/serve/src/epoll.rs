@@ -11,17 +11,17 @@ use std::io;
 use std::os::fd::RawFd;
 
 /// `EPOLLIN`: the fd is readable.
-pub const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLIN: u32 = 0x001;
 /// `EPOLLOUT`: the fd is writable.
-pub const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 /// `EPOLLERR`: error condition (always reported, never registered).
-pub const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLERR: u32 = 0x008;
 /// `EPOLLHUP`: hangup (always reported, never registered).
-pub const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLHUP: u32 = 0x010;
 /// `EPOLLRDHUP`: peer shut down its write half.
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 /// `EPOLLEXCLUSIVE`: wake only one of the loops sharing a listener.
-pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
+pub(crate) const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -36,7 +36,7 @@ const EFD_NONBLOCK: i32 = 0o4000;
 #[cfg(target_arch = "x86_64")]
 #[repr(C, packed)]
 #[derive(Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// Ready-state bitmask (`EPOLLIN` | `EPOLLOUT` | ...).
     pub events: u32,
     /// The token passed at registration time.
@@ -47,7 +47,7 @@ pub struct Event {
 #[cfg(not(target_arch = "x86_64"))]
 #[repr(C)]
 #[derive(Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// Ready-state bitmask (`EPOLLIN` | `EPOLLOUT` | ...).
     pub events: u32,
     /// The token passed at registration time.
@@ -78,13 +78,13 @@ extern "C" {
 
 /// An epoll instance (level-triggered readiness queries).
 #[derive(Debug)]
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: RawFd,
 }
 
 impl Epoll {
     /// A fresh epoll instance (`EPOLL_CLOEXEC`).
-    pub fn new() -> io::Result<Epoll> {
+    pub(crate) fn new() -> io::Result<Epoll> {
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -93,18 +93,18 @@ impl Epoll {
     }
 
     /// Registers `fd` for `events`, delivering `token` on readiness.
-    pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
     }
 
     /// Changes the registered interest set for `fd`.
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
 
     /// Removes `fd` from the interest set (closing an fd does this
     /// implicitly, but detaching a live connection must be explicit).
-    pub fn del(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn del(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
@@ -119,7 +119,7 @@ impl Epoll {
 
     /// Blocks up to `timeout_ms` for readiness; fills `events` and
     /// returns how many are valid. `EINTR` reads as zero events.
-    pub fn wait(&self, events: &mut [Event], timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, events: &mut [Event], timeout_ms: i32) -> io::Result<usize> {
         let n = unsafe {
             epoll_wait(
                 self.fd,
@@ -148,13 +148,13 @@ impl Drop for Epoll {
 /// An `eventfd`-backed waker: any thread calls [`Waker::wake`] to make
 /// the owning loop's `epoll_wait` return.
 #[derive(Debug)]
-pub struct Waker {
+pub(crate) struct Waker {
     fd: RawFd,
 }
 
 impl Waker {
     /// A fresh nonblocking eventfd.
-    pub fn new() -> io::Result<Waker> {
+    pub(crate) fn new() -> io::Result<Waker> {
         let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -163,19 +163,19 @@ impl Waker {
     }
 
     /// The fd to register with the loop's [`Epoll`] (`EPOLLIN`).
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         self.fd
     }
 
     /// Wakes the loop. Never blocks: the eventfd counter saturating
     /// (`EAGAIN`) still leaves it readable, which is all a wake needs.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let one: u64 = 1;
         unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
     }
 
     /// Drains pending wakes so level-triggered polling quiesces.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut count = [0u8; 8];
         unsafe { read(self.fd, count.as_mut_ptr(), 8) };
     }

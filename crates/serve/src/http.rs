@@ -19,10 +19,10 @@
 use std::io::Write;
 
 /// Maximum accepted request-head size (request line + headers).
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Maximum accepted request-body size.
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub struct Request {
 
 impl Request {
     /// The first header with the given (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
@@ -64,7 +64,7 @@ pub struct WireError {
 impl WireError {
     /// A wire error with the status the connection should answer
     /// before closing.
-    pub fn new(status: u16, message: impl Into<String>) -> Self {
+    pub(crate) fn new(status: u16, message: impl Into<String>) -> Self {
         WireError {
             status,
             message: message.into(),
@@ -219,7 +219,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> 
 /// The error to answer when the peer stopped sending (EOF or timeout)
 /// with an incomplete request in `buf`. `timed_out` selects 408 over
 /// the 400 a truncating close earns.
-pub fn incomplete_error(buf: &[u8], timed_out: bool) -> WireError {
+pub(crate) fn incomplete_error(buf: &[u8], timed_out: bool) -> WireError {
     let part = if find_head_end(&buf[..buf.len().min(MAX_HEAD_BYTES)]).is_some() {
         "body"
     } else {
@@ -246,7 +246,7 @@ fn is_http_1x(version: &str) -> bool {
 }
 
 /// The canonical reason phrase for the statuses this service answers.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -266,7 +266,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Splits a request target into its path and optional query string
 /// (`/grid?stream=1` → `("/grid", Some("stream=1"))`).
-pub fn split_target(target: &str) -> (&str, Option<&str>) {
+pub(crate) fn split_target(target: &str) -> (&str, Option<&str>) {
     match target.split_once('?') {
         Some((path, query)) => (path, Some(query)),
         None => (target, None),
@@ -274,7 +274,7 @@ pub fn split_target(target: &str) -> (&str, Option<&str>) {
 }
 
 /// True when a query string carries `key=1` or a bare `key` flag.
-pub fn query_flag(query: Option<&str>, key: &str) -> bool {
+pub(crate) fn query_flag(query: Option<&str>, key: &str) -> bool {
     query.unwrap_or("").split('&').any(|pair| {
         pair == key || pair.strip_prefix(key).and_then(|r| r.strip_prefix('=')) == Some("1")
     })
@@ -283,7 +283,7 @@ pub fn query_flag(query: Option<&str>, key: &str) -> bool {
 /// The value of `key=...` in a query string (`None` when absent or
 /// bare). No percent-decoding — the values this service reads are
 /// plain tokens (`sort=slow`, `endpoint=grid`, `limit=50`).
-pub fn query_param<'q>(query: Option<&'q str>, key: &str) -> Option<&'q str> {
+pub(crate) fn query_param<'q>(query: Option<&'q str>, key: &str) -> Option<&'q str> {
     query?
         .split('&')
         .find_map(|pair| pair.split_once('=').filter(|(k, _)| *k == key))
@@ -293,7 +293,7 @@ pub fn query_param<'q>(query: Option<&'q str>, key: &str) -> Option<&'q str> {
 /// Starts a chunked NDJSON response: status line and headers (`extra_headers`
 /// carry the request-id echo) only; the body follows as [`write_chunk`]
 /// calls ended by [`finish_chunked`].
-pub fn write_chunked_head_with(
+pub(crate) fn write_chunked_head_with(
     w: &mut impl Write,
     status: u16,
     extra_headers: &[(&str, &str)],
@@ -316,7 +316,7 @@ pub fn write_chunked_head_with(
 
 /// Writes one HTTP/1.1 chunk (`{len:x}\r\n{data}\r\n`). Empty data is
 /// skipped — a zero-length chunk would terminate the stream.
-pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_chunk(w: &mut impl Write, data: &[u8]) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
@@ -329,14 +329,14 @@ pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> std::io::Result<()> {
 /// Terminates a chunked response (the `0\r\n\r\n` final chunk). A stream
 /// that closes without this marker was truncated mid-flight — that is
 /// how clients detect a server-side failure after the 200 head.
-pub fn finish_chunked(w: &mut impl Write) -> std::io::Result<()> {
+pub(crate) fn finish_chunked(w: &mut impl Write) -> std::io::Result<()> {
     w.write_all(b"0\r\n\r\n")?;
     w.flush()
 }
 
 /// Writes one response with its content type and extra headers (the
 /// `X-Mcdla-Request-Id` echo).
-pub fn write_response_with(
+pub(crate) fn write_response_with(
     w: &mut impl Write,
     status: u16,
     content_type: &str,
@@ -366,7 +366,7 @@ pub fn write_response_with(
 }
 
 /// The `{"error": message}` JSON body every failure answers with.
-pub fn error_body(message: &str) -> String {
+pub(crate) fn error_body(message: &str) -> String {
     serde::json::to_string(&serde::Value::Map(vec![(
         "error".into(),
         serde::Value::Str(message.into()),

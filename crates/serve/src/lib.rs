@@ -21,8 +21,8 @@
 //! | endpoint | body | answer |
 //! |---|---|---|
 //! | `POST /simulate` | one serde [`Scenario`](mcdla_core::Scenario) | `{scenario, digest, cached, report}` |
-//! | `POST /grid` | cartesian axes ([`GridRequest`]) | `{count, cells: [...]}` |
-//! | `POST /grid?stream=1` | cartesian axes ([`GridRequest`]) | chunked NDJSON, one cell per line |
+//! | `POST /grid` | cartesian axes, or an explicit `cells` list | `{count, cells: [...]}` |
+//! | `POST /grid?stream=1` | same as `POST /grid` | chunked NDJSON, one cell per line |
 //! | `GET /healthz` | — | `{"status":"ok"}` + uptime/build info |
 //! | `GET /stats` | — | store + request counters |
 //! | `GET /metrics` | — | Prometheus exposition (counters + latency histograms) |
@@ -62,13 +62,12 @@
 
 pub mod accept;
 pub mod client;
-pub mod epoll;
+mod epoll;
 pub mod http;
 pub mod metrics;
 pub mod node;
 mod server;
 pub mod trace;
 
-pub use server::{
-    cell_value, GridRequest, ServeConfig, Server, ServerHandle, MAX_GRID_CELLS, MAX_STREAM_CELLS,
-};
+pub(crate) use server::MAX_STREAM_CELLS;
+pub use server::{cell_value, ServeConfig, Server, ServerHandle, MAX_GRID_CELLS};

@@ -14,24 +14,24 @@ use mcdla_obs::HistogramSnapshot;
 use serde::Value;
 
 /// The `content-type` a Prometheus scrape expects.
-pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+pub(crate) const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
 /// Accumulates one exposition document: `# HELP`/`# TYPE` headers
 /// followed by sample lines, family by family.
 #[derive(Debug, Default)]
-pub struct MetricsBuilder {
+pub(crate) struct MetricsBuilder {
     out: String,
 }
 
 impl MetricsBuilder {
     /// An empty document.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Starts a metric family: emits its `# HELP` and `# TYPE` lines.
     /// Follow with [`MetricsBuilder::sample`] calls for the same name.
-    pub fn family(&mut self, name: &str, help: &str, kind: &str) -> &mut Self {
+    pub(crate) fn family(&mut self, name: &str, help: &str, kind: &str) -> &mut Self {
         self.out.push_str("# HELP ");
         self.out.push_str(name);
         self.out.push(' ');
@@ -46,7 +46,7 @@ impl MetricsBuilder {
 
     /// One sample line. `labels` are `(name, value)` pairs; label values
     /// are escaped per the exposition format.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut Self {
+    pub(crate) fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut Self {
         self.out.push_str(name);
         if !labels.is_empty() {
             self.out.push('{');
@@ -78,14 +78,14 @@ impl MetricsBuilder {
 
     /// Starts a `histogram` family; follow with
     /// [`MetricsBuilder::histogram`] calls for each label set.
-    pub fn histogram_family(&mut self, name: &str, help: &str) -> &mut Self {
+    pub(crate) fn histogram_family(&mut self, name: &str, help: &str) -> &mut Self {
         self.family(name, help, "histogram")
     }
 
     /// One histogram series: cumulative `{name}_bucket{le=...}` lines
     /// in ascending `le` order (ending at `le="+Inf"`, whose count
     /// equals `{name}_count`), then `{name}_sum` and `{name}_count`.
-    pub fn histogram(
+    pub(crate) fn histogram(
         &mut self,
         name: &str,
         labels: &[(&str, &str)],
@@ -103,7 +103,7 @@ impl MetricsBuilder {
     }
 
     /// The finished exposition document.
-    pub fn finish(self) -> String {
+    pub(crate) fn finish(self) -> String {
         self.out
     }
 }

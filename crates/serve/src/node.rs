@@ -1,7 +1,7 @@
 //! The node shell both tiers run in. The worker (`mcdla serve`) and the
 //! gateway (`mcdla gateway`) are each a [`Tier`] — a route table, its
 //! handlers, and a metric table — inside one [`Node`], which implements
-//! the event loop's [`Service`] once and owns everything else:
+//! the event loop's `Service` trait once and owns everything else:
 //!
 //! * node state: start time, shutdown flag, loop counters, per-endpoint
 //!   request counters and latency histograms, the flight recorder, the
@@ -35,8 +35,8 @@ use crate::http::{
     write_chunked_head_with, write_response_with, Request, WireError,
 };
 use crate::metrics::{self, Metric, MetricsBuilder, Reading, Series};
+use crate::server::GridRequest;
 use crate::trace::{self, REQUEST_ID_HEADER};
-use crate::GridRequest;
 
 /// One route: `(method, path, endpoint label)`. A path ending in `/`
 /// matches by prefix; the label (one of [`Tier::ENDPOINTS`]) is what

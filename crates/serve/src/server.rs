@@ -31,7 +31,7 @@ pub const MAX_GRID_CELLS: usize = 10_000;
 /// process as soon as a worker finishes it — so the bound is an order of
 /// magnitude looser than [`MAX_GRID_CELLS`] and exists only to stop one
 /// request monopolizing the simulation pool forever.
-pub const MAX_STREAM_CELLS: usize = 100_000;
+pub(crate) const MAX_STREAM_CELLS: usize = 100_000;
 
 /// Idle keep-alive connections are dropped after this long.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
@@ -206,11 +206,6 @@ impl Server {
     /// The resolved listen address (useful with port 0).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.bound.local_addr()
-    }
-
-    /// The store this server serves from (shared with any batch work).
-    pub fn store(&self) -> &Arc<ResultStore> {
-        &self.bound.node.tier.store
     }
 
     /// Starts the event loop and worker pool in background threads and
@@ -541,7 +536,7 @@ impl Worker {
 /// to the paper's §V matrix axis (all designs, all benchmarks, both
 /// strategies, paper-default knobs).
 #[derive(Debug, Default, Deserialize, Serialize)]
-pub struct GridRequest {
+pub(crate) struct GridRequest {
     /// System-design axis.
     pub designs: Option<Vec<SystemDesign>>,
     /// Benchmark axis.
@@ -570,13 +565,14 @@ pub struct GridRequest {
 impl GridRequest {
     /// Expands the request into concrete scenarios, bounded by
     /// [`MAX_GRID_CELLS`] (the buffered `POST /grid` limit).
-    pub fn scenarios(&self) -> Result<Vec<Scenario>, String> {
+    #[cfg(test)]
+    pub(crate) fn scenarios(&self) -> Result<Vec<Scenario>, String> {
         self.scenarios_bounded(MAX_GRID_CELLS)
     }
 
     /// Expands the request into concrete scenarios, rejecting grids over
     /// `max_cells` (streamed requests use [`MAX_STREAM_CELLS`]).
-    pub fn scenarios_bounded(&self, max_cells: usize) -> Result<Vec<Scenario>, String> {
+    pub(crate) fn scenarios_bounded(&self, max_cells: usize) -> Result<Vec<Scenario>, String> {
         if let Some(cells) = &self.cells {
             if self.designs.is_some()
                 || self.benchmarks.is_some()

@@ -32,7 +32,7 @@ pub const REQUEST_ID_HEADER: &str = "x-mcdla-request-id";
 /// when present and well-formed (see
 /// [`valid_request_id`](mcdla_obs::valid_request_id)), else a fresh
 /// id generated at this edge.
-pub fn request_trace_id(request: &Request) -> String {
+pub(crate) fn request_trace_id(request: &Request) -> String {
     match request.header(REQUEST_ID_HEADER) {
         Some(id) if mcdla_obs::valid_request_id(id) => id.to_string(),
         _ => mcdla_obs::request_id(),
@@ -41,7 +41,7 @@ pub fn request_trace_id(request: &Request) -> String {
 
 /// Renders a completed trace as the wire JSON: identity, outcome, and
 /// the span tree (span `parent` indexes into the same `spans` array).
-pub fn trace_value(service: &str, rec: &TraceRecord) -> Value {
+pub(crate) fn trace_value(service: &str, rec: &TraceRecord) -> Value {
     Value::Map(vec![
         ("id".into(), Value::Str(rec.id.clone())),
         ("service".into(), Value::Str(service.into())),
@@ -76,7 +76,7 @@ pub fn trace_value(service: &str, rec: &TraceRecord) -> Value {
 
 /// One line of the `/debug/requests` listing: the trace identity and
 /// totals without the span tree (fetch `/debug/trace/<id>` for that).
-pub fn trace_summary(rec: &TraceRecord) -> Value {
+pub(crate) fn trace_summary(rec: &TraceRecord) -> Value {
     Value::Map(vec![
         ("id".into(), Value::Str(rec.id.clone())),
         ("endpoint".into(), Value::Str(rec.endpoint.clone())),
@@ -92,7 +92,7 @@ pub fn trace_summary(rec: &TraceRecord) -> Value {
 /// newest first by default, slowest first with `sort=slow`, filtered
 /// by `endpoint=<label>`, truncated to `limit=<n>` entries (default
 /// 100).
-pub fn debug_requests_value(
+pub(crate) fn debug_requests_value(
     service: &str,
     recorder: &mcdla_obs::FlightRecorder,
     sort: Option<&str>,
@@ -128,7 +128,7 @@ pub fn debug_requests_value(
 /// pretty. A body that does not parse as an object comes back
 /// unchanged (defensive: graft targets are bodies this process just
 /// serialized).
-pub fn graft_json(body: &str, key: &str, value: Value) -> String {
+pub(crate) fn graft_json(body: &str, key: &str, value: Value) -> String {
     match serde::json::parse(body) {
         Ok(Value::Map(mut entries)) => {
             entries.push((key.into(), value));
@@ -152,7 +152,7 @@ pub fn build_value() -> Value {
 
 /// Reads `MCDLA_SLOW_MS`: a positive integer enables the slow-request
 /// log at that threshold; unset, `0`, or unparsable disables it.
-pub fn slow_ms_from_env() -> Option<u64> {
+pub(crate) fn slow_ms_from_env() -> Option<u64> {
     std::env::var("MCDLA_SLOW_MS")
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
@@ -162,7 +162,7 @@ pub fn slow_ms_from_env() -> Option<u64> {
 /// The wide-event level for a finished request: `info` when it needs
 /// an operator's attention (slow per `MCDLA_SLOW_MS`, shed 429, timed
 /// out 408, or 5xx), `debug` otherwise.
-pub fn wide_event_level(slow_ms: Option<u64>, status: u16, total_us: u64) -> Level {
+pub(crate) fn wide_event_level(slow_ms: Option<u64>, status: u16, total_us: u64) -> Level {
     let slow = slow_ms.is_some_and(|ms| total_us >= ms.saturating_mul(1000));
     if slow || status >= 500 || status == 429 || status == 408 {
         Level::Info
@@ -175,7 +175,7 @@ pub fn wide_event_level(slow_ms: Option<u64>, status: u16, total_us: u64) -> Lev
 /// the error body with a freshly generated request id echoed, plus the
 /// failure's wide event (408 timeouts at `info`, parse rejections at
 /// `debug`). The connection always closes after this answer.
-pub fn wire_error_answer(target: &str, service: &str, error: &WireError) -> Vec<u8> {
+pub(crate) fn wire_error_answer(target: &str, service: &str, error: &WireError) -> Vec<u8> {
     let rid = mcdla_obs::request_id();
     let level = wide_event_level(None, error.status, 0);
     mcdla_obs::log::log(
@@ -204,7 +204,7 @@ pub fn wire_error_answer(target: &str, service: &str, error: &WireError) -> Vec<
 /// Renders a [`HistoryDump`] as the `GET /metrics/history` body:
 /// the shared timestamp column plus a `series` map, aligned
 /// index-for-index, oldest sample first.
-pub fn history_value(service: &str, dump: &HistoryDump) -> Value {
+pub(crate) fn history_value(service: &str, dump: &HistoryDump) -> Value {
     Value::Map(vec![
         ("service".into(), Value::Str(service.into())),
         ("interval_ms".into(), Value::U64(dump.interval_ms)),

@@ -29,7 +29,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct FifoEngine {
     free_at: SimTime,
     busy: SimDuration,
-    completed: u64,
 }
 
 /// The scheduled execution window of one submitted work item.
@@ -39,14 +38,6 @@ pub struct Completion {
     pub start: SimTime,
     /// When the item finishes.
     pub end: SimTime,
-}
-
-impl Completion {
-    /// Time the item spent executing.
-    #[inline]
-    pub fn duration(&self) -> SimDuration {
-        self.end - self.start
-    }
 }
 
 impl FifoEngine {
@@ -66,15 +57,7 @@ impl FifoEngine {
         let end = start + duration;
         self.free_at = end;
         self.busy += duration;
-        self.completed += 1;
         Completion { start, end }
-    }
-
-    /// Blocks the engine until at least `time` (models an external dependency
-    /// occupying the head of the queue without doing billable work).
-    #[inline]
-    pub fn stall_until(&mut self, time: SimTime) {
-        self.free_at = self.free_at.max(time);
     }
 
     /// Instant at which the engine next becomes free.
@@ -87,24 +70,6 @@ impl FifoEngine {
     #[inline]
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Number of completed work items.
-    #[inline]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Fraction of `[0, horizon]` spent busy; 0 for a zero horizon.
-    #[inline]
-    pub fn utilization(&self, horizon: SimDuration) -> f64 {
-        self.busy.fraction_of(horizon)
-    }
-
-    /// Resets the engine to idle at time zero, clearing statistics.
-    #[inline]
-    pub fn reset(&mut self) {
-        *self = FifoEngine::default();
     }
 }
 
@@ -125,33 +90,6 @@ mod tests {
         assert_eq!(c.start, SimTime::from_ns(250));
         assert_eq!(e.free_at(), SimTime::from_ns(260));
         assert_eq!(e.busy_time(), SimDuration::from_ns(210));
-        assert_eq!(e.completed(), 3);
-    }
-
-    #[test]
-    fn stall_pushes_free_time_without_busy() {
-        let mut e = FifoEngine::new();
-        e.stall_until(SimTime::from_us(5));
-        let a = e.submit(SimTime::ZERO, SimDuration::from_us(1));
-        assert_eq!(a.start, SimTime::from_us(5));
-        assert_eq!(e.busy_time(), SimDuration::from_us(1));
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut e = FifoEngine::new();
-        e.submit(SimTime::ZERO, SimDuration::from_us(25));
-        assert!((e.utilization(SimDuration::from_us(100)) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut e = FifoEngine::new();
-        e.submit(SimTime::ZERO, SimDuration::from_us(1));
-        e.reset();
-        assert_eq!(e.free_at(), SimTime::ZERO);
-        assert_eq!(e.busy_time(), SimDuration::ZERO);
-        assert_eq!(e.completed(), 0);
     }
 
     #[test]
@@ -159,6 +97,5 @@ mod tests {
         let mut e = FifoEngine::new();
         let c = e.submit(SimTime::from_ns(7), SimDuration::ZERO);
         assert_eq!(c.start, c.end);
-        assert_eq!(c.duration(), SimDuration::ZERO);
     }
 }

@@ -7,15 +7,14 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — an integer-picosecond clock, so event
 //!   ordering is exact and runs are reproducible.
-//! * [`EventQueue`] — a calendar queue with deterministic FIFO tie-breaks.
 //! * [`FifoEngine`] — a serialized hardware stream (PE array, DMA unit,
 //!   protocol/communication engine) that accumulates the busy time stacked
 //!   in the paper's Figure 11.
 //! * [`FlowNetwork`] — a max-min-fair fluid-flow bandwidth model for shared
 //!   channels (PCIe switches, CPU socket DRAM, NVLINK-class links, DIMM
 //!   bandwidth), giving contention effects without packet-level simulation.
-//! * [`stats`] — harmonic means and normalization helpers used throughout
-//!   the evaluation (§V reports all averages as harmonic means).
+//! * [`stats`] — the harmonic mean used throughout the evaluation (§V
+//!   reports all averages as harmonic means).
 //!
 //! # Examples
 //!
@@ -26,7 +25,7 @@
 //! use mcdla_sim::{Bandwidth, Bytes, FlowNetwork, SimTime};
 //!
 //! let mut net = FlowNetwork::new();
-//! let socket = net.add_channel("socket-dram", Bandwidth::gb_per_sec(80.0));
+//! let socket = net.add_channel(Bandwidth::gb_per_sec(80.0));
 //! // Four devices offloading feature maps concurrently through one socket.
 //! let flows: Vec<_> = (0..4)
 //!     .map(|_| net.open_flow(SimTime::ZERO, &[socket], Bytes::from_gb(20)).unwrap())
@@ -39,14 +38,12 @@
 #![warn(missing_debug_implementations)]
 
 mod engine;
-mod event;
 mod flow;
 pub mod stats;
 mod time;
 mod units;
 
 pub use engine::{Completion, FifoEngine};
-pub use event::EventQueue;
 pub use flow::{ChannelId, FlowError, FlowId, FlowNetwork};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, Bytes};

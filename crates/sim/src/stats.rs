@@ -1,8 +1,7 @@
-//! Small statistics helpers used when aggregating experiment results.
+//! The averaging helper used when aggregating experiment results.
 //!
 //! The paper reports all averages as **harmonic means** (§V: "All average
-//! values are based on harmonic means"), so that helper lives here next to
-//! the arithmetic and geometric variants.
+//! values are based on harmonic means"), so that helper lives here.
 
 /// Harmonic mean of the values; `None` when empty or any value is `<= 0`.
 ///
@@ -22,45 +21,6 @@ pub fn harmonic_mean(values: &[f64]) -> Option<f64> {
     Some(values.len() as f64 / inv_sum)
 }
 
-/// Arithmetic mean; `None` when empty.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
-/// Geometric mean; `None` when empty or any value is `<= 0`.
-pub fn geometric_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.iter().any(|v| *v <= 0.0 || !v.is_finite()) {
-        return None;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    Some((log_sum / values.len() as f64).exp())
-}
-
-/// Normalizes `values` so the maximum becomes 1.0 (the convention of the
-/// paper's Figures 11 and 13); returns an empty vector for empty input and
-/// all-zeros if the maximum is zero.
-pub fn normalize_to_max(values: &[f64]) -> Vec<f64> {
-    let max = values.iter().cloned().fold(f64::MIN, f64::max);
-    if values.is_empty() || max <= 0.0 {
-        return vec![0.0; values.len()];
-    }
-    values.iter().map(|v| v / max).collect()
-}
-
-/// Normalizes `values` relative to `baseline` (element 0 of a comparison),
-/// returning `v / baseline` per element. Returns all zeros if `baseline`
-/// is zero.
-pub fn normalize_to(values: &[f64], baseline: f64) -> Vec<f64> {
-    if baseline == 0.0 {
-        return vec![0.0; values.len()];
-    }
-    values.iter().map(|v| v / baseline).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,28 +32,5 @@ mod tests {
         assert_eq!(harmonic_mean(&[]), None);
         assert_eq!(harmonic_mean(&[1.0, 0.0]), None);
         assert_eq!(harmonic_mean(&[1.0, -2.0]), None);
-    }
-
-    #[test]
-    fn harmonic_is_below_geometric_is_below_arithmetic() {
-        let v = [1.0, 2.0, 4.0, 8.0];
-        let h = harmonic_mean(&v).unwrap();
-        let g = geometric_mean(&v).unwrap();
-        let a = mean(&v).unwrap();
-        assert!(h < g && g < a, "AM-GM-HM inequality violated: {h} {g} {a}");
-    }
-
-    #[test]
-    fn normalize_to_max_caps_at_one() {
-        let n = normalize_to_max(&[1.0, 2.0, 4.0]);
-        assert_eq!(n, vec![0.25, 0.5, 1.0]);
-        assert_eq!(normalize_to_max(&[]), Vec::<f64>::new());
-        assert_eq!(normalize_to_max(&[0.0, 0.0]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn normalize_to_baseline() {
-        assert_eq!(normalize_to(&[2.0, 4.0], 2.0), vec![1.0, 2.0]);
-        assert_eq!(normalize_to(&[2.0], 0.0), vec![0.0]);
     }
 }

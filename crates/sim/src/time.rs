@@ -19,7 +19,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// use mcdla_sim::{SimDuration, SimTime};
 ///
 /// let t = SimTime::ZERO + SimDuration::from_us(3);
-/// assert_eq!(t.as_ps(), 3_000_000);
+/// assert_eq!(t.as_secs_f64(), 3e-6);
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct SimTime(u64);
@@ -31,8 +31,8 @@ pub struct SimTime(u64);
 /// ```
 /// use mcdla_sim::SimDuration;
 ///
-/// let d = SimDuration::from_ns(5) * 4;
-/// assert_eq!(d.as_secs_f64(), 20e-9);
+/// let d = SimDuration::from_us(5) * 4;
+/// assert_eq!(d.as_secs_f64(), 20e-6);
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct SimDuration(u64);
@@ -49,14 +49,16 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant `ps` picoseconds after simulation start.
+    #[cfg(test)]
     #[inline]
-    pub const fn from_ps(ps: u64) -> Self {
+    pub(crate) const fn from_ps(ps: u64) -> Self {
         SimTime(ps)
     }
 
     /// Creates an instant `ns` nanoseconds after simulation start.
+    #[cfg(test)]
     #[inline]
-    pub const fn from_ns(ns: u64) -> Self {
+    pub(crate) const fn from_ns(ns: u64) -> Self {
         SimTime(ns * PS_PER_NS)
     }
 
@@ -64,12 +66,6 @@ impl SimTime {
     #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimTime(us * PS_PER_US)
-    }
-
-    /// Returns the raw picosecond count.
-    #[inline]
-    pub const fn as_ps(self) -> u64 {
-        self.0
     }
 
     /// Returns the instant as fractional seconds since simulation start.
@@ -86,18 +82,8 @@ impl SimTime {
 
     /// Returns the later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the earlier of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
             self
         } else {
             other
@@ -112,14 +98,16 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration of `ps` picoseconds.
+    #[cfg(test)]
     #[inline]
-    pub const fn from_ps(ps: u64) -> Self {
+    pub(crate) const fn from_ps(ps: u64) -> Self {
         SimDuration(ps)
     }
 
     /// Creates a duration of `ns` nanoseconds.
+    #[cfg(test)]
     #[inline]
-    pub const fn from_ns(ns: u64) -> Self {
+    pub(crate) const fn from_ns(ns: u64) -> Self {
         SimDuration(ns * PS_PER_NS)
     }
 
@@ -130,8 +118,9 @@ impl SimDuration {
     }
 
     /// Creates a duration of `ms` milliseconds.
+    #[cfg(test)]
     #[inline]
-    pub const fn from_ms(ms: u64) -> Self {
+    pub(crate) const fn from_ms(ms: u64) -> Self {
         SimDuration(ms * PS_PER_MS)
     }
 
@@ -166,59 +155,10 @@ impl SimDuration {
         self.0 as f64 / PS_PER_SEC as f64
     }
 
-    /// Returns the duration as fractional microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_US as f64
-    }
-
     /// Returns the duration as fractional milliseconds.
     #[inline]
     pub fn as_ms_f64(self) -> f64 {
         self.0 as f64 / PS_PER_MS as f64
-    }
-
-    /// True when the duration is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Duration minus `other`, saturating at zero.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Returns the larger of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Ratio of `self` to `total`, as a fraction in `[0, 1]` when
-    /// `self <= total`. Returns 0 when `total` is zero.
-    #[inline]
-    pub fn fraction_of(self, total: SimDuration) -> f64 {
-        if total.0 == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total.0 as f64
-        }
     }
 }
 
@@ -393,13 +333,6 @@ mod tests {
         assert_eq!(d + SimDuration::from_ns(1), SimDuration::MAX);
         assert_eq!(SimTime::MAX + d, SimTime::MAX);
         assert_eq!(d * 2, SimDuration::MAX);
-    }
-
-    #[test]
-    fn fraction_of_total() {
-        let d = SimDuration::from_us(25);
-        assert!((d.fraction_of(SimDuration::from_us(100)) - 0.25).abs() < 1e-12);
-        assert_eq!(d.fraction_of(SimDuration::ZERO), 0.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::time::SimDuration;
 ///
 /// let fmap = Bytes::from_mib(64);
 /// assert_eq!(fmap.as_u64(), 64 * 1024 * 1024);
-/// assert_eq!((fmap * 2).as_mib(), 128.0);
+/// assert_eq!((fmap * 2).to_string(), "128.00MiB");
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Bytes(u64);
@@ -35,18 +35,6 @@ impl Bytes {
     #[inline]
     pub const fn new(bytes: u64) -> Self {
         Bytes(bytes)
-    }
-
-    /// Decimal kilobytes (1 KB = 1000 B).
-    #[inline]
-    pub const fn from_kb(kb: u64) -> Self {
-        Bytes(kb * 1_000)
-    }
-
-    /// Decimal megabytes (1 MB = 10^6 B).
-    #[inline]
-    pub const fn from_mb(mb: u64) -> Self {
-        Bytes(mb * 1_000_000)
     }
 
     /// Decimal gigabytes (1 GB = 10^9 B).
@@ -67,12 +55,6 @@ impl Bytes {
         Bytes(mib * 1024 * 1024)
     }
 
-    /// Binary gibibytes.
-    #[inline]
-    pub const fn from_gib(gib: u64) -> Self {
-        Bytes(gib * 1024 * 1024 * 1024)
-    }
-
     /// Raw byte count.
     #[inline]
     pub const fn as_u64(self) -> u64 {
@@ -87,55 +69,20 @@ impl Bytes {
 
     /// Fractional mebibytes.
     #[inline]
-    pub fn as_mib(self) -> f64 {
+    pub(crate) fn as_mib(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0)
     }
 
     /// Fractional gibibytes.
     #[inline]
-    pub fn as_gib(self) -> f64 {
+    pub(crate) fn as_gib(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0 * 1024.0)
-    }
-
-    /// Fractional decimal gigabytes.
-    #[inline]
-    pub fn as_gb(self) -> f64 {
-        self.0 as f64 / 1e9
     }
 
     /// True when zero.
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Subtraction saturating at zero.
-    #[inline]
-    pub fn saturating_sub(self, other: Bytes) -> Bytes {
-        Bytes(self.0.saturating_sub(other.0))
-    }
-
-    /// Division rounding up; returns 0 chunks only for zero bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero bytes.
-    #[inline]
-    pub fn div_ceil(self, chunk: Bytes) -> u64 {
-        assert!(chunk.0 > 0, "chunk size must be non-zero");
-        self.0.div_ceil(chunk.0)
-    }
-
-    /// Returns the larger of two sizes.
-    #[inline]
-    pub fn max(self, other: Bytes) -> Bytes {
-        Bytes(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two sizes.
-    #[inline]
-    pub fn min(self, other: Bytes) -> Bytes {
-        Bytes(self.0.min(other.0))
     }
 }
 
@@ -226,7 +173,7 @@ pub struct Bandwidth(f64);
 
 impl Bandwidth {
     /// Zero bandwidth (a disconnected channel).
-    pub const ZERO: Bandwidth = Bandwidth(0.0);
+    pub(crate) const ZERO: Bandwidth = Bandwidth(0.0);
 
     /// Creates a bandwidth from raw bytes per second.
     ///
@@ -234,7 +181,7 @@ impl Bandwidth {
     ///
     /// Panics if `bytes_per_sec` is negative or NaN.
     #[inline]
-    pub fn bytes_per_sec(bytes_per_sec: f64) -> Self {
+    pub(crate) fn bytes_per_sec(bytes_per_sec: f64) -> Self {
         assert!(
             bytes_per_sec.is_finite() && bytes_per_sec >= 0.0,
             "bandwidth must be a finite non-negative number"
@@ -246,12 +193,6 @@ impl Bandwidth {
     #[inline]
     pub fn gb_per_sec(gb: f64) -> Self {
         Bandwidth::bytes_per_sec(gb * 1e9)
-    }
-
-    /// Decimal megabytes per second.
-    #[inline]
-    pub fn mb_per_sec(mb: f64) -> Self {
-        Bandwidth::bytes_per_sec(mb * 1e6)
     }
 
     /// Raw bytes per second.
@@ -266,12 +207,6 @@ impl Bandwidth {
         self.0 / 1e9
     }
 
-    /// True when zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
-
     /// Time to move `bytes` at this rate; [`SimDuration::MAX`] at zero rate
     /// (unless `bytes` is also zero, which takes no time).
     #[inline]
@@ -283,18 +218,6 @@ impl Bandwidth {
         } else {
             SimDuration::from_secs_f64(bytes.as_f64() / self.0)
         }
-    }
-
-    /// Returns the smaller of two bandwidths.
-    #[inline]
-    pub fn min(self, other: Bandwidth) -> Bandwidth {
-        Bandwidth(self.0.min(other.0))
-    }
-
-    /// Returns the larger of two bandwidths.
-    #[inline]
-    pub fn max(self, other: Bandwidth) -> Bandwidth {
-        Bandwidth(self.0.max(other.0))
     }
 }
 
@@ -349,10 +272,9 @@ mod tests {
 
     #[test]
     fn byte_constructors() {
-        assert_eq!(Bytes::from_kb(2).as_u64(), 2_000);
         assert_eq!(Bytes::from_kib(2).as_u64(), 2_048);
+        assert_eq!(Bytes::from_mib(1).as_u64(), 1 << 20);
         assert_eq!(Bytes::from_gb(1).as_u64(), 1_000_000_000);
-        assert_eq!(Bytes::from_gib(1).as_u64(), 1 << 30);
     }
 
     #[test]
@@ -360,19 +282,7 @@ mod tests {
         assert_eq!(Bytes::new(17).to_string(), "17B");
         assert_eq!(Bytes::from_kib(4).to_string(), "4.00KiB");
         assert_eq!(Bytes::from_mib(8).to_string(), "8.00MiB");
-        assert_eq!(Bytes::from_gib(2).to_string(), "2.00GiB");
-    }
-
-    #[test]
-    fn div_ceil_rounds_up() {
-        assert_eq!(Bytes::new(10).div_ceil(Bytes::new(4)), 3);
-        assert_eq!(Bytes::ZERO.div_ceil(Bytes::new(4)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be non-zero")]
-    fn div_ceil_zero_chunk_panics() {
-        let _ = Bytes::new(1).div_ceil(Bytes::ZERO);
+        assert_eq!(Bytes::new(2 << 30).to_string(), "2.00GiB");
     }
 
     #[test]

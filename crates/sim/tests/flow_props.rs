@@ -33,7 +33,7 @@ fn channel_capacity_never_exceeded() {
         let mut net = FlowNetwork::new();
         let chs: Vec<_> = caps
             .iter()
-            .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
+            .map(|c| net.add_channel(Bandwidth::gb_per_sec(*c)))
             .collect();
         let mut ids = Vec::new();
         for (path, bytes) in &flows {
@@ -68,7 +68,7 @@ fn all_flows_drain() {
         let mut net = FlowNetwork::new();
         let chs: Vec<_> = caps
             .iter()
-            .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
+            .map(|c| net.add_channel(Bandwidth::gb_per_sec(*c)))
             .collect();
         for (path, bytes) in &flows {
             let p: Vec<_> = path.iter().map(|i| chs[*i]).collect();
@@ -97,7 +97,7 @@ fn single_channel_work_conserving() {
             .map(|_| rng.gen_range(1u64..10_000_000_000))
             .collect();
         let mut net = FlowNetwork::new();
-        let ch = net.add_channel("ch", Bandwidth::gb_per_sec(cap_gb));
+        let ch = net.add_channel(Bandwidth::gb_per_sec(cap_gb));
         for s in &sizes {
             net.open_flow(SimTime::ZERO, &[ch], Bytes::new(*s)).unwrap();
         }
@@ -122,7 +122,7 @@ fn bytes_carried_matches_flow_sizes() {
         let n = rng.gen_range(1..10usize);
         let sizes: Vec<u64> = (0..n).map(|_| rng.gen_range(1u64..1_000_000_000)).collect();
         let mut net = FlowNetwork::new();
-        let ch = net.add_channel("ch", Bandwidth::gb_per_sec(10.0));
+        let ch = net.add_channel(Bandwidth::gb_per_sec(10.0));
         for s in &sizes {
             net.open_flow(SimTime::ZERO, &[ch], Bytes::new(*s)).unwrap();
         }
@@ -147,7 +147,7 @@ fn routed_flows_conserve_bytes_per_channel() {
         let mut net = FlowNetwork::new();
         let chs: Vec<_> = caps
             .iter()
-            .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
+            .map(|c| net.add_channel(Bandwidth::gb_per_sec(*c)))
             .collect();
         for (path, bytes) in &flows {
             let p: Vec<_> = path.iter().map(|i| chs[*i]).collect();
@@ -182,7 +182,7 @@ fn symmetric_flows_share_a_link_equally() {
         let n = rng.gen_range(2..10usize);
         let bytes = rng.gen_range(1_000_000u64..1_000_000_000);
         let mut net = FlowNetwork::new();
-        let ch = net.add_channel("ch", Bandwidth::gb_per_sec(cap_gb));
+        let ch = net.add_channel(Bandwidth::gb_per_sec(cap_gb));
         let ids: Vec<_> = (0..n)
             .map(|_| {
                 net.open_flow(SimTime::ZERO, &[ch], Bytes::new(bytes))
@@ -219,7 +219,7 @@ fn open_order_does_not_change_completion_times() {
             let mut net = FlowNetwork::new();
             let chs: Vec<_> = caps
                 .iter()
-                .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
+                .map(|c| net.add_channel(Bandwidth::gb_per_sec(*c)))
                 .collect();
             for &fi in order {
                 let (path, bytes) = &flows[fi];
@@ -266,7 +266,7 @@ fn later_release_never_finishes_earlier() {
         let delay_us = rng.gen_range(0u64..2_000_000);
         let run = |delay: u64| -> f64 {
             let mut net = FlowNetwork::new();
-            let ch = net.add_channel("ch", Bandwidth::gb_per_sec(5.0));
+            let ch = net.add_channel(Bandwidth::gb_per_sec(5.0));
             net.open_flow(SimTime::ZERO, &[ch], Bytes::new(bytes))
                 .unwrap();
             net.open_flow(SimTime::from_us(delay), &[ch], Bytes::new(bytes))
@@ -398,7 +398,7 @@ fn cohort_retirement_matches_one_flow_per_event() {
         let mut net = FlowNetwork::new();
         let chs: Vec<_> = caps
             .iter()
-            .map(|c| net.add_channel("ch", Bandwidth::gb_per_sec(*c)))
+            .map(|c| net.add_channel(Bandwidth::gb_per_sec(*c)))
             .collect();
         let ids = net
             .open_flows(

@@ -9,10 +9,7 @@
 //!   whether its stashed activations are **offloaded**, **recomputed**, or
 //!   kept **resident** (§II-B, footnote 4);
 //! * [`ResidencyProfile`] — replay of an iteration's device-resident bytes,
-//!   demonstrating the O(N) → O(1) footprint reduction;
-//! * [`RemoteRuntime`] — the Table I API extensions (`cudaMallocRemote`,
-//!   `cudaFreeRemote`, `cudaMemcpyAsync` with `LocalToRemote` /
-//!   `RemoteToLocal`).
+//!   demonstrating the O(N) → O(1) footprint reduction.
 //!
 //! # Examples
 //!
@@ -30,12 +27,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod api;
 mod residency;
 mod schedule;
+#[cfg(test)]
 mod timeline;
 
-pub use api::{MemcpyDirection, MemcpyOp, RemotePtr, RemoteRuntime};
 pub use residency::{peak_with_and_without_virtualization, ResidencyProfile};
 pub use schedule::{Disposition, VirtEntry, VirtPolicy, VirtSchedule};
-pub use timeline::{compile_overlay_ops, replay_through_runtime, OverlayOp};

@@ -75,13 +75,9 @@ impl ResidencyProfile {
     }
 
     /// Peak resident bytes excluding the static weights term.
-    pub fn peak_dynamic_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn peak_dynamic_bytes(&self) -> u64 {
         self.peak_bytes - self.static_bytes
-    }
-
-    /// True if the profile ever exceeds a device capacity.
-    pub fn exceeds(&self, capacity_bytes: u64) -> bool {
-        self.peak_bytes > capacity_bytes
     }
 }
 

@@ -1,127 +1,65 @@
-//! Compiling an overlay schedule down to the Table I API.
+//! The overlay timeline one training iteration issues for a `VirtSchedule`.
 //!
-//! [`compile_overlay_ops`] lowers a [`VirtSchedule`] into the exact
-//! `cudaMemcpyAsync` call sequence a DL framework would issue against the
-//! MC-DLA runtime — offloads (`LocalToRemote`) in forward trigger order,
-//! prefetches (`RemoteToLocal`) in backward order — and replays it through
-//! a [`RemoteRuntime`], closing the loop between the compile-time analysis
-//! (§II-B) and the driver-level interface (§III-B, Table I).
-
-use mcdla_dnn::LayerId;
-use serde::{Deserialize, Serialize};
-
-use crate::api::{MemcpyDirection, RemoteRuntime};
-use crate::schedule::{Disposition, VirtSchedule};
-
-/// One lowered overlay operation.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OverlayOp {
-    /// The layer whose stash moves.
-    pub layer: LayerId,
-    /// Transfer direction (`LocalToRemote` = offload, `RemoteToLocal` =
-    /// prefetch).
-    pub direction: MemcpyDirection,
-    /// Transfer size in bytes.
-    pub bytes: u64,
-    /// The layer whose completion triggers this op (its last forward
-    /// consumer for offloads; the layer itself for prefetches).
-    pub trigger: LayerId,
-}
-
-/// Lowers `schedule` to the framework's per-iteration `cudaMemcpyAsync`
-/// sequence: all offloads in forward trigger order, then all prefetches in
-/// reverse layer order.
-pub fn compile_overlay_ops(schedule: &VirtSchedule) -> Vec<OverlayOp> {
-    let mut ops = Vec::new();
-    for group in schedule.offloads_by_trigger() {
-        for e in group {
-            ops.push(OverlayOp {
-                layer: e.layer,
-                direction: MemcpyDirection::LocalToRemote,
-                bytes: e.stash_bytes,
-                trigger: e.offload_after,
-            });
-        }
-    }
-    for e in schedule.entries().iter().rev() {
-        if e.disposition == Disposition::Offload {
-            ops.push(OverlayOp {
-                layer: e.layer,
-                direction: MemcpyDirection::RemoteToLocal,
-                bytes: e.stash_bytes,
-                trigger: e.layer,
-            });
-        }
-    }
-    ops
-}
-
-/// Replays the lowered sequence through a [`RemoteRuntime`]: allocates one
-/// remote buffer per offloaded stash, issues every copy, and frees the
-/// buffers — verifying the schedule fits the runtime's deviceremote
-/// capacity.
-///
-/// Returns the number of copies issued.
-///
-/// # Errors
-///
-/// Propagates [`mcdla_memnode::AllocError`] if the stashes exceed the
-/// runtime's remote capacity.
-pub fn replay_through_runtime(
-    schedule: &VirtSchedule,
-    runtime: &mut RemoteRuntime,
-) -> Result<usize, mcdla_memnode::AllocError> {
-    let ops = compile_overlay_ops(schedule);
-    let mut ptrs = std::collections::BTreeMap::new();
-    for op in &ops {
-        if op.direction == MemcpyDirection::LocalToRemote && !ptrs.contains_key(&op.layer) {
-            ptrs.insert(op.layer, runtime.cuda_malloc_remote(op.bytes.max(1))?);
-        }
-        runtime.cuda_memcpy_async(op.bytes, op.direction);
-    }
-    for (_, ptr) in ptrs {
-        runtime.cuda_free_remote(ptr)?;
-    }
-    Ok(ops.len())
-}
+//! Offloads leave device memory during the forward pass, in the trigger
+//! order `VirtSchedule::offloads_by_trigger` groups them by; prefetches
+//! bring each offloaded stash back during the backward pass, in reverse
+//! layer order, as `ResidencyProfile::replay` does. The tests here pin both
+//! orders and that every offloaded stash returns whole.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::schedule::VirtPolicy;
-    use mcdla_dnn::{Benchmark, DataType};
-    use mcdla_memnode::PagePolicy;
+    use std::collections::BTreeMap;
+
+    use mcdla_dnn::{Benchmark, DataType, LayerId};
+
+    use crate::schedule::{Disposition, VirtPolicy, VirtSchedule};
+
+    /// One overlay transfer of `layer`'s stash, issued once `trigger`
+    /// completes.
+    struct Transfer {
+        layer: LayerId,
+        offload: bool,
+        bytes: u64,
+        trigger: LayerId,
+    }
 
     fn sched(bm: Benchmark) -> VirtSchedule {
         VirtSchedule::analyze(&bm.build(), 64, DataType::F32, VirtPolicy::paper_default())
     }
 
-    #[test]
-    fn op_count_is_twice_the_offload_count() {
-        for bm in [Benchmark::AlexNet, Benchmark::GoogLeNet, Benchmark::RnnGru] {
-            let s = sched(bm);
-            let ops = compile_overlay_ops(&s);
-            assert_eq!(ops.len(), 2 * s.offload_count(), "{bm}");
-            let out: u64 = ops
-                .iter()
-                .filter(|o| o.direction == MemcpyDirection::LocalToRemote)
-                .map(|o| o.bytes)
-                .sum();
-            assert_eq!(out, s.offload_bytes(), "{bm}");
-        }
+    /// Every offload in forward trigger order, then every prefetch in
+    /// reverse layer order.
+    fn timeline(s: &VirtSchedule) -> Vec<Transfer> {
+        let offloads = s
+            .offloads_by_trigger()
+            .into_iter()
+            .flatten()
+            .map(|e| Transfer {
+                layer: e.layer,
+                offload: true,
+                bytes: e.stash_bytes,
+                trigger: e.offload_after,
+            });
+        let prefetches = s
+            .entries()
+            .iter()
+            .rev()
+            .filter(|e| e.disposition == Disposition::Offload)
+            .map(|e| Transfer {
+                layer: e.layer,
+                offload: false,
+                bytes: e.stash_bytes,
+                trigger: e.layer,
+            });
+        offloads.chain(prefetches).collect()
     }
 
     #[test]
     fn offloads_precede_prefetches_and_orders_hold() {
         let s = sched(Benchmark::VggE);
-        let ops = compile_overlay_ops(&s);
-        let first_prefetch = ops
-            .iter()
-            .position(|o| o.direction == MemcpyDirection::RemoteToLocal)
-            .expect("has prefetches");
-        assert!(ops[..first_prefetch]
-            .iter()
-            .all(|o| o.direction == MemcpyDirection::LocalToRemote));
+        let ops = timeline(&s);
+        let first_prefetch = ops.iter().position(|o| !o.offload).expect("has prefetches");
+        assert!(ops[..first_prefetch].iter().all(|o| o.offload));
         // Offload triggers are non-decreasing (forward order)...
         let offload_triggers: Vec<usize> = ops[..first_prefetch]
             .iter()
@@ -139,35 +77,14 @@ mod tests {
     #[test]
     fn every_offload_has_a_matching_prefetch() {
         let s = sched(Benchmark::ResNet);
-        let ops = compile_overlay_ops(&s);
-        use std::collections::BTreeMap;
-        let mut out: BTreeMap<_, u64> = BTreeMap::new();
-        let mut back: BTreeMap<_, u64> = BTreeMap::new();
-        for o in &ops {
-            match o.direction {
-                MemcpyDirection::LocalToRemote => *out.entry(o.layer).or_default() += o.bytes,
-                MemcpyDirection::RemoteToLocal => *back.entry(o.layer).or_default() += o.bytes,
-                _ => panic!("unexpected direction"),
-            }
+        let mut out: BTreeMap<LayerId, u64> = BTreeMap::new();
+        let mut back: BTreeMap<LayerId, u64> = BTreeMap::new();
+        for o in timeline(&s) {
+            let side = if o.offload { &mut out } else { &mut back };
+            *side.entry(o.layer).or_default() += o.bytes;
         }
         assert_eq!(out, back);
-    }
-
-    #[test]
-    fn replay_fits_a_memory_node_half() {
-        // Half of one 1.28 TB node easily holds a batch-64 stash set.
-        let s = sched(Benchmark::VggE);
-        let mut rt = RemoteRuntime::new(640_000_000_000, 640_000_000_000, PagePolicy::BwAware);
-        let issued = replay_through_runtime(&s, &mut rt).expect("fits");
-        assert_eq!(issued, 2 * s.offload_count());
-        assert_eq!(rt.live_allocations(), 0, "all buffers freed");
-        assert_eq!(rt.remote_traffic_bytes(), 2 * s.offload_bytes());
-    }
-
-    #[test]
-    fn replay_reports_out_of_memory_on_tiny_pools() {
-        let s = sched(Benchmark::VggE);
-        let mut rt = RemoteRuntime::new(8 << 20, 8 << 20, PagePolicy::BwAware);
-        assert!(replay_through_runtime(&s, &mut rt).is_err());
+        assert_eq!(out.values().sum::<u64>(), s.offload_bytes());
+        assert_eq!(s.prefetch_bytes(), s.offload_bytes());
     }
 }

@@ -16,12 +16,12 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`sim`] | event kernel, fluid-flow bandwidth model, units |
+//! | [`sim`] | picosecond clock, FIFO engines, fluid-flow bandwidth model, units |
 //! | [`dnn`] | layers, network DAGs, the Table III benchmark zoo |
 //! | [`accel`] | Table II device timing model, Fig. 2 generations |
 //! | [`interconnect`] | topologies, rings, collective models (Figs. 5/7/9) |
 //! | [`memnode`] | the memory-node: DIMMs, page policies, power (Figs. 6/10, Table IV) |
-//! | [`vmem`] | vDNN-style memory-overlaying runtime (Table I API) |
+//! | [`vmem`] | vDNN-style memory overlaying: per-layer offload / recompute schedule |
 //! | [`parallel`] | data-/model-parallel partitioners (Fig. 3) |
 //! | [`core`] | the six system designs + iteration simulator + §V experiments |
 //! | [`serve`] | the persistent simulation service over the shared result store |
