@@ -96,7 +96,7 @@ fn bench_pressure(
     let stride = |t: usize, i: usize, len: usize| (i * (2 * t + 1) + t) % len;
 
     // Insert churn: every thread walks the whole key space at a
-    // different stride, so inserts collide across shards and (for
+    // different stride, so inserts contend for the table lock and (for
     // bounded stores) evict continuously.
     let (inserts, insert_count) = phase(threads, insert_ops, |t, i| {
         let k = stride(t, i, keys.len());

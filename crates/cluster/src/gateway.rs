@@ -7,7 +7,7 @@
 //! (and sheds 429 beyond the admission queue); the shell's own routes
 //! answer on the loop thread.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -327,12 +327,16 @@ impl Tier for Fleet {
         // Duplicate cells are computed once: only canonical indices reach
         // the fleet, and the gateway re-emits the canonical line for each
         // duplicate, so the client still gets one line per input cell.
+        // Workers stream a slice in completion order, so the extra
+        // copies are keyed by the line's `digest`, not by its position.
         let canon = crate::merge::canonical_indices(&scenarios);
         let keys = crate::merge::routing_keys(&scenarios);
-        let mut dup_count: Vec<usize> = vec![0; scenarios.len()];
+        let mut extra_copies: HashMap<String, usize> = HashMap::new();
         for (i, &c) in canon.iter().enumerate() {
             if c != i {
-                dup_count[c] += 1;
+                *extra_copies
+                    .entry(format!("{:016x}", scenarios[c].digest()))
+                    .or_default() += 1;
             }
         }
 
@@ -406,10 +410,16 @@ impl Tier for Fleet {
             loop {
                 match stream.next_line() {
                     Some(Ok(mut line)) => {
-                        line.push('\n');
                         // One copy for the canonical cell plus one per
                         // duplicate the gateway held back from the fleet.
-                        let copies = 1 + indices.get(lines).map_or(0, |&i| dup_count[i]);
+                        let copies = 1 + if extra_copies.is_empty() {
+                            0
+                        } else {
+                            line_digest(&line)
+                                .and_then(|d| extra_copies.get(&d).copied())
+                                .unwrap_or(0)
+                        };
+                        line.push('\n');
                         for _ in 0..copies {
                             if out.line(line.as_bytes()).is_err() {
                                 // Client went away: abandoning (not
@@ -464,6 +474,12 @@ impl Tier for Fleet {
             ("trace".into(), trace),
         ])])
     }
+}
+
+/// The `digest` field of one streamed cell line.
+fn line_digest(line: &str) -> Option<String> {
+    let cell = serde::json::parse(line).ok()?;
+    cell.get("digest")?.as_str().map(str::to_owned)
 }
 
 /// `POST /simulate`: validate locally (the same 400s a worker would

@@ -8,8 +8,8 @@
 //! * **Agreement without coordination** — every gateway (and a restarted
 //!   one) computes the same owner for a key from nothing but the worker
 //!   address list, because both the scenario key
-//!   ([`mcdla_core::key_hash`], the exact hash the `ResultStore` shards
-//!   by) and the per-worker mixing are stable across processes.
+//!   ([`mcdla_core::key_hash`]) and the per-worker mixing are stable
+//!   across processes.
 //! * **Minimal disruption** — removing a worker reassigns only the keys
 //!   that worker owned; every other key keeps its owner (and therefore
 //!   its warm cache). Adding a worker steals only ~1/N of each

@@ -5,7 +5,7 @@
 //! `tests/cluster_failover.rs`, which spawns real worker processes.)
 
 use mcdla_cluster::{spawn_local_fleet, FleetConfig, Topology};
-use mcdla_core::{Scenario, SystemDesign};
+use mcdla_core::{FabricTopology, Scenario, SystemDesign};
 use mcdla_dnn::Benchmark;
 use mcdla_parallel::ParallelStrategy;
 use mcdla_serve::client::Connection;
@@ -223,6 +223,55 @@ fn gateway_deduplicates_repeated_cells_before_the_scatter() {
     let payloads: Vec<String> = lines.iter().map(parse).collect();
     let a_payload = serde::json::to_string(&strip_cached(&cells[0]));
     assert_eq!(payloads.iter().filter(|p| **p == a_payload).count(), 3);
+    fleet.shutdown();
+}
+
+#[test]
+fn streamed_duplicates_repeat_their_own_cell_in_completion_order() {
+    // One worker streams its slice as cells finish, so the slow cell,
+    // listed first, arrives after the fast one; its held-back duplicate
+    // must still repeat the slow cell.
+    let fleet = fleet(1);
+    let addr = fleet.gateway_addr().to_string();
+    let slow = Scenario::new(
+        SystemDesign::McDlaBwAware,
+        Benchmark::GoogLeNet,
+        ParallelStrategy::ModelParallel,
+    )
+    .with_devices(4096)
+    .with_topology(FabricTopology::Ring);
+    let fast = Scenario::new(
+        SystemDesign::McDlaBwAware,
+        Benchmark::AlexNet,
+        ParallelStrategy::DataParallel,
+    );
+    let body = format!(
+        r#"{{"cells": [{slow}, {fast}, {slow}]}}"#,
+        slow = scenario_json(&slow),
+        fast = scenario_json(&fast)
+    );
+
+    let mut conn = Connection::open(&addr).expect("open gateway connection");
+    let stream = conn
+        .request_stream("POST", "/grid?stream=1", Some(&body))
+        .unwrap();
+    assert_eq!(stream.status, 200);
+    let lines = stream.collect_lines().expect("clean merged stream");
+    let digests: Vec<String> = lines
+        .iter()
+        .map(|l| {
+            let cell = serde::json::parse(l).unwrap();
+            cell.get("digest")
+                .and_then(Value::as_str)
+                .unwrap()
+                .to_owned()
+        })
+        .collect();
+    let count = |s: &Scenario| {
+        let digest = format!("{:016x}", s.digest());
+        digests.iter().filter(|d| **d == digest).count()
+    };
+    assert_eq!((count(&slow), count(&fast)), (2, 1), "{digests:?}");
     fleet.shutdown();
 }
 

@@ -26,13 +26,14 @@
 //! The simulation is organized as a staged pipeline: the expensive
 //! network-, plan-, schedule-, and fabric-dependent preparation is
 //! captured in plain-data **artifacts** ([`PlanArt`], [`SchedArt`],
-//! [`FabricSummary`], the consumer lists, and the per-layer timing
-//! table), and a lean, uncached [`assemble`] pass replays the event loop
-//! over them. [`IterationSim::run`] builds every artifact from scratch —
-//! the monolithic reference path — while [`crate::stages`] memoizes each
-//! artifact in a [`StageCache`](crate::StageCache) keyed by exactly the
-//! scenario axes it depends on, so a mega-grid that varies one knob
-//! rebuilds only the artifacts that knob actually touches.
+//! the [`CommFabric`] from [`build_fabric`], the consumer lists, and the
+//! per-layer timing table), and a lean, uncached [`assemble`] pass
+//! replays the event loop over them. [`IterationSim::run`] builds every
+//! artifact from scratch — the monolithic reference path — while
+//! [`crate::stages`] memoizes each artifact in a
+//! [`StageCache`](crate::StageCache) keyed by exactly the scenario axes
+//! it depends on, so a mega-grid that varies one knob rebuilds only the
+//! artifacts that knob actually touches.
 
 use std::sync::Arc;
 
@@ -474,21 +475,6 @@ pub(crate) fn build_fabric(cfg: &SystemConfig) -> Arc<dyn CommFabric> {
                 model: CollectiveModel::with_link_bandwidth(plane_gbs),
                 routed: RoutedFabric::build(kind, &spec),
             })
-        }
-    }
-}
-
-/// Stage-1 artifact: the communication fabric a configuration
-/// synchronizes over, behind the [`CommFabric`] boundary.
-#[derive(Debug, Clone)]
-pub(crate) struct FabricSummary {
-    pub fabric: Arc<dyn CommFabric>,
-}
-
-impl FabricSummary {
-    pub(crate) fn of(cfg: &SystemConfig) -> FabricSummary {
-        FabricSummary {
-            fabric: build_fabric(cfg),
         }
     }
 }

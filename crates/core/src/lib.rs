@@ -13,8 +13,8 @@
 //!   links for MC), validated against the max-min fluid-flow solver;
 //! * [`scenario`] — the data-driven experiment layer: [`Scenario`] /
 //!   [`ScenarioGrid`] specs plus the parallel, memoizing [`Runner`];
-//! * [`ResultStore`] — the sharded, capacity-bounded, single-flight
-//!   store behind the runner (and the `mcdla-serve` service), with JSON
+//! * [`ResultStore`] — the capacity-bounded, single-flight store
+//!   behind the runner (and the `mcdla-serve` service), with JSON
 //!   snapshot/restore for warm restarts;
 //! * [`experiment`] — runners for every table and figure of §V, built on
 //!   the scenario grid.

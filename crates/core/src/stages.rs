@@ -4,10 +4,10 @@
 //! [`Scenario::simulate`](crate::Scenario::simulate) runs through four
 //! explicit stages, each backed by a process-global
 //! [`StageCache`] (the [`ResultStore`](crate::ResultStore)
-//! machinery — sharding, global capacity bound, LRU eviction,
+//! machinery — one lock per table, capacity bound, LRU eviction,
 //! single-flight — generic over key and value):
 //!
-//! 1. **Fabric summary** — the [`CommFabric`](crate::CommFabric) the
+//! 1. **Fabric summary** — the [`CommFabric`] the
 //!    configuration synchronizes over (analytical, or flow-routed when
 //!    the `topology` axis is set), keyed by `(design, devices,
 //!    generation, device model, pcie_gen4, topology)`: every input the
@@ -54,7 +54,7 @@ use mcdla_vmem::{VirtPolicy, VirtSchedule};
 
 use crate::design::SystemDesign;
 use crate::engine::{
-    assemble, layer_timings, xfer_table, FabricSummary, NetShape, PlanArt, SchedArt,
+    assemble, build_fabric, layer_timings, xfer_table, CommFabric, NetShape, PlanArt, SchedArt,
 };
 use crate::report::IterationReport;
 use crate::scenario::{DeviceModel, Scenario};
@@ -144,12 +144,12 @@ struct SyncKey {
     plan: PlanKey,
 }
 
-/// Fabric artifact: the ring summary plus the design's virtualization
-/// data path. [`VirtPath::from_config`] reads exactly the fields
-/// [`FabricKey`] captures (never the batch or the compression knob), so
-/// its label allocations amortize with the rings.
+/// Fabric artifact: the communication fabric plus the design's
+/// virtualization data path. [`VirtPath::from_config`] reads exactly
+/// the fields [`FabricKey`] captures (never the batch or the compression
+/// knob), so its label allocations amortize with the rings.
 struct FabricArt {
-    summary: FabricSummary,
+    fabric: Arc<dyn CommFabric>,
     virt: Option<VirtPath>,
 }
 
@@ -227,16 +227,13 @@ fn cap_from_env(var: &str, default: usize) -> Option<usize> {
 impl StagePipeline {
     fn from_env() -> StagePipeline {
         StagePipeline {
-            fabrics: StageCache::with_shards(cap_from_env("MCDLA_STAGE_FABRIC_CAP", 4096), 16),
-            networks: StageCache::with_shards(cap_from_env("MCDLA_STAGE_NETWORK_CAP", 64), 4),
-            timings: StageCache::with_shards(cap_from_env("MCDLA_STAGE_TIMING_CAP", 8192), 16),
-            plans: StageCache::with_shards(cap_from_env("MCDLA_STAGE_PLAN_CAP", 8192), 16),
-            schedules: StageCache::with_shards(cap_from_env("MCDLA_STAGE_SCHEDULE_CAP", 8192), 16),
-            collectives: StageCache::with_shards(
-                cap_from_env("MCDLA_STAGE_COLLECTIVE_CAP", 65536),
-                16,
-            ),
-            syncs: StageCache::with_shards(cap_from_env("MCDLA_STAGE_SYNC_CAP", 8192), 16),
+            fabrics: StageCache::new(cap_from_env("MCDLA_STAGE_FABRIC_CAP", 4096)),
+            networks: StageCache::new(cap_from_env("MCDLA_STAGE_NETWORK_CAP", 64)),
+            timings: StageCache::new(cap_from_env("MCDLA_STAGE_TIMING_CAP", 8192)),
+            plans: StageCache::new(cap_from_env("MCDLA_STAGE_PLAN_CAP", 8192)),
+            schedules: StageCache::new(cap_from_env("MCDLA_STAGE_SCHEDULE_CAP", 8192)),
+            collectives: StageCache::new(cap_from_env("MCDLA_STAGE_COLLECTIVE_CAP", 65536)),
+            syncs: StageCache::new(cap_from_env("MCDLA_STAGE_SYNC_CAP", 8192)),
             hists: StageHists::new(),
         }
     }
@@ -384,7 +381,7 @@ fn simulate_in(p: &StagePipeline, scenario: &Scenario) -> IterationReport {
         let _s = Span::enter_timed("stage.fabric", &p.hists.fabric);
         p.fabrics.get_or_compute(fabric_key, || {
             Arc::new(FabricArt {
-                summary: FabricSummary::of(&cfg),
+                fabric: build_fabric(&cfg),
                 virt: VirtPath::from_config(&cfg),
             })
         })
@@ -404,7 +401,7 @@ fn simulate_in(p: &StagePipeline, scenario: &Scenario) -> IterationReport {
             plan: plan_key,
         },
         || {
-            let fab = &fabric.summary.fabric;
+            let fab = &fabric.fabric;
             let silent = fab.ring_shapes().is_empty() || plan.workers < 2;
             Arc::new(
                 plan.fused

@@ -1,8 +1,8 @@
-//! The shared scenario-result store: a sharded, capacity-bounded,
-//! LRU-evicting map from [`Scenario`] to [`IterationReport`] with
-//! single-flight deduplication and JSON snapshot/restore — plus the
-//! generic [`StageCache`] the staged engine's per-stage memo tables
-//! (see [`crate::stages`]) are built on.
+//! The shared scenario-result store: a capacity-bounded, LRU-evicting
+//! map from [`Scenario`] to [`IterationReport`] with single-flight
+//! deduplication and JSON snapshot/restore — plus the generic
+//! [`StageCache`] the staged engine's per-stage memo tables (see
+//! [`crate::stages`]) are built on.
 //!
 //! [`Runner`](crate::Runner) memoizes through a [`ResultStore`], and the
 //! `mcdla-serve` service shares the *same* store between its HTTP
@@ -10,16 +10,15 @@
 //! a cache hit everywhere. The store is built for long-lived,
 //! many-caller processes:
 //!
-//! * **Sharded** — keys spread over independently locked shards, so
-//!   concurrent lookups of different cells never contend on one mutex.
-//! * **Bounded** — an optional capacity triggers least-recently-used
-//!   eviction, accounted **globally** across all shards: total residency
-//!   never exceeds the configured capacity — not transiently, not under
-//!   concurrent inserts, not when a snapshot larger than the bound is
-//!   restored — keeping a service's footprint flat no matter how many
-//!   distinct cells it has ever served. (Capacities smaller than the
-//!   shard count work; sharding spreads locks, it does not partition the
-//!   budget.)
+//! * **One lock per table** — the entries, their recency order and the
+//!   open flights sit behind one mutex, held for a hash probe and a
+//!   recency update; computes run with no lock held.
+//! * **Bounded** — an optional capacity triggers exact least-recently-used
+//!   eviction, in the same critical section that installs the new entry:
+//!   residency never exceeds the configured capacity — not transiently,
+//!   not under concurrent inserts, not when a snapshot larger than the
+//!   bound is restored — keeping a service's footprint flat no matter how
+//!   many distinct cells it has ever served.
 //! * **Single-flight** — concurrent requests for the same *uncomputed*
 //!   cell trigger exactly one simulation; the extra callers block on the
 //!   leader's flight and share its result.
@@ -61,35 +60,22 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 
 use crate::report::IterationReport;
 use crate::scenario::Scenario;
 
-/// Default shard count — plenty of lock spread for a few dozen worker
-/// threads while keeping an eviction scan short.
-pub(crate) const DEFAULT_SHARDS: usize = 16;
-
-/// The canonical 64-bit hash a [`StageCache`] shards its keys by.
-/// `DefaultHasher::new()` uses fixed keys, so the hash is stable across
-/// processes and runs.
-fn hash_of<K: Hash>(key: &K) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The canonical store key hash of a scenario: the exact 64-bit value
-/// the [`ResultStore`] shards by. `DefaultHasher::new()` uses fixed
-/// keys, so the hash is stable across processes and runs — `mcdla-serve`
-/// snapshots restore into the same shards they came from, and the
-/// `mcdla-cluster` gateway routes a scenario to the same worker that any
-/// other gateway (or a restarted one) would pick.
+/// The canonical 64-bit hash of a scenario, which the `mcdla-cluster`
+/// gateway routes by. `DefaultHasher::new()` uses fixed keys, so the
+/// hash is stable across processes and runs: any gateway (or a
+/// restarted one) sends a scenario to the same worker.
 pub fn key_hash(scenario: &Scenario) -> u64 {
-    hash_of(scenario)
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    scenario.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Where a [`Fetched`] report came from.
@@ -157,17 +143,19 @@ pub struct StoreStats {
     pub warm_loaded: u64,
     /// `hits / (hits + misses)`, or 0 before any traffic.
     pub hit_rate: f64,
-    /// Shard count (lock spread, not a capacity partition).
-    pub shards: u64,
-    /// Resident entries per shard, in shard order.
-    pub shard_entries: Vec<u64>,
-    /// Occupancy balance: the fullest shard over the mean shard
-    /// (`1.0` = perfectly even, `0.0` = empty store).
-    pub shard_imbalance: f64,
     /// Counters for the staged engine's per-stage memo tables. The
     /// tables are process-global (every store in the process shares
     /// them), so these are process totals, not per-store.
     pub stages: Vec<StageStats>,
+}
+
+/// `hits / (hits + misses)`, or 0 before any traffic.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    if hits + misses > 0 {
+        hits as f64 / (hits + misses) as f64
+    } else {
+        0.0
+    }
 }
 
 struct Entry<V> {
@@ -214,59 +202,63 @@ impl<V: Clone> Flight<V> {
     }
 }
 
-struct Shard<K, V> {
+/// Everything a [`StageCache`] guards with its one lock.
+struct Table<K, V> {
     cells: HashMap<K, Entry<V>>,
-    flights: HashMap<K, Arc<Flight<V>>>,
     /// Recency index: `last_used` tick → key, mirroring `cells` exactly
-    /// (ticks are globally unique). Keeps LRU eviction at
-    /// `O(shards · log n)` instead of a scan over every resident entry —
-    /// a mega-grid sweep overflows a bounded table on nearly every
-    /// insert, so eviction sits on the hot path.
+    /// (ticks are unique). Its first entry is the LRU victim, so
+    /// eviction is `O(log n)` — a mega-grid sweep overflows a bounded
+    /// table on nearly every insert, so eviction sits on the hot path.
     by_tick: BTreeMap<u64, K>,
+    flights: HashMap<K, Arc<Flight<V>>>,
+    /// Monotonic LRU clock.
+    tick: u64,
 }
 
-impl<K, V> Shard<K, V> {
-    fn new() -> Self {
-        Shard {
-            cells: HashMap::new(),
-            flights: HashMap::new(),
-            by_tick: BTreeMap::new(),
-        }
-    }
-}
-
-impl<K: Copy + Eq + Hash, V> Shard<K, V> {
-    /// Moves an entry's recency to `tick`, keeping the index in sync.
-    fn touch(&mut self, key: &K, tick: u64) -> Option<&Entry<V>> {
+impl<K: Copy + Eq + Hash, V> Table<K, V> {
+    /// Marks an entry most recently used, keeping the index in sync.
+    fn touch(&mut self, key: &K) -> Option<&mut Entry<V>> {
         let entry = self.cells.get_mut(key)?;
+        self.tick += 1;
         self.by_tick.remove(&entry.last_used);
-        entry.last_used = tick;
-        self.by_tick.insert(tick, *key);
+        entry.last_used = self.tick;
+        self.by_tick.insert(self.tick, *key);
         Some(entry)
     }
 
-    /// Installs `key → value` at recency `tick`; true when an existing
-    /// entry (whose recency slot is reclaimed) was replaced.
-    fn install(&mut self, key: K, value: V, tick: u64) -> bool {
-        let replaced = self.cells.insert(
+    /// Installs `key → value` as the most recently used entry. A new key
+    /// in a full table first evicts the least-recently-used entry, so the
+    /// bound holds whenever the lock is free. Returns whether it evicted.
+    fn install(&mut self, key: K, value: V, capacity: Option<usize>) -> bool {
+        if let Some(entry) = self.touch(&key) {
+            entry.value = value;
+            return false;
+        }
+        let full = capacity.is_some_and(|cap| self.cells.len() >= cap);
+        if full {
+            let (_, victim) = self
+                .by_tick
+                .pop_first()
+                .expect("a full table has a least-recently-used entry");
+            self.cells.remove(&victim);
+        }
+        self.tick += 1;
+        self.cells.insert(
             key,
             Entry {
                 value,
-                last_used: tick,
+                last_used: self.tick,
             },
         );
-        if let Some(old) = &replaced {
-            self.by_tick.remove(&old.last_used);
-        }
-        self.by_tick.insert(tick, key);
-        replaced.is_some()
+        self.by_tick.insert(self.tick, key);
+        full
     }
 }
 
-/// A sharded, globally capacity-bounded, LRU-evicting, single-flight
-/// memo table — the machinery behind [`ResultStore`], generic over key
-/// and value so the staged engine's per-stage tables (fabric summaries,
-/// layer timings, collective costs; see [`crate::stages`]) reuse the
+/// A capacity-bounded, LRU-evicting, single-flight memo table under one
+/// lock — the machinery behind [`ResultStore`], generic over key and
+/// value so the staged engine's per-stage tables (fabrics, layer
+/// timings, collective costs; see [`crate::stages`]) reuse the
 /// identical concurrency and bounding semantics.
 ///
 /// # Examples
@@ -281,17 +273,9 @@ impl<K: Copy + Eq + Hash, V> Shard<K, V> {
 /// assert_eq!((v, p), (49, Provenance::Cached));
 /// ```
 pub struct StageCache<K, V> {
-    shards: Box<[Mutex<Shard<K, V>>]>,
-    /// Total capacity across all shards (`None` = unbounded).
+    table: Mutex<Table<K, V>>,
+    /// Capacity bound (`None` = unbounded).
     capacity: Option<usize>,
-    /// Resident entries plus not-yet-materialized insert reservations.
-    /// The globally enforced budget: a slot is reserved here *before*
-    /// an entry becomes visible in any shard and released only *after*
-    /// it is removed, so actual residency never exceeds `occupancy`,
-    /// and `occupancy` never exceeds `capacity`.
-    occupancy: AtomicUsize,
-    /// Monotonic LRU clock.
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -302,7 +286,6 @@ pub struct StageCache<K, V> {
 impl<K: Copy + Eq + Hash, V: Clone> fmt::Debug for StageCache<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StageCache")
-            .field("shards", &self.shards.len())
             .field("capacity", &self.capacity)
             .field("entries", &self.len())
             .finish()
@@ -311,47 +294,39 @@ impl<K: Copy + Eq + Hash, V: Clone> fmt::Debug for StageCache<K, V> {
 
 impl<K: Copy + Eq + Hash, V: Clone> Default for StageCache<K, V> {
     fn default() -> Self {
-        Self::unbounded()
+        Self::new(None)
     }
 }
 
 impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
-    /// A table with no capacity bound.
-    pub(crate) fn unbounded() -> Self {
-        Self::with_shards(None, DEFAULT_SHARDS)
-    }
-
     /// A table bounded to at most `capacity` entries (LRU-evicting).
-    ///
-    /// The bound is **global**: however the keys hash across shards, the
-    /// table never holds more than `capacity` entries.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is zero — a table that can hold nothing
     /// cannot satisfy `get_or_compute`.
     pub fn bounded(capacity: usize) -> Self {
-        Self::with_shards(Some(capacity), DEFAULT_SHARDS)
+        Self::new(Some(capacity))
     }
 
-    /// A table with an explicit shard count (tests use small counts to
-    /// exercise eviction deterministically). The capacity bound, if any,
-    /// is global regardless of the shard count.
+    /// A table bounded to `capacity` entries, or unbounded for `None`.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is `Some(0)`.
-    pub fn with_shards(capacity: Option<usize>, shards: usize) -> Self {
+    pub(crate) fn new(capacity: Option<usize>) -> Self {
         assert!(
             capacity != Some(0),
-            "stage-cache capacity must be >= 1 (use None for unbounded)"
+            "cache capacity must be >= 1 (leave it unbounded instead)"
         );
-        let shards = shards.max(1);
         StageCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            table: Mutex::new(Table {
+                cells: HashMap::new(),
+                by_tick: BTreeMap::new(),
+                flights: HashMap::new(),
+                tick: 0,
+            }),
             capacity,
-            occupancy: AtomicUsize::new(0),
-            tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -360,12 +335,8 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
         }
     }
 
-    fn shard_index(&self, key: &K) -> usize {
-        (hash_of(key) as usize) % self.shards.len()
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
+    fn lock(&self) -> MutexGuard<'_, Table<K, V>> {
+        self.table.lock().expect("cache table lock")
     }
 
     /// Lookups answered from the table (including coalesced waiters).
@@ -398,35 +369,14 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
         self.capacity
     }
 
-    /// Takes every shard lock at once, so cross-shard reads see one
-    /// atomic snapshot. Summing one shard at a time would tear: an entry
-    /// evicted from an already-counted shard while its replacement lands
-    /// in a not-yet-counted one counts twice, and "never observed over
-    /// capacity" would be unverifiable. No deadlock risk: every other
-    /// path holds at most one shard lock at a time.
-    fn lock_all(&self) -> Vec<std::sync::MutexGuard<'_, Shard<K, V>>> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("store shard lock"))
-            .collect()
-    }
-
-    /// Distinct entries currently resident (an atomic cross-shard count).
+    /// Distinct entries currently resident.
     pub fn len(&self) -> usize {
-        self.lock_all().iter().map(|s| s.cells.len()).sum()
+        self.lock().cells.len()
     }
 
     /// True when no entries are resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Resident entries per shard, in shard order, counted atomically.
-    pub(crate) fn shard_entries(&self) -> Vec<u64> {
-        self.lock_all()
-            .iter()
-            .map(|s| s.cells.len() as u64)
-            .collect()
     }
 
     /// This table's counters under a stage name, for
@@ -441,11 +391,7 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
             evictions: self.evictions(),
             entries: self.len() as u64,
             capacity: self.capacity.map(|c| c as u64),
-            hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
+            hit_rate: hit_rate(hits, misses),
         }
     }
 
@@ -453,118 +399,22 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
     /// success. Absence is *not* counted as a miss — misses count actual
     /// computes.
     pub fn get(&self, key: &K) -> Option<V> {
-        let tick = self.next_tick();
-        let mut shard = self.shards[self.shard_index(key)]
-            .lock()
-            .expect("store shard lock");
-        let entry = shard.touch(key, tick)?;
+        let value = self.lock().touch(key)?.value.clone();
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry.value.clone())
+        Some(value)
     }
 
     /// True when the key is resident (no counter or recency effects).
     pub(crate) fn contains(&self, key: &K) -> bool {
-        self.shards[self.shard_index(key)]
-            .lock()
-            .expect("store shard lock")
-            .cells
-            .contains_key(key)
+        self.lock().cells.contains_key(key)
     }
 
-    /// Inserts a value directly (evicting first when at capacity, so
-    /// the bound holds at every observable point). Normal traffic goes
-    /// through [`StageCache::get_or_compute`].
+    /// Inserts a value directly (evicting when at capacity, in the same
+    /// critical section, so the bound holds at every observable point).
+    /// Normal traffic goes through [`StageCache::get_or_compute`].
     pub fn insert(&self, key: K, value: V) {
-        let tick = self.next_tick();
-        let idx = self.shard_index(&key);
-        {
-            let mut shard = self.shards[idx].lock().expect("store shard lock");
-            let shard = &mut *shard;
-            if let Some(entry) = shard.cells.get_mut(&key) {
-                entry.value = value;
-                shard.by_tick.remove(&entry.last_used);
-                entry.last_used = tick;
-                shard.by_tick.insert(tick, key);
-                return;
-            }
-        }
-        self.reserve_slot();
-        let mut shard = self.shards[idx].lock().expect("store shard lock");
-        let replaced = shard.install(key, value, tick);
-        drop(shard);
-        if replaced {
-            // Another caller inserted the same key between our presence
-            // check and our insert; we replaced it, so give back the
-            // extra reservation.
-            self.release_slot();
-        }
-    }
-
-    /// Reserves one slot in the global occupancy budget, evicting the
-    /// least-recently-used entry while the table is at capacity. Must be
-    /// called with no shard lock held (eviction takes shard locks).
-    fn reserve_slot(&self) {
-        let Some(cap) = self.capacity else {
-            self.occupancy.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        loop {
-            let cur = self.occupancy.load(Ordering::Acquire);
-            if cur < cap {
-                if self
-                    .occupancy
-                    .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    return;
-                }
-                continue;
-            }
-            if !self.evict_lru_once() {
-                // Every slot is held by a reservation another thread has
-                // not yet materialized into a visible entry; the window
-                // between its reservation and its insert is a few
-                // instructions, so yield and retry.
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Releases one occupancy slot (an entry was removed, or a
-    /// reservation lost a same-key insert race).
-    fn release_slot(&self) {
-        self.occupancy.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Evicts the globally least-recently-used entry, scanning shard by
-    /// shard (locks are taken one at a time, never nested). Returns
-    /// false when nothing was evicted — the table is empty, or the
-    /// chosen victim was touched/removed between the scan and the
-    /// removal (the caller rescans).
-    fn evict_lru_once(&self) -> bool {
-        let mut oldest: Option<(usize, K, u64)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock().expect("store shard lock");
-            if let Some((&t, &k)) = shard.by_tick.first_key_value() {
-                if oldest.is_none_or(|(_, _, best)| t < best) {
-                    oldest = Some((i, k, t));
-                }
-            }
-        }
-        let Some((idx, key, tick)) = oldest else {
-            return false;
-        };
-        let mut shard = self.shards[idx].lock().expect("store shard lock");
-        match shard.cells.get(&key) {
-            Some(entry) if entry.last_used == tick => {
-                shard.cells.remove(&key);
-                shard.by_tick.remove(&tick);
-                drop(shard);
-                self.release_slot();
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            _ => false,
+        if self.lock().install(key, value, self.capacity) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -578,19 +428,17 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
     /// to the leader's thread as usual.
     pub fn get_or_compute(&self, key: K, compute: impl Fn() -> V) -> (V, Provenance) {
         loop {
-            let idx = self.shard_index(&key);
             let lead_or_wait = {
-                let mut shard = self.shards[idx].lock().expect("store shard lock");
-                let tick = self.next_tick();
-                if let Some(entry) = shard.touch(&key, tick) {
+                let mut table = self.lock();
+                if let Some(entry) = table.touch(&key) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return (entry.value.clone(), Provenance::Cached);
                 }
-                match shard.flights.get(&key) {
+                match table.flights.get(&key) {
                     Some(flight) => Err(flight.clone()),
                     None => {
                         let flight = Arc::new(Flight::new());
-                        shard.flights.insert(key, flight.clone());
+                        table.flights.insert(key, flight.clone());
                         self.in_flight.fetch_add(1, Ordering::Relaxed);
                         Ok(flight)
                     }
@@ -612,7 +460,6 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
                     let guard = FlightGuard {
                         cache: self,
                         key,
-                        shard_index: idx,
                         flight,
                         landed: false,
                     };
@@ -625,7 +472,7 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
     }
 }
 
-/// The sharded, bounded, warmable scenario→report store: a
+/// The bounded, warmable scenario→report store: a
 /// [`StageCache<Scenario, IterationReport>`] plus JSON snapshot/restore.
 pub struct ResultStore {
     inner: StageCache<Scenario, IterationReport>,
@@ -635,7 +482,6 @@ pub struct ResultStore {
 impl fmt::Debug for ResultStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ResultStore")
-            .field("shards", &self.inner.shards.len())
             .field("capacity", &self.inner.capacity)
             .field("stats", &self.stats())
             .finish()
@@ -651,37 +497,22 @@ impl Default for ResultStore {
 impl ResultStore {
     /// A store with no capacity bound (the batch-`Runner` default).
     pub fn unbounded() -> Self {
-        Self::with_shards(None, DEFAULT_SHARDS)
+        Self::new(None)
     }
 
     /// A store bounded to at most `capacity` entries (LRU-evicting).
-    ///
-    /// The bound is **global**: however the keys hash across shards, the
-    /// store never holds more than `capacity` entries — a `bounded(4)`
-    /// store with the default 16 shards still tops out at 4.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is zero — a store that can hold nothing
     /// cannot satisfy `get_or_compute`.
     pub fn bounded(capacity: usize) -> Self {
-        Self::with_shards(Some(capacity), DEFAULT_SHARDS)
+        Self::new(Some(capacity))
     }
 
-    /// A store with an explicit shard count (tests use small counts to
-    /// exercise eviction deterministically). The capacity bound, if any,
-    /// is global regardless of the shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is `Some(0)`.
-    pub fn with_shards(capacity: Option<usize>, shards: usize) -> Self {
-        assert!(
-            capacity != Some(0),
-            "result-store capacity must be >= 1 (use None for unbounded)"
-        );
+    fn new(capacity: Option<usize>) -> Self {
         ResultStore {
-            inner: StageCache::with_shards(capacity, shards),
+            inner: StageCache::new(capacity),
             warm_loaded: AtomicU64::new(0),
         }
     }
@@ -716,7 +547,7 @@ impl ResultStore {
         self.inner.capacity()
     }
 
-    /// Distinct cells currently resident (an atomic cross-shard count).
+    /// Distinct cells currently resident.
     pub fn len(&self) -> usize {
         self.inner.len()
     }
@@ -726,18 +557,9 @@ impl ResultStore {
         self.inner.is_empty()
     }
 
-    /// Resident entries per shard, in shard order (the occupancy/balance
-    /// telemetry behind `GET /stats`), counted atomically.
-    pub(crate) fn shard_entries(&self) -> Vec<u64> {
-        self.inner.shard_entries()
-    }
-
     /// All counters at once, including the staged engine's per-stage
     /// table counters (process-global; see [`crate::stages`]).
     pub fn stats(&self) -> StoreStats {
-        let shard_entries = self.shard_entries();
-        let entries: u64 = shard_entries.iter().sum();
-        let max_shard = shard_entries.iter().copied().max().unwrap_or(0);
         let hits = self.hits();
         let misses = self.misses();
         StoreStats {
@@ -746,21 +568,10 @@ impl ResultStore {
             evictions: self.evictions(),
             dedup_waits: self.dedup_waits(),
             in_flight: self.inner.in_flight(),
-            entries,
+            entries: self.len() as u64,
             capacity: self.capacity().map(|c| c as u64),
             warm_loaded: self.warm_loaded(),
-            hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
-            shards: shard_entries.len() as u64,
-            shard_imbalance: if entries > 0 {
-                max_shard as f64 * shard_entries.len() as f64 / entries as f64
-            } else {
-                0.0
-            },
-            shard_entries,
+            hit_rate: hit_rate(hits, misses),
             stages: crate::stages::stage_stats(),
         }
     }
@@ -777,8 +588,8 @@ impl ResultStore {
         self.inner.contains(scenario)
     }
 
-    /// Inserts a result directly (evicting first when at capacity, so
-    /// the bound holds at every observable point). Used by snapshot
+    /// Inserts a result directly (evicting when at capacity, so the
+    /// bound holds at every observable point). Used by snapshot
     /// restore; normal traffic goes through
     /// [`ResultStore::get_or_compute`].
     pub fn insert(&self, scenario: Scenario, report: IterationReport) {
@@ -807,15 +618,16 @@ impl ResultStore {
     /// cells are written — evicted entries are never rewritten, so a
     /// bounded store's snapshot never outgrows its capacity.
     pub fn snapshot_json(&self) -> String {
-        let mut cells: Vec<SnapshotCell> = Vec::new();
-        // Atomic cross-shard view: a shard-at-a-time walk could capture
-        // more cells than the capacity under concurrent churn.
-        for shard in self.inner.lock_all().iter() {
-            cells.extend(shard.cells.iter().map(|(s, e)| SnapshotCell {
+        let mut cells: Vec<SnapshotCell> = self
+            .inner
+            .lock()
+            .cells
+            .iter()
+            .map(|(s, e)| SnapshotCell {
                 scenario: *s,
                 report: e.value.clone(),
-            }));
-        }
+            })
+            .collect();
         cells.sort_by_key(|c| c.scenario.digest());
         serde::json::to_string_pretty(&Snapshot {
             version: SNAPSHOT_VERSION,
@@ -895,7 +707,6 @@ struct Snapshot {
 struct FlightGuard<'a, K: Copy + Eq + Hash, V: Clone> {
     cache: &'a StageCache<K, V>,
     key: K,
-    shard_index: usize,
     flight: Arc<Flight<V>>,
     landed: bool,
 }
@@ -903,24 +714,15 @@ struct FlightGuard<'a, K: Copy + Eq + Hash, V: Clone> {
 impl<K: Copy + Eq + Hash, V: Clone> FlightGuard<'_, K, V> {
     fn land(mut self, value: V) {
         self.landed = true;
-        let tick = self.cache.next_tick();
-        // Make room *before* the entry becomes visible: the capacity
-        // bound must hold at every observable point. The flight is still
-        // pending here, so concurrent callers coalesce rather than
-        // starting a duplicate compute.
-        self.cache.reserve_slot();
-        let replaced = {
-            let mut shard = self.cache.shards[self.shard_index]
-                .lock()
-                .expect("store shard lock");
-            let replaced = shard.install(self.key, value.clone(), tick);
-            shard.flights.remove(&self.key);
-            replaced
+        // Install and flight removal share one critical section, so a
+        // later caller sees either the open flight or the entry.
+        let evicted = {
+            let mut table = self.cache.lock();
+            table.flights.remove(&self.key);
+            table.install(self.key, value.clone(), self.cache.capacity)
         };
-        if replaced {
-            // A direct `insert` (snapshot restore) raced us in; give the
-            // extra reservation back.
-            self.cache.release_slot();
+        if evicted {
+            self.cache.evictions.fetch_add(1, Ordering::Relaxed);
         }
         self.cache.misses.fetch_add(1, Ordering::Relaxed);
         self.cache.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -933,11 +735,7 @@ impl<K: Copy + Eq + Hash, V: Clone> Drop for FlightGuard<'_, K, V> {
         if self.landed {
             return;
         }
-        let mut shard = self.cache.shards[self.shard_index]
-            .lock()
-            .expect("store shard lock");
-        shard.flights.remove(&self.key);
-        drop(shard);
+        self.cache.lock().flights.remove(&self.key);
         self.cache.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.flight.land(FlightState::Failed);
     }
@@ -996,8 +794,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_recency() {
-        // One shard so capacity is exact and recency fully ordered.
-        let store = ResultStore::with_shards(Some(2), 1);
+        let store = ResultStore::bounded(2);
         store.insert(cell(1), report(1));
         store.insert(cell(2), report(2));
         // Touch cell 1 so cell 2 is now the least recently used.
@@ -1012,23 +809,21 @@ mod tests {
 
     #[test]
     fn capacity_bounds_hold_under_churn() {
-        let store = ResultStore::with_shards(Some(4), 2);
+        let store = ResultStore::bounded(4);
         for i in 0..100 {
             store.insert(cell(i), report(i));
         }
-        assert_eq!(store.len(), 4, "global bound fills to exactly capacity");
+        assert_eq!(store.len(), 4, "the bound fills to exactly capacity");
         assert_eq!(store.evictions() + store.len() as u64, 100);
     }
 
     #[test]
     fn bound_is_global_even_when_capacity_is_below_the_shard_count() {
-        // 4 slots spread over 16 default shards: the per-shard-quota
-        // scheme this replaced retained up to 16 entries here.
         let store = ResultStore::bounded(4);
         for i in 0..100 {
             store.insert(cell(i), report(i));
         }
-        assert_eq!(store.len(), 4, "capacity is not multiplied by shards");
+        assert_eq!(store.len(), 4, "capacity is one table-wide budget");
         assert_eq!(store.evictions(), 96);
         // The four newest inserts survive (inserts are the only recency
         // signal here, so eviction goes strictly oldest-first).
@@ -1039,7 +834,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_never_overshoot_the_bound() {
-        let store = ResultStore::with_shards(Some(8), 4);
+        let store = ResultStore::bounded(8);
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let store = &store;
@@ -1058,22 +853,17 @@ mod tests {
 
     #[test]
     fn stats_report_shard_occupancy_and_hit_rate() {
-        let store = ResultStore::with_shards(None, 4);
+        let store = ResultStore::unbounded();
         let zero = store.stats();
         assert_eq!(zero.hit_rate, 0.0);
-        assert_eq!(zero.shard_imbalance, 0.0);
-        assert_eq!(zero.shards, 4);
         for i in 0..8 {
             store.insert(cell(i), report(i));
         }
         let _ = store.get_or_compute(cell(0), || panic!("cached"));
         let _ = store.get_or_compute(cell(100), || report(100));
         let stats = store.stats();
-        assert_eq!(stats.shard_entries.len(), 4);
-        assert_eq!(stats.shard_entries.iter().sum::<u64>(), stats.entries);
         assert_eq!(stats.entries, 9);
         assert!((stats.hit_rate - 0.5).abs() < 1e-12, "{stats:?}");
-        assert!(stats.shard_imbalance >= 1.0, "{stats:?}");
     }
 
     #[test]
@@ -1120,7 +910,7 @@ mod tests {
 
     #[test]
     fn stage_cache_tracks_hits_misses_and_evictions() {
-        let cache: StageCache<u64, u64> = StageCache::with_shards(Some(2), 1);
+        let cache: StageCache<u64, u64> = StageCache::bounded(2);
         assert_eq!(cache.get_or_compute(1, || 10), (10, Provenance::Computed));
         assert_eq!(cache.get_or_compute(1, || 99), (10, Provenance::Cached));
         assert_eq!(cache.get_or_compute(2, || 20), (20, Provenance::Computed));
@@ -1237,7 +1027,7 @@ mod tests {
         for i in 0..20 {
             donor.insert(cell(i), report(i));
         }
-        let small = ResultStore::with_shards(Some(4), 1);
+        let small = ResultStore::bounded(4);
         assert_eq!(small.restore_json(&donor.snapshot_json()), Ok(20));
         assert_eq!(small.len(), 4);
         assert_eq!(small.evictions(), 16);

@@ -6,7 +6,7 @@
 //! server on a non-blocking epoll event loop ([`accept`], over raw
 //! syscalls — the build environment has no crates.io access) whose
 //! handlers and batch grids share one
-//! [`ResultStore`](mcdla_core::ResultStore) — sharded, capacity-bounded,
+//! [`ResultStore`](mcdla_core::ResultStore) — capacity-bounded,
 //! LRU-evicting, single-flight-deduplicating, and snapshot-warmable, so
 //! a restarted service answers its first requests from cache. The event
 //! loop owns all connection I/O (pipelining, timeouts, 429

@@ -194,7 +194,7 @@ fn runners_share_a_store_and_bounded_stores_evict() {
     // Two runners over one bounded store: what one simulates, the other
     // hits; past the capacity, LRU eviction keeps the footprint flat and
     // the eviction counter visible (the `sweep`/`GET /stats` payloads).
-    let store = Arc::new(ResultStore::with_shards(Some(2), 1));
+    let store = Arc::new(ResultStore::bounded(2));
     let a = Runner::with_store(1, store.clone());
     let b = Runner::with_store(2, store);
     let cells: Vec<Scenario> = [Benchmark::AlexNet, Benchmark::RnnGemv, Benchmark::RnnLstm1]

@@ -79,11 +79,11 @@ fn staged_pipeline_is_bit_identical_to_from_scratch_compute() {
 /// Seeded random op mix (inserts, gets, get-or-computes) across
 /// threads, mirroring `tests/streaming_store.rs`: a bounded
 /// [`StageCache`] is never observed over its configured capacity, for
-/// capacities both above and below the shard count.
+/// several capacities.
 #[test]
 fn stage_cache_bound_holds_under_random_op_mix() {
-    for (cap, shards, seed) in [(3usize, 16usize, 7u64), (7, 4, 11), (20, 8, 13)] {
-        let cache = Arc::new(StageCache::<u64, u64>::with_shards(Some(cap), shards));
+    for (cap, seed) in [(3usize, 7u64), (7, 11), (20, 13)] {
+        let cache = Arc::new(StageCache::<u64, u64>::bounded(cap));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let cache = cache.clone();
@@ -104,10 +104,7 @@ fn stage_cache_bound_holds_under_random_op_mix() {
                             }
                         }
                         let resident = cache.len();
-                        assert!(
-                            resident <= cap,
-                            "cap {cap} x {shards} shards: observed {resident} resident"
-                        );
+                        assert!(resident <= cap, "cap {cap}: observed {resident} resident");
                     }
                 });
             }

@@ -1,9 +1,8 @@
 //! Concurrency and property tests for the shared [`ResultStore`] under
 //! the streaming grid executor: overlapping streams dedupe to one
-//! simulation per unique cell, the **global** capacity bound holds at
-//! every observable point (including when capacity < shard count, and
-//! during snapshot restore), and a poisoned (panicking) single-flight
-//! leader still unblocks streaming waiters.
+//! simulation per unique cell, the capacity bound holds at every
+//! observable point (including during snapshot restore), and a poisoned
+//! (panicking) single-flight leader still unblocks streaming waiters.
 
 use std::sync::Arc;
 
@@ -87,9 +86,9 @@ fn overlapping_streams_simulate_each_unique_cell_once() {
 
 #[test]
 fn lru_bound_holds_under_streaming_churn() {
-    // 2 shards x 2 per-shard slots = at most 4 resident cells, churned
-    // by two concurrent streams over 16 distinct cells.
-    let store = Arc::new(ResultStore::with_shards(Some(4), 2));
+    // At most 4 resident cells, churned by two concurrent streams over
+    // 16 distinct cells.
+    let store = Arc::new(ResultStore::bounded(4));
     let cells: Vec<Scenario> = ScenarioGrid::paper_default()
         .designs(&[SystemDesign::DcDla, SystemDesign::McDlaBwAware])
         .benchmarks(&[Benchmark::AlexNet, Benchmark::RnnGemv])
@@ -123,11 +122,8 @@ fn lru_bound_holds_under_streaming_churn() {
     );
 }
 
-/// The acceptance property for the global-LRU rework: a bounded store
-/// can never be observed over its configured capacity. Under the old
-/// per-shard quota (`per_shard_cap = capacity.div_ceil(shards).max(1)`)
-/// this fails immediately — `bounded(4)` with the default 16 shards
-/// retained up to 16 entries.
+/// A bounded store can never be observed over its configured capacity,
+/// and it fills to exactly that capacity.
 #[test]
 fn bounded_store_is_never_observed_over_capacity() {
     let store = ResultStore::bounded(4);
@@ -145,12 +141,11 @@ fn bounded_store_is_never_observed_over_capacity() {
 }
 
 /// Seeded random op mix (inserts, hits, misses, restores) across
-/// threads: the bound holds at every check, for capacities both above
-/// and below the shard count.
+/// threads: the bound holds at every check, for several capacities.
 #[test]
 fn random_op_mix_never_violates_the_bound() {
-    for (cap, shards, seed) in [(3usize, 16usize, 7u64), (7, 4, 11), (20, 8, 13)] {
-        let store = Arc::new(ResultStore::with_shards(Some(cap), shards));
+    for (cap, seed) in [(3usize, 7u64), (7, 11), (20, 13)] {
+        let store = Arc::new(ResultStore::bounded(cap));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let store = store.clone();
@@ -168,10 +163,7 @@ fn random_op_mix_never_violates_the_bound() {
                             }
                         }
                         let resident = store.len();
-                        assert!(
-                            resident <= cap,
-                            "cap {cap} x {shards} shards: observed {resident} resident"
-                        );
+                        assert!(resident <= cap, "cap {cap}: observed {resident} resident");
                     }
                 });
             }
@@ -182,12 +174,12 @@ fn random_op_mix_never_violates_the_bound() {
     }
 }
 
-/// Overlapping streaming grids through a store whose capacity is below
-/// the shard count, with a dedicated observer thread polling occupancy
-/// the whole time: no observable point may exceed the bound.
+/// Overlapping streaming grids through a store of capacity 3, with a
+/// dedicated observer thread polling residency the whole time: no
+/// observable point may exceed the bound.
 #[test]
 fn capacity_below_shard_count_holds_under_overlapping_streams() {
-    let store = Arc::new(ResultStore::with_shards(Some(3), 8));
+    let store = Arc::new(ResultStore::bounded(3));
     let cells = overlap_grid();
     assert!(cells.len() > 3);
     let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -250,7 +242,7 @@ fn snapshot_restore_over_capacity_evicts_oldest_first() {
         .collect();
     assert_eq!(order.len(), 12);
 
-    let small = ResultStore::with_shards(Some(5), 16);
+    let small = ResultStore::bounded(5);
     assert_eq!(small.restore_json(&snapshot), Ok(12));
     assert_eq!(small.len(), 5, "restore must land exactly at capacity");
     assert_eq!(small.evictions(), 7);
