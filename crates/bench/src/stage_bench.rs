@@ -9,13 +9,15 @@
 //!   the pipeline only at report assembly. Every stage table stays hot
 //!   after the first handful of cells, so this shape measures the
 //!   staged engine's designed sweet spot: fabric summaries, layer
-//!   timings, worker plans, schedules, and collective costs are each
-//!   built a handful of times instead of once per cell.
+//!   timings, worker plans and schedules are each built a handful of
+//!   times instead of once per cell. Its cells are analytical, so they
+//!   price their collectives inline and never touch the collective or
+//!   sync tables, which hold routed cells only.
 //! * **batch grid** (speedup gated at 1.5x): sweeps the global batch
-//!   size, the knob with the *widest* key blast radius — plans,
-//!   schedules, and collective costs all key on it, so only the
-//!   across-design reuse (six designs share one batch's artifacts)
-//!   amortizes. The honest lower bound on what staging buys.
+//!   size, the knob with the *widest* key blast radius — timings and
+//!   schedules key on it, so only the across-design reuse (six designs
+//!   share one batch's artifacts) amortizes. The honest lower bound on
+//!   what staging buys.
 //!
 //! Both engines run the same knob values chunk by chunk, alternating
 //! which goes first, so drift lands on both sides; the speedup is the

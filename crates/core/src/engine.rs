@@ -119,10 +119,7 @@ impl<'a> IterationSim<'a> {
 
     /// Duration of one collective under this design's fabric.
     pub(crate) fn collective_time(&self, kind: CollectiveKind, bytes: u64) -> SimDuration {
-        if self.fabric.ring_shapes().is_empty() || self.plan.workers < 2 {
-            return SimDuration::ZERO;
-        }
-        self.fabric.collective_time(kind, Bytes::new(bytes))
+        price_collective(&*self.fabric, self.plan.workers, kind, bytes)
     }
 
     /// Runs the iteration and produces the report: builds every stage
@@ -449,6 +446,23 @@ impl CommFabric for FlowFabric {
     fn topology(&self) -> Option<FabricTopology> {
         Some(self.routed.kind())
     }
+}
+
+/// Duration of one `kind` collective of `bytes` for a plan of `workers`
+/// workers over `fabric`: zero when the fabric has no rings or fewer
+/// than two workers share the model, else
+/// [`CommFabric::collective_time`]. The one pricing rule behind the
+/// monolithic path and both staged paths, so they cannot disagree.
+pub(crate) fn price_collective(
+    fabric: &dyn CommFabric,
+    workers: usize,
+    kind: CollectiveKind,
+    bytes: u64,
+) -> SimDuration {
+    if fabric.ring_shapes().is_empty() || workers < 2 {
+        return SimDuration::ZERO;
+    }
+    fabric.collective_time(kind, Bytes::new(bytes))
 }
 
 /// Builds the fabric a configuration synchronizes over:

@@ -394,9 +394,9 @@ impl Scenario {
 
     /// Simulates this cell through the staged pipeline
     /// ([`crate::stages`]): per-stage artifacts (fabric summary, layer
-    /// timings, worker plan, overlay schedule, collective costs) are
-    /// memoized process-wide, and only the cheap report assembly runs
-    /// per call. Bit-identical to
+    /// timings, worker plan, overlay schedule, and a routed cell's
+    /// collective costs) are memoized process-wide, and only the cheap
+    /// report assembly runs per call. Bit-identical to
     /// [`simulate_monolithic`](Scenario::simulate_monolithic).
     pub fn simulate(&self) -> IterationReport {
         crate::stages::simulate(self)

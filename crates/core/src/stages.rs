@@ -21,14 +21,19 @@
 //!    global batch`, with the batch axis *normalized away* for
 //!    batch-invariant data-parallel plans), and the overlay schedule
 //!    (`benchmark × virt batch × virtualizing?`).
-//! 3. **Collective cost** — two levels. The `collective` table holds
-//!    one striped ring collective's latency, keyed by `(fabric summary,
-//!    kind, gradient bytes)`; data-parallel dW buckets are
-//!    batch-invariant, so a batch sweep hits it after the first cell
-//!    per design. The `sync` table above it holds a plan's whole fused
+//! 3. **Collective cost** — memoized for routed cells only. An
+//!    analytical cell (`topology` unset) prices each fused sync op
+//!    inline during assembly, as the monolithic path does: the closed
+//!    form over a few rings is cheaper than a locked lookup. A routed
+//!    cell's ops are flow solves, so two tables amortize them. The
+//!    `collective` table holds one collective's latency, keyed by
+//!    `(fabric summary, kind, gradient bytes)`; data-parallel dW buckets
+//!    are batch-invariant, so a batch sweep hits it after the first cell
+//!    per fabric. The `sync` table above it holds a plan's whole fused
 //!    sync-op cost vector, keyed by `(fabric summary, worker plan)` —
 //!    one lookup per cell instead of one per op, with misses reading
-//!    through the per-op table.
+//!    through the per-op table. Both paths price an op with the same
+//!    function the monolithic path uses, so reports stay bit-identical.
 //! 4. **Report assembly** — the lean event-loop replay
 //!    ([`assemble`](crate::IterationSim)), uncached: per-cell knobs
 //!    (compression, pinned-budget overrides) enter only here.
@@ -48,13 +53,14 @@ use mcdla_accel::{AccelTimingModel, DeviceGeneration};
 use mcdla_dnn::{Benchmark, Network};
 use mcdla_interconnect::{CollectiveKind, FabricTopology};
 use mcdla_obs::{Histogram, HistogramSnapshot, Span};
-use mcdla_parallel::{ParallelStrategy, WorkerPlan};
-use mcdla_sim::{Bytes, SimDuration};
+use mcdla_parallel::{ParallelStrategy, SyncOp, WorkerPlan};
+use mcdla_sim::SimDuration;
 use mcdla_vmem::{VirtPolicy, VirtSchedule};
 
 use crate::design::SystemDesign;
 use crate::engine::{
-    assemble, build_fabric, layer_timings, xfer_table, CommFabric, NetShape, PlanArt, SchedArt,
+    assemble, build_fabric, layer_timings, price_collective, xfer_table, CommFabric, NetShape,
+    PlanArt, SchedArt,
 };
 use crate::report::IterationReport;
 use crate::scenario::{DeviceModel, Scenario};
@@ -246,11 +252,13 @@ fn pipeline() -> &'static StagePipeline {
 
 /// Latency snapshots per pipeline section, in fixed display order:
 /// the six spanned stage tables (per-op `collective` lookups run
-/// inside the `sync` section and are not timed individually) plus the
-/// uncached `assemble` replay. Feeds the `mcdla_stage_seconds`
-/// Prometheus family on `GET /metrics`. Populated only while span
-/// recording is enabled (`mcdla_obs::set_enabled`, flipped on by the
-/// servers) — batch sweeps leave these empty by design.
+/// inside the `sync` section and are not timed individually; `sync`
+/// sees routed cells only, since an analytical cell prices its
+/// collectives inside `assemble`) plus the uncached `assemble` replay.
+/// Feeds the `mcdla_stage_seconds` Prometheus family on `GET /metrics`.
+/// Populated only while span recording is enabled
+/// (`mcdla_obs::set_enabled`, flipped on by the servers) — batch sweeps
+/// leave these empty by design.
 pub fn stage_latency() -> Vec<(&'static str, HistogramSnapshot)> {
     let h = &pipeline().hists;
     vec![
@@ -394,39 +402,40 @@ fn simulate_in(p: &StagePipeline, scenario: &Scenario) -> IterationReport {
     // inline is cheaper than a table that would miss every time.
     let xfer = xfer_table(&sched, plan.stash_scale, cfg.compression_ratio, virt);
 
-    let sync_span = Span::enter_timed("stage.sync", &p.hists.sync);
-    let (sync, _) = p.syncs.get_or_compute(
-        SyncKey {
+    // An analytical cell prices its sync ops inline, as the monolithic
+    // path does: the closed form over a few rings costs less than a
+    // locked table lookup. Only a routed cell, whose ops are flow
+    // solves, goes through the `sync` table and, on a miss, the per-op
+    // `collective` table.
+    let price = |op: &SyncOp| price_collective(&*fabric.fabric, plan.workers, op.kind, op.bytes);
+    let routed = fabric_key.topology.map(|_| {
+        let _s = Span::enter_timed("stage.sync", &p.hists.sync);
+        let key = SyncKey {
             fabric: fabric_key,
             plan: plan_key,
-        },
-        || {
-            let fab = &fabric.fabric;
-            let silent = fab.ring_shapes().is_empty() || plan.workers < 2;
-            Arc::new(
-                plan.fused
-                    .iter()
-                    .map(|op| {
-                        if silent {
-                            return SimDuration::ZERO;
-                        }
-                        let key = CollKey {
-                            fabric: fabric_key,
-                            kind: op.kind,
-                            bytes: op.bytes,
-                        };
-                        p.collectives
-                            .get_or_compute(key, || {
-                                fab.collective_time(op.kind, Bytes::new(op.bytes))
-                            })
-                            .0
-                    })
-                    .collect(),
-            )
-        },
-    );
-    drop(sync_span);
-    let collective = |oi: usize| sync[oi];
+        };
+        p.syncs
+            .get_or_compute(key, || {
+                Arc::new(
+                    plan.fused
+                        .iter()
+                        .map(|op| {
+                            let key = CollKey {
+                                fabric: fabric_key,
+                                kind: op.kind,
+                                bytes: op.bytes,
+                            };
+                            p.collectives.get_or_compute(key, || price(op)).0
+                        })
+                        .collect(),
+                )
+            })
+            .0
+    });
+    let collective = |oi: usize| match &routed {
+        Some(sync) => sync[oi],
+        None => price(&plan.fused[oi]),
+    };
 
     let _s = Span::enter_timed("engine.assemble", &p.hists.assemble);
     assemble(
@@ -462,7 +471,7 @@ mod tests {
     #[test]
     fn stage_tables_amortize_across_designs() {
         // Two designs at the same batch share network, plan, timing and
-        // schedule artifacts; only fabric (and collectives) split.
+        // schedule artifacts; only fabric splits.
         let before: u64 = stage_stats().iter().map(|s| s.misses).sum();
         let batch = 4096;
         for design in [SystemDesign::DcDla, SystemDesign::McDlaLocal] {
@@ -505,9 +514,9 @@ mod tests {
     #[test]
     fn data_parallel_plans_are_shared_across_batches() {
         // A data-parallel batch sweep normalizes the plan key, so after
-        // the first cell the plan (and sync) tables must hit, not miss.
-        // A private pipeline keeps tests running in parallel out of the
-        // counters.
+        // the first cell the plan (and, for the routed copy, sync) tables
+        // must hit, not miss. A private pipeline keeps tests running in
+        // parallel out of the counters.
         let p = StagePipeline::from_env();
         let misses = || p.plans.stats("plan").misses + p.syncs.stats("sync").misses;
         let warm = Scenario::new(
@@ -515,16 +524,79 @@ mod tests {
             Benchmark::ResNet,
             ParallelStrategy::DataParallel,
         );
-        let _ = simulate_in(&p, &warm.with_batch(256));
+        let cells = [warm, warm.with_topology(FabricTopology::Ring)];
+        for cell in cells {
+            let _ = simulate_in(&p, &cell.with_batch(256));
+        }
         let misses_before = misses();
         for batch in [64u64, 128, 1024, 2048] {
-            let _ = simulate_in(&p, &warm.with_batch(batch));
+            for cell in cells {
+                let _ = simulate_in(&p, &cell.with_batch(batch));
+            }
         }
         let misses_after = misses();
         assert_eq!(
             misses_before, misses_after,
             "data-parallel plan/sync artifacts must be batch-invariant"
         );
+        assert_eq!(
+            p.syncs.stats("sync").hits,
+            4,
+            "the routed copy reuses its sync vector"
+        );
+    }
+
+    #[test]
+    fn analytical_cells_skip_the_sync_tables() {
+        // An analytical cell prices its collectives inline, so it may
+        // never touch the `sync` or `collective` table, on any pricing
+        // path: silent (1 device), backplane rings (2-8 devices), the
+        // MC-DLA scale-out plane and the DC/HC-DLA PCIe rings (64
+        // devices). A routed cell still goes through both.
+        let p = StagePipeline::from_env();
+        let lookups = |s: StageStats| s.hits + s.misses;
+        let mut cells = Vec::new();
+        for strategy in ParallelStrategy::ALL {
+            let cell = |design| Scenario::new(design, Benchmark::AlexNet, strategy);
+            cells.push(cell(SystemDesign::McDlaBwAware).with_devices(1));
+            for devices in [2, 4, 8] {
+                for design in SystemDesign::ALL {
+                    cells.push(cell(design).with_devices(devices));
+                }
+            }
+            cells.push(cell(SystemDesign::McDlaBwAware).with_devices(16));
+            cells.push(cell(SystemDesign::DcDla).with_devices(64));
+            cells.push(cell(SystemDesign::HcDla).with_devices(64));
+        }
+        for cell in &cells {
+            assert_eq!(
+                simulate_in(&p, cell),
+                cell.simulate_monolithic(),
+                "{cell:?}"
+            );
+        }
+        assert_eq!(lookups(p.syncs.stats("sync")), 0, "analytical sync lookups");
+        assert_eq!(
+            lookups(p.collectives.stats("collective")),
+            0,
+            "analytical collective lookups"
+        );
+
+        let routed = Scenario::new(
+            SystemDesign::McDlaBwAware,
+            Benchmark::AlexNet,
+            ParallelStrategy::DataParallel,
+        )
+        .with_devices(16)
+        .with_topology(FabricTopology::Ring);
+        assert_eq!(simulate_in(&p, &routed), routed.simulate_monolithic());
+        let (sync, coll) = (p.syncs.stats("sync"), p.collectives.stats("collective"));
+        assert_eq!((sync.hits, sync.misses), (0, 1), "{sync:?}");
+        assert!(coll.misses > 0, "{coll:?}");
+        let _ = simulate_in(&p, &routed);
+        let (sync, again) = (p.syncs.stats("sync"), p.collectives.stats("collective"));
+        assert_eq!((sync.hits, sync.misses), (1, 1), "{sync:?}");
+        assert_eq!(lookups(again), lookups(coll), "a sync hit reads no op");
     }
 
     #[test]
