@@ -7,7 +7,7 @@
 //! (and sheds 429 beyond the admission queue); the shell's own routes
 //! answer on the loop thread.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -24,7 +24,7 @@ use mcdla_serve::{ServeConfig, Server, ServerHandle, MAX_GRID_CELLS};
 use serde::Value;
 
 use crate::console::fleet_rings;
-use crate::merge::{partition_pending, scatter_buffered};
+use crate::merge::{canonical_indices, digest_hex, gather, line_digest, Scatter};
 use crate::router::{Router, WorkerState};
 
 /// Idle keep-alive client connections are dropped after this long
@@ -50,8 +50,6 @@ pub struct GatewayConfig {
     pub probe_interval: Option<Duration>,
     /// Parked keep-alive connections kept per worker.
     pub max_idle_per_worker: usize,
-    /// Event-loop threads (one epoll instance each).
-    pub loops: usize,
     /// Admission-queue bound: fleet-bound requests waiting beyond the
     /// worker pool; the next one is answered 429 + `Retry-After`.
     pub queue_depth: usize,
@@ -69,7 +67,6 @@ impl Default for GatewayConfig {
             timeouts: Timeouts::default(),
             probe_interval: Some(Duration::from_secs(2)),
             max_idle_per_worker: 16,
-            loops: 1,
             queue_depth: 128,
             sample_ms: None,
         }
@@ -101,7 +98,6 @@ impl Gateway {
     /// Binds the listener and builds the router over the backends.
     pub fn bind(config: &GatewayConfig) -> Result<Gateway, String> {
         let loop_config = LoopConfig {
-            loops: config.loops,
             workers: config.threads,
             queue_depth: config.queue_depth,
             idle_timeout: READ_TIMEOUT,
@@ -296,7 +292,7 @@ impl Tier for Fleet {
             _ => match node::grid_scenarios(&call.request.body, MAX_GRID_CELLS) {
                 // Expand, partition by owner, scatter-gather, merge back
                 // into single-node cell order.
-                Ok(scenarios) => match scatter_buffered(router, &scenarios) {
+                Ok(scenarios) => match gather(router, &scenarios) {
                     Ok(cells) => pretty(Value::Map(vec![
                         ("count".into(), Value::U64(cells.len() as u64)),
                         ("cells".into(), Value::Seq(cells)),
@@ -329,128 +325,52 @@ impl Tier for Fleet {
         // duplicate, so the client still gets one line per input cell.
         // Workers stream a slice in completion order, so the extra
         // copies are keyed by the line's `digest`, not by its position.
-        let canon = crate::merge::canonical_indices(&scenarios);
-        let keys = crate::merge::routing_keys(&scenarios);
+        let canon = canonical_indices(&scenarios);
         let mut extra_copies: HashMap<String, usize> = HashMap::new();
         for (i, &c) in canon.iter().enumerate() {
             if c != i {
-                *extra_copies
-                    .entry(format!("{:016x}", scenarios[c].digest()))
-                    .or_default() += 1;
+                *extra_copies.entry(digest_hex(&scenarios[c])).or_default() += 1;
             }
         }
 
-        // Open phase: partition and start every sub-stream, failing slices
-        // over while nothing has been written to the client yet.
-        let mut opened: Vec<(crate::pool::PooledConn<'_>, Vec<usize>, usize)> = Vec::new();
-        let mut pending: Vec<usize> = (0..scenarios.len()).filter(|&i| canon[i] == i).collect();
-        let mut excluded: BTreeSet<usize> = BTreeSet::new();
-        let mut failures: Vec<String> = Vec::new();
-        while !pending.is_empty() {
-            let parts = match partition_pending(router, &scenarios, &keys, &pending, &excluded) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    let message = if failures.is_empty() {
-                        e.message
-                    } else {
-                        format!("{}: {}", e.message, failures.join("; "))
-                    };
-                    return StreamOutcome::Rejected(Outcome::error(e.status, &message));
-                }
-            };
-            let mut next_pending = Vec::new();
-            for part in parts {
-                let worker = &router.workers()[part.worker];
-                // Streams always ride a fresh connection: a stale pooled
-                // keep-alive would fail only at first read — after the 200
-                // head is out and failover is no longer possible.
-                let attempt = worker.pool().connect_fresh().and_then(|mut conn| {
-                    conn.get()
-                        .start_stream("POST", "/grid?stream=1", Some(&part.body))
-                        .map(|()| conn)
-                });
-                match attempt {
-                    Ok(conn) => opened.push((conn, part.indices, part.worker)),
-                    Err(e) => {
-                        worker.mark_down(&e);
-                        failures.push(format!("worker {} ({}): {e}", part.worker, worker.addr()));
-                        excluded.insert(part.worker);
-                        next_pending.extend(part.indices);
-                    }
-                }
-            }
-            if !next_pending.is_empty() {
-                router.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            next_pending.sort_unstable();
-            pending = next_pending;
-        }
-
+        // Open every sub-stream, failing slices over while nothing has
+        // been written to the client yet.
+        let pending: Vec<usize> = (0..scenarios.len()).filter(|&i| canon[i] == i).collect();
+        let opened = match Scatter::new(router, &scenarios).open(pending) {
+            Ok(opened) => opened,
+            Err(e) => return StreamOutcome::Rejected(Outcome::error(e.status, &e.message)),
+        };
         if out.open().is_err() {
             return StreamOutcome::Streamed { clean: false };
         }
 
-        // Drain phase: worker-index-ordered partitions, lines forwarded as
-        // raw bytes (cell payloads stay byte-identical to the worker's).
-        for (mut conn, indices, worker_idx) in opened {
-            let worker = &router.workers()[worker_idx];
-            let mut stream = match conn.get().read_stream() {
-                Ok(stream) => stream,
-                Err(e) => {
-                    worker.mark_down(&e);
-                    return StreamOutcome::Streamed { clean: false };
+        // Drain in worker-index order, forwarding lines as raw bytes
+        // (cell payloads stay byte-identical to the worker's).
+        for mut sub in opened {
+            let forwarded = sub.drain(router, |mut line| {
+                // One copy for the canonical cell plus one per duplicate
+                // the gateway held back from the fleet.
+                let copies = 1 + if extra_copies.is_empty() {
+                    0
+                } else {
+                    serde::json::parse(&line)
+                        .ok()
+                        .and_then(|cell| extra_copies.get(line_digest(&cell)?).copied())
+                        .unwrap_or(0)
+                };
+                line.push('\n');
+                for _ in 0..copies {
+                    // Client went away: the sub-stream is abandoned, which
+                    // cancels the worker's remaining cells.
+                    out.line(line.as_bytes())
+                        .map_err(|e| format!("client went away: {e}"))?;
                 }
-            };
-            if stream.status != 200 {
-                worker.failures.fetch_add(1, Ordering::Relaxed);
-                stream.abandon();
+                Ok(())
+            });
+            if forwarded.is_err() {
                 return StreamOutcome::Streamed { clean: false };
             }
-            let mut lines = 0usize;
-            loop {
-                match stream.next_line() {
-                    Some(Ok(mut line)) => {
-                        // One copy for the canonical cell plus one per
-                        // duplicate the gateway held back from the fleet.
-                        let copies = 1 + if extra_copies.is_empty() {
-                            0
-                        } else {
-                            line_digest(&line)
-                                .and_then(|d| extra_copies.get(&d).copied())
-                                .unwrap_or(0)
-                        };
-                        line.push('\n');
-                        for _ in 0..copies {
-                            if out.line(line.as_bytes()).is_err() {
-                                // Client went away: abandoning (not
-                                // draining) closes the worker connection,
-                                // cancelling its remaining cells.
-                                stream.abandon();
-                                return StreamOutcome::Streamed { clean: false };
-                            }
-                        }
-                        lines += 1;
-                    }
-                    Some(Err(e)) => {
-                        worker.mark_down(&format!("sub-stream died: {e}"));
-                        stream.abandon();
-                        return StreamOutcome::Streamed { clean: false };
-                    }
-                    None => break,
-                }
-            }
-            drop(stream);
-            if lines != indices.len() {
-                // A clean terminal chunk with missing cells is a protocol
-                // violation; the client must not see it as a complete grid.
-                worker.mark_down(&format!(
-                    "sub-stream ended cleanly after {lines} of {} cells",
-                    indices.len()
-                ));
-                return StreamOutcome::Streamed { clean: false };
-            }
-            worker.answered.fetch_add(1, Ordering::Relaxed);
-            // `conn` drops here un-parked — fresh-per-stream policy.
+            // `sub` drops here un-parked — fresh-per-stream policy.
         }
         StreamOutcome::Streamed { clean: true }
     }
@@ -474,12 +394,6 @@ impl Tier for Fleet {
             ("trace".into(), trace),
         ])])
     }
-}
-
-/// The `digest` field of one streamed cell line.
-fn line_digest(line: &str) -> Option<String> {
-    let cell = serde::json::parse(line).ok()?;
-    cell.get("digest")?.as_str().map(str::to_owned)
 }
 
 /// `POST /simulate`: validate locally (the same 400s a worker would

@@ -1,27 +1,34 @@
 //! Scatter-gather for grid requests: partition the expanded cell list
-//! by rendezvous owner, fan sub-grids out to the owning workers, and
-//! merge the answers back into the single-node cell order.
+//! by rendezvous owner, open one `/grid?stream=1` sub-stream per owning
+//! worker, and drain the workers' NDJSON cell lines.
 //!
 //! Workers receive their partition as an **explicit cell list**
 //! (`{"cells": [...]}` — see `GridRequest::cells` in `mcdla-serve`),
 //! because a consistent-hash slice of a cartesian grid is not itself a
-//! cartesian product. Each worker answers its cells in list order, so
-//! the gateway can splice results back by original index and the merged
-//! buffered response is cell-for-cell identical to what one big worker
-//! would have answered (modulo `cached` flags, which reflect each
-//! worker's own cache).
+//! cartesian product. Both gateway grid forms ride the same two steps,
+//! [`Scatter::open`] and [`SubStream::drain`]:
 //!
-//! Routing keys are hashed once per request ([`routing_keys`]) and
-//! duplicate cells are collapsed before the scatter
-//! ([`canonical_indices`]): a degenerate grid or a client-sent
-//! duplicate list costs one simulation per distinct cell, with the
-//! gateway replaying the canonical answer at every duplicate index.
+//! * the streamed form forwards each sub-stream's lines verbatim;
+//! * the buffered form ([`gather`]) drains every sub-stream at once and
+//!   puts each line back at its grid index by the line's `digest`, so
+//!   the merged answer is cell-for-cell identical to what one big worker
+//!   would have answered (modulo `cached` flags, which reflect each
+//!   worker's own cache).
+//!
+//! Routing keys are hashed once per request and duplicate cells are
+//! collapsed before the scatter ([`canonical_indices`]): a degenerate
+//! grid or a client-sent duplicate list costs one simulation per
+//! distinct cell, with the gateway replaying the canonical answer at
+//! every duplicate index.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::Ordering;
+use std::sync::OnceLock;
 
 use mcdla_core::Scenario;
 use serde::{Serialize, Value};
 
+use crate::pool::PooledConn;
 use crate::router::{GatewayError, Router};
 
 /// Maps each grid index to the first index holding the same scenario
@@ -39,206 +46,272 @@ pub(crate) fn canonical_indices(scenarios: &[Scenario]) -> Vec<usize> {
         .collect()
 }
 
-/// The routing keys for a request's cells, hashed once up front:
-/// retry rounds and replica walks reuse them instead of re-hashing
-/// scenarios on the failover path.
-pub(crate) fn routing_keys(scenarios: &[Scenario]) -> Vec<u64> {
-    scenarios.iter().map(mcdla_core::key_hash).collect()
+/// A cell's `digest` as a streamed line carries it.
+pub(crate) fn digest_hex(scenario: &Scenario) -> String {
+    format!("{:016x}", scenario.digest())
 }
 
-/// One worker's slice of a grid: the original cell indices it owns and
-/// the ready-to-send sub-grid body.
+/// The `digest` field of one streamed cell line.
+pub(crate) fn line_digest(cell: &Value) -> Option<&str> {
+    cell.get("digest")?.as_str()
+}
+
+/// One grid request's scatter state: the cells, their routing keys
+/// (hashed once, so failover rounds never re-hash), and the workers
+/// already seen failing for this request with what each said.
 #[derive(Debug)]
-pub(crate) struct Partition {
+pub(crate) struct Scatter<'r> {
+    router: &'r Router,
+    scenarios: &'r [Scenario],
+    keys: Vec<u64>,
+    excluded: BTreeSet<usize>,
+    failures: Vec<String>,
+}
+
+/// One opened `/grid?stream=1` sub-stream: the fresh connection it rides
+/// on, the worker answering it, and the grid indices it owes.
+#[derive(Debug)]
+pub(crate) struct SubStream<'r> {
+    conn: PooledConn<'r>,
     /// Worker index in the topology.
-    pub worker: usize,
-    /// Original grid indices, in grid order.
-    pub indices: Vec<usize>,
-    /// The `{"cells": [...]}` request body for this slice.
-    pub body: String,
+    worker: usize,
+    /// Original grid indices this worker owes a line for.
+    indices: Vec<usize>,
 }
 
-/// Builds the sub-grid body for a set of cells.
-fn sub_grid_body(cells: &[&Scenario]) -> String {
-    serde::json::to_string(&Value::Map(vec![(
-        "cells".into(),
-        Value::Seq(cells.iter().map(|s| s.to_value()).collect()),
-    )]))
-}
+impl<'r> Scatter<'r> {
+    pub(crate) fn new(router: &'r Router, scenarios: &'r [Scenario]) -> Self {
+        Scatter {
+            router,
+            scenarios,
+            keys: scenarios.iter().map(mcdla_core::key_hash).collect(),
+            excluded: BTreeSet::new(),
+            failures: Vec::new(),
+        }
+    }
 
-/// Partitions `pending` (indices into `scenarios`) across workers by
-/// rendezvous ownership, skipping `excluded` workers (already observed
-/// failing for this request). Partitions come back in worker-index
-/// order. Fails with 502 when every worker is excluded.
-pub(crate) fn partition_pending(
-    router: &Router,
-    scenarios: &[Scenario],
-    keys: &[u64],
-    pending: &[usize],
-    excluded: &BTreeSet<usize>,
-) -> Result<Vec<Partition>, GatewayError> {
-    if excluded.len() >= router.workers().len() {
-        return Err(GatewayError::new(
-            502,
-            format!(
-                "no reachable worker left for the grid (all {} failed)",
-                router.workers().len()
-            ),
-        ));
-    }
-    let mut slices: Vec<Vec<usize>> = vec![Vec::new(); router.workers().len()];
-    for &idx in pending {
-        let choice = router
-            .route(keys[idx])
-            .into_iter()
-            .find(|w| !excluded.contains(w))
-            .expect("checked above that at least one worker remains");
-        slices[choice].push(idx);
-    }
-    Ok(slices
-        .into_iter()
-        .enumerate()
-        .filter(|(_, indices)| !indices.is_empty())
-        .map(|(worker, indices)| {
-            let cells: Vec<&Scenario> = indices.iter().map(|&i| &scenarios[i]).collect();
-            Partition {
-                worker,
-                indices,
-                body: sub_grid_body(&cells),
+    /// Partitions `pending` (indices into the grid) across workers by
+    /// rendezvous ownership, skipping excluded workers: one
+    /// `(worker, indices)` slice per owner, in worker-index order.
+    fn partition(&self, pending: &[usize]) -> Result<Vec<(usize, Vec<usize>)>, GatewayError> {
+        let workers = self.router.workers().len();
+        if self.excluded.len() >= workers {
+            let mut message =
+                format!("no reachable worker left for the grid (all {workers} failed)");
+            if !self.failures.is_empty() {
+                message = format!("{message}: {}", self.failures.join("; "));
             }
-        })
-        .collect())
-}
-
-/// Sends one partition's buffered sub-grid and parses the cells out of
-/// the worker's `{"count", "cells"}` answer.
-fn fetch_partition(router: &Router, part: &Partition) -> Result<Vec<Value>, String> {
-    let worker = &router.workers()[part.worker];
-    let response = worker
-        .pool()
-        .request("POST", "/grid", Some(&part.body))
-        .inspect_err(|e| worker.mark_down(e))?;
-    if response.status != 200 {
-        worker
-            .failures
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        return Err(format!(
-            "answered HTTP {} to a {}-cell sub-grid: {}",
-            response.status,
-            part.indices.len(),
-            response.body
-        ));
-    }
-    worker.mark_up();
-    worker
-        .answered
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let parsed = serde::json::parse(&response.body)
-        .map_err(|e| format!("answered unparseable grid JSON: {e}"))?;
-    let Value::Map(entries) = parsed else {
-        return Err("answered a non-object grid body".into());
-    };
-    let cells = entries
-        .into_iter()
-        .find(|(k, _)| k == "cells")
-        .map(|(_, v)| v);
-    let Some(Value::Seq(cells)) = cells else {
-        return Err("answered a grid body without a `cells` array".into());
-    };
-    if cells.len() != part.indices.len() {
-        return Err(format!(
-            "answered {} cells for a {}-cell sub-grid",
-            cells.len(),
-            part.indices.len()
-        ));
-    }
-    Ok(cells)
-}
-
-/// Scatter-gathers a buffered grid: partitions `scenarios` by owner,
-/// fetches every partition concurrently, and re-merges the cells into
-/// grid order. A worker that fails is excluded and its slice re-routed
-/// to the next replicas (one more round per surviving worker at most);
-/// when no worker can take a slice, the whole request is a 502 naming
-/// the failures.
-pub(crate) fn scatter_buffered(
-    router: &Router,
-    scenarios: &[Scenario],
-) -> Result<Vec<Value>, GatewayError> {
-    let mut out: Vec<Option<Value>> = Vec::with_capacity(scenarios.len());
-    out.resize_with(scenarios.len(), || None);
-    let canon = canonical_indices(scenarios);
-    let keys = routing_keys(scenarios);
-    // Only distinct cells go to the fleet; duplicates are filled from
-    // their canonical answer after the gather.
-    let mut pending: Vec<usize> = (0..scenarios.len()).filter(|&i| canon[i] == i).collect();
-    let mut excluded: BTreeSet<usize> = BTreeSet::new();
-    let mut failures: Vec<String> = Vec::new();
-
-    while !pending.is_empty() {
-        let parts =
-            partition_pending(router, scenarios, &keys, &pending, &excluded).map_err(|e| {
-                if failures.is_empty() {
-                    e
-                } else {
-                    GatewayError::new(502, format!("{}: {}", e.message, failures.join("; ")))
-                }
-            })?;
-        let results: Vec<(Partition, Result<Vec<Value>, String>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
+            return Err(GatewayError::new(502, message));
+        }
+        let mut slices: Vec<Vec<usize>> = vec![Vec::new(); workers];
+        for &idx in pending {
+            let choice = self
+                .router
+                .route(self.keys[idx])
                 .into_iter()
-                .map(|part| {
+                .find(|w| !self.excluded.contains(w))
+                .expect("checked above that at least one worker remains");
+            slices[choice].push(idx);
+        }
+        Ok(slices
+            .into_iter()
+            .enumerate()
+            .filter(|(_, indices)| !indices.is_empty())
+            .collect())
+    }
+
+    /// Records that `worker` failed this request: it is excluded from
+    /// later partitions and named in the 502 if no worker is left.
+    fn fail(&mut self, worker: usize, error: &str) {
+        let addr = self.router.workers()[worker].addr();
+        self.failures
+            .push(format!("worker {worker} ({addr}): {error}"));
+        self.excluded.insert(worker);
+    }
+
+    /// Opens a sub-stream per owner of the `pending` cells, in
+    /// worker-index order, so every owner starts computing at once. A
+    /// worker that cannot be reached is marked down and excluded, and
+    /// its slice is re-partitioned over the rest; when no worker is
+    /// left the request is a 502 naming every failure.
+    pub(crate) fn open(
+        &mut self,
+        mut pending: Vec<usize>,
+    ) -> Result<Vec<SubStream<'r>>, GatewayError> {
+        let mut opened = Vec::new();
+        while !pending.is_empty() {
+            let mut next = Vec::new();
+            for (w, indices) in self.partition(&pending)? {
+                let worker = &self.router.workers()[w];
+                let cells = indices.iter().map(|&i| self.scenarios[i].to_value());
+                let body = Value::Map(vec![("cells".into(), Value::Seq(cells.collect()))]);
+                let body = serde::json::to_string(&body);
+                // Streams always ride a fresh connection: a stale pooled
+                // keep-alive would fail only at first read — after the
+                // gateway's 200 head is out and failover is no longer
+                // possible.
+                let attempt = worker.pool().connect_fresh().and_then(|mut conn| {
+                    conn.get()
+                        .start_stream("POST", "/grid?stream=1", Some(&body))
+                        .map(|()| conn)
+                });
+                match attempt {
+                    Ok(conn) => opened.push(SubStream {
+                        conn,
+                        worker: w,
+                        indices,
+                    }),
+                    Err(e) => {
+                        worker.mark_down(&e);
+                        self.fail(w, &e);
+                        next.extend(indices);
+                    }
+                }
+            }
+            if !next.is_empty() {
+                self.router.failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            next.sort_unstable();
+            pending = next;
+        }
+        Ok(opened)
+    }
+}
+
+impl SubStream<'_> {
+    /// Drains the sub-stream into `on_line`, one call per cell line,
+    /// and checks that the worker delivered what it owes: a 200 head,
+    /// whole lines, and one line per owed cell. A broken or short
+    /// sub-stream marks the worker down; a non-200 head counts a
+    /// failure. An `Err` from `on_line` abandons the sub-stream
+    /// (closing the connection cancels the worker's remaining cells).
+    /// Every failure comes back as `Err` with its reason.
+    pub(crate) fn drain(
+        &mut self,
+        router: &Router,
+        mut on_line: impl FnMut(String) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let owed = self.indices.len();
+        let worker = &router.workers()[self.worker];
+        let mut stream = self
+            .conn
+            .get()
+            .read_stream()
+            .inspect_err(|e| worker.mark_down(e))?;
+        if stream.status != 200 {
+            worker.failures.fetch_add(1, Ordering::Relaxed);
+            let status = stream.status;
+            let body = stream.next_line().and_then(Result::ok).unwrap_or_default();
+            stream.abandon();
+            return Err(format!(
+                "answered HTTP {status} to a {owed}-cell sub-grid: {body}"
+            ));
+        }
+        let mut lines = 0usize;
+        while let Some(line) = stream.next_line() {
+            let delivered = match line {
+                Ok(line) => on_line(line),
+                Err(e) => {
+                    let e = format!("sub-stream died: {e}");
+                    worker.mark_down(&e);
+                    Err(e)
+                }
+            };
+            if let Err(e) = delivered {
+                stream.abandon();
+                return Err(e);
+            }
+            lines += 1;
+        }
+        drop(stream);
+        if lines != owed {
+            // A clean terminal chunk with missing cells is a protocol
+            // violation, never a complete slice.
+            let e = format!("sub-stream ended cleanly after {lines} of {owed} cells");
+            worker.mark_down(&e);
+            return Err(e);
+        }
+        worker.answered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// The buffered gateway grid: scatters the distinct cells as
+/// sub-streams, drains them concurrently (one scoped thread each), and
+/// puts every line back at its grid index by `digest`. The cells a
+/// failed or non-200 sub-stream did not deliver are re-routed to the
+/// surviving workers, round after round; when no worker is left the
+/// whole request is a 502 naming the failures. Duplicates are filled
+/// from their canonical cell.
+pub(crate) fn gather(router: &Router, scenarios: &[Scenario]) -> Result<Vec<Value>, GatewayError> {
+    let out: Vec<OnceLock<Value>> = scenarios.iter().map(|_| OnceLock::new()).collect();
+    let canon = canonical_indices(scenarios);
+    let mut scatter = Scatter::new(router, scenarios);
+    let mut pending: Vec<usize> = (0..scenarios.len()).filter(|&i| canon[i] == i).collect();
+    while !pending.is_empty() {
+        let subs = scatter.open(pending)?;
+        let drained: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = subs
+                .into_iter()
+                .map(|mut sub| {
+                    let out = &out;
                     scope.spawn(move || {
-                        let result = fetch_partition(router, &part);
-                        (part, result)
+                        let result = drain_into(router, scenarios, out, &mut sub);
+                        (sub, result)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("scatter worker thread"))
+                .map(|h| h.join().expect("gather thread"))
                 .collect()
         });
-        let mut next_pending = Vec::new();
-        // Only slices re-partitioned in an earlier round count as
-        // failovers; same-round sibling failures must not taint them.
-        let rerouted_round = !excluded.is_empty();
-        for (part, result) in results {
-            match result {
-                Ok(cells) => {
-                    if rerouted_round {
-                        // This slice landed somewhere after at least one
-                        // worker was excluded for it — count re-routes.
-                        router
-                            .failovers
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    for (&idx, cell) in part.indices.iter().zip(cells) {
-                        out[idx] = Some(cell);
-                    }
-                }
-                Err(e) => {
-                    failures.push(format!(
-                        "worker {} ({}): {e}",
-                        part.worker,
-                        router.workers()[part.worker].addr()
-                    ));
-                    excluded.insert(part.worker);
-                    next_pending.extend(part.indices);
-                }
+        pending = Vec::new();
+        for (sub, result) in drained {
+            if let Err(e) = result {
+                scatter.fail(sub.worker, &e);
+                pending.extend(sub.indices.into_iter().filter(|&i| out[i].get().is_none()));
             }
         }
-        next_pending.sort_unstable();
-        pending = next_pending;
+        if !pending.is_empty() {
+            router.failovers.fetch_add(1, Ordering::Relaxed);
+        }
+        pending.sort_unstable();
     }
-
-    for idx in 0..out.len() {
-        if canon[idx] != idx {
-            out[idx] = out[canon[idx]].clone();
+    let mut cells: Vec<Option<Value>> = out.into_iter().map(OnceLock::into_inner).collect();
+    for (idx, &first) in canon.iter().enumerate() {
+        if first != idx {
+            cells[idx] = cells[first].clone();
         }
     }
-    Ok(out
+    Ok(cells
         .into_iter()
         .map(|cell| cell.expect("every grid index was filled"))
         .collect())
+}
+
+/// Drains one buffered sub-stream, setting each delivered cell at its
+/// grid index in `out`. Lines arrive in completion order, so each is
+/// placed by its `digest`; a line that is not JSON or names a cell the
+/// worker was not sent (or sent twice) fails the sub-stream.
+fn drain_into(
+    router: &Router,
+    scenarios: &[Scenario],
+    out: &[OnceLock<Value>],
+    sub: &mut SubStream<'_>,
+) -> Result<(), String> {
+    let mut owed: HashMap<String, usize> = sub
+        .indices
+        .iter()
+        .map(|&i| (digest_hex(&scenarios[i]), i))
+        .collect();
+    sub.drain(router, |line| {
+        let cell = serde::json::parse(&line)
+            .map_err(|e| format!("answered unparseable cell JSON: {e}"))?;
+        let idx = line_digest(&cell)
+            .and_then(|d| owed.remove(d))
+            .ok_or("answered a cell it was not sent")?;
+        let _ = out[idx].set(cell);
+        Ok(())
+    })
 }

@@ -4,6 +4,8 @@
 //! (Kill -9 failure injection lives in the workspace-root
 //! `tests/cluster_failover.rs`, which spawns real worker processes.)
 
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+
 use mcdla_cluster::{spawn_local_fleet, FleetConfig, Topology};
 use mcdla_core::{FabricTopology, Scenario, SystemDesign};
 use mcdla_dnn::Benchmark;
@@ -424,6 +426,85 @@ fn grids_fail_over_and_an_all_dead_fleet_is_a_502_naming_workers() {
         "stream open failure must be a buffered 502"
     );
     fleet.shutdown();
+}
+
+/// A backend that answers a sub-grid request with a chunked 200 head and
+/// one genuine cell line — the first cell it was sent — and then closes
+/// without the terminal chunk.
+fn worker_dying_mid_answer() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            // Read the whole request, so closing sends FIN rather than RST.
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let (mut header, mut length) = (String::new(), 0);
+            while reader.read_line(&mut header).unwrap_or(0) > 2 {
+                if let Some(n) = header.to_ascii_lowercase().strip_prefix("content-length:") {
+                    length = n.trim().parse().unwrap();
+                }
+                header.clear();
+            }
+            let mut body = vec![0; length];
+            reader.read_exact(&mut body).unwrap();
+            let grid = serde::json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            let first = &grid.get("cells").and_then(Value::as_seq).unwrap()[0];
+            let s: Scenario = serde::Deserialize::from_value(first).unwrap();
+            let line = serde::json::to_string(&mcdla_serve::cell_value(&s, &s.simulate(), false));
+            let head = "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n";
+            let chunk = format!("{:x}\r\n{line}\n\r\n", line.len() + 1);
+            let _ = stream.write_all(format!("{head}{chunk}").as_bytes());
+        }
+    });
+    addr
+}
+
+#[test]
+fn buffered_grid_reroutes_cells_a_worker_dropped_mid_answer() {
+    let worker = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let worker_addr = worker.addr().to_string();
+    let gateway = mcdla_cluster::Gateway::bind(&mcdla_cluster::GatewayConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        backends: vec![worker_dying_mid_answer(), worker_addr.clone()],
+        probe_interval: None,
+        ..mcdla_cluster::GatewayConfig::default()
+    })
+    .expect("bind gateway")
+    .spawn()
+    .expect("spawn gateway");
+
+    // Of 24 cells the stub owns some (all but certainly), answers one
+    // and drops the rest; the real worker must take them over.
+    let body = r#"{"benchmarks": ["AlexNet", "GoogLeNet"]}"#;
+    let gateway_addr = gateway.addr().to_string();
+    let via_gateway =
+        mcdla_serve::client::request_once(&gateway_addr, "POST", "/grid", Some(body)).unwrap();
+    assert_eq!(via_gateway.status, 200, "{}", via_gateway.body);
+    assert!(
+        !gateway.router().workers()[0].is_up(),
+        "the worker that dropped its answer must be marked down"
+    );
+
+    // Every cell, in grid order, as one node answers it.
+    let via_single =
+        mcdla_serve::client::request_once(&worker_addr, "POST", "/grid", Some(body)).unwrap();
+    let gateway_cells = grid_cells(&via_gateway.body);
+    let single_cells = grid_cells(&via_single.body);
+    assert_eq!(gateway_cells.len(), 24);
+    assert_eq!(gateway_cells.len(), single_cells.len());
+    for (g, s) in gateway_cells.iter().zip(&single_cells) {
+        assert_eq!(strip_cached(g), strip_cached(s));
+    }
+    gateway.shutdown();
+    worker.shutdown();
 }
 
 #[test]

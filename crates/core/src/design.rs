@@ -430,8 +430,8 @@ mod tests {
             .with_devices(32)
             .scale_out_plane()
             .expect("pooled plane");
-        assert_eq!(plane.devices().len(), 32);
-        assert_eq!(plane.memory_nodes().len(), 32);
+        assert_eq!(plane.devices(), 32);
+        assert_eq!(plane.memory_nodes(), 32);
         assert_eq!(plane.links_per_node(), 3);
         for d in [
             SystemDesign::DcDla,

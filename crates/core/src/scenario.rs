@@ -5,11 +5,11 @@
 //! *(design, benchmark, strategy, device count, batch, device generation,
 //! overrides)*. A [`Scenario`] captures that point as a small,
 //! serde-serializable value; a [`ScenarioGrid`] spans a cartesian product
-//! of them; and a [`Runner`] executes any set of scenarios across scoped
-//! worker threads with a memoized result cache keyed by the scenario
-//! hash, so overlapping figure/table grids (Fig. 11 and Fig. 13 share
-//! all 96 default cells, the §V-B studies share their baselines, ...)
-//! never re-simulate a cell.
+//! of them; and a [`Runner`] executes any set of scenarios across worker
+//! threads with a memoized result cache keyed by the scenario hash, so
+//! overlapping figure/table grids (Fig. 11 and Fig. 13 share all 96
+//! default cells, the §V-B studies share their baselines, ...) never
+//! re-simulate a cell.
 //!
 //! Adding a new experiment is a data change — describe the cells, hand
 //! them to the runner — not a new binary.
@@ -674,8 +674,8 @@ pub struct TimedRun {
     pub cached: bool,
 }
 
-/// Executes scenarios across scoped worker threads, memoizing through a
-/// shared [`ResultStore`].
+/// Executes scenarios across worker threads, memoizing through a shared
+/// [`ResultStore`].
 ///
 /// The simulator is a pure function of the scenario, so the runner
 /// deduplicates cells (within a grid *and* across calls, via the store's
@@ -775,36 +775,21 @@ impl Runner {
     /// Like [`Runner::run_grid`], additionally reporting per-cell
     /// wall-clock cost and cache provenance (the `mcdla sweep` payload).
     ///
+    /// This is [`Runner::run_grid_streaming`] collected back into input
+    /// order, so a batch grid and a streamed grid run on one executor.
     /// Every cell goes through [`ResultStore::get_or_compute`], so
     /// repeats within the batch, cells cached by earlier calls, and
     /// cells another thread (or another process sharing the store) is
     /// already simulating are all served without re-simulating.
     pub fn run_grid_timed(&self, scenarios: &[Scenario]) -> Vec<TimedRun> {
-        let run_one = |s: &Scenario| timed_cell(&self.store, s);
-
-        if scenarios.len() <= 1 || self.threads == 1 {
-            return scenarios.iter().map(run_one).collect();
+        let mut slots: Vec<Option<TimedRun>> = vec![None; scenarios.len()];
+        let mut stream = self.run_grid_streaming(scenarios.to_vec(), self.threads);
+        while let Some((i, run)) = stream.next_indexed() {
+            slots[i] = Some(run);
         }
-
-        // Fan the cells out to scoped workers over a shared index; the
-        // store's single-flight layer keeps duplicate cells to one
-        // simulation even when two workers pick them up concurrently.
-        let slots: Vec<OnceLock<TimedRun>> = scenarios.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(scenarios.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(s) = scenarios.get(i) else { break };
-                    slots[i]
-                        .set(run_one(s))
-                        .expect("each slot is filled exactly once");
-                });
-            }
-        });
         slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("worker filled every slot"))
+            .map(|slot| slot.expect("the stream yields every cell"))
             .collect()
     }
 
@@ -813,13 +798,12 @@ impl Runner {
     /// `Vec<TimedRun>` — peak buffering is `buffer` cells plus one
     /// in-flight cell per worker.
     ///
-    /// Workers steal cells from a shared index (exactly like
-    /// [`Runner::run_grid_timed`]) and memoize through the same shared
-    /// [`ResultStore`], so a streamed grid and a batch grid produce
-    /// identical per-cell reports; only the *yield order* differs —
-    /// completion order, not input order. A full channel applies
-    /// backpressure to the workers; dropping the stream early cancels the
-    /// remaining work (workers exit on the closed channel).
+    /// Workers steal cells from a shared index and memoize through the
+    /// runner's [`ResultStore`]; cells come out in completion order, not
+    /// input order ([`Runner::run_grid_timed`] restores input order). A
+    /// full channel applies backpressure to the workers; dropping the
+    /// stream early cancels the remaining work (workers exit on the
+    /// closed channel).
     ///
     /// # Panics
     ///
@@ -857,7 +841,7 @@ impl Runner {
                         let Some(s) = cells.get(i) else { break };
                         // A closed channel means the consumer dropped the
                         // stream: stop stealing cells.
-                        if tx.send(timed_cell(&store, s)).is_err() {
+                        if tx.send((i, timed_cell(&store, s))).is_err() {
                             break;
                         }
                     })
@@ -897,11 +881,25 @@ fn timed_cell(store: &ResultStore, s: &Scenario) -> TimedRun {
 /// simulation outlives the stream).
 #[derive(Debug)]
 pub struct GridStream {
-    rx: Option<std::sync::mpsc::Receiver<TimedRun>>,
+    /// Each finished cell with its index in the input list.
+    rx: Option<std::sync::mpsc::Receiver<(usize, TimedRun)>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl GridStream {
+    /// The next finished cell and its input index.
+    fn next_indexed(&mut self) -> Option<(usize, TimedRun)> {
+        match self.rx.as_ref()?.recv() {
+            Ok(cell) => Some(cell),
+            Err(_) => {
+                // Every sender is gone: the grid is drained (or a worker
+                // died — surface its panic instead of silence).
+                self.join_workers();
+                None
+            }
+        }
+    }
+
     /// Joins the worker pool, re-raising the first worker panic.
     fn join_workers(&mut self) {
         self.rx = None;
@@ -921,15 +919,7 @@ impl Iterator for GridStream {
     type Item = TimedRun;
 
     fn next(&mut self) -> Option<TimedRun> {
-        match self.rx.as_ref()?.recv() {
-            Ok(run) => Some(run),
-            Err(_) => {
-                // Every sender is gone: the grid is drained (or a worker
-                // died — surface its panic instead of silence).
-                self.join_workers();
-                None
-            }
-        }
+        self.next_indexed().map(|(_, run)| run)
     }
 }
 

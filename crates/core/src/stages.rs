@@ -151,9 +151,7 @@ struct SyncKey {
 }
 
 /// Fabric artifact: the communication fabric plus the design's
-/// virtualization data path. [`VirtPath::from_config`] reads exactly
-/// the fields [`FabricKey`] captures (never the batch or the compression
-/// knob), so its label allocations amortize with the rings.
+/// virtualization data path.
 struct FabricArt {
     fabric: Arc<dyn CommFabric>,
     virt: Option<VirtPath>,

@@ -9,16 +9,13 @@
 //! solver.
 
 use mcdla_sim::{Bandwidth, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::design::{SystemConfig, SystemDesign};
 
 /// One design point's device-to-backing-store path, reduced to effective
 /// per-device numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VirtPath {
-    /// Human-readable path description.
-    pub label: String,
     /// Effective per-device, per-direction bandwidth under full symmetric
     /// load, in GB/s.
     pub per_device_gbs: f64,
@@ -51,12 +48,6 @@ impl VirtPath {
                 let socket_share = cfg.host.socket_dram_gbs / cfg.devices_per_socket() as f64;
                 let eff = endpoint.min(switch_share).min(socket_share);
                 Some(VirtPath {
-                    label: format!(
-                        "PCIe {:?} x16 via switch (/{}) to socket DRAM (/{})",
-                        cfg.host.pcie,
-                        cfg.devices_per_switch(),
-                        cfg.devices_per_socket()
-                    ),
                     per_device_gbs: eff,
                     op_latency,
                     touches_host: true,
@@ -71,11 +62,6 @@ impl VirtPath {
                 let socket_share = cfg.host.socket_dram_gbs / cfg.devices_per_socket() as f64;
                 let eff = links.min(socket_share);
                 Some(VirtPath {
-                    label: format!(
-                        "{} high-bandwidth links to socket DRAM (/{})",
-                        cfg.device.link_count / 2,
-                        cfg.devices_per_socket()
-                    ),
                     per_device_gbs: eff,
                     op_latency,
                     touches_host: true,
@@ -88,7 +74,6 @@ impl VirtPath {
                 let links = 2.0 * cfg.device.link_bandwidth_gbs;
                 let dimm = cfg.memory_node.memory_bandwidth_gbs; // single client
                 Some(VirtPath {
-                    label: "2 links to dedicated memory-node".into(),
                     per_device_gbs: links.min(dimm),
                     op_latency,
                     touches_host: false,
@@ -103,7 +88,6 @@ impl VirtPath {
                 // bandwidth is available to this single LOCAL client.
                 let dimm = cfg.memory_node.memory_bandwidth_gbs;
                 Some(VirtPath {
-                    label: "LOCAL: 3 ring links to one neighbor memory-node".into(),
                     per_device_gbs: links.min(dimm),
                     op_latency,
                     touches_host: false,
@@ -119,7 +103,6 @@ impl VirtPath {
                     cfg.memory_node.memory_bandwidth_gbs / cfg.memory_node.link_groups as f64;
                 let per_side = side_links.min(side_dimm);
                 Some(VirtPath {
-                    label: "BW_AWARE: 3+3 ring links to both neighbor memory-nodes".into(),
                     per_device_gbs: 2.0 * per_side,
                     op_latency,
                     touches_host: false,

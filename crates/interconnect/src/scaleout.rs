@@ -3,23 +3,21 @@
 //! The paper's future-work direction: NVSwitch-class, NVLINK-compatible
 //! switches let system vendors scale the device-side interconnect beyond
 //! one backplane — "tightly integrating thousands of GPUs across hundreds
-//! of system nodes". This module builds such a switched plane: every
+//! of system nodes". This module models such a switched plane: every
 //! device-node and memory-node hangs off a crossbar with N links each, and
 //! the collective library casts the plane into rings that traverse the
-//! switch (two hops per adjacent-participant step).
+//! switch (two hops per adjacent-participant step). The plane is regular,
+//! so its shape is closed-form in the node counts; no graph is built.
 
 use serde::{Deserialize, Serialize};
 
-use crate::graph::{NodeId, NodeKind, Topology};
 use crate::ring::RingShape;
 
 /// A switched scale-out plane of device- and memory-nodes (Fig. 15).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScaleOutPlane {
-    topology: Topology,
-    devices: Vec<NodeId>,
-    memory_nodes: Vec<NodeId>,
-    switch: NodeId,
+    devices: usize,
+    memory_nodes: usize,
     links_per_node: usize,
     link_bandwidth_gbs: f64,
 }
@@ -43,49 +41,22 @@ impl ScaleOutPlane {
         assert!(devices > 0, "need at least one device");
         assert!(links_per_node > 0, "nodes need links");
         assert!(link_bandwidth_gbs > 0.0, "bandwidth must be positive");
-        let mut topology = Topology::new();
-        let switch = topology.add_node(NodeKind::Switch, "nvswitch");
-        let device_ids: Vec<NodeId> = (0..devices)
-            .map(|i| topology.add_node(NodeKind::Device, format!("D{i}")))
-            .collect();
-        let memory_ids: Vec<NodeId> = (0..memory_nodes)
-            .map(|i| topology.add_node(NodeKind::Memory, format!("M{i}")))
-            .collect();
-        for &n in device_ids.iter().chain(&memory_ids) {
-            for _ in 0..links_per_node {
-                topology.add_duplex_link(n, switch, link_bandwidth_gbs);
-            }
-        }
         ScaleOutPlane {
-            topology,
-            devices: device_ids,
-            memory_nodes: memory_ids,
-            switch,
+            devices,
+            memory_nodes,
             links_per_node,
             link_bandwidth_gbs,
         }
     }
 
-    /// The underlying graph.
-    #[cfg(test)]
-    pub(crate) fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Device-nodes on the plane.
-    pub fn devices(&self) -> &[NodeId] {
-        &self.devices
+    pub fn devices(&self) -> usize {
+        self.devices
     }
 
     /// Memory-nodes on the plane.
-    pub fn memory_nodes(&self) -> &[NodeId] {
-        &self.memory_nodes
-    }
-
-    /// The switch node.
-    #[cfg(test)]
-    pub(crate) fn switch(&self) -> NodeId {
-        self.switch
+    pub fn memory_nodes(&self) -> usize {
+        self.memory_nodes
     }
 
     /// Ring shapes the collective library casts onto the plane: one ring
@@ -93,8 +64,8 @@ impl ScaleOutPlane {
     pub fn ring_shapes(&self) -> Vec<RingShape> {
         vec![
             RingShape {
-                participants: self.devices.len(),
-                hops: 2 * self.devices.len(),
+                participants: self.devices,
+                hops: 2 * self.devices,
             };
             self.links_per_node
         ]
@@ -105,20 +76,20 @@ impl ScaleOutPlane {
     /// the pool's aggregate link bandwidth divided among devices.
     #[cfg(test)]
     pub(crate) fn virt_bandwidth_gbs(&self) -> f64 {
-        if self.memory_nodes.is_empty() {
+        if self.memory_nodes == 0 {
             return 0.0;
         }
         let device_side = self.links_per_node as f64 * self.link_bandwidth_gbs;
         let pool_side =
-            self.memory_nodes.len() as f64 * self.links_per_node as f64 * self.link_bandwidth_gbs
-                / self.devices.len() as f64;
+            self.memory_nodes as f64 * self.links_per_node as f64 * self.link_bandwidth_gbs
+                / self.devices as f64;
         device_side.min(pool_side)
     }
 
     /// Bisection bandwidth of the plane in GB/s (all traffic crosses the
     /// switch; the bisection is half the devices' aggregate attachment).
     pub fn bisection_bandwidth_gbs(&self) -> f64 {
-        self.devices.len() as f64 / 2.0 * self.links_per_node as f64 * self.link_bandwidth_gbs
+        self.devices as f64 / 2.0 * self.links_per_node as f64 * self.link_bandwidth_gbs
     }
 
     /// Links each node attaches to the switch with.
@@ -143,10 +114,10 @@ impl ScaleOutPlane {
     /// plane is non-blocking for its own ring set — but the bound is what
     /// keeps over-striped configurations physically sane.
     pub fn collective_ring_share_gbs(&self, rings: usize) -> f64 {
-        if rings == 0 || self.devices.is_empty() {
+        if rings == 0 || self.devices == 0 {
             return 0.0;
         }
-        let fair = 2.0 * self.bisection_bandwidth_gbs() / (self.devices.len() * rings) as f64;
+        let fair = 2.0 * self.bisection_bandwidth_gbs() / (self.devices * rings) as f64;
         fair.min(self.link_bandwidth_gbs)
     }
 }
@@ -159,18 +130,13 @@ mod tests {
     fn fig15_plane_shape() {
         // Fig. 15: 8 nodes per system node, N = 3 links each.
         let plane = ScaleOutPlane::new(8, 8, 3, 25.0);
-        assert_eq!(plane.devices().len(), 8);
-        assert_eq!(plane.memory_nodes().len(), 8);
+        assert_eq!(plane.devices(), 8);
+        assert_eq!(plane.memory_nodes(), 8);
         assert_eq!(plane.ring_shapes().len(), 3);
         for s in plane.ring_shapes() {
             assert_eq!(s.participants, 8);
             assert_eq!(s.hops, 16);
         }
-        // Every node terminates exactly N duplex links at the switch.
-        for &d in plane.devices() {
-            assert_eq!(plane.topology().duplex_degree(d), 3);
-        }
-        assert_eq!(plane.topology().duplex_degree(plane.switch()), 48);
     }
 
     #[test]

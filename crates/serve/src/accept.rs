@@ -7,7 +7,7 @@
 //!
 //! ## Architecture
 //!
-//! Each loop thread runs `epoll_wait` over a listener, an eventfd
+//! The loop thread runs `epoll_wait` over the listener, an eventfd
 //! waker, and its live connections, held in a generation-tagged slab
 //! (O(1) insert/remove off a free list — this replaces the old
 //! `ConnRegistry`'s linear slot scan under one mutex). Bytes read from
@@ -25,7 +25,7 @@
 //!   switched to blocking — and shipped with its unparsed inbox to the
 //!   worker pool behind a bounded admission queue. The worker answers
 //!   with the existing blocking handler code (`Service::handle`),
-//!   then re-attaches the connection to its loop through a mailbox +
+//!   then re-attaches the connection to the loop through a mailbox +
 //!   waker. One heavy request per connection is in flight at a time,
 //!   and a re-attached connection's next request re-enters the queue at
 //!   the tail: that is the per-client fairness policy.
@@ -45,12 +45,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::epoll::{
-    Epoll, Event, Waker, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
-};
+use crate::epoll::{Epoll, Event, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::http::{incomplete_error, parse_request, Request, WireError};
 
-/// Token delivered for the shared listener.
+/// Token delivered for the listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Token delivered for the loop's eventfd waker.
 const TOKEN_WAKER: u64 = u64::MAX - 1;
@@ -108,8 +106,6 @@ pub(crate) trait Service: Send + Sync + 'static {
 /// Event-loop sizing and timeouts.
 #[derive(Debug, Clone)]
 pub struct LoopConfig {
-    /// Event-loop threads (each with its own epoll instance).
-    pub loops: usize,
     /// Worker-pool threads for heavy (blocking) requests.
     pub workers: usize,
     /// Admission-queue bound: heavy requests waiting beyond the pool;
@@ -160,13 +156,13 @@ impl LoopStats {
     }
 }
 
-/// A connection handed back from a worker to its loop.
+/// A connection handed back from a worker to the loop.
 struct Reattach {
     stream: TcpStream,
     inbox: Vec<u8>,
 }
 
-/// One loop's handoff point: workers push re-attachments, then wake it.
+/// The loop's handoff point: workers push re-attachments, then wake it.
 struct Mailbox {
     inbox: Mutex<Vec<Reattach>>,
     waker: Waker,
@@ -181,18 +177,16 @@ struct Job {
     /// Unparsed inbox remainder (later pipelined requests).
     inbox: Vec<u8>,
     request: Request,
-    /// Loop index to re-attach to afterwards.
-    home: usize,
     /// When the request entered the admission queue.
     enqueued: Instant,
 }
 
-/// State shared by loops, workers, and the handle.
+/// State shared by the loop, the workers, and the handle.
 struct Core {
     shutdown: AtomicBool,
     queued: AtomicUsize,
     queue_depth: usize,
-    mailboxes: Vec<Mailbox>,
+    mailbox: Mailbox,
     stats: Arc<LoopStats>,
     idle_timeout: Duration,
     request_timeout: Duration,
@@ -202,55 +196,45 @@ struct Core {
 /// call [`LoopHandle::shutdown`] for a clean stop.
 pub(crate) struct LoopHandle {
     core: Arc<Core>,
-    loops: Vec<std::thread::JoinHandle<()>>,
+    io: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for LoopHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LoopHandle")
-            .field("loops", &self.loops.len())
             .field("workers", &self.workers.len())
             .finish()
     }
 }
 
 impl LoopHandle {
-    /// Stops the loops and workers: new connections stop being
+    /// Stops the loop and workers: new connections stop being
     /// accepted, attached connections close, queued heavy requests
     /// drain through the pool (in-flight responses finish), then every
     /// thread joins.
     pub(crate) fn shutdown(self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
-        for mailbox in &self.core.mailboxes {
-            mailbox.waker.wake();
-        }
-        for t in self.loops {
-            let _ = t.join();
-        }
-        // The loops owned every queue sender; with them gone the
-        // workers drain what is queued and see the channel close.
-        for t in self.workers {
-            let _ = t.join();
-        }
+        self.core.mailbox.waker.wake();
+        self.join();
     }
 
-    /// Blocks until the loops exit (they only do on [`Self::shutdown`] from
+    /// Blocks until the loop exits (it only does on [`Self::shutdown`] from
     /// another handle-less path, i.e. never in normal operation) — the
     /// foreground `run()` entry points park here.
     pub(crate) fn join(self) {
-        for t in self.loops {
-            let _ = t.join();
-        }
+        let _ = self.io.join();
+        // The loop owned the only queue sender; with it gone the
+        // workers drain what is queued and see the channel close.
         for t in self.workers {
             let _ = t.join();
         }
     }
 }
 
-/// Starts `config.loops` event-loop threads over `listener` and
-/// `config.workers` pool workers serving `service`. `stats` is shared
-/// so the caller can report loop counters from its own endpoints.
+/// Starts the event-loop thread over `listener` and `config.workers`
+/// pool workers serving `service`. `stats` is shared so the caller can
+/// report loop counters from its own endpoints.
 pub(crate) fn spawn_event_loop<S: Service>(
     listener: TcpListener,
     service: Arc<S>,
@@ -258,19 +242,14 @@ pub(crate) fn spawn_event_loop<S: Service>(
     stats: Arc<LoopStats>,
 ) -> std::io::Result<LoopHandle> {
     listener.set_nonblocking(true)?;
-    let loops = config.loops.max(1);
-    let mut mailboxes = Vec::with_capacity(loops);
-    for _ in 0..loops {
-        mailboxes.push(Mailbox {
-            inbox: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-        });
-    }
     let core = Arc::new(Core {
         shutdown: AtomicBool::new(false),
         queued: AtomicUsize::new(0),
         queue_depth: config.queue_depth.max(1),
-        mailboxes,
+        mailbox: Mailbox {
+            inbox: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
+        },
         stats,
         idle_timeout: config.idle_timeout,
         request_timeout: config.request_timeout,
@@ -280,19 +259,13 @@ pub(crate) fn spawn_event_loop<S: Service>(
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
 
-    let mut loop_threads = Vec::with_capacity(loops);
-    for i in 0..loops {
-        let listener = listener.try_clone()?;
+    let io = {
         let core = core.clone();
         let service = service.clone();
-        let job_tx = job_tx.clone();
-        loop_threads.push(
-            std::thread::Builder::new()
-                .name(format!("mcdla-io-{i}"))
-                .spawn(move || run_loop(i, loops, listener, core, service, job_tx))?,
-        );
-    }
-    drop(job_tx); // loops hold the only senders now
+        std::thread::Builder::new()
+            .name("mcdla-io".to_owned())
+            .spawn(move || run_loop(listener, core, service, job_tx))?
+    };
 
     let mut worker_threads = Vec::with_capacity(config.workers.max(1));
     for i in 0..config.workers.max(1) {
@@ -308,7 +281,7 @@ pub(crate) fn spawn_event_loop<S: Service>(
 
     Ok(LoopHandle {
         core,
-        loops: loop_threads,
+        io,
         workers: worker_threads,
     })
 }
@@ -409,8 +382,6 @@ enum Advanced {
 }
 
 fn run_loop<S: Service>(
-    loop_idx: usize,
-    loop_count: usize,
     listener: TcpListener,
     core: Arc<Core>,
     service: Arc<S>,
@@ -427,10 +398,7 @@ fn run_loop<S: Service>(
             return;
         }
     };
-    // With several loops sharing the listener, EPOLLEXCLUSIVE wakes one
-    // loop per connection instead of all of them.
-    let listener_events = EPOLLIN | if loop_count > 1 { EPOLLEXCLUSIVE } else { 0 };
-    if let Err(e) = epoll.add(listener.as_raw_fd(), listener_events, TOKEN_LISTENER) {
+    if let Err(e) = epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER) {
         mcdla_obs::log::error(
             "serve",
             "epoll_register_listener_failed",
@@ -438,7 +406,7 @@ fn run_loop<S: Service>(
         );
         return;
     }
-    let waker_fd = core.mailboxes[loop_idx].waker.fd();
+    let waker_fd = core.mailbox.waker.fd();
     if let Err(e) = epoll.add(waker_fd, EPOLLIN, TOKEN_WAKER) {
         mcdla_obs::log::error(
             "serve",
@@ -482,16 +450,14 @@ fn run_loop<S: Service>(
             let (ready, tok) = ({ event.events }, { event.token });
             match tok {
                 TOKEN_LISTENER => accept_burst(&listener, &epoll, &mut slab, &core),
-                TOKEN_WAKER => core.mailboxes[loop_idx].waker.drain(),
+                TOKEN_WAKER => core.mailbox.waker.drain(),
                 tok => {
                     let (slot, gen) = untoken(tok);
                     if slab.get(slot, gen).is_none() {
                         continue; // stale event for a recycled slot
                     }
                     if ready & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-                        read_ready(
-                            slot, gen, &mut slab, &epoll, &core, &service, &job_tx, loop_idx,
-                        );
+                        read_ready(slot, gen, &mut slab, &epoll, &core, &service, &job_tx);
                     }
                     if ready & EPOLLOUT != 0 {
                         if let Some(conn) = slab.get(slot, gen) {
@@ -505,7 +471,7 @@ fn run_loop<S: Service>(
         }
         // Re-attachments from the worker pool (mailbox drained after
         // the waker event, but also opportunistically every pass).
-        reattach_from_mailbox(loop_idx, &mut slab, &epoll, &core, &service, &job_tx);
+        reattach_from_mailbox(&mut slab, &epoll, &core, &service, &job_tx);
         if last_sweep.elapsed() >= sweep_every {
             last_sweep = Instant::now();
             sweep_timeouts(&mut slab, &epoll, &core, &service);
@@ -562,7 +528,6 @@ fn close_conn(slot: usize, slab: &mut Slab, core: &Core) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn read_ready<S: Service>(
     slot: usize,
     gen: u32,
@@ -571,7 +536,6 @@ fn read_ready<S: Service>(
     core: &Core,
     service: &Arc<S>,
     job_tx: &mpsc::Sender<Job>,
-    loop_idx: usize,
 ) {
     let Some(conn) = slab.get(slot, gen) else {
         return;
@@ -605,7 +569,7 @@ fn read_ready<S: Service>(
             }
         }
     }
-    match advance(slot, gen, slab, epoll, core, service, job_tx, loop_idx) {
+    match advance(slot, gen, slab, epoll, core, service, job_tx) {
         Advanced::Attached => flush(slot, slab, epoll, core),
         Advanced::Detached | Advanced::Closed => {}
     }
@@ -614,7 +578,6 @@ fn read_ready<S: Service>(
 /// Parses and answers everything parseable in the connection's inbox.
 /// Fast answers accumulate in the outbox (flushed by the caller);
 /// a heavy request detaches the connection to the worker pool.
-#[allow(clippy::too_many_arguments)]
 fn advance<S: Service>(
     slot: usize,
     gen: u32,
@@ -623,7 +586,6 @@ fn advance<S: Service>(
     core: &Core,
     service: &Arc<S>,
     job_tx: &mpsc::Sender<Job>,
-    loop_idx: usize,
 ) -> Advanced {
     loop {
         let Some(conn) = slab.get(slot, gen) else {
@@ -707,7 +669,6 @@ fn advance<S: Service>(
                     pending_out,
                     inbox: conn.inbox,
                     request,
-                    home: loop_idx,
                     enqueued: Instant::now(),
                 };
                 if job_tx.send(job).is_err() {
@@ -772,7 +733,6 @@ fn flush(slot: usize, slab: &mut Slab, epoll: &Epoll, core: &Core) {
 }
 
 fn reattach_from_mailbox<S: Service>(
-    loop_idx: usize,
     slab: &mut Slab,
     epoll: &Epoll,
     core: &Core,
@@ -780,7 +740,7 @@ fn reattach_from_mailbox<S: Service>(
     job_tx: &mpsc::Sender<Job>,
 ) {
     let drained = {
-        let mut inbox = core.mailboxes[loop_idx].inbox.lock().expect("mailbox lock");
+        let mut inbox = core.mailbox.inbox.lock().expect("mailbox lock");
         std::mem::take(&mut *inbox)
     };
     for re in drained {
@@ -800,7 +760,7 @@ fn reattach_from_mailbox<S: Service>(
         // The carried inbox may already hold complete pipelined
         // requests: serve them now rather than waiting for more bytes.
         let (_, gen) = untoken(tok);
-        match advance(slot, gen, slab, epoll, core, service, job_tx, loop_idx) {
+        match advance(slot, gen, slab, epoll, core, service, job_tx) {
             Advanced::Attached => flush(slot, slab, epoll, core),
             Advanced::Detached | Advanced::Closed => {}
         }
@@ -861,7 +821,7 @@ fn run_worker<S: Service>(
         }
         let keep = service.handle(&job.request, &mut job.stream, job.enqueued.elapsed());
         if keep && !core.shutdown.load(Ordering::SeqCst) {
-            let mailbox = &core.mailboxes[job.home];
+            let mailbox = &core.mailbox;
             mailbox.inbox.lock().expect("mailbox lock").push(Reattach {
                 stream: job.stream,
                 inbox: job.inbox,

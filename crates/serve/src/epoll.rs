@@ -20,8 +20,6 @@ pub(crate) const EPOLLERR: u32 = 0x008;
 pub(crate) const EPOLLHUP: u32 = 0x010;
 /// `EPOLLRDHUP`: peer shut down its write half.
 pub(crate) const EPOLLRDHUP: u32 = 0x2000;
-/// `EPOLLEXCLUSIVE`: wake only one of the loops sharing a listener.
-pub(crate) const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;

@@ -315,14 +315,17 @@ pub(crate) fn write_chunked_head_with(
 }
 
 /// Writes one HTTP/1.1 chunk (`{len:x}\r\n{data}\r\n`). Empty data is
-/// skipped — a zero-length chunk would terminate the stream.
+/// skipped — a zero-length chunk would terminate the stream. The chunk
+/// goes out in one write: on an unbuffered socket, separate writes for
+/// the size line, the data and the trailer cost a syscall each.
 pub(crate) fn write_chunk(w: &mut impl Write, data: &[u8]) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
+    let mut chunk = format!("{:x}\r\n", data.len()).into_bytes();
+    chunk.extend_from_slice(data);
+    chunk.extend_from_slice(b"\r\n");
+    w.write_all(&chunk)?;
     w.flush()
 }
 

@@ -55,8 +55,6 @@ pub struct ServeConfig {
     /// Snapshot path: loaded (if present) at startup, rewritten after
     /// every request that simulated at least one new cell.
     pub snapshot: Option<PathBuf>,
-    /// Event-loop threads (one epoll instance each).
-    pub loops: usize,
     /// Admission-queue bound: heavy requests waiting beyond the worker
     /// pool; the next one is answered 429 + `Retry-After`.
     pub queue_depth: usize,
@@ -78,7 +76,6 @@ impl Default for ServeConfig {
             threads: 4,
             cache_cap: None,
             snapshot: None,
-            loops: 1,
             queue_depth: 128,
             idle_timeout: READ_TIMEOUT,
             request_timeout: READ_TIMEOUT,
@@ -193,7 +190,6 @@ impl Server {
             sim_responses: StageCache::bounded(RESPONSE_CACHE_CAP),
         };
         let loop_config = LoopConfig {
-            loops: config.loops,
             workers: config.threads,
             queue_depth: config.queue_depth,
             idle_timeout: config.idle_timeout,

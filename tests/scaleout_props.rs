@@ -186,7 +186,7 @@ fn generations_parameterize_the_plane() {
         .with_generation(generation);
         let cfg = scenario.config();
         let plane = cfg.scale_out_plane().expect("scale-out plane");
-        assert_eq!(plane.devices().len(), 32, "{generation}");
+        assert_eq!(plane.devices(), 32, "{generation}");
         assert_eq!(
             plane.link_bandwidth_gbs(),
             cfg.device.link_bandwidth_gbs,
