@@ -7,9 +7,9 @@
 //! (and sheds 429 beyond the admission queue); the shell's own routes
 //! answer on the loop thread.
 
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mcdla_core::Scenario;
@@ -24,7 +24,7 @@ use mcdla_serve::{ServeConfig, Server, ServerHandle, MAX_GRID_CELLS};
 use serde::Value;
 
 use crate::console::fleet_rings;
-use crate::merge::{canonical_indices, digest_hex, gather, line_digest, Scatter};
+use crate::merge::{gather, relay, Scatter};
 use crate::router::{Router, WorkerState};
 
 /// Idle keep-alive client connections are dropped after this long
@@ -306,73 +306,40 @@ impl Tier for Fleet {
 
     /// Scatter-gather streaming: open one `?stream=1` sub-stream per
     /// owning worker (every worker starts computing immediately), then
-    /// forward each worker's NDJSON lines — verbatim bytes — in
-    /// worker-index order.
+    /// relay every sub-stream at once, forwarding each NDJSON line —
+    /// verbatim bytes — as it arrives, in completion order across the
+    /// fleet.
     ///
     /// * Worker unreachable **at open time** (before the gateway's 200
     ///   head): its slice fails over to the next replicas; if no worker
     ///   can take a slice, the whole request is a buffered 502.
     /// * Worker failure **mid-stream** (truncated sub-stream, short cell
-    ///   count, or a non-200 sub-stream head): the gateway closes its
-    ///   own response without the terminal chunk and drops the
-    ///   remaining worker connections, which cancels their outstanding
-    ///   cells.
+    ///   count, or a non-200 sub-stream head), or a client that goes
+    ///   away: the gateway closes every sub-stream at once, which
+    ///   cancels the workers' outstanding cells, and ends its own
+    ///   response without the terminal chunk.
     fn stream(node: &Node<Self>, scenarios: Vec<Scenario>, out: &mut CellStream) -> StreamOutcome {
         let router = &node.tier.router;
-
-        // Duplicate cells are computed once: only canonical indices reach
-        // the fleet, and the gateway re-emits the canonical line for each
-        // duplicate, so the client still gets one line per input cell.
-        // Workers stream a slice in completion order, so the extra
-        // copies are keyed by the line's `digest`, not by its position.
-        let canon = canonical_indices(&scenarios);
-        let mut extra_copies: HashMap<String, usize> = HashMap::new();
-        for (i, &c) in canon.iter().enumerate() {
-            if c != i {
-                *extra_copies.entry(digest_hex(&scenarios[c])).or_default() += 1;
-            }
-        }
-
         // Open every sub-stream, failing slices over while nothing has
         // been written to the client yet.
-        let pending: Vec<usize> = (0..scenarios.len()).filter(|&i| canon[i] == i).collect();
-        let opened = match Scatter::new(router, &scenarios).open(pending) {
+        let opened = match Scatter::new(router, &scenarios).open((0..scenarios.len()).collect()) {
             Ok(opened) => opened,
             Err(e) => return StreamOutcome::Rejected(Outcome::error(e.status, &e.message)),
         };
         if out.open().is_err() {
             return StreamOutcome::Streamed { clean: false };
         }
-
-        // Drain in worker-index order, forwarding lines as raw bytes
-        // (cell payloads stay byte-identical to the worker's).
-        for mut sub in opened {
-            let forwarded = sub.drain(router, |mut line| {
-                // One copy for the canonical cell plus one per duplicate
-                // the gateway held back from the fleet.
-                let copies = 1 + if extra_copies.is_empty() {
-                    0
-                } else {
-                    serde::json::parse(&line)
-                        .ok()
-                        .and_then(|cell| extra_copies.get(line_digest(&cell)?).copied())
-                        .unwrap_or(0)
-                };
-                line.push('\n');
-                for _ in 0..copies {
-                    // Client went away: the sub-stream is abandoned, which
-                    // cancels the worker's remaining cells.
-                    out.line(line.as_bytes())
-                        .map_err(|e| format!("client went away: {e}"))?;
-                }
-                Ok(())
-            });
-            if forwarded.is_err() {
-                return StreamOutcome::Streamed { clean: false };
-            }
-            // `sub` drops here un-parked — fresh-per-stream policy.
-        }
-        StreamOutcome::Streamed { clean: true }
+        let out = Mutex::new(out);
+        let subs = opened.into_iter().map(|sub| (sub, ()));
+        let relayed = relay(router, subs, true, |(), mut line| {
+            line.push('\n');
+            out.lock()
+                .expect("client stream lock")
+                .lines(&[line])
+                .map_err(|e| format!("client went away: {e}"))
+        });
+        let clean = relayed.iter().all(|(_, (), result)| result.is_ok());
+        StreamOutcome::Streamed { clean }
     }
 
     /// Fetches the answering worker's recorded trace for `rid` and

@@ -29,7 +29,7 @@
 //! |---|---|
 //! | `POST /simulate` | routed to the owning worker; retry + next-replica failover on connect failure/5xx; worker 2xx/4xx passes through verbatim; all-unreachable → 502 naming each worker |
 //! | `POST /grid` | cells partitioned by owner, scattered as explicit `{"cells": [...]}` sub-grids, merged back in grid order |
-//! | `POST /grid?stream=1` | one sub-stream per owning worker, NDJSON lines forwarded verbatim in worker order; worker death mid-stream → close without the terminal chunk |
+//! | `POST /grid?stream=1` | one sub-stream per owning worker, all drained at once, NDJSON lines forwarded verbatim in completion order across the fleet; a sub-stream failure mid-stream closes every other one and ends without the terminal chunk |
 //! | `GET /healthz` | gateway liveness + worker up-counts |
 //! | `GET /cluster/stats` | gateway counters + every worker's `/stats` + fleet totals |
 //! | `GET /metrics` | Prometheus text exposition |

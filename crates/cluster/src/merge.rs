@@ -1,60 +1,36 @@
 //! Scatter-gather for grid requests: partition the expanded cell list
 //! by rendezvous owner, open one `/grid?stream=1` sub-stream per owning
-//! worker, and drain the workers' NDJSON cell lines.
+//! worker, and relay the workers' NDJSON cell lines.
 //!
 //! Workers receive their partition as an **explicit cell list**
 //! (`{"cells": [...]}` — see `GridRequest::cells` in `mcdla-serve`),
 //! because a consistent-hash slice of a cartesian grid is not itself a
 //! cartesian product. Both gateway grid forms ride the same two steps,
-//! [`Scatter::open`] and [`SubStream::drain`]:
+//! [`Scatter::open`] and [`relay`], which drains every sub-stream at
+//! once and hands each line over as it arrives:
 //!
-//! * the streamed form forwards each sub-stream's lines verbatim;
-//! * the buffered form ([`gather`]) drains every sub-stream at once and
-//!   puts each line back at its grid index by the line's `digest`, so
-//!   the merged answer is cell-for-cell identical to what one big worker
-//!   would have answered (modulo `cached` flags, which reflect each
-//!   worker's own cache).
+//! * the streamed form writes each line to the client verbatim, so lines
+//!   reach the client in completion order across the fleet, and its
+//!   first failure closes every other sub-stream;
+//! * the buffered form ([`gather`]) puts each line back at its grid
+//!   index by the line's `scenario`, so the merged answer is
+//!   cell-for-cell identical to what one big worker would have answered
+//!   (modulo `cached` flags, which reflect each worker's own cache).
 //!
-//! Routing keys are hashed once per request and duplicate cells are
-//! collapsed before the scatter ([`canonical_indices`]): a degenerate
-//! grid or a client-sent duplicate list costs one simulation per
-//! distinct cell, with the gateway replaying the canonical answer at
-//! every duplicate index.
+//! Every grid index goes to its owner, repeats included: the owner's
+//! single-flight store computes a repeated cell once and answers every
+//! other copy from its cache.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::Ordering;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use mcdla_core::Scenario;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::pool::PooledConn;
 use crate::router::{GatewayError, Router};
-
-/// Maps each grid index to the first index holding the same scenario
-/// (an index maps to itself when it is the first occurrence). A
-/// client-sent duplicate list or a degenerate grid then costs one
-/// simulation per *distinct* cell: only canonical indices go to the
-/// fleet, and the gateway replays the canonical answer for the
-/// duplicates — output stays one cell per input cell, in input order.
-pub(crate) fn canonical_indices(scenarios: &[Scenario]) -> Vec<usize> {
-    let mut first: HashMap<&Scenario, usize> = HashMap::with_capacity(scenarios.len());
-    scenarios
-        .iter()
-        .enumerate()
-        .map(|(i, s)| *first.entry(s).or_insert(i))
-        .collect()
-}
-
-/// A cell's `digest` as a streamed line carries it.
-pub(crate) fn digest_hex(scenario: &Scenario) -> String {
-    format!("{:016x}", scenario.digest())
-}
-
-/// The `digest` field of one streamed cell line.
-pub(crate) fn line_digest(cell: &Value) -> Option<&str> {
-    cell.get("digest")?.as_str()
-}
 
 /// One grid request's scatter state: the cells, their routing keys
 /// (hashed once, so failover rounds never re-hash), and the workers
@@ -73,6 +49,9 @@ pub(crate) struct Scatter<'r> {
 #[derive(Debug)]
 pub(crate) struct SubStream<'r> {
     conn: PooledConn<'r>,
+    /// A second handle on `conn`'s socket: shutting it down ends a read
+    /// blocked on `conn` at once.
+    socket: TcpStream,
     /// Worker index in the topology.
     worker: usize,
     /// Original grid indices this worker owes a line for.
@@ -151,13 +130,15 @@ impl<'r> Scatter<'r> {
                 // gateway's 200 head is out and failover is no longer
                 // possible.
                 let attempt = worker.pool().connect_fresh().and_then(|mut conn| {
+                    let socket = conn.get().socket_handle()?;
                     conn.get()
-                        .start_stream("POST", "/grid?stream=1", Some(&body))
-                        .map(|()| conn)
+                        .start_stream("POST", "/grid?stream=1", Some(&body))?;
+                    Ok((conn, socket))
                 });
                 match attempt {
-                    Ok(conn) => opened.push(SubStream {
+                    Ok((conn, socket)) => opened.push(SubStream {
                         conn,
+                        socket,
                         worker: w,
                         indices,
                     }),
@@ -178,99 +159,153 @@ impl<'r> Scatter<'r> {
     }
 }
 
-impl SubStream<'_> {
-    /// Drains the sub-stream into `on_line`, one call per cell line,
-    /// and checks that the worker delivered what it owes: a 200 head,
-    /// whole lines, and one line per owed cell. A broken or short
-    /// sub-stream marks the worker down; a non-200 head counts a
-    /// failure. An `Err` from `on_line` abandons the sub-stream
-    /// (closing the connection cancels the worker's remaining cells).
-    /// Every failure comes back as `Err` with its reason.
-    pub(crate) fn drain(
-        &mut self,
-        router: &Router,
-        mut on_line: impl FnMut(String) -> Result<(), String>,
-    ) -> Result<(), String> {
-        let owed = self.indices.len();
-        let worker = &router.workers()[self.worker];
-        let mut stream = self
-            .conn
-            .get()
-            .read_stream()
-            .inspect_err(|e| worker.mark_down(e))?;
-        if stream.status != 200 {
-            worker.failures.fetch_add(1, Ordering::Relaxed);
-            let status = stream.status;
-            let body = stream.next_line().and_then(Result::ok).unwrap_or_default();
-            stream.abandon();
-            return Err(format!(
-                "answered HTTP {status} to a {owed}-cell sub-grid: {body}"
-            ));
-        }
-        let mut lines = 0usize;
-        while let Some(line) = stream.next_line() {
-            let delivered = match line {
-                Ok(line) => on_line(line),
-                Err(e) => {
-                    let e = format!("sub-stream died: {e}");
-                    worker.mark_down(&e);
-                    Err(e)
-                }
-            };
-            if let Err(e) = delivered {
-                stream.abandon();
-                return Err(e);
-            }
-            lines += 1;
-        }
-        drop(stream);
-        if lines != owed {
-            // A clean terminal chunk with missing cells is a protocol
-            // violation, never a complete slice.
-            let e = format!("sub-stream ended cleanly after {lines} of {owed} cells");
-            worker.mark_down(&e);
-            return Err(e);
-        }
-        worker.answered.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
+/// Drains every sub-stream at once, one scoped thread each, handing
+/// each line to `on_line` with its sub-stream's state `T` as the line
+/// arrives. Returns each sub-stream's worker, state and outcome.
+///
+/// A sub-stream fails when it dies, answers non-200, comes up short, or
+/// `on_line` refuses a line; its socket is then shut down, which
+/// cancels the worker's remaining cells. With `close_all`, the first
+/// failure shuts down every other sub-stream too, so no thread waits
+/// for a worker's next line. A sub-stream the relay closes itself is
+/// not the worker's failure: it is neither marked down nor counted.
+pub(crate) fn relay<'r, T: Send>(
+    router: &Router,
+    subs: impl IntoIterator<Item = (SubStream<'r>, T)>,
+    close_all: bool,
+    on_line: impl Fn(&mut T, String) -> Result<(), String> + Sync,
+) -> Vec<(usize, T, Result<(), String>)> {
+    let closing = AtomicBool::new(false);
+    let (sockets, drains): (Vec<TcpStream>, Vec<_>) = subs
+        .into_iter()
+        .map(|(sub, state)| (sub.socket, (sub.conn, sub.worker, sub.indices.len(), state)))
+        .unzip();
+    let (sockets, closing, on_line) = (&sockets, &closing, &on_line);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = drains
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut conn, worker, owed, mut state))| {
+                scope.spawn(move || {
+                    let result = drain(router, &mut conn, worker, owed, closing, |line| {
+                        if closing.load(Ordering::SeqCst) {
+                            return Err("closed by the gateway".into());
+                        }
+                        on_line(&mut state, line)
+                    });
+                    let doomed = if result.is_err() && close_all {
+                        closing.store(true, Ordering::SeqCst);
+                        &sockets[..]
+                    } else {
+                        std::slice::from_ref(&sockets[i])
+                    };
+                    for socket in doomed {
+                        let _ = socket.shutdown(Shutdown::Both);
+                    }
+                    (worker, state, result)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("relay thread"))
+            .collect()
+    })
 }
 
-/// The buffered gateway grid: scatters the distinct cells as
-/// sub-streams, drains them concurrently (one scoped thread each), and
-/// puts every line back at its grid index by `digest`. The cells a
-/// failed or non-200 sub-stream did not deliver are re-routed to the
-/// surviving workers, round after round; when no worker is left the
-/// whole request is a 502 naming the failures. Duplicates are filled
-/// from their canonical cell.
+/// Drains one sub-stream into `on_line`, one call per cell line, and
+/// checks that the worker delivered what it owes: a 200 head, whole
+/// lines, and `owed` lines. A non-200 head counts a failure, and a
+/// broken or short sub-stream marks the worker down unless the relay
+/// is `closing` it. An `Err` from `on_line` abandons the sub-stream.
+/// Every failure comes back as `Err` with its reason.
+fn drain(
+    router: &Router,
+    conn: &mut PooledConn<'_>,
+    worker: usize,
+    owed: usize,
+    closing: &AtomicBool,
+    mut on_line: impl FnMut(String) -> Result<(), String>,
+) -> Result<(), String> {
+    let worker = &router.workers()[worker];
+    let broken = |e: &String| {
+        if !closing.load(Ordering::SeqCst) {
+            worker.mark_down(e);
+        }
+    };
+    let mut stream = conn.get().read_stream().inspect_err(broken)?;
+    if stream.status != 200 {
+        worker.failures.fetch_add(1, Ordering::Relaxed);
+        let status = stream.status;
+        let body = stream.next_line().and_then(Result::ok).unwrap_or_default();
+        stream.abandon();
+        return Err(format!(
+            "answered HTTP {status} to a {owed}-cell sub-grid: {body}"
+        ));
+    }
+    let mut lines = 0usize;
+    while let Some(line) = stream.next_line() {
+        let delivered = match line {
+            Ok(line) => on_line(line),
+            Err(e) => {
+                let e = format!("sub-stream died: {e}");
+                broken(&e);
+                Err(e)
+            }
+        };
+        if let Err(e) = delivered {
+            stream.abandon();
+            return Err(e);
+        }
+        lines += 1;
+    }
+    drop(stream);
+    if lines != owed {
+        // A clean terminal chunk with missing cells is a protocol
+        // violation, never a complete slice.
+        let e = format!("sub-stream ended cleanly after {lines} of {owed} cells");
+        broken(&e);
+        return Err(e);
+    }
+    worker.answered.fetch_add(1, Ordering::Relaxed);
+    Ok(())
+}
+
+/// The buffered gateway grid: scatters every cell as sub-streams,
+/// relays them, and puts each line back at a grid index owed for its
+/// `scenario`. The cells a failed or non-200 sub-stream did not deliver
+/// are re-routed to the surviving workers, round after round; when no
+/// worker is left the whole request is a 502 naming the failures.
 pub(crate) fn gather(router: &Router, scenarios: &[Scenario]) -> Result<Vec<Value>, GatewayError> {
     let out: Vec<OnceLock<Value>> = scenarios.iter().map(|_| OnceLock::new()).collect();
-    let canon = canonical_indices(scenarios);
     let mut scatter = Scatter::new(router, scenarios);
-    let mut pending: Vec<usize> = (0..scenarios.len()).filter(|&i| canon[i] == i).collect();
+    let mut pending: Vec<usize> = (0..scenarios.len()).collect();
     while !pending.is_empty() {
-        let subs = scatter.open(pending)?;
-        let drained: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = subs
-                .into_iter()
-                .map(|mut sub| {
-                    let out = &out;
-                    scope.spawn(move || {
-                        let result = drain_into(router, scenarios, out, &mut sub);
-                        (sub, result)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("gather thread"))
-                .collect()
+        let subs = scatter.open(pending)?.into_iter().map(|sub| {
+            // Lines arrive in completion order: the grid indices each
+            // scenario still owes, so a repeated cell fills one per line.
+            let mut owed: HashMap<Scenario, Vec<usize>> = HashMap::new();
+            for &i in &sub.indices {
+                owed.entry(scenarios[i]).or_default().push(i);
+            }
+            (sub, owed)
+        });
+        let relayed = relay(router, subs, false, |owed, line| {
+            let cell = serde::json::parse(&line)
+                .map_err(|e| format!("answered unparseable cell JSON: {e}"))?;
+            let idx = cell
+                .get("scenario")
+                .and_then(|s| Scenario::from_value(s).ok())
+                .and_then(|s| owed.get_mut(&s)?.pop())
+                .ok_or("answered a cell it was not sent")?;
+            let _ = out[idx].set(cell);
+            Ok(())
         });
         pending = Vec::new();
-        for (sub, result) in drained {
+        for (worker, owed, result) in relayed {
             if let Err(e) = result {
-                scatter.fail(sub.worker, &e);
-                pending.extend(sub.indices.into_iter().filter(|&i| out[i].get().is_none()));
+                scatter.fail(worker, &e);
+                pending.extend(owed.into_values().flatten());
             }
         }
         if !pending.is_empty() {
@@ -278,40 +313,8 @@ pub(crate) fn gather(router: &Router, scenarios: &[Scenario]) -> Result<Vec<Valu
         }
         pending.sort_unstable();
     }
-    let mut cells: Vec<Option<Value>> = out.into_iter().map(OnceLock::into_inner).collect();
-    for (idx, &first) in canon.iter().enumerate() {
-        if first != idx {
-            cells[idx] = cells[first].clone();
-        }
-    }
-    Ok(cells
+    Ok(out
         .into_iter()
-        .map(|cell| cell.expect("every grid index was filled"))
+        .map(|cell| cell.into_inner().expect("every grid index was filled"))
         .collect())
-}
-
-/// Drains one buffered sub-stream, setting each delivered cell at its
-/// grid index in `out`. Lines arrive in completion order, so each is
-/// placed by its `digest`; a line that is not JSON or names a cell the
-/// worker was not sent (or sent twice) fails the sub-stream.
-fn drain_into(
-    router: &Router,
-    scenarios: &[Scenario],
-    out: &[OnceLock<Value>],
-    sub: &mut SubStream<'_>,
-) -> Result<(), String> {
-    let mut owed: HashMap<String, usize> = sub
-        .indices
-        .iter()
-        .map(|&i| (digest_hex(&scenarios[i]), i))
-        .collect();
-    sub.drain(router, |line| {
-        let cell = serde::json::parse(&line)
-            .map_err(|e| format!("answered unparseable cell JSON: {e}"))?;
-        let idx = line_digest(&cell)
-            .and_then(|d| owed.remove(d))
-            .ok_or("answered a cell it was not sent")?;
-        let _ = out[idx].set(cell);
-        Ok(())
-    })
 }

@@ -5,12 +5,14 @@
 //! `tests/cluster_failover.rs`, which spawns real worker processes.)
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use mcdla_cluster::{spawn_local_fleet, FleetConfig, Topology};
 use mcdla_core::{FabricTopology, Scenario, SystemDesign};
 use mcdla_dnn::Benchmark;
 use mcdla_parallel::ParallelStrategy;
-use mcdla_serve::client::Connection;
+use mcdla_serve::client::{Connection, Timeouts};
 use mcdla_serve::{ServeConfig, Server};
 use serde::Value;
 
@@ -179,7 +181,7 @@ fn streamed_grid_merges_every_partition_and_stays_reusable() {
 }
 
 #[test]
-fn gateway_deduplicates_repeated_cells_before_the_scatter() {
+fn gateway_simulates_each_repeated_cell_once() {
     let fleet = fleet(2);
     let addr = fleet.gateway_addr().to_string();
     let a = Scenario::new(
@@ -205,16 +207,16 @@ fn gateway_deduplicates_repeated_cells_before_the_scatter() {
     assert_eq!(cells.len(), 4, "one output cell per input cell");
     assert_eq!(strip_cached(&cells[0]), strip_cached(&cells[2]));
     assert_eq!(strip_cached(&cells[0]), strip_cached(&cells[3]));
-    // Only the two distinct cells reached the fleet: no worker saw the
-    // duplicates, so no worker-store lookup hit a just-computed entry.
-    let (hits, entries) = fleet.workers.iter().fold((0, 0), |(h, n), w| {
+    // Every copy reached its owner, whose single-flight store simulated
+    // each distinct cell once and answered the repeats from its cache.
+    let (misses, entries) = fleet.workers.iter().fold((0, 0), |(m, n), w| {
         let stats = w.store().stats();
-        (h + stats.hits, n + stats.entries)
+        (m + stats.misses, n + stats.entries)
     });
     assert_eq!(entries, 2, "the fleet holds one entry per distinct cell");
-    assert_eq!(hits, 0, "duplicates were scattered to the fleet");
+    assert_eq!(misses, 2, "a repeated cell was simulated more than once");
 
-    // Streaming dedupe keeps the line-per-input-cell contract too.
+    // The streamed form keeps the line-per-input-cell contract too.
     let stream = conn
         .request_stream("POST", "/grid?stream=1", Some(&body))
         .unwrap();
@@ -505,6 +507,125 @@ fn buffered_grid_reroutes_cells_a_worker_dropped_mid_answer() {
     }
     gateway.shutdown();
     worker.shutdown();
+}
+
+/// A backend that answers a sub-grid request with a chunked 200 head and
+/// then stalls, holding the connection open until the gateway closes
+/// it.
+fn worker_stalling_after_the_head() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            let head = "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n";
+            let _ = stream.write_all(head.as_bytes());
+            let _ = std::io::copy(&mut stream, &mut std::io::sink());
+        }
+    });
+    addr
+}
+
+/// Fast analytical cells that `topology` gives to worker `w`.
+fn cells_owned_by(topology: &Topology, w: usize) -> impl Iterator<Item = Scenario> + '_ {
+    let cell = Scenario::new(
+        SystemDesign::DcDla,
+        Benchmark::AlexNet,
+        ParallelStrategy::DataParallel,
+    );
+    (1..)
+        .map(move |i| cell.with_batch(64 * i))
+        .filter(move |s| topology.owner_of(s) == w)
+}
+
+/// A `{"cells": [...]}` grid body listing `cells`.
+fn cells_body(cells: &[Scenario]) -> String {
+    let cells: Vec<String> = cells.iter().map(scenario_json).collect();
+    format!(r#"{{"cells": [{}]}}"#, cells.join(", "))
+}
+
+#[test]
+fn streamed_grid_forwards_each_worker_as_it_finishes() {
+    // Worker 0 owns one slow routed cell (a cold 8,000-device fat tree,
+    // about 0.45 s) and worker 1 owns fast analytical cells: worker 1's
+    // lines must reach the client without waiting behind worker 0's.
+    let fleet = fleet(2);
+    let topology = Topology::new(fleet.worker_addrs()).unwrap();
+    let slow = Scenario::new(
+        SystemDesign::McDlaBwAware,
+        Benchmark::GoogLeNet,
+        ParallelStrategy::ModelParallel,
+    )
+    .with_devices(8000)
+    .with_topology(FabricTopology::FatTree);
+    let slow = (0..)
+        .map(|i| slow.with_batch(512 + 64 * i))
+        .find(|s| topology.owner_of(s) == 0)
+        .unwrap();
+    let mut cells: Vec<Scenario> = cells_owned_by(&topology, 1).take(8).collect();
+    cells.insert(0, slow);
+
+    let mut conn = Connection::open(&fleet.gateway_addr().to_string()).unwrap();
+    let stream = conn
+        .request_stream("POST", "/grid?stream=1", Some(&cells_body(&cells)))
+        .unwrap();
+    assert_eq!(stream.status, 200);
+    let lines = stream.collect_lines().expect("clean merged stream");
+    assert_eq!(lines.len(), cells.len());
+    let first = serde::json::parse(&lines[0]).unwrap();
+    let digest = first.get("digest").and_then(Value::as_str).unwrap();
+    assert_ne!(
+        digest,
+        format!("{:016x}", slow.digest()),
+        "worker 1's lines waited behind worker 0's"
+    );
+    fleet.shutdown();
+}
+
+#[test]
+fn streamed_grid_failure_closes_every_sub_stream_at_once() {
+    // Worker 0 stalls after its head; worker 1 dies after one line. The
+    // gateway must end the client's stream at once rather than wait out
+    // its 20 s read deadline on worker 0, and a sub-stream it closed
+    // itself is not worker 0's failure.
+    let backends = vec![worker_stalling_after_the_head(), worker_dying_mid_answer()];
+    let topology = Topology::new(backends.clone()).unwrap();
+    let gateway = mcdla_cluster::Gateway::bind(&mcdla_cluster::GatewayConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        backends,
+        timeouts: Timeouts {
+            read: Some(Duration::from_secs(20)),
+            ..Timeouts::default()
+        },
+        probe_interval: None,
+        ..mcdla_cluster::GatewayConfig::default()
+    })
+    .expect("bind gateway")
+    .spawn()
+    .expect("spawn gateway");
+    let cells = [0, 1].map(|w| cells_owned_by(&topology, w).next().unwrap());
+
+    let started = Instant::now();
+    let mut conn = Connection::open(&gateway.addr().to_string()).unwrap();
+    let stream = conn
+        .request_stream("POST", "/grid?stream=1", Some(&cells_body(&cells)))
+        .unwrap();
+    assert_eq!(stream.status, 200);
+    let ended = stream.collect_lines();
+    let elapsed = started.elapsed();
+    assert!(
+        ended.is_err(),
+        "the stream must end without its terminal chunk"
+    );
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "the stream took {elapsed:?}"
+    );
+    let workers = gateway.router().workers();
+    assert!(!workers[1].is_up(), "the dying worker must be marked down");
+    assert!(workers[0].is_up(), "the stalled worker must stay up");
+    assert_eq!(workers[0].failures.load(Ordering::Relaxed), 0);
+    gateway.shutdown();
 }
 
 #[test]

@@ -841,10 +841,55 @@ impl OffloadWindow {
 mod tests {
     use super::*;
     use mcdla_dnn::Benchmark;
+    use mcdla_interconnect::SystemInterconnect;
 
     fn run(design: SystemDesign, bm: Benchmark, strategy: ParallelStrategy) -> IterationReport {
         let net = bm.build();
         IterationSim::new(SystemConfig::new(design), &net, strategy).run()
+    }
+
+    #[test]
+    fn backplane_rings_and_overlays_match_the_fig5_fig7_layouts() {
+        // At the paper default (8 devices) the rings and per-device
+        // overlay bandwidth the engine prices must be those of the graph
+        // layouts `mcdla fig7` prints. DC-DLA overlays over host PCIe,
+        // which its layout does not wire, so only its rings are compared.
+        let link = SystemConfig::new(SystemDesign::DcDla)
+            .device
+            .link_bandwidth_gbs;
+        let cube = SystemInterconnect::dgx_cube_mesh(link);
+        let ring = SystemInterconnect::mc_dla_ring(link);
+        // (design, layout, overlay targets, overlay GB/s)
+        let cases = [
+            (SystemDesign::DcDla, &cube, None),
+            (SystemDesign::DcDlaOracle, &cube, None),
+            (
+                SystemDesign::HcDla,
+                &SystemInterconnect::hc_dla(link),
+                Some((1, 75.0)),
+            ),
+            (
+                SystemDesign::McDlaStar,
+                &SystemInterconnect::mc_dla_star_b(link),
+                Some((1, 50.0)),
+            ),
+            (SystemDesign::McDlaLocal, &ring, Some((1, 75.0))),
+            (SystemDesign::McDlaBwAware, &ring, Some((2, 150.0))),
+        ];
+        for (design, layout, overlay) in cases {
+            let cfg = SystemConfig::new(design);
+            assert_eq!(cfg.devices, 8);
+            assert_eq!(
+                backplane_ring_shapes(&cfg),
+                layout.ring_shapes(),
+                "{design:?}"
+            );
+            if let Some((targets, gbs)) = overlay {
+                let virt = VirtPath::from_config(&cfg).expect("a virtualizing design");
+                assert_eq!(virt.per_device_gbs, gbs, "{design:?}");
+                assert_eq!(layout.virt_bandwidth_gbs(targets), gbs, "{design:?}");
+            }
+        }
     }
 
     #[test]

@@ -900,6 +900,14 @@ impl GridStream {
         }
     }
 
+    /// The next finished cell if one is ready now, without blocking;
+    /// `None` when no cell is waiting. A later [`Iterator::next`] still
+    /// ends the stream (and re-raises a worker panic) as usual.
+    pub fn try_next(&mut self) -> Option<TimedRun> {
+        let (_, run) = self.rx.as_ref()?.try_recv().ok()?;
+        Some(run)
+    }
+
     /// Joins the worker pool, re-raising the first worker panic.
     fn join_workers(&mut self) {
         self.rx = None;

@@ -241,6 +241,34 @@ impl StagePipeline {
             hists: StageHists::new(),
         }
     }
+
+    /// A pipeline with every table bounded to `cap` entries.
+    #[cfg(test)]
+    fn with_cap(cap: usize) -> StagePipeline {
+        StagePipeline {
+            fabrics: StageCache::new(Some(cap)),
+            networks: StageCache::new(Some(cap)),
+            timings: StageCache::new(Some(cap)),
+            plans: StageCache::new(Some(cap)),
+            schedules: StageCache::new(Some(cap)),
+            collectives: StageCache::new(Some(cap)),
+            syncs: StageCache::new(Some(cap)),
+            hists: StageHists::new(),
+        }
+    }
+
+    /// Counters for every table, in [`stage_stats`] order.
+    fn stats(&self) -> Vec<StageStats> {
+        vec![
+            self.fabrics.stats("fabric"),
+            self.networks.stats("network"),
+            self.timings.stats("layer_timing"),
+            self.plans.stats("plan"),
+            self.schedules.stats("schedule"),
+            self.collectives.stats("collective"),
+            self.syncs.stats("sync"),
+        ]
+    }
 }
 
 fn pipeline() -> &'static StagePipeline {
@@ -274,16 +302,7 @@ pub fn stage_latency() -> Vec<(&'static str, HistogramSnapshot)> {
 /// [`StoreStats::stages`](crate::StoreStats), `GET /stats`,
 /// `GET /metrics`, and the sweep summary.
 pub fn stage_stats() -> Vec<StageStats> {
-    let p = pipeline();
-    vec![
-        p.fabrics.stats("fabric"),
-        p.networks.stats("network"),
-        p.timings.stats("layer_timing"),
-        p.plans.stats("plan"),
-        p.schedules.stats("schedule"),
-        p.collectives.stats("collective"),
-        p.syncs.stats("sync"),
-    ]
+    pipeline().stats()
 }
 
 /// Simulates one cell through the staged pipeline. Bit-identical to
@@ -595,6 +614,45 @@ mod tests {
         let (sync, again) = (p.syncs.stats("sync"), p.collectives.stats("collective"));
         assert_eq!((sync.hits, sync.misses), (1, 1), "{sync:?}");
         assert_eq!(lookups(again), lookups(coll), "a sync hit reads no op");
+    }
+
+    #[test]
+    fn staged_matches_monolithic_with_every_table_capped_at_one() {
+        // Each table holds one entry, so every new key evicts the last.
+        // The cells span analytical pricing (1 to 4,096 devices), routed
+        // fabrics (2 to 64 devices on all five topologies), both
+        // strategies and two benchmarks, so every table sees more than
+        // one key; two interleaved passes re-simulate each cell after
+        // its artifacts were evicted.
+        let p = StagePipeline::with_cap(1);
+        let mut cells = Vec::new();
+        for strategy in ParallelStrategy::ALL {
+            for benchmark in [Benchmark::AlexNet, Benchmark::GoogLeNet] {
+                let cell = |design| Scenario::new(design, benchmark, strategy);
+                for devices in [1, 2, 8, 64, 4096] {
+                    for design in [SystemDesign::DcDla, SystemDesign::McDlaBwAware] {
+                        let batch = 512.max(devices as u64);
+                        cells.push(cell(design).with_devices(devices).with_batch(batch));
+                    }
+                }
+                for (topology, design) in FabricTopology::ALL.into_iter().zip(SystemDesign::ALL) {
+                    for devices in [2, 16, 64] {
+                        cells.push(cell(design).with_devices(devices).with_topology(topology));
+                    }
+                }
+            }
+        }
+        for cell in cells.iter().chain(&cells) {
+            assert_eq!(
+                simulate_in(&p, cell),
+                cell.simulate_monolithic(),
+                "{cell:?}"
+            );
+        }
+        for table in p.stats() {
+            assert_eq!(table.entries, 1, "{table:?}");
+            assert!(table.evictions > 0, "{table:?}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   thread-local span stack; a request handler opens a scope, the
 //!   code under it enters spans, and the finished [`TraceRecord`]
 //!   carries the whole parent/child tree.
-//! * [`FlightRecorder`] — a bounded, lock-striped ring buffer of the
-//!   last N completed traces per server (default 1024, tunable via
+//! * [`FlightRecorder`] — a bounded ring buffer, behind one lock, of
+//!   the last N completed traces per server (default 1024, tunable via
 //!   `MCDLA_TRACE_CAP`), behind `GET /debug/trace/<id>` and
 //!   `GET /debug/requests`.
 //! * [`Histogram`] — fixed 1-2-5 log-bucket latency histograms with

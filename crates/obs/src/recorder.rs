@@ -1,25 +1,17 @@
-//! The flight recorder: a bounded, lock-striped ring buffer of the
-//! last N completed request traces.
+//! The flight recorder: a bounded ring buffer of the last N completed
+//! request traces.
 //!
 //! Each server instance owns one recorder (worker and gateway keep
 //! separate recorders even when co-resident in one process, so
-//! `/debug/trace/<id>` answers per tier). Records are struck across
-//! a fixed set of stripes by a global sequence number: concurrent
-//! handler threads contend on different stripe mutexes, and each
-//! stripe holds an equal share of the capacity, so the recorder as a
-//! whole keeps exactly the last `capacity` traces (± nothing: each
-//! stripe inserts in sequence order and evicts its smallest sequence
-//! number, so the retained set is exactly the `capacity` newest
-//! sequence numbers even when racing writers reach the stripe lock
-//! out of sequence order).
+//! `/debug/trace/<id>` answers per tier). One mutex guards the ring:
+//! a record takes its sequence number and joins the back under the
+//! lock, and the front is evicted past capacity, so the recorder keeps
+//! exactly the `capacity` newest sequence numbers, in order.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::span::TraceRecord;
-
-const STRIPES: usize = 8;
 
 /// Default recorder capacity (completed traces retained).
 pub(crate) const DEFAULT_TRACE_CAP: usize = 1024;
@@ -38,9 +30,9 @@ pub(crate) fn trace_cap_from_env() -> usize {
 /// docs). Shared across handler threads behind `&self`.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    stripes: Vec<Mutex<VecDeque<Arc<TraceRecord>>>>,
-    caps: Vec<usize>,
-    seq: AtomicU64,
+    /// Retained records, oldest first. Never empty once written, so
+    /// the newest record's sequence number numbers the next one.
+    ring: Mutex<VecDeque<Arc<TraceRecord>>>,
     capacity: usize,
 }
 
@@ -48,18 +40,9 @@ impl FlightRecorder {
     /// A recorder retaining the last `capacity` traces (`capacity` is
     /// clamped to at least 1).
     pub fn new(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
-        let stripes = STRIPES.min(capacity);
-        // Distribute the capacity exactly: stripe i gets an extra slot
-        // while i < capacity % stripes.
-        let caps: Vec<usize> = (0..stripes)
-            .map(|i| capacity / stripes + usize::from(i < capacity % stripes))
-            .collect();
         FlightRecorder {
-            stripes: (0..stripes).map(|_| Mutex::new(VecDeque::new())).collect(),
-            caps,
-            seq: AtomicU64::new(0),
-            capacity,
+            ring: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
         }
     }
 
@@ -71,22 +54,11 @@ impl FlightRecorder {
     /// Admits a completed trace, assigning its recorder sequence
     /// number, and returns the shared record.
     pub fn record(&self, mut rec: TraceRecord) -> Arc<TraceRecord> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        rec.seq = seq;
+        let mut ring = self.ring.lock().expect("recorder lock poisoned");
+        rec.seq = ring.back().map_or(0, |last| last.seq + 1);
         let rec = Arc::new(rec);
-        let stripe = (seq as usize) % self.stripes.len();
-        let mut ring = self.stripes[stripe]
-            .lock()
-            .expect("recorder stripe poisoned");
-        // Sequence numbers are assigned before the stripe lock, so two
-        // writers can reach the lock out of order. Insert in sequence
-        // order (almost always a plain push_back) and evict from the
-        // front: the stripe then always drops its *oldest* trace, and
-        // the recorder as a whole retains exactly the newest
-        // `capacity` sequence numbers.
-        let at = ring.partition_point(|r| r.seq < seq);
-        ring.insert(at, Arc::clone(&rec));
-        while ring.len() > self.caps[stripe] {
+        ring.push_back(Arc::clone(&rec));
+        if ring.len() > self.capacity {
             ring.pop_front();
         }
         rec
@@ -94,34 +66,14 @@ impl FlightRecorder {
 
     /// Finds the most recent trace with the given request id.
     pub fn lookup(&self, id: &str) -> Option<Arc<TraceRecord>> {
-        self.stripes
-            .iter()
-            .filter_map(|s| {
-                s.lock()
-                    .expect("recorder stripe poisoned")
-                    .iter()
-                    .rev()
-                    .find(|r| r.id == id)
-                    .cloned()
-            })
-            .max_by_key(|r| r.seq)
+        let ring = self.ring.lock().expect("recorder lock poisoned");
+        ring.iter().rev().find(|r| r.id == id).cloned()
     }
 
     /// Every retained trace, newest first.
     pub fn recent(&self) -> Vec<Arc<TraceRecord>> {
-        let mut all: Vec<Arc<TraceRecord>> = self
-            .stripes
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("recorder stripe poisoned")
-                    .iter()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_by_key(|t| std::cmp::Reverse(t.seq));
-        all
+        let ring = self.ring.lock().expect("recorder lock poisoned");
+        ring.iter().rev().cloned().collect()
     }
 
     /// The configured retention bound.
@@ -131,10 +83,7 @@ impl FlightRecorder {
 
     /// Number of traces currently retained.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("recorder stripe poisoned").len())
-            .sum()
+        self.ring.lock().expect("recorder lock poisoned").len()
     }
 
     /// Whether the recorder holds no traces yet.

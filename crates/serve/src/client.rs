@@ -163,7 +163,7 @@ impl Connection {
     /// Sends a request without reading anything back. Pair with
     /// [`Connection::read_stream`]. This split is what lets a
     /// scatter-gather caller start N servers computing concurrently and
-    /// only then drain their streams one at a time.
+    /// only then drain their streams.
     pub fn start_stream(
         &mut self,
         method: &str,
@@ -171,6 +171,16 @@ impl Connection {
         body: Option<&str>,
     ) -> Result<(), String> {
         self.send_request(method, path, body)
+    }
+
+    /// A second handle on this connection's socket. Shutting it down
+    /// from another thread ends a read blocked on this connection at
+    /// once, which is how a caller draining several streams stops the
+    /// rest when one fails.
+    pub fn socket_handle(&self) -> Result<TcpStream, String> {
+        self.stream
+            .try_clone()
+            .map_err(|e| format!("cloning stream: {e}"))
     }
 
     /// Reads the response head for a request sent with

@@ -159,7 +159,8 @@ pub enum StreamOutcome {
 
 /// A chunked NDJSON answer in progress: a tier opens it (the 200 head)
 /// once it can no longer fail the request as a whole, then writes one
-/// line per cell; the shell writes the terminal chunk.
+/// line per cell, one chunk per line; the shell writes the terminal
+/// chunk.
 #[derive(Debug)]
 pub struct CellStream<'a> {
     writer: &'a mut TcpStream,
@@ -181,11 +182,17 @@ impl CellStream<'_> {
         )
     }
 
-    /// Writes one cell line (newline included) as one chunk.
-    pub fn line(&mut self, line: &[u8]) -> std::io::Result<()> {
-        write_chunk(self.writer, line)?;
-        self.bytes += line.len() as u64;
-        Ok(())
+    /// Writes cell lines (newline included), each framed as its own
+    /// chunk, with one write: a batch costs one syscall here and one
+    /// wakeup of the reader, however many lines it holds.
+    pub fn lines(&mut self, lines: &[impl AsRef<[u8]>]) -> std::io::Result<()> {
+        let mut chunks = Vec::new();
+        for line in lines {
+            write_chunk(&mut chunks, line.as_ref())?;
+            self.bytes += line.as_ref().len() as u64;
+        }
+        self.writer.write_all(&chunks)?;
+        self.writer.flush()
     }
 }
 

@@ -391,9 +391,10 @@ impl Tier for Worker {
 
     /// Streams a grid as chunked NDJSON: one [`cell_value`] object per
     /// line, one line per chunk, written **as workers finish**
-    /// (completion order). Cells are memoized through the same shared
-    /// store as every other endpoint, so streamed payloads are
-    /// byte-identical to the buffered `/grid` cells for the same
+    /// (completion order). The cells already finished when a write goes
+    /// out ride in that write. Cells are memoized through the
+    /// same shared store as every other endpoint, so streamed payloads
+    /// are byte-identical to the buffered `/grid` cells for the same
     /// scenarios.
     fn stream(node: &Node<Self>, scenarios: Vec<Scenario>, out: &mut CellStream) -> StreamOutcome {
         let runner = &node.tier.runner;
@@ -402,13 +403,23 @@ impl Tier for Worker {
             return StreamOutcome::Streamed { clean: false };
         }
         let mut computed = 0;
-        for run in runner.run_grid_streaming(scenarios, 2 * runner.threads()) {
-            computed += usize::from(!run.cached);
+        let buffer = 2 * runner.threads();
+        let mut cells = runner.run_grid_streaming(scenarios, buffer);
+        while let Some(first) = cells.next() {
+            // At most a channel's worth of ready cells: memory stays flat.
+            let more = std::iter::from_fn(|| cells.try_next()).take(buffer);
+            let ready = std::iter::once(first).chain(more);
+            let lines: Vec<String> = ready
+                .map(|run| {
+                    computed += usize::from(!run.cached);
+                    let cell = cell_value(&run.scenario, &run.report, run.cached);
+                    let mut line = serde::json::to_string(&cell);
+                    line.push('\n');
+                    line
+                })
+                .collect();
             out.computed_cells = Some(computed);
-            let mut line =
-                serde::json::to_string(&cell_value(&run.scenario, &run.report, run.cached));
-            line.push('\n');
-            if out.line(line.as_bytes()).is_err() {
+            if out.lines(&lines).is_err() {
                 // The client went away mid-stream: dropping the stream
                 // cancels the remaining cells; close without the terminator.
                 return StreamOutcome::Streamed { clean: false };

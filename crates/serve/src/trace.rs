@@ -104,10 +104,9 @@ pub(crate) fn debug_requests_value(
         traces.retain(|t| t.endpoint == ep);
     }
     if sort == Some("slow") {
-        // The `seq` tie-break makes the order total: equal-latency
-        // entries list newest first instead of in whatever order the
-        // striped recorder surfaced them.
-        traces.sort_by_key(|t| (std::cmp::Reverse(t.total_us), std::cmp::Reverse(t.seq)));
+        // A stable sort: equal-latency entries stay newest first, in
+        // the recorder's own order.
+        traces.sort_by_key(|t| std::cmp::Reverse(t.total_us));
     }
     let matched = traces.len();
     let limit = limit.and_then(|l| l.parse::<usize>().ok()).unwrap_or(100);

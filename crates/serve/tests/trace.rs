@@ -243,7 +243,7 @@ fn metrics_expose_request_and_stage_histograms() {
 }
 
 /// The `/debug/requests?sort=slow` listing is a *total* order even when
-/// the striped flight recorder was fed by racing writers: `total_us`
+/// racing writers fed the flight recorder: `total_us`
 /// non-increasing, and within equal latencies `seq` strictly
 /// decreasing (newest first). No pair of entries is ever incomparable
 /// or duplicated.

@@ -95,10 +95,9 @@ fn kill9_worker_mid_stream_truncates_the_merged_stream() {
     let addr = gateway.addr().to_string();
 
     // A grid big and slow enough (heavier nets, a devices axis) that
-    // neither worker can finish its slice before the kill lands. The
-    // gateway drains worker 0's sub-stream first, so killing worker 0
-    // right after the first merged lines guarantees pending cells die
-    // with it.
+    // neither worker can finish its slice before the kill lands, so
+    // killing worker 0 right after the first merged line leaves pending
+    // cells to die with it.
     let grid = r#"{"benchmarks": ["VggE", "GoogLeNet", "ResNet"], "devices": [2, 4, 6, 8]}"#;
     let mut conn = Connection::open(&addr).expect("open gateway connection");
     let mut stream = conn
