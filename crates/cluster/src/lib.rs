@@ -17,8 +17,9 @@
 //! On top of routing sit the operational layers a fleet needs:
 //! per-worker **connection pooling**, passive + probed **health
 //! tracking** and bounded **retry/failover** ([`Router`]),
-//! **scatter-gather** for grid requests — buffered and streamed —
-//! merged back into single-node cell order ([`Gateway`]),
+//! **scatter-gather** for grid requests — buffered answers merged back
+//! into single-node cell order, streamed ones relayed as cells finish
+//! ([`Gateway`]),
 //! fleet-wide stats aggregation (`GET /cluster/stats`), and Prometheus
 //! `GET /metrics` on the gateway (workers grew their own in
 //! `mcdla-serve`).

@@ -858,21 +858,15 @@ mod tests {
             .device
             .link_bandwidth_gbs;
         let cube = SystemInterconnect::dgx_cube_mesh(link);
+        let hc = SystemInterconnect::hc_dla(link);
+        let star = SystemInterconnect::mc_dla_star_b(link);
         let ring = SystemInterconnect::mc_dla_ring(link);
-        // (design, layout, overlay targets, overlay GB/s)
+        // (design, layout, overlay targets and GB/s)
         let cases = [
             (SystemDesign::DcDla, &cube, None),
             (SystemDesign::DcDlaOracle, &cube, None),
-            (
-                SystemDesign::HcDla,
-                &SystemInterconnect::hc_dla(link),
-                Some((1, 75.0)),
-            ),
-            (
-                SystemDesign::McDlaStar,
-                &SystemInterconnect::mc_dla_star_b(link),
-                Some((1, 50.0)),
-            ),
+            (SystemDesign::HcDla, &hc, Some((1, 75.0))),
+            (SystemDesign::McDlaStar, &star, Some((1, 50.0))),
             (SystemDesign::McDlaLocal, &ring, Some((1, 75.0))),
             (SystemDesign::McDlaBwAware, &ring, Some((2, 150.0))),
         ];
