@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mcdla_core::Scenario;
-use mcdla_serve::accept::LoopConfig;
+use mcdla_serve::accept::{LoopConfig, QUEUE_DEPTH};
 use mcdla_serve::client::Timeouts;
 use mcdla_serve::metrics::{Metric, Reading, Series};
 use mcdla_serve::node::{
@@ -48,11 +48,6 @@ pub struct GatewayConfig {
     /// Background health-probe period (`None` disables the prober;
     /// health is then tracked passively from request outcomes only).
     pub probe_interval: Option<Duration>,
-    /// Parked keep-alive connections kept per worker.
-    pub max_idle_per_worker: usize,
-    /// Admission-queue bound: fleet-bound requests waiting beyond the
-    /// worker pool; the next one is answered 429 + `Retry-After`.
-    pub queue_depth: usize,
     /// Telemetry sampling cadence in milliseconds. `None` defers to
     /// `MCDLA_SAMPLE_MS` (default 1s); `Some(0)` disables the sampler.
     pub sample_ms: Option<u64>,
@@ -66,8 +61,6 @@ impl Default for GatewayConfig {
             backends: Vec::new(),
             timeouts: Timeouts::default(),
             probe_interval: Some(Duration::from_secs(2)),
-            max_idle_per_worker: 16,
-            queue_depth: 128,
             sample_ms: None,
         }
     }
@@ -99,15 +92,11 @@ impl Gateway {
     pub fn bind(config: &GatewayConfig) -> Result<Gateway, String> {
         let loop_config = LoopConfig {
             workers: config.threads,
-            queue_depth: config.queue_depth,
+            queue_depth: QUEUE_DEPTH,
             idle_timeout: READ_TIMEOUT,
             request_timeout: READ_TIMEOUT,
         };
-        let router = Router::new(
-            config.backends.iter().cloned(),
-            config.timeouts,
-            config.max_idle_per_worker,
-        )?;
+        let router = Router::new(config.backends.iter().cloned(), config.timeouts)?;
         let bound = Node::bind(
             &config.addr,
             Fleet { router },
@@ -147,11 +136,7 @@ impl Gateway {
     /// thread until they exit — the `mcdla gateway` entry point (it
     /// runs until the process is killed).
     pub fn run(self) -> std::io::Result<()> {
-        let handle = self.spawn()?;
-        handle.running.join();
-        if let Some(p) = handle.prober {
-            let _ = p.join();
-        }
+        self.spawn()?.join();
         Ok(())
     }
 }
@@ -165,6 +150,16 @@ impl GatewayHandle {
     /// The routing core (topology + worker health).
     pub fn router(&self) -> &Router {
         &self.running.node.tier.router
+    }
+
+    /// Parks the calling thread until the event loop, worker pool and
+    /// prober exit (the process is killed, or another thread shuts the
+    /// node down).
+    pub fn join(self) {
+        self.running.join();
+        if let Some(p) = self.prober {
+            let _ = p.join();
+        }
     }
 
     /// Stops the event loop and worker pool and joins every thread
@@ -621,9 +616,7 @@ pub fn spawn_local_fleet(config: &FleetConfig) -> Result<LocalFleet, String> {
         backends,
         timeouts: config.timeouts,
         probe_interval: config.probe_interval,
-        max_idle_per_worker: 16,
         sample_ms: config.sample_ms,
-        ..GatewayConfig::default()
     })?;
     let gateway = gateway
         .spawn()

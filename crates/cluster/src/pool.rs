@@ -15,26 +15,28 @@ use std::sync::Mutex;
 use mcdla_obs::Span;
 use mcdla_serve::client::{Connection, Response, Timeouts};
 
+/// Parked keep-alive connections a pool keeps per worker; a released
+/// connection beyond this is closed.
+const MAX_IDLE: usize = 16;
+
 /// A pool of idle keep-alive connections to one worker address.
 #[derive(Debug)]
 pub(crate) struct WorkerPool {
     addr: String,
     timeouts: Timeouts,
     idle: Mutex<Vec<Connection>>,
-    max_idle: usize,
     /// Stale-connection retries performed (reused connection failed,
     /// fresh connection succeeded or was attempted).
     retries: AtomicU64,
 }
 
 impl WorkerPool {
-    /// A pool for `addr`, keeping at most `max_idle` parked connections.
-    pub(crate) fn new(addr: impl Into<String>, timeouts: Timeouts, max_idle: usize) -> Self {
+    /// A pool for `addr`, keeping at most [`MAX_IDLE`] parked connections.
+    pub(crate) fn new(addr: impl Into<String>, timeouts: Timeouts) -> Self {
         WorkerPool {
             addr: addr.into(),
             timeouts,
             idle: Mutex::new(Vec::new()),
-            max_idle: max_idle.max(1),
             retries: AtomicU64::new(0),
         }
     }
@@ -120,7 +122,7 @@ impl WorkerPool {
 
     fn park(&self, conn: Connection) {
         let mut idle = self.idle.lock().expect("pool lock");
-        if idle.len() < self.max_idle {
+        if idle.len() < MAX_IDLE {
             idle.push(conn);
         }
     }
@@ -193,7 +195,7 @@ mod tests {
     #[test]
     fn request_round_trips_and_parks_the_connection() {
         let (addr, handle) = stub_server(vec![ok_response("{\"a\":1}")]);
-        let pool = WorkerPool::new(&addr, Timeouts::default(), 4);
+        let pool = WorkerPool::new(&addr, Timeouts::default());
         let resp = pool.request("GET", "/healthz", None).expect("request");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, "{\"a\":1}");
@@ -206,7 +208,7 @@ mod tests {
         // Two accepts: the first connection answers then is closed by
         // the stub (stale in the pool); the second answers the retry.
         let (addr, handle) = stub_server(vec![ok_response("{\"n\":1}"), ok_response("{\"n\":2}")]);
-        let pool = WorkerPool::new(&addr, Timeouts::default(), 4);
+        let pool = WorkerPool::new(&addr, Timeouts::default());
         assert_eq!(pool.request("GET", "/x", None).unwrap().body, "{\"n\":1}");
         // The stub dropped its end after responding; the parked
         // connection is now stale and the next request must transparently
@@ -225,7 +227,7 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let pool = WorkerPool::new(&addr, Timeouts::default(), 4);
+        let pool = WorkerPool::new(&addr, Timeouts::default());
         let err = pool.request("GET", "/healthz", None).unwrap_err();
         assert!(err.contains(&addr), "error does not name the worker: {err}");
     }

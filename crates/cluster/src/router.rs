@@ -47,9 +47,9 @@ pub struct WorkerState {
 }
 
 impl WorkerState {
-    fn new(addr: &str, timeouts: Timeouts, max_idle: usize) -> Self {
+    fn new(addr: &str, timeouts: Timeouts) -> Self {
         WorkerState {
-            pool: WorkerPool::new(addr, timeouts, max_idle),
+            pool: WorkerPool::new(addr, timeouts),
             // Optimistic start: a worker is presumed up until a request
             // or probe says otherwise, so a fleet serves immediately.
             up: AtomicBool::new(true),
@@ -104,18 +104,16 @@ pub struct Router {
 }
 
 impl Router {
-    /// Builds a router over worker addresses. `max_idle` bounds parked
-    /// connections per worker.
+    /// Builds a router over worker addresses.
     pub(crate) fn new<S: Into<String>>(
         addrs: impl IntoIterator<Item = S>,
         timeouts: Timeouts,
-        max_idle: usize,
     ) -> Result<Self, String> {
         let topology = Topology::new(addrs)?;
         let workers = topology
             .workers()
             .iter()
-            .map(|a| WorkerState::new(a, timeouts, max_idle))
+            .map(|a| WorkerState::new(a, timeouts))
             .collect();
         Ok(Router {
             topology,
@@ -296,7 +294,7 @@ mod tests {
     fn forward_fails_over_from_a_dead_owner_and_marks_it_down() {
         let (live, stop) = stub_worker(200, "{\"ok\":true}");
         let dead = refusing_addr();
-        let router = Router::new([dead.clone(), live.clone()], Timeouts::default(), 2).unwrap();
+        let router = Router::new([dead.clone(), live.clone()], Timeouts::default()).unwrap();
         // Whichever worker owns the key, the answer must come from the
         // live one; a key owned by the dead worker records a failover.
         for key in 0..8u64 {
@@ -321,7 +319,7 @@ mod tests {
     fn worker_4xx_passes_through_without_failover() {
         let (a, stop_a) = stub_worker(418, "{\"error\":\"teapot\"}");
         let (b, stop_b) = stub_worker(418, "{\"error\":\"teapot\"}");
-        let router = Router::new([a, b], Timeouts::default(), 2).unwrap();
+        let router = Router::new([a, b], Timeouts::default()).unwrap();
         let (_, resp) = router
             .forward_with(7, "POST", "/simulate", &[], Some("{}"))
             .unwrap();
@@ -336,7 +334,7 @@ mod tests {
     fn worker_5xx_fails_over_but_leaves_the_worker_up() {
         let (sick, stop_sick) = stub_worker(500, "{\"error\":\"boom\"}");
         let (live, stop_live) = stub_worker(200, "{\"ok\":true}");
-        let router = Router::new([sick.clone(), live], Timeouts::default(), 2).unwrap();
+        let router = Router::new([sick.clone(), live], Timeouts::default()).unwrap();
         for key in 0..8u64 {
             let (_, resp) = router
                 .forward_with(key, "GET", "/x", &[], None)
@@ -354,7 +352,7 @@ mod tests {
     fn all_workers_down_is_a_502_naming_each() {
         let a = refusing_addr();
         let b = refusing_addr();
-        let router = Router::new([a.clone(), b.clone()], Timeouts::default(), 2).unwrap();
+        let router = Router::new([a.clone(), b.clone()], Timeouts::default()).unwrap();
         let err = router.forward_with(1, "GET", "/x", &[], None).unwrap_err();
         assert_eq!(err.status, 502);
         assert!(
@@ -368,7 +366,7 @@ mod tests {
     #[test]
     fn probe_revives_a_down_belief() {
         let (live, stop) = stub_worker(200, "{\"status\":\"ok\"}");
-        let router = Router::new([live], Timeouts::default(), 2).unwrap();
+        let router = Router::new([live], Timeouts::default()).unwrap();
         router.workers()[0].mark_down("simulated outage");
         assert_eq!(router.up_count(), 0);
         assert!(router.probe(0));

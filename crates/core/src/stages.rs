@@ -42,9 +42,9 @@
 //! every [`SystemConfig`](crate::SystemConfig) field a stage reads is a function of those
 //! axes (the data type never varies across scenarios, and the device
 //! config depends only on the generation/model overrides). Each table is
-//! capacity-bounded — see the README's "Stage tuning" section for the
-//! `MCDLA_STAGE_*_CAP` knobs — and every hit/miss/eviction is reported
-//! through [`StoreStats::stages`](crate::StoreStats), `GET /stats`,
+//! bounded by a fixed entry count (`docs/engine.md` lists them), and
+//! every hit/miss/eviction is reported through
+//! [`StoreStats::stages`](crate::StoreStats), `GET /stats`,
 //! `GET /metrics`, and the sweep summary.
 
 use std::sync::{Arc, OnceLock};
@@ -215,29 +215,26 @@ impl StageHists {
     }
 }
 
-/// Reads `var` as a table capacity: unset → `default`, `0` → unbounded,
-/// anything unparsable → `default`.
-fn cap_from_env(var: &str, default: usize) -> Option<usize> {
-    match std::env::var(var) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => None,
-            Ok(n) => Some(n),
-            Err(_) => Some(default),
-        },
-        Err(_) => Some(default),
-    }
-}
+/// Entry bounds of the stage tables, in [`stage_stats`] order. Only
+/// routed cells fill the `collective` and `sync` tables.
+const FABRIC_CAP: usize = 4096;
+const NETWORK_CAP: usize = 64;
+const TIMING_CAP: usize = 8192;
+const PLAN_CAP: usize = 8192;
+const SCHEDULE_CAP: usize = 8192;
+const COLLECTIVE_CAP: usize = 65536;
+const SYNC_CAP: usize = 8192;
 
 impl StagePipeline {
-    fn from_env() -> StagePipeline {
+    fn new() -> StagePipeline {
         StagePipeline {
-            fabrics: StageCache::new(cap_from_env("MCDLA_STAGE_FABRIC_CAP", 4096)),
-            networks: StageCache::new(cap_from_env("MCDLA_STAGE_NETWORK_CAP", 64)),
-            timings: StageCache::new(cap_from_env("MCDLA_STAGE_TIMING_CAP", 8192)),
-            plans: StageCache::new(cap_from_env("MCDLA_STAGE_PLAN_CAP", 8192)),
-            schedules: StageCache::new(cap_from_env("MCDLA_STAGE_SCHEDULE_CAP", 8192)),
-            collectives: StageCache::new(cap_from_env("MCDLA_STAGE_COLLECTIVE_CAP", 65536)),
-            syncs: StageCache::new(cap_from_env("MCDLA_STAGE_SYNC_CAP", 8192)),
+            fabrics: StageCache::bounded(FABRIC_CAP),
+            networks: StageCache::bounded(NETWORK_CAP),
+            timings: StageCache::bounded(TIMING_CAP),
+            plans: StageCache::bounded(PLAN_CAP),
+            schedules: StageCache::bounded(SCHEDULE_CAP),
+            collectives: StageCache::bounded(COLLECTIVE_CAP),
+            syncs: StageCache::bounded(SYNC_CAP),
             hists: StageHists::new(),
         }
     }
@@ -246,13 +243,13 @@ impl StagePipeline {
     #[cfg(test)]
     fn with_cap(cap: usize) -> StagePipeline {
         StagePipeline {
-            fabrics: StageCache::new(Some(cap)),
-            networks: StageCache::new(Some(cap)),
-            timings: StageCache::new(Some(cap)),
-            plans: StageCache::new(Some(cap)),
-            schedules: StageCache::new(Some(cap)),
-            collectives: StageCache::new(Some(cap)),
-            syncs: StageCache::new(Some(cap)),
+            fabrics: StageCache::bounded(cap),
+            networks: StageCache::bounded(cap),
+            timings: StageCache::bounded(cap),
+            plans: StageCache::bounded(cap),
+            schedules: StageCache::bounded(cap),
+            collectives: StageCache::bounded(cap),
+            syncs: StageCache::bounded(cap),
             hists: StageHists::new(),
         }
     }
@@ -273,7 +270,7 @@ impl StagePipeline {
 
 fn pipeline() -> &'static StagePipeline {
     static PIPELINE: OnceLock<StagePipeline> = OnceLock::new();
-    PIPELINE.get_or_init(StagePipeline::from_env)
+    PIPELINE.get_or_init(StagePipeline::new)
 }
 
 /// Latency snapshots per pipeline section, in fixed display order:
@@ -534,7 +531,7 @@ mod tests {
         // the first cell the plan (and, for the routed copy, sync) tables
         // must hit, not miss. A private pipeline keeps tests running in
         // parallel out of the counters.
-        let p = StagePipeline::from_env();
+        let p = StagePipeline::new();
         let misses = || p.plans.stats("plan").misses + p.syncs.stats("sync").misses;
         let warm = Scenario::new(
             SystemDesign::McDlaStar,
@@ -570,7 +567,7 @@ mod tests {
         // path: silent (1 device), backplane rings (2-8 devices), the
         // MC-DLA scale-out plane and the DC/HC-DLA PCIe rings (64
         // devices). A routed cell still goes through both.
-        let p = StagePipeline::from_env();
+        let p = StagePipeline::new();
         let lookups = |s: StageStats| s.hits + s.misses;
         let mut cells = Vec::new();
         for strategy in ParallelStrategy::ALL {
@@ -698,5 +695,12 @@ mod tests {
                 "sync"
             ]
         );
+    }
+
+    #[test]
+    fn stage_tables_keep_their_fixed_capacities() {
+        let caps: Vec<Option<u64>> = stage_stats().into_iter().map(|s| s.capacity).collect();
+        let expected = [4096, 64, 8192, 8192, 8192, 65536, 8192].map(Some);
+        assert_eq!(caps, expected);
     }
 }

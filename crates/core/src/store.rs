@@ -314,7 +314,7 @@ impl<K: Copy + Eq + Hash, V: Clone> StageCache<K, V> {
     /// # Panics
     ///
     /// Panics when `capacity` is `Some(0)`.
-    pub(crate) fn new(capacity: Option<usize>) -> Self {
+    fn new(capacity: Option<usize>) -> Self {
         assert!(
             capacity != Some(0),
             "cache capacity must be >= 1 (leave it unbounded instead)"

@@ -9,9 +9,8 @@
 //!   code under it enters spans, and the finished [`TraceRecord`]
 //!   carries the whole parent/child tree.
 //! * [`FlightRecorder`] — a bounded ring buffer, behind one lock, of
-//!   the last N completed traces per server (default 1024, tunable via
-//!   `MCDLA_TRACE_CAP`), behind `GET /debug/trace/<id>` and
-//!   `GET /debug/requests`.
+//!   the last N completed traces per server (a serving node keeps
+//!   1024), behind `GET /debug/trace/<id>` and `GET /debug/requests`.
 //! * [`Histogram`] — fixed 1-2-5 log-bucket latency histograms with
 //!   atomic buckets, rendered as Prometheus `_bucket`/`_sum`/`_count`
 //!   families and backing the bench percentiles.
@@ -19,8 +18,8 @@
 //! * [`History`] / [`Sampler`] — retained time-series telemetry: a
 //!   background thread (`MCDLA_SAMPLE_MS`, default 1 s) records
 //!   counter deltas and windowed quantiles into fixed-capacity
-//!   per-series rings (`MCDLA_HISTORY_CAP`, default 600 samples),
-//!   behind `GET /metrics/history` and `GET /cluster/history`.
+//!   per-series rings (600 samples on a serving node), behind
+//!   `GET /metrics/history` and `GET /cluster/history`.
 //! * [`log`] — leveled, rate-limited structured logging (`MCDLA_LOG`):
 //!   one JSON object per line on stderr, including the per-request
 //!   *wide events* emitted by the serve and gateway tiers.
@@ -47,7 +46,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use recorder::FlightRecorder;
 pub use sampler::{rss_bytes, sample_ms_from_env, unix_ms, Sampler};
-pub use series::{history_cap_from_env, History, HistoryDump};
+pub use series::{History, HistoryDump};
 pub use span::{enabled, set_enabled, Span, SpanRecord, TraceRecord, TraceScope};
 
 /// The crate (and workspace) version baked in at compile time.

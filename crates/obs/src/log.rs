@@ -12,10 +12,10 @@
 //! `eprintln!`, so concurrent writers interleave only at line
 //! granularity.
 //!
-//! A global token window caps emission at `MCDLA_LOG_LIMIT` lines per
-//! second (default 500, `0` = unlimited). Overflow is dropped, counted,
-//! and confessed by a `log_dropped` warn line when the next window
-//! opens — a log flood degrades to a rate, never to unbounded stderr.
+//! A global token window caps emission at 500 lines per second.
+//! Overflow is dropped, counted, and confessed by a `log_dropped` warn
+//! line when the next window opens — a log flood degrades to a rate,
+//! never to unbounded stderr.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -52,9 +52,6 @@ impl Level {
         }
     }
 }
-
-/// Default emission cap, lines per second.
-pub(crate) const DEFAULT_LOG_LIMIT: u64 = 500;
 
 /// A typed field value for structured lines. Built via `From`, so call
 /// sites read `("cells", loaded.into())`.
@@ -186,16 +183,6 @@ fn config() -> &'static LogConfig {
     })
 }
 
-fn limit() -> u64 {
-    static LIMIT: OnceLock<u64> = OnceLock::new();
-    *LIMIT.get_or_init(|| {
-        std::env::var("MCDLA_LOG_LIMIT")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_LOG_LIMIT)
-    })
-}
-
 /// Whether a line at `level` for `target` would be emitted (cheap; use
 /// to skip field construction on hot paths).
 pub fn log_enabled(level: Level, target: &str) -> bool {
@@ -280,9 +267,6 @@ impl RateWindow {
     /// the previous window's drop count is handed to the caller to
     /// report.
     pub(crate) fn admit(&self, now_s: u64, limit: u64) -> (bool, u64) {
-        if limit == 0 {
-            return (true, 0);
-        }
         let current = self.window_s.load(Ordering::Relaxed);
         let mut confess = 0;
         if now_s != current
@@ -303,6 +287,9 @@ impl RateWindow {
     }
 }
 
+/// The global window's emission cap, lines per second.
+const LOG_LIMIT: u64 = 500;
+
 static GLOBAL_WINDOW: RateWindow = RateWindow::new();
 
 /// Emits one structured line if `level` passes the `MCDLA_LOG` filter
@@ -312,7 +299,7 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, LogValue)]) {
         return;
     }
     let ts_ms = crate::sampler::unix_ms();
-    let (admit, confess) = GLOBAL_WINDOW.admit(ts_ms / 1000, limit());
+    let (admit, confess) = GLOBAL_WINDOW.admit(ts_ms / 1000, LOG_LIMIT);
     if confess > 0 {
         eprintln!(
             "{}",
@@ -323,7 +310,7 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, LogValue)]) {
                 "log_dropped",
                 &[
                     ("dropped", confess.into()),
-                    ("limit_per_sec", limit().into())
+                    ("limit_per_sec", LOG_LIMIT.into())
                 ],
             )
         );
@@ -408,10 +395,5 @@ mod tests {
         let (ok, confess) = w.admit(101, 4);
         assert!(ok);
         assert_eq!(confess, 0);
-        // Unlimited never drops.
-        let unlimited = RateWindow::new();
-        for _ in 0..1000 {
-            assert!(unlimited.admit(7, 0).0);
-        }
     }
 }

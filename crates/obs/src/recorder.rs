@@ -13,19 +13,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::span::TraceRecord;
 
-/// Default recorder capacity (completed traces retained).
-pub(crate) const DEFAULT_TRACE_CAP: usize = 1024;
-
-/// Reads `MCDLA_TRACE_CAP` for the recorder capacity: unset, zero, or
-/// unparsable → [`DEFAULT_TRACE_CAP`].
-pub(crate) fn trace_cap_from_env() -> usize {
-    std::env::var("MCDLA_TRACE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_TRACE_CAP)
-}
-
 /// A bounded ring buffer of completed [`TraceRecord`]s (see module
 /// docs). Shared across handler threads behind `&self`.
 #[derive(Debug)]
@@ -44,11 +31,6 @@ impl FlightRecorder {
             ring: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
         }
-    }
-
-    /// A recorder sized from `MCDLA_TRACE_CAP` (default 1024).
-    pub fn from_env() -> FlightRecorder {
-        FlightRecorder::new(trace_cap_from_env())
     }
 
     /// Admits a completed trace, assigning its recorder sequence

@@ -20,16 +20,19 @@ use std::time::Duration;
 pub(crate) const DEFAULT_SAMPLE_MS: u64 = 1000;
 
 /// Reads `MCDLA_SAMPLE_MS` for the sampler cadence: unset or
-/// unparsable → 1000 ms; `0` → `None` (sampling
-/// disabled).
+/// unparsable → 1000 ms; `0` → `None` (sampling disabled).
 pub fn sample_ms_from_env() -> Option<u64> {
-    match std::env::var("MCDLA_SAMPLE_MS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(0) => None,
-            Ok(n) => Some(n),
-            Err(_) => Some(DEFAULT_SAMPLE_MS),
-        },
-        Err(_) => Some(DEFAULT_SAMPLE_MS),
+    sample_ms_from(std::env::var("MCDLA_SAMPLE_MS").ok().as_deref())
+}
+
+/// Resolves a cadence from an `MCDLA_SAMPLE_MS`-style value (kept
+/// separate from the environment read so tests never mutate
+/// process-global state).
+fn sample_ms_from(env_value: Option<&str>) -> Option<u64> {
+    match env_value.map(|v| v.trim().parse::<u64>()) {
+        Some(Ok(0)) => None,
+        Some(Ok(n)) => Some(n),
+        _ => Some(DEFAULT_SAMPLE_MS),
     }
 }
 
@@ -164,14 +167,10 @@ mod tests {
 
     #[test]
     fn env_cadence_parses_with_default_and_disable() {
-        std::env::remove_var("MCDLA_SAMPLE_MS");
-        assert_eq!(sample_ms_from_env(), Some(DEFAULT_SAMPLE_MS));
-        std::env::set_var("MCDLA_SAMPLE_MS", "250");
-        assert_eq!(sample_ms_from_env(), Some(250));
-        std::env::set_var("MCDLA_SAMPLE_MS", "0");
-        assert_eq!(sample_ms_from_env(), None);
-        std::env::set_var("MCDLA_SAMPLE_MS", "junk");
-        assert_eq!(sample_ms_from_env(), Some(DEFAULT_SAMPLE_MS));
-        std::env::remove_var("MCDLA_SAMPLE_MS");
+        assert_eq!(sample_ms_from(None), Some(DEFAULT_SAMPLE_MS));
+        assert_eq!(sample_ms_from(Some("250")), Some(250));
+        assert_eq!(sample_ms_from(Some(" 250 ")), Some(250));
+        assert_eq!(sample_ms_from(Some("0")), None);
+        assert_eq!(sample_ms_from(Some("junk")), Some(DEFAULT_SAMPLE_MS));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`History`] holds one ring of sample timestamps plus one parallel
 //! ring of `f64` values per named series, all bounded by the same
-//! capacity (`MCDLA_HISTORY_CAP`, default 600 samples — ten minutes at
-//! the default 1 s cadence). The series set is fixed at construction:
+//! capacity (a serving node keeps 600 samples — ten minutes at the
+//! default 1 s cadence). The series set is fixed at construction:
 //! every tick appends exactly one value per series, so the rings stay
 //! aligned and a reader can zip any series against the shared
 //! timestamp column. Writers (the sampler thread) and readers (the
@@ -12,19 +12,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// Default number of retained samples per series.
-pub(crate) const DEFAULT_HISTORY_CAP: usize = 600;
-
-/// Reads `MCDLA_HISTORY_CAP` for the per-series retention: unset,
-/// zero, or unparsable → 600 samples.
-pub fn history_cap_from_env() -> usize {
-    std::env::var("MCDLA_HISTORY_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_HISTORY_CAP)
-}
 
 /// A point-in-time copy of a [`History`]: the shared timestamp column
 /// plus the selected series, aligned index-for-index.
@@ -191,18 +178,5 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_mismatch_is_a_wiring_bug() {
         history().record(0, &[1.0]);
-    }
-
-    #[test]
-    fn env_cap_parses_with_default() {
-        // Serialized via the single-threaded test: only this test reads
-        // the variable.
-        std::env::remove_var("MCDLA_HISTORY_CAP");
-        assert_eq!(history_cap_from_env(), DEFAULT_HISTORY_CAP);
-        std::env::set_var("MCDLA_HISTORY_CAP", "42");
-        assert_eq!(history_cap_from_env(), 42);
-        std::env::set_var("MCDLA_HISTORY_CAP", "0");
-        assert_eq!(history_cap_from_env(), DEFAULT_HISTORY_CAP);
-        std::env::remove_var("MCDLA_HISTORY_CAP");
     }
 }

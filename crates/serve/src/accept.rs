@@ -103,6 +103,10 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn wire_error(&self, error: &WireError) -> Vec<u8>;
 }
 
+/// The admission-queue bound both tiers run with: the gateway always,
+/// a worker unless its [`ServeConfig`](crate::ServeConfig) sets another.
+pub const QUEUE_DEPTH: usize = 128;
+
 /// Event-loop sizing and timeouts.
 #[derive(Debug, Clone)]
 pub struct LoopConfig {

@@ -265,6 +265,13 @@ fn guarded<R>(f: impl FnOnce() -> R) -> Result<R, Outcome> {
 /// A sampler reading: when, and one [`Reading`] per metric family.
 type Tick = (Instant, Vec<Reading>);
 
+/// Completed request traces a node's flight recorder keeps.
+const TRACE_CAP: usize = 1024;
+
+/// Samples a node keeps per history series: ten minutes at the default
+/// 1 s cadence.
+const HISTORY_CAP: usize = 600;
+
 /// A serving node: shell state around a tier (see the module docs).
 pub struct Node<T> {
     /// The tier's own state.
@@ -345,7 +352,7 @@ impl<T: Tier> Node<T> {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             latency: (0..=T::ENDPOINTS.len()).map(|_| Histogram::new()).collect(),
-            recorder: FlightRecorder::from_env(),
+            recorder: FlightRecorder::new(TRACE_CAP),
             slow_ms: trace::slow_ms_from_env(),
             metrics,
             history: History::new(Vec::new(), 1, 0),
@@ -354,11 +361,7 @@ impl<T: Tier> Node<T> {
         // rings and every sample are cut from the same list.
         let reading = node.tick();
         let names = node.sample(&reading, &reading).into_iter().map(|(n, _)| n);
-        node.history = History::new(
-            names.collect(),
-            mcdla_obs::history_cap_from_env(),
-            sample_ms.unwrap_or(0),
-        );
+        node.history = History::new(names.collect(), HISTORY_CAP, sample_ms.unwrap_or(0));
         Ok(BoundNode {
             listener,
             loop_config,

@@ -17,7 +17,7 @@ use mcdla_obs::Span;
 use mcdla_parallel::ParallelStrategy;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::accept::LoopConfig;
+use crate::accept::{LoopConfig, QUEUE_DEPTH};
 use crate::metrics::{Metric, Reading, Series};
 use crate::node::{
     self, BoundNode, Call, CellStream, Node, NodeHandle, Outcome, Route, StreamOutcome, Tier,
@@ -76,7 +76,7 @@ impl Default for ServeConfig {
             threads: 4,
             cache_cap: None,
             snapshot: None,
-            queue_depth: 128,
+            queue_depth: QUEUE_DEPTH,
             idle_timeout: READ_TIMEOUT,
             request_timeout: READ_TIMEOUT,
             sample_ms: None,

@@ -394,3 +394,21 @@ fn metrics_history_serves_filtered_bounded_monotone_rings() {
 
     handle.shutdown();
 }
+
+/// A worker's flight recorder keeps 1024 traces and its history rings
+/// 600 samples, as `/stats` and `/metrics/history` report.
+#[test]
+fn served_worker_reports_its_fixed_recorder_and_history_capacities() {
+    let (handle, addr) = start();
+    let mut conn = Connection::open(&addr).expect("open");
+    let stats = serde::json::parse(&conn.request("GET", "/stats", None).expect("stats").body)
+        .expect("stats JSON");
+    let recorder = stats.get("recorder").and_then(|r| r.get("capacity"));
+    assert_eq!(recorder.and_then(Value::as_u64), Some(1024));
+    let history = conn
+        .request("GET", "/metrics/history", None)
+        .expect("history");
+    let history = serde::json::parse(&history.body).expect("history JSON");
+    assert_eq!(history.get("capacity").and_then(Value::as_u64), Some(600));
+    handle.shutdown();
+}

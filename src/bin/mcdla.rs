@@ -650,37 +650,24 @@ fn run(args: &Args) -> Result<(), String> {
         }
         "cluster" => {
             let workers = args.workers.ok_or("`cluster` needs --workers N")?;
-            let addr = args.addr.as_deref().unwrap_or("127.0.0.1:7900");
-            let snapshot_prefix = args.snapshot.as_deref().map(std::path::Path::new);
-            let mut handles = Vec::with_capacity(workers);
-            let mut backends = Vec::with_capacity(workers);
-            for i in 0..workers {
-                let server = mcdla::serve::Server::bind(&mcdla::serve::ServeConfig {
-                    addr: "127.0.0.1:0".to_owned(),
-                    threads: args.threads.unwrap_or(4),
-                    cache_cap: args.cache_cap,
-                    snapshot: snapshot_prefix
-                        .map(|prefix| mcdla::cluster::worker_snapshot_path(prefix, i)),
-                    ..mcdla::serve::ServeConfig::default()
-                })?;
-                let handle = server
-                    .spawn()
-                    .map_err(|e| format!("spawning worker {i}: {e}"))?;
-                println!("mcdla-serve worker {i} listening on {}", handle.addr());
-                backends.push(handle.addr().to_string());
-                handles.push(handle);
-            }
-            let gateway = mcdla::cluster::Gateway::bind(&mcdla::cluster::GatewayConfig {
-                addr: addr.to_owned(),
-                backends,
+            let fleet = mcdla::cluster::spawn_local_fleet(&mcdla::cluster::FleetConfig {
+                workers,
+                worker_threads: args.threads.unwrap_or(4),
+                cache_cap: args.cache_cap,
+                snapshot_prefix: args.snapshot.clone().map(std::path::PathBuf::from),
+                gateway_addr: args
+                    .addr
+                    .clone()
+                    .unwrap_or_else(|| "127.0.0.1:7900".to_owned()),
                 timeouts: timeouts(args),
-                ..mcdla::cluster::GatewayConfig::default()
+                ..mcdla::cluster::FleetConfig::default()
             })?;
-            let local = gateway
-                .local_addr()
-                .map_err(|e| format!("resolving gateway address: {e}"))?;
+            for (i, addr) in fleet.worker_addrs().iter().enumerate() {
+                println!("mcdla-serve worker {i} listening on {addr}");
+            }
             println!(
-                "mcdla-gateway listening on {local} ({workers} workers, cache {}, snapshot {})",
+                "mcdla-gateway listening on {} ({workers} workers, cache {}, snapshot {})",
+                fleet.gateway_addr(),
                 match args.cache_cap {
                     Some(cap) => format!("{cap} cells/worker"),
                     None => "unbounded".to_owned(),
@@ -690,9 +677,9 @@ fn run(args: &Args) -> Result<(), String> {
                     None => "off".to_owned(),
                 },
             );
-            gateway.run().map_err(|e| format!("serving gateway: {e}"))?;
-            for handle in handles {
-                handle.shutdown();
+            fleet.gateway.join();
+            for worker in fleet.workers {
+                worker.shutdown();
             }
         }
         "gateway" => {

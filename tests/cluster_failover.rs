@@ -30,7 +30,6 @@ fn spawn_gateway(backends: Vec<String>) -> mcdla::cluster::GatewayHandle {
         // kill -9'd loopback worker answers connects with RST anyway.
         timeouts: Timeouts::all(Duration::from_secs(30)),
         probe_interval: None,
-        max_idle_per_worker: 4,
         ..GatewayConfig::default()
     })
     .expect("bind gateway")

@@ -40,7 +40,7 @@ impl WorkerProc {
 
     /// Spawns `mcdla <args>`, reads the listen address off its banner
     /// line, and waits for `/healthz`.
-    fn spawn_with(args: &[&str]) -> WorkerProc {
+    pub fn spawn_with(args: &[&str]) -> WorkerProc {
         let mut child = Command::new(env!("CARGO_BIN_EXE_mcdla"))
             .args(args)
             .stdout(Stdio::piped())
