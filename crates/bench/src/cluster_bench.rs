@@ -5,7 +5,10 @@
 //!   matrix, fully warmed, then hammered through the gateway over
 //!   keep-alive connections: cached req/s and p50/p99 latency, plus
 //!   streamed-grid cells/s. This prices the gateway hop; on a box with
-//!   enough cores it also shows worker parallelism.
+//!   enough cores it also shows worker parallelism. The 1-worker fleet
+//!   also gates the hop itself: its cached req/s through the gateway
+//!   over the same load sent straight to its worker, in alternating
+//!   chunks, so host load cancels out of the ratio.
 //! * **Capacity pressure** — the fleet gate. A working set of 128
 //!   distinct cells is served by workers whose stores are bounded to 32
 //!   cells each. One worker can hold only a quarter of the set, so ~3/4
@@ -119,9 +122,7 @@ fn hot_path(workers: usize, threads: usize, per_thread: usize) -> Vec<Metric> {
     let [rps, p50, p99] = serial_load(&prefix, CHUNKS, &addr, &bodies, threads, per_thread);
     // Streamed grid, fully cached: the gateway's scatter-gather merge.
     let stream = sample(CHUNKS, || stream_cells_per_s(&mut probe));
-    drop(probe);
-    fleet.shutdown();
-    vec![
+    let mut metrics = vec![
         rps,
         p50,
         p99,
@@ -131,8 +132,28 @@ fn hot_path(workers: usize, threads: usize, per_thread: usize) -> Vec<Metric> {
             Better::Higher,
             &stream,
         ),
-    ]
+    ];
+    if workers == 1 {
+        let run = |addr: &str| hammer(addr, &bodies, threads, per_thread, 1).0;
+        let worker = &fleet.worker_addrs()[0];
+        let pairs = sample_pair(CHUNKS, || run(&addr), || run(worker));
+        let ratio: Vec<f64> = pairs
+            .iter()
+            .map(|(gw, direct)| gw / direct.max(1e-9))
+            .collect();
+        metrics.push(
+            Metric::sampled("w1.gateway_over_direct", "x", Better::Higher, &ratio)
+                .floor(GATEWAY_OVER_DIRECT_FLOOR),
+        );
+    }
+    drop(probe);
+    fleet.shutdown();
+    metrics
 }
+
+/// Floor of `w1.gateway_over_direct`, from ten runs of the loop forward
+/// on a 2-vCPU host; a 2× slower forward trips it.
+const GATEWAY_OVER_DIRECT_FLOOR: f64 = 0.3;
 
 /// Capacity pressure: a 1-worker and a 4-worker fleet with bounded
 /// stores, warmed on the working set, measured in alternating chunks.
@@ -229,10 +250,11 @@ mod tests {
         // A deliberately small debug-build run: the release floors are
         // checked by `mcdla cluster-bench` itself.
         let metrics = cluster_bench(2, 60);
-        assert_eq!(metrics.len(), 3 * 4 + 5);
+        assert_eq!(metrics.len(), 3 * 4 + 5 + 1);
         for name in [
             "w1.cached.req_per_s",
             "w4.grid_stream.cells_per_s",
+            "w1.gateway_over_direct",
             "pressure.w4_over_w1",
             "pressure.w1.hit_rate",
             "pressure.w4.hit_rate",

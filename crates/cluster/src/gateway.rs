@@ -2,10 +2,14 @@
 //! the node shell ([`mcdla_serve::node`]), exposing the single-node
 //! endpoints at fleet scale — `POST /simulate` with retry + failover,
 //! scatter-gather `POST /grid` (buffered and `?stream=1`), and the
-//! `GET /cluster/stats` and `GET /cluster/history` aggregations. Every
-//! route that talks to a backend detaches to the bounded worker pool
-//! (and sheds 429 beyond the admission queue); the shell's own routes
-//! answer on the loop thread.
+//! `GET /cluster/stats` and `GET /cluster/history` aggregations.
+//!
+//! `POST /simulate` is forwarded by the event loop itself, over its own
+//! non-blocking upstream connections, with no thread hand-off. Every
+//! other route that talks to a backend — grids, `/cluster/*`, and
+//! `?trace=1` forwards, which fetch the worker's sub-trace — detaches to
+//! the bounded worker pool. Both share one admission queue (429 beyond
+//! it); the shell's own routes answer on the loop thread.
 
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -13,11 +17,13 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mcdla_core::Scenario;
-use mcdla_serve::accept::{LoopConfig, QUEUE_DEPTH};
-use mcdla_serve::client::Timeouts;
+use mcdla_obs::{Span, TraceScope};
+use mcdla_serve::accept::{LoopConfig, Reply, QUEUE_DEPTH};
+use mcdla_serve::client::{encode_request, Timeouts};
 use mcdla_serve::metrics::{Metric, Reading, Series};
 use mcdla_serve::node::{
-    self, BoundNode, Call, CellStream, Node, NodeHandle, Outcome, Route, StreamOutcome, Tier,
+    self, BoundNode, Call, CellStream, Fast, Node, NodeHandle, Outcome, Route, Step, StreamOutcome,
+    Tier,
 };
 use mcdla_serve::trace::{self, REQUEST_ID_HEADER};
 use mcdla_serve::{ServeConfig, Server, ServerHandle, MAX_GRID_CELLS};
@@ -25,7 +31,7 @@ use serde::Value;
 
 use crate::console::fleet_rings;
 use crate::merge::{gather, relay, Scatter};
-use crate::router::{Router, WorkerState};
+use crate::router::{Failover, Router, WorkerState};
 
 /// Idle keep-alive client connections are dropped after this long
 /// (same bound as the worker).
@@ -36,10 +42,10 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 pub struct GatewayConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Worker-pool size: concurrent gateway→fleet round trips
-    /// (forwards, scatters, stats scrapes). Client connection I/O is
-    /// not bounded by this — the event loop multiplexes every
-    /// connection.
+    /// Worker-pool size: concurrent blocking gateway→fleet round trips
+    /// (scatters, stats scrapes, traced forwards). Untraced
+    /// `/simulate` forwards and client connection I/O are not bounded
+    /// by this — the event loop multiplexes both.
     pub threads: usize,
     /// Worker addresses (`host:port`), in stable index order.
     pub backends: Vec<String>,
@@ -194,6 +200,14 @@ fn probe_loop(node: &Node<Fleet>, interval: Duration) {
     }
 }
 
+/// An untraced `POST /simulate` the event loop forwards: the failover
+/// walk, and the request id its 502 names.
+#[derive(Debug)]
+struct LoopForward {
+    failover: Failover,
+    rid: String,
+}
+
 /// Per-worker samples, labeled by worker address.
 fn per_worker(n: &Node<Fleet>, read: fn(&WorkerState) -> f64) -> Reading {
     Reading::labeled(n.tier.router.workers().iter().map(|w| (w.addr(), read(w))))
@@ -217,6 +231,7 @@ impl Tier for Fleet {
         ("POST", "/simulate", "simulate"),
         ("POST", "/grid", "grid"),
     ];
+    type Forward = LoopForward;
 
     fn metrics() -> Vec<Metric<Node<Self>>> {
         type M = Metric<Node<Fleet>>;
@@ -275,6 +290,60 @@ impl Tier for Fleet {
         fields.push(("workers".into(), Value::U64(workers)));
         let up = self.router.up_count() as u64;
         fields.push(("workers_up".into(), Value::U64(up)));
+    }
+
+    /// Validates an untraced `/simulate` (the same 400s a worker would
+    /// answer) and hands it to the event loop to forward. A traced one
+    /// takes the pool: its answer grafts the worker's sub-trace, fetched
+    /// with a blocking call.
+    fn fast(node: &Node<Self>, call: &Call) -> Option<Fast<LoopForward>> {
+        if call.path != "/simulate" || call.traced {
+            return None;
+        }
+        let key = match simulate_key(&call.request.body) {
+            Ok(key) => key,
+            Err(outcome) => return Some(Fast::Answer(outcome)),
+        };
+        let failover = {
+            let _s = Span::enter("gateway.route");
+            Failover::new(&node.tier.router, key)
+        };
+        let text = std::str::from_utf8(&call.request.body).expect("validated utf-8");
+        let mut upstream = Vec::new();
+        let rid = call.rid.as_str();
+        let headers = [(REQUEST_ID_HEADER, rid)];
+        encode_request(&mut upstream, "POST", "/simulate", &headers, Some(text));
+        let rid = rid.to_owned();
+        let state = LoopForward { failover, rid };
+        Some(Fast::Forward { upstream, state })
+    }
+
+    /// Judges each attempt's reply under the failover policy and names
+    /// the next worker to try; a worker's answer passes through
+    /// byte-for-byte.
+    fn forward(
+        node: &Node<Self>,
+        forward: &mut LoopForward,
+        reply: Option<Reply>,
+        trace: &mut TraceScope,
+    ) -> Step {
+        let router = &node.tier.router;
+        let failover = &mut forward.failover;
+        if let Some(reply) = reply {
+            if let Some((worker, response)) = router.judge_reply(failover, reply, trace) {
+                return Step::Answer(Outcome {
+                    upstream: Some(worker),
+                    ..Outcome::json(response.status, response.body)
+                });
+            }
+        }
+        match router.next_upstream(failover) {
+            Some(upstream) => Step::Attempt(upstream),
+            None => {
+                let e = failover.exhausted();
+                Step::Answer(Outcome::error_with_rid(e.status, &e.message, &forward.rid))
+            }
+        }
     }
 
     fn heavy(node: &Node<Self>, call: &Call) -> Outcome {
@@ -358,16 +427,21 @@ impl Tier for Fleet {
     }
 }
 
-/// `POST /simulate`: validate locally (the same 400s a worker would
-/// answer), then forward the client's body verbatim along the scenario
-/// key's failover chain. A worker's 2xx/4xx answer passes through
-/// byte-for-byte; worker-unreachable becomes a 502 naming the workers.
+/// A `/simulate` body's routing key, once it validates locally.
+fn simulate_key(body: &[u8]) -> Result<u64, Outcome> {
+    node::scenario(body).map(|scenario| mcdla_core::key_hash(&scenario))
+}
+
+/// A traced `POST /simulate` on a pool thread: validate locally, then
+/// forward the client's body verbatim along the scenario key's failover
+/// chain through the worker pools. A worker's 2xx/4xx answer passes
+/// through byte-for-byte; worker-unreachable becomes a 502 naming the
+/// workers.
 fn simulate_endpoint(router: &Router, body: &[u8], rid: &str) -> Outcome {
-    let scenario = match node::scenario(body) {
-        Ok(s) => s,
+    let key = match simulate_key(body) {
+        Ok(key) => key,
         Err(outcome) => return outcome,
     };
-    let key = mcdla_core::key_hash(&scenario);
     let text = std::str::from_utf8(body).expect("validated utf-8 above");
     match router.forward_with(
         key,
@@ -549,7 +623,9 @@ pub struct FleetConfig {
     pub snapshot_prefix: Option<std::path::PathBuf>,
     /// Gateway listen address (`127.0.0.1:0` for ephemeral).
     pub gateway_addr: String,
-    /// Gateway worker-pool threads (concurrent fleet round trips).
+    /// Gateway worker-pool threads: concurrent blocking fleet round
+    /// trips (grids, scrapes, traced forwards). Untraced `/simulate`
+    /// forwards run on the gateway's event loop instead.
     pub gateway_threads: usize,
     /// Gateway→worker deadlines.
     pub timeouts: Timeouts,

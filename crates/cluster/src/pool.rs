@@ -5,19 +5,23 @@
 //! [`Connection`]s that request handlers check out, use, and return.
 //! A connection that fails — or that is checked out while streaming is
 //! aborted — is dropped on the floor instead of returned, so the pool
-//! self-heals after a worker restart; a reused connection that turns out
-//! to be stale (the worker's 30 s idle timeout closed it server-side)
-//! gets one transparent retry on a fresh connection.
+//! self-heals after a worker restart. Under the staleness rule
+//! ([`crate::router::stale`]), a reused connection that turns out to be
+//! stale (the worker's 30 s idle timeout closed it server-side) gets one
+//! retry on a fresh connection.
+//!
+//! The pool serves the gateway's blocking paths: grids, `/cluster/*`
+//! scrapes, health probes and traced forwards. Untraced `/simulate`
+//! forwards ride the event loop's own upstream links instead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mcdla_obs::Span;
-use mcdla_serve::client::{Connection, Response, Timeouts};
+use mcdla_serve::accept::MAX_IDLE;
+use mcdla_serve::client::{Connection, RequestError, Response, Timeouts};
 
-/// Parked keep-alive connections a pool keeps per worker; a released
-/// connection beyond this is closed.
-const MAX_IDLE: usize = 16;
+use crate::router::stale;
 
 /// A pool of idle keep-alive connections to one worker address.
 #[derive(Debug)]
@@ -25,8 +29,8 @@ pub(crate) struct WorkerPool {
     addr: String,
     timeouts: Timeouts,
     idle: Mutex<Vec<Connection>>,
-    /// Stale-connection retries performed (reused connection failed,
-    /// fresh connection succeeded or was attempted).
+    /// Stale-connection retries against this worker, on the pool or
+    /// the event loop's links.
     retries: AtomicU64,
 }
 
@@ -49,6 +53,11 @@ impl WorkerPool {
     /// Stale-connection retries performed so far.
     pub(crate) fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
+    }
+
+    /// Counts one stale-connection retry.
+    pub(crate) fn count_retry(&self) {
+        self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Checks out a connection: a parked one when available, else a
@@ -75,49 +84,60 @@ impl WorkerPool {
         })
     }
 
-    /// One buffered request through the pool. A failure on a **reused**
-    /// connection (stale keep-alive) retries once on a fresh one; a
-    /// failure on a fresh connection is the worker's answer.
+    /// One buffered request through the pool, under the staleness
+    /// rule: a stale reused connection costs one retry on a fresh one.
     pub(crate) fn request(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> Result<Response, String> {
-        self.request_with(method, path, &[], body)
+        let (reused, result) = self.attempt(false, method, path, &[], body);
+        match result {
+            Err(e) if stale(reused, &e) => {
+                self.count_retry();
+                let (_, result) = self.attempt(true, method, path, &[], body);
+                result.map_err(|e| e.message)
+            }
+            result => result.map_err(|e| e.message),
+        }
     }
 
-    /// [`WorkerPool::request`] with extra request headers (the gateway
-    /// propagates `X-Mcdla-Request-Id` this way).
-    pub(crate) fn request_with(
+    /// One exchange and no retry, on a parked connection unless `fresh`
+    /// (or none is parked). Returns whether the connection was reused,
+    /// and the result for the caller's policy to judge.
+    pub(crate) fn attempt(
         &self,
+        fresh: bool,
         method: &str,
         path: &str,
         headers: &[(&str, &str)],
         body: Option<&str>,
-    ) -> Result<Response, String> {
-        let mut conn = {
+    ) -> (bool, Result<Response, RequestError>) {
+        let conn = {
             let _s = Span::enter("pool.checkout");
-            self.checkout()?
+            if fresh {
+                self.connect_fresh()
+            } else {
+                self.checkout()
+            }
         };
-        match conn.get().request_with(method, path, headers, body) {
-            Ok(response) => {
-                conn.release();
-                Ok(response)
+        let mut conn = match conn {
+            Ok(conn) => conn,
+            Err(message) => {
+                let failed = RequestError {
+                    message,
+                    closed_early: false,
+                };
+                return (false, Err(failed));
             }
-            Err(first) if conn.reused => {
-                // The parked connection went stale; pay one reconnect.
-                drop(conn);
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                let mut fresh = self
-                    .connect_fresh()
-                    .map_err(|e| format!("{e} (after a stale pooled connection: {first})"))?;
-                let response = fresh.get().request_with(method, path, headers, body)?;
-                fresh.release();
-                Ok(response)
-            }
-            Err(e) => Err(e),
+        };
+        let result = conn.get().exchange(method, path, headers, body);
+        let reused = conn.reused;
+        if result.is_ok() {
+            conn.release();
         }
+        (reused, result)
     }
 
     fn park(&self, conn: Connection) {

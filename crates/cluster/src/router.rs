@@ -1,12 +1,15 @@
 //! Routing a scenario key to a live worker: rendezvous ranking from the
-//! [`Topology`], health state per worker, and bounded retry + failover
-//! for point requests.
+//! [`Topology`], health state per worker, and the failover policy for
+//! point requests ([`Failover`]) — one policy, driven by the event loop
+//! for `/simulate` and by the pool for traced forwards.
 
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use mcdla_obs::{Histogram, Span};
-use mcdla_serve::client::{Response, Timeouts};
+use mcdla_obs::{Histogram, Span, TraceScope};
+use mcdla_serve::accept::{Reply, Upstream};
+use mcdla_serve::client::{RequestError, Response, Timeouts};
 
 use crate::pool::WorkerPool;
 use crate::topology::Topology;
@@ -34,6 +37,11 @@ impl GatewayError {
 #[derive(Debug)]
 pub struct WorkerState {
     pool: WorkerPool,
+    /// `gateway.upstream.N`: the span of one forward attempt to it.
+    span: String,
+    /// Its socket address, resolved off the event loop (at start, or by
+    /// a later probe).
+    resolved: OnceLock<SocketAddr>,
     up: AtomicBool,
     /// Requests this worker answered (any status).
     pub answered: AtomicU64,
@@ -47,9 +55,11 @@ pub struct WorkerState {
 }
 
 impl WorkerState {
-    fn new(addr: &str, timeouts: Timeouts) -> Self {
-        WorkerState {
+    fn new(index: usize, addr: &str, timeouts: Timeouts) -> Self {
+        let worker = WorkerState {
             pool: WorkerPool::new(addr, timeouts),
+            span: format!("gateway.upstream.{index}"),
+            resolved: OnceLock::new(),
             // Optimistic start: a worker is presumed up until a request
             // or probe says otherwise, so a fleet serves immediately.
             up: AtomicBool::new(true),
@@ -57,7 +67,30 @@ impl WorkerState {
             failures: AtomicU64::new(0),
             latency: Arc::new(Histogram::new()),
             last_error: Mutex::new(String::new()),
+        };
+        worker.resolve();
+        worker
+    }
+
+    /// Resolves the worker's address once it resolves (a blocking name
+    /// lookup: never on the event loop).
+    fn resolve(&self) {
+        if self.resolved.get().is_none() {
+            let found = self
+                .addr()
+                .to_socket_addrs()
+                .ok()
+                .and_then(|mut a| a.next());
+            if let Some(addr) = found {
+                let _ = self.resolved.set(addr);
+            }
         }
+    }
+
+    /// The resolved socket address the event loop connects to.
+    fn socket_addr(&self) -> Result<SocketAddr, String> {
+        let addr = self.resolved.get().copied();
+        addr.ok_or_else(|| format!("resolving {}: no address yet", self.addr()))
     }
 
     /// The worker's address.
@@ -94,11 +127,113 @@ impl WorkerState {
     }
 }
 
+/// The staleness rule, the same for every request the gateway makes to
+/// a worker, pooled or on the event loop: a failure earns one retry on a
+/// fresh connection only when a *reused* connection closed or reset
+/// before the first response byte. A deadline, a refused connect or a
+/// malformed answer is the worker's own failure.
+pub(crate) fn stale(reused: bool, failure: &RequestError) -> bool {
+    reused && failure.closed_early
+}
+
+/// One point request's walk down its failover chain: the single policy
+/// both forward paths drive, one attempt at a time.
+///
+/// * Workers are tried in rendezvous order, down workers last (the
+///   health belief may be stale, and a down worker beats no answer).
+/// * A `< 500` answer (success **or** a worker-side 4xx) is final and
+///   passes through — a 4xx is the worker's verdict on the request, not
+///   a worker failure.
+/// * A `5xx` answer counts as a worker failure and moves on, but leaves
+///   the worker up (it is alive enough to answer).
+/// * A [stale](stale) reused connection gets one retry on a fresh
+///   connection, counted in `retries`.
+/// * Any other failure — connect, read, an expired deadline — marks the
+///   worker down and moves on.
+/// * When no worker is left, [`Failover::exhausted`] is the 502 naming
+///   every worker and what it said.
+#[derive(Debug)]
+pub(crate) struct Failover {
+    order: Vec<usize>,
+    at: usize,
+    /// The current worker's next attempt needs a fresh connection.
+    fresh: bool,
+    attempts: Vec<String>,
+}
+
+impl Failover {
+    /// The chain for `key`.
+    pub(crate) fn new(router: &Router, key: u64) -> Failover {
+        Failover {
+            order: router.route(key),
+            at: 0,
+            fresh: false,
+            attempts: Vec::new(),
+        }
+    }
+
+    /// The attempt to make next: a worker index, and whether it needs a
+    /// fresh connection. `None` once every worker failed.
+    pub(crate) fn next(&self) -> Option<(usize, bool)> {
+        self.order.get(self.at).map(|&i| (i, self.fresh))
+    }
+
+    /// Judges the attempt [`Failover::next`] named: its answer's status,
+    /// or why there is none, and whether it rode a reused connection.
+    /// Returns true when the answer is final.
+    pub(crate) fn judge(
+        &mut self,
+        router: &Router,
+        outcome: Result<u16, &RequestError>,
+        reused: bool,
+    ) -> bool {
+        let i = self.order[self.at];
+        let worker = &router.workers[i];
+        match outcome {
+            Ok(status) if status < 500 => {
+                worker.mark_up();
+                worker.answered.fetch_add(1, Ordering::Relaxed);
+                if i != self.order[0] {
+                    router.failovers.fetch_add(1, Ordering::Relaxed);
+                }
+                return true;
+            }
+            Ok(status) => {
+                worker.failures.fetch_add(1, Ordering::Relaxed);
+                let addr = worker.addr();
+                self.attempts
+                    .push(format!("worker {i} ({addr}) answered HTTP {status}"));
+            }
+            Err(e) if stale(reused, e) => {
+                worker.pool.count_retry();
+                self.fresh = true;
+                return false;
+            }
+            Err(e) => {
+                worker.mark_down(&e.message);
+                let (addr, e) = (worker.addr(), &e.message);
+                self.attempts
+                    .push(format!("worker {i} ({addr}) unreachable: {e}"));
+            }
+        }
+        self.at += 1;
+        self.fresh = false;
+        false
+    }
+
+    /// The 502 once [`Failover::next`] is `None`.
+    pub(crate) fn exhausted(&self) -> GatewayError {
+        let attempts = self.attempts.join("; ");
+        GatewayError::new(502, format!("no worker could answer: {attempts}"))
+    }
+}
+
 /// The gateway's routing core: topology + per-worker state + failover.
 #[derive(Debug)]
 pub struct Router {
     topology: Topology,
     workers: Vec<WorkerState>,
+    timeouts: Timeouts,
     /// Requests answered by a worker other than the rendezvous owner.
     pub failovers: AtomicU64,
 }
@@ -113,11 +248,13 @@ impl Router {
         let workers = topology
             .workers()
             .iter()
-            .map(|a| WorkerState::new(a, timeouts))
+            .enumerate()
+            .map(|(i, a)| WorkerState::new(i, a, timeouts))
             .collect();
         Ok(Router {
             topology,
             workers,
+            timeouts,
             failovers: AtomicU64::new(0),
         })
     }
@@ -148,17 +285,9 @@ impl Router {
         order
     }
 
-    /// Forwards one buffered request along `key`'s failover chain,
-    /// sending `headers` (request-id propagation) on every attempt.
-    ///
-    /// * A `< 500` answer (success **or** a worker-side 4xx) is final
-    ///   and passes through — a 4xx is the worker's verdict on the
-    ///   request, not a worker failure.
-    /// * A connect/read failure marks the worker down and moves on.
-    /// * A `5xx` answer counts as a worker failure and moves on, but
-    ///   leaves the worker up (it is alive enough to answer).
-    /// * When every worker fails, the caller gets a [`GatewayError`]
-    ///   (502) naming each worker and what it said.
+    /// Forwards one buffered request along `key`'s failover chain
+    /// through the worker pools (the [`Failover`] policy), sending
+    /// `headers` (request-id propagation) on every attempt.
     pub(crate) fn forward_with(
         &self,
         key: u64,
@@ -167,52 +296,76 @@ impl Router {
         headers: &[(&str, &str)],
         body: Option<&str>,
     ) -> Result<(usize, Response), GatewayError> {
-        let order = {
+        let mut failover = {
             let _s = Span::enter("gateway.route");
-            self.route(key)
+            Failover::new(self, key)
         };
-        let owner = order[0];
-        let mut attempts: Vec<String> = Vec::new();
-        for &i in &order {
+        while let Some((i, fresh)) = failover.next() {
             let worker = &self.workers[i];
-            let attempt = {
-                let _s = Span::enter_timed(&format!("gateway.upstream.{i}"), &worker.latency);
-                worker.pool.request_with(method, path, headers, body)
+            let (reused, result) = {
+                let _s = Span::enter_timed(&worker.span, &worker.latency);
+                worker.pool.attempt(fresh, method, path, headers, body)
             };
-            match attempt {
-                Ok(response) if response.status < 500 => {
-                    worker.mark_up();
-                    worker.answered.fetch_add(1, Ordering::Relaxed);
-                    if i != owner {
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok((i, response));
+            if failover.judge(self, result.as_ref().map(|r| r.status), reused) {
+                return Ok((i, result.expect("only an answer is final")));
+            }
+        }
+        Err(failover.exhausted())
+    }
+
+    /// Where the event loop sends `failover`'s next attempt: the worker,
+    /// its address, and whether it needs a fresh connection. A worker
+    /// whose name has not resolved yet fails its turn. `None` once the
+    /// chain is exhausted.
+    pub(crate) fn next_upstream(&self, failover: &mut Failover) -> Option<Upstream> {
+        loop {
+            let (index, fresh) = failover.next()?;
+            match self.workers[index].socket_addr() {
+                Ok(addr) => {
+                    return Some(Upstream {
+                        index,
+                        addr,
+                        fresh,
+                        timeouts: self.timeouts,
+                    })
                 }
-                Ok(response) => {
-                    worker.failures.fetch_add(1, Ordering::Relaxed);
-                    attempts.push(format!(
-                        "worker {} ({}) answered HTTP {}",
-                        i,
-                        worker.addr(),
-                        response.status
-                    ));
-                }
-                Err(e) => {
-                    worker.mark_down(&e);
-                    attempts.push(format!("worker {} ({}) unreachable: {e}", i, worker.addr()));
+                Err(message) => {
+                    let failed = RequestError {
+                        message,
+                        closed_early: false,
+                    };
+                    failover.judge(self, Err(&failed), false);
                 }
             }
         }
-        Err(GatewayError::new(
-            502,
-            format!("no worker could answer: {}", attempts.join("; ")),
-        ))
+    }
+
+    /// Judges one loop attempt's reply: times it into the worker's
+    /// histogram and the request's trace, then applies [`Failover`].
+    /// Returns the final answer's worker and response.
+    pub(crate) fn judge_reply(
+        &self,
+        failover: &mut Failover,
+        reply: Reply,
+        trace: &mut TraceScope,
+    ) -> Option<(usize, Response)> {
+        let worker = &self.workers[reply.index];
+        worker
+            .latency
+            .observe_duration(reply.ended.saturating_duration_since(reply.started));
+        trace.span(&worker.span, reply.started, reply.ended);
+        let status = reply.result.as_ref().map(|r| r.status);
+        if failover.judge(self, status, reply.reused) {
+            return Some((reply.index, reply.result.expect("only an answer is final")));
+        }
+        None
     }
 
     /// Probes one worker's `GET /healthz`, updating its health belief.
     /// Returns the new belief.
     pub(crate) fn probe(&self, i: usize) -> bool {
         let worker = &self.workers[i];
+        worker.resolve();
         match worker.pool.request("GET", "/healthz", None) {
             Ok(response) if response.is_ok() => {
                 worker.mark_up();
@@ -361,6 +514,56 @@ mod tests {
             err.message
         );
         assert_eq!(router.up_count(), 0);
+    }
+
+    /// A stub worker that answers the first request it ever reads, then
+    /// reads and stalls on every later one, on any connection.
+    fn stub_answering_once() -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+        let addr = listener.local_addr().unwrap().to_string();
+        let answered = Arc::new(AtomicBool::new(false));
+        std::thread::spawn(move || {
+            for mut stream in listener.incoming().flatten() {
+                let answered = answered.clone();
+                std::thread::spawn(move || {
+                    let mut buf = [0u8; 4096];
+                    while let Ok(1..) = stream.read(&mut buf) {
+                        if !answered.swap(true, Ordering::SeqCst) {
+                            let head = "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}";
+                            let _ = stream.write_all(head.as_bytes());
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn a_stalled_reused_connection_fails_over_after_one_deadline() {
+        let stalling = stub_answering_once();
+        let (live, stop) = stub_worker(200, "{\"ok\":true}");
+        let timeouts = Timeouts {
+            read: Some(std::time::Duration::from_millis(300)),
+            ..Timeouts::default()
+        };
+        let router = Router::new([stalling, live], timeouts).unwrap();
+        let key = (0..).find(|&k| router.route(k)[0] == 0).unwrap();
+        let (first, _) = router.forward_with(key, "GET", "/x", &[], None).unwrap();
+        assert_eq!(first, 0, "the stub answers its first request");
+        // Its parked connection now stalls: one read deadline marks the
+        // worker down, with no second deadline on a "stale" retry.
+        let started = std::time::Instant::now();
+        let (second, resp) = router.forward_with(key, "GET", "/x", &[], None).unwrap();
+        let waited = started.elapsed();
+        assert_eq!((second, resp.status), (1, 200));
+        assert!(
+            waited < std::time::Duration::from_millis(550),
+            "failover took {waited:?}, more than one deadline"
+        );
+        assert_eq!(router.retries(), 0, "a deadline is no stale connection");
+        assert!(!router.workers()[0].is_up());
+        stop.store(true, Ordering::Relaxed);
     }
 
     #[test]

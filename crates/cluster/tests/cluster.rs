@@ -1064,3 +1064,346 @@ fn cluster_history_shows_the_warmup_hit_rate_climb() {
 
     fleet.shutdown();
 }
+
+/// Reads one whole `content-length` response off `stream`, as bytes.
+fn read_raw_response(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(end) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&bytes[..end]).to_ascii_lowercase();
+            let length: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("content-length:"))
+                .map_or(0, |n| n.trim().parse().unwrap());
+            if bytes.len() >= end + 4 + length {
+                return bytes;
+            }
+        }
+        let n = stream.read(&mut buf).expect("read response");
+        assert!(n > 0, "connection closed mid-response");
+        bytes.extend_from_slice(&buf[..n]);
+    }
+}
+
+/// A `POST /simulate` request for `body`, with a pinned request id.
+fn simulate_request(body: &str, rid: &str) -> Vec<u8> {
+    let head = format!(
+        "POST /simulate HTTP/1.1\r\nx-mcdla-request-id: {rid}\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    [head.as_bytes(), body.as_bytes()].concat()
+}
+
+/// A cell whose miss takes long enough to overlap other requests: a
+/// cold routed 8,000-device fat tree.
+fn slow_cell(batch: u64) -> Scenario {
+    Scenario::new(
+        SystemDesign::McDlaBwAware,
+        Benchmark::GoogLeNet,
+        ParallelStrategy::ModelParallel,
+    )
+    .with_devices(8000)
+    .with_topology(FabricTopology::FatTree)
+    .with_batch(batch)
+}
+
+#[test]
+fn loop_forward_relays_the_owners_bytes_exactly() {
+    let fleet = fleet(2);
+    let topology = Topology::new(fleet.worker_addrs()).unwrap();
+    let cell = Scenario::new(
+        SystemDesign::DcDla,
+        Benchmark::GoogLeNet,
+        ParallelStrategy::DataParallel,
+    );
+    let body = scenario_json(&cell);
+    let gateway = fleet.gateway_addr().to_string();
+    let warm = mcdla_serve::client::request_once(&gateway, "POST", "/simulate", Some(&body));
+    assert_eq!(warm.unwrap().status, 200);
+    let request = simulate_request(&body, "raw-bytes-1");
+    let raw = |addr: &str| {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(&request).unwrap();
+        read_raw_response(&mut stream)
+    };
+    let via_gateway = raw(&gateway);
+    let direct = raw(&fleet.worker_addrs()[topology.owner_of(&cell)]);
+    assert_eq!(
+        String::from_utf8_lossy(&via_gateway),
+        String::from_utf8_lossy(&direct)
+    );
+    fleet.shutdown();
+}
+
+#[test]
+fn a_slow_forward_does_not_hold_up_cached_ones() {
+    let fleet = fleet(2);
+    let gateway = fleet.gateway_addr().to_string();
+    let cached = scenario_json(&Scenario::new(
+        SystemDesign::DcDla,
+        Benchmark::AlexNet,
+        ParallelStrategy::DataParallel,
+    ));
+    let mut conn = Connection::open(&gateway).unwrap();
+    assert_eq!(
+        conn.request("POST", "/simulate", Some(&cached))
+            .unwrap()
+            .status,
+        200
+    );
+    let slow = scenario_json(&slow_cell(4096));
+    std::thread::scope(|scope| {
+        let waiting = scope.spawn(|| {
+            let resp =
+                mcdla_serve::client::request_once(&gateway, "POST", "/simulate", Some(&slow));
+            (resp.unwrap().status, Instant::now())
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        for _ in 0..20 {
+            let resp = conn.request("POST", "/simulate", Some(&cached)).unwrap();
+            assert_eq!(resp.status, 200);
+        }
+        let cached_done = Instant::now();
+        let (status, slow_done) = waiting.join().unwrap();
+        assert_eq!(status, 200);
+        assert!(
+            cached_done < slow_done,
+            "20 cached forwards waited behind the miss"
+        );
+    });
+    fleet.shutdown();
+}
+
+/// A backend that accepts connections and never answers.
+fn worker_never_answering() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        for stream in listener.incoming().flatten() {
+            held.push(stream);
+        }
+    });
+    addr
+}
+
+#[test]
+fn an_upstream_deadline_marks_the_worker_down_and_fails_over() {
+    let worker = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let timeouts = Timeouts {
+        read: Some(Duration::from_millis(300)),
+        ..Timeouts::default()
+    };
+    let gateway_over = |backends: Vec<String>| {
+        mcdla_cluster::Gateway::bind(&mcdla_cluster::GatewayConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 2,
+            backends,
+            timeouts,
+            probe_interval: None,
+            ..mcdla_cluster::GatewayConfig::default()
+        })
+        .expect("bind gateway")
+        .spawn()
+        .expect("spawn gateway")
+    };
+    let silent = worker_never_answering();
+    let backends = vec![silent.clone(), worker.addr().to_string()];
+    let topology = Topology::new(backends.clone()).unwrap();
+    let gateway = gateway_over(backends);
+    let cell = cells_owned_by(&topology, 0).next().unwrap();
+    let started = Instant::now();
+    let resp = mcdla_serve::client::request_once(
+        &gateway.addr().to_string(),
+        "POST",
+        "/simulate",
+        Some(&scenario_json(&cell)),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(started.elapsed() >= Duration::from_millis(300));
+    assert!(!gateway.router().workers()[0].is_up());
+    assert_eq!(gateway.router().failovers.load(Ordering::Relaxed), 1);
+    gateway.shutdown();
+
+    // With only the silent worker, the answer is the 502 naming it.
+    let gateway = gateway_over(vec![silent.clone()]);
+    let mut stream = std::net::TcpStream::connect(gateway.addr()).unwrap();
+    stream
+        .write_all(&simulate_request(&scenario_json(&cell), "deadline-502"))
+        .unwrap();
+    let text = String::from_utf8(read_raw_response(&mut stream)).unwrap();
+    assert!(text.starts_with("HTTP/1.1 502 "), "{text}");
+    assert!(
+        text.contains(&silent) && text.contains("deadline-502"),
+        "{text}"
+    );
+    gateway.shutdown();
+    worker.shutdown();
+}
+
+/// A backend that answers every request with a small 200 and then
+/// closes the connection.
+fn worker_closing_after_each_answer() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let (mut header, mut length) = (String::new(), 0);
+            while reader.read_line(&mut header).unwrap_or(0) > 2 {
+                if let Some(n) = header.to_ascii_lowercase().strip_prefix("content-length:") {
+                    length = n.trim().parse().unwrap();
+                }
+                header.clear();
+            }
+            let mut body = vec![0; length];
+            if reader.read_exact(&mut body).is_ok() {
+                let answer = "HTTP/1.1 200 OK\r\ncontent-length: 11\r\n\r\n{\"ok\":true}";
+                let _ = stream.write_all(answer.as_bytes());
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_stale_upstream_connection_costs_one_retry_and_no_failover() {
+    let gateway = mcdla_cluster::Gateway::bind(&mcdla_cluster::GatewayConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        backends: vec![worker_closing_after_each_answer()],
+        probe_interval: None,
+        ..mcdla_cluster::GatewayConfig::default()
+    })
+    .expect("bind gateway")
+    .spawn()
+    .expect("spawn gateway");
+    let body = scenario_json(&Scenario::new(
+        SystemDesign::HcDla,
+        Benchmark::AlexNet,
+        ParallelStrategy::DataParallel,
+    ));
+    let mut conn = Connection::open(&gateway.addr().to_string()).unwrap();
+    for _ in 0..2 {
+        let resp = conn.request("POST", "/simulate", Some(&body)).unwrap();
+        assert_eq!((resp.status, resp.body.as_str()), (200, "{\"ok\":true}"));
+    }
+    let router = gateway.router();
+    assert_eq!(router.retries(), 1);
+    assert_eq!(router.failovers.load(Ordering::Relaxed), 0);
+    assert!(router.workers()[0].is_up());
+    gateway.shutdown();
+}
+
+#[test]
+fn pipelined_forwards_answer_in_request_order() {
+    let fleet = fleet(1);
+    let cold = slow_cell(2048);
+    let cached = Scenario::new(
+        SystemDesign::DcDla,
+        Benchmark::VggE,
+        ParallelStrategy::DataParallel,
+    );
+    let (cold_body, cached_body) = (scenario_json(&cold), scenario_json(&cached));
+    let mut conn = Connection::open(&fleet.gateway_addr().to_string()).unwrap();
+    assert_eq!(
+        conn.request("POST", "/simulate", Some(&cached_body))
+            .unwrap()
+            .status,
+        200
+    );
+    let answers = conn
+        .request_pipelined(&[
+            ("POST", "/simulate", Some(&cold_body)),
+            ("POST", "/simulate", Some(&cached_body)),
+        ])
+        .unwrap();
+    let digests: Vec<String> = answers
+        .iter()
+        .map(|r| {
+            let v = serde::json::parse(&r.body).unwrap();
+            v.get("digest").and_then(Value::as_str).unwrap().to_owned()
+        })
+        .collect();
+    let expected = [cold, cached].map(|c| format!("{:016x}", c.digest()));
+    assert_eq!(digests, expected);
+    fleet.shutdown();
+}
+
+/// `name`'s value in a Prometheus exposition.
+fn gauge(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {name}"))
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn a_client_hanging_up_mid_forward_leaves_the_upstream_reusable() {
+    let fleet = fleet(1);
+    let gateway = fleet.gateway_addr().to_string();
+    let cached = scenario_json(&Scenario::new(
+        SystemDesign::McDlaBwAware,
+        Benchmark::AlexNet,
+        ParallelStrategy::DataParallel,
+    ));
+    let mut probe = Connection::open(&gateway).unwrap();
+    let mut direct = Connection::open(&fleet.worker_addrs()[0]).unwrap();
+    assert_eq!(
+        probe
+            .request("POST", "/simulate", Some(&cached))
+            .unwrap()
+            .status,
+        200
+    );
+    let open = |probe: &mut Connection| {
+        let text = probe.request("GET", "/metrics", None).unwrap().body;
+        gauge(&text, "mcdla_gateway_open_connections")
+    };
+    let accepted = |direct: &mut Connection| {
+        let stats = direct.request("GET", "/stats", None).unwrap().body;
+        let stats = serde::json::parse(&stats).unwrap();
+        let connections = stats.get("connections").unwrap();
+        connections.get("accepted").and_then(Value::as_u64).unwrap()
+    };
+    let (open_before, accepted_before) = (open(&mut probe), accepted(&mut direct));
+
+    let mut client = std::net::TcpStream::connect(&gateway).unwrap();
+    let slow = scenario_json(&slow_cell(1024));
+    client
+        .write_all(&simulate_request(&slow, "hang-up-1"))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    drop(client);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while open(&mut probe) != open_before {
+        assert!(
+            Instant::now() < deadline,
+            "the hung-up connection stayed open"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(
+        probe
+            .request("POST", "/simulate", Some(&cached))
+            .unwrap()
+            .status,
+        200
+    );
+    assert_eq!(
+        accepted(&mut direct),
+        accepted_before,
+        "the next forward opened a new upstream connection"
+    );
+    fleet.shutdown();
+}

@@ -74,6 +74,7 @@ pub struct TraceRecord {
     pub seq: u64,
 }
 
+#[derive(Debug)]
 struct ActiveTrace {
     started: Instant,
     spans: Vec<SpanRecord>,
@@ -87,8 +88,10 @@ thread_local! {
 /// The per-request tracing scope. Create one per request with
 /// [`TraceScope::begin`], close it with [`TraceScope::finish`]; while
 /// it is open, every [`Span`] entered on the same thread lands in its
-/// span tree. Dropping an unfinished scope (panic paths) discards the
-/// partial trace.
+/// span tree. A request that waits on I/O without holding its thread
+/// [`detach`](TraceScope::detach)es the trace and adds what it measures
+/// meanwhile with [`TraceScope::span`]. Dropping an unfinished scope
+/// (panic paths) discards the partial trace.
 #[derive(Debug)]
 pub struct TraceScope {
     started: Instant,
@@ -97,6 +100,8 @@ pub struct TraceScope {
     /// tracing is disabled or a scope was already open on the thread).
     activated: bool,
     finished: bool,
+    /// The trace taken off the thread by [`TraceScope::detach`].
+    detached: Option<ActiveTrace>,
 }
 
 impl TraceScope {
@@ -125,6 +130,30 @@ impl TraceScope {
                 .unwrap_or(0),
             activated,
             finished: false,
+            detached: None,
+        }
+    }
+
+    /// Takes the open trace off this thread, so the thread can serve
+    /// other requests while this one waits. Spans entered on the thread
+    /// afterwards no longer join it; [`TraceScope::span`] does.
+    pub fn detach(&mut self) {
+        if self.activated && self.detached.is_none() {
+            self.detached = ACTIVE.with(|a| a.borrow_mut().take());
+        }
+    }
+
+    /// Adds a span measured from `start` to `end` under the request
+    /// root of a [detached](TraceScope::detach) trace (a no-op on an
+    /// attached or inert one).
+    pub fn span(&mut self, name: &str, start: Instant, end: Instant) {
+        if let Some(trace) = &mut self.detached {
+            trace.spans.push(SpanRecord {
+                name: name.to_string(),
+                parent: None,
+                start_us: us(start.saturating_duration_since(trace.started)),
+                dur_us: us(end.saturating_duration_since(start)).max(1),
+            });
         }
     }
 
@@ -135,16 +164,18 @@ impl TraceScope {
         self.finished = true;
         let total_us = us(self.started.elapsed());
         let spans = if self.activated {
-            ACTIVE
-                .with(|a| a.borrow_mut().take())
-                .map_or_else(Vec::new, |mut t| {
-                    for &idx in &t.stack {
-                        if t.spans[idx].dur_us == 0 {
-                            t.spans[idx].dur_us = total_us.saturating_sub(t.spans[idx].start_us);
-                        }
+            let trace = match self.detached.take() {
+                Some(trace) => Some(trace),
+                None => ACTIVE.with(|a| a.borrow_mut().take()),
+            };
+            trace.map_or_else(Vec::new, |mut t| {
+                for &idx in &t.stack {
+                    if t.spans[idx].dur_us == 0 {
+                        t.spans[idx].dur_us = total_us.saturating_sub(t.spans[idx].start_us);
                     }
-                    t.spans
-                })
+                }
+                t.spans
+            })
         } else {
             Vec::new()
         };
@@ -162,7 +193,7 @@ impl TraceScope {
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        if self.activated && !self.finished {
+        if self.activated && !self.finished && self.detached.is_none() {
             ACTIVE.with(|a| a.borrow_mut().take());
         }
     }
@@ -300,6 +331,29 @@ mod tests {
         drop(_span);
         let rec = outer.finish("outer".into(), "y", 200);
         assert_eq!(rec.spans.len(), 1, "outer trace survived the inner scope");
+    }
+
+    #[test]
+    fn a_detached_trace_frees_the_thread_and_takes_measured_spans() {
+        set_enabled(true);
+        let mut waiting = TraceScope::begin();
+        drop(Span::enter("before"));
+        waiting.detach();
+        // The thread serves another request meanwhile.
+        let other = TraceScope::begin();
+        drop(Span::enter("other"));
+        let rec = other.finish("other".into(), "x", 200);
+        assert_eq!(rec.spans.len(), 1, "the second scope owns the thread");
+        let start = Instant::now();
+        waiting.span(
+            "measured",
+            start,
+            start + std::time::Duration::from_millis(3),
+        );
+        let rec = waiting.finish("waiting".into(), "y", 200);
+        let names: Vec<&str> = rec.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["before", "measured"]);
+        assert_eq!(rec.spans[1].dur_us, 3000);
     }
 
     #[test]

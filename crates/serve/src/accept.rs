@@ -16,11 +16,19 @@
 //! falls out naturally and a request split across TCP segments just
 //! waits for its missing bytes.
 //!
-//! Parsed requests take one of three paths:
+//! Parsed requests take one of four paths:
 //!
 //! * **fast**: `Service::fast` answers inline on the loop thread
 //!   (cheap GETs, cache hits) — the response bytes go out through the
 //!   connection's outbox, many per wakeup.
+//! * **forward**: the service hands back request bytes for another
+//!   server (the gateway's `/simulate`). The loop sends them over one of
+//!   its own non-blocking keep-alive *links* to that upstream, in the
+//!   same epoll set, reads the answer with [`parse_response`], and lets
+//!   `Service::forward` judge each attempt — answer, or try another
+//!   upstream. The client connection stays attached and stops parsing
+//!   until its answer is queued, so pipelined responses keep their
+//!   order. At most [`MAX_IDLE`] links per upstream stay parked.
 //! * **heavy**: the connection is *detached* — deregistered from epoll,
 //!   switched to blocking — and shipped with its unparsed inbox to the
 //!   worker pool behind a bounded admission queue. The worker answers
@@ -31,27 +39,36 @@
 //!   the tail: that is the per-client fairness policy.
 //! * **shed**: when the admission queue is full, `Service::shed`
 //!   answers 429 + `Retry-After` inline and the connection stays open.
+//!   Forwards in flight count against the same bound.
 //!
 //! The loop also owns the timers the old thread-per-connection stack
 //! delegated to `SO_RCVTIMEO`: idle keep-alive connections close
-//! silently after `idle_timeout`, and a connection stuck mid-request
-//! (slow header or body) is answered 408 after `request_timeout`.
+//! silently after `idle_timeout`, a connection stuck mid-request
+//! (slow header or body) is answered 408 after `request_timeout`, and
+//! an upstream attempt fails once its connect, write or read deadline
+//! passes.
 
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::epoll::{Epoll, Event, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::http::{incomplete_error, parse_request, Request, WireError};
+use crate::client::{peer_closed, RequestError, Response, Timeouts};
+use crate::epoll::{
+    connect_nonblocking, Epoll, Event, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
+use crate::http::{incomplete_error, parse_request, parse_response, Request, WireError};
 
 /// Token delivered for the listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Token delivered for the loop's eventfd waker.
 const TOKEN_WAKER: u64 = u64::MAX - 1;
+/// Slot bit that marks an upstream link's token (client connection
+/// slots never reach it).
+const LINK_BIT: usize = 1 << 31;
 
 /// Outbox backlog (bytes) past which a connection stops being read —
 /// backpressure for pipelined clients that send faster than they drain.
@@ -70,6 +87,17 @@ const ACCEPT_BURST: usize = 256;
 /// cannot wedge forever behind a dead client mid-response.
 const WORKER_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Parked keep-alive connections kept per upstream: the loop's links
+/// and each gateway pool alike. One released beyond this is closed.
+pub const MAX_IDLE: usize = 16;
+
+/// How long the loop keeps polling for upstream answers before it
+/// sleeps in `epoll_wait`, while forwards are in flight. A worker
+/// answers a cached cell in about this long on a 2-vCPU host; a loop
+/// that sleeps instead pays a wakeup for every answer, and the worker's
+/// write pays for waking it. The loop yields its CPU between polls.
+const FORWARD_POLL: Duration = Duration::from_micros(30);
+
 /// A response the event loop can send without leaving the loop thread.
 #[derive(Debug)]
 pub(crate) struct FastAnswer {
@@ -79,13 +107,83 @@ pub(crate) struct FastAnswer {
     pub keep_alive: bool,
 }
 
+/// A request the loop forwards upstream for the service.
+#[derive(Debug)]
+pub(crate) struct Forward<F> {
+    /// The client's request (for the 429 when admission fails, and for
+    /// the answer).
+    pub request: Request,
+    /// The bytes to send upstream, the same for every attempt.
+    pub upstream: Vec<u8>,
+    /// The service's per-forward state.
+    pub state: F,
+}
+
+/// How the loop thread disposes of a parsed request.
+#[derive(Debug)]
+pub(crate) enum Inline<F> {
+    /// Answered inline.
+    Answer(FastAnswer),
+    /// Forwarded upstream on the loop.
+    Forward(Forward<F>),
+    /// Needs a pool thread; the request comes back for the job.
+    Pool(Request),
+}
+
+/// One upstream attempt of a loop forward: where the request goes.
+#[derive(Debug, Clone, Copy)]
+pub struct Upstream {
+    /// The service's index for this upstream (a gateway worker index);
+    /// parked links are kept per index, and the reply names it.
+    pub index: usize,
+    /// Where to connect, resolved off the loop thread.
+    pub addr: SocketAddr,
+    /// Open a new connection rather than reuse a parked one.
+    pub fresh: bool,
+    /// Connect, write and read deadlines for this attempt.
+    pub timeouts: Timeouts,
+}
+
+/// How one upstream attempt ended, as the loop measured it.
+#[derive(Debug)]
+pub struct Reply {
+    /// The [`Upstream::index`] the attempt went to.
+    pub index: usize,
+    /// Whether the attempt rode a parked (reused) connection.
+    pub reused: bool,
+    /// When the attempt began (connect or write).
+    pub started: Instant,
+    /// When its answer was complete or it failed.
+    pub ended: Instant,
+    /// The upstream's answer, or why there is none.
+    pub result: Result<Response, RequestError>,
+}
+
+/// What the service says a loop forward does next.
+#[derive(Debug)]
+pub(crate) enum Next {
+    /// Make this attempt.
+    Attempt(Upstream),
+    /// Done: queue this answer for the client.
+    Answer(FastAnswer),
+}
+
 /// What a server plugs into the event loop: the split between work the
 /// loop thread may do inline and work that needs a pool worker.
 pub(crate) trait Service: Send + Sync + 'static {
-    /// Answers a request inline when it is cheap (no simulation, no
-    /// upstream I/O): cheap GETs, cache hits, input-validation 4xxs.
-    /// `None` routes the request to the worker pool.
-    fn fast(&self, request: &Request) -> Option<FastAnswer>;
+    /// Per-request state of a loop forward (see [`Inline::Forward`]).
+    type Forward;
+
+    /// Disposes of a request on the loop thread: answers it when it is
+    /// cheap (no simulation, no blocking I/O) — cheap GETs, cache hits,
+    /// input-validation 4xxs —, forwards it upstream, or hands it back
+    /// for the worker pool.
+    fn fast(&self, request: Request) -> Inline<Self::Forward>;
+
+    /// Drives a loop forward: called once with no reply when it starts,
+    /// then with the reply of each attempt it asked for.
+    fn forward(&self, request: &Request, forward: &mut Self::Forward, reply: Option<Reply>)
+        -> Next;
 
     /// Handles one request on a pool worker with a blocking stream
     /// (buffered responses and chunked streams alike). `queued` is how
@@ -139,7 +237,8 @@ impl LoopStats {
     }
 
     /// Connections attached to a loop right now (detached connections
-    /// being served by a worker are not counted).
+    /// being served by a worker are not counted; connections waiting on
+    /// a loop forward are).
     pub(crate) fn open(&self) -> u64 {
         self.open.load(Ordering::Relaxed)
     }
@@ -293,7 +392,6 @@ pub(crate) fn spawn_event_loop<S: Service>(
 /// One attached connection's state.
 struct Conn {
     stream: TcpStream,
-    gen: u32,
     inbox: Vec<u8>,
     outbox: Vec<u8>,
     out_pos: usize,
@@ -304,19 +402,64 @@ struct Conn {
     closing: bool,
     /// The peer finished sending (EOF seen).
     eof: bool,
+    /// A loop forward for this connection is in flight: parsing waits
+    /// for its answer, and the timeout sweep leaves the connection be.
+    forwarding: bool,
 }
 
-/// The connection table: a slab with an O(1) free list. Tokens carry
+/// Where an upstream link is in its exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Waiting for a fresh connect to complete.
+    Connecting,
+    /// Writing the request.
+    Sending,
+    /// Reading the answer.
+    Receiving,
+    /// Idle on its upstream's parked stack.
+    Parked,
+}
+
+/// One loop-owned keep-alive connection to an upstream.
+struct Link {
+    stream: TcpStream,
+    /// The upstream index it is parked under, and its address.
+    index: usize,
+    addr: SocketAddr,
+    phase: Phase,
+    /// Request bytes written so far.
+    sent: usize,
+    inbox: Vec<u8>,
+    /// Events currently registered with epoll.
+    interest: u32,
+    /// When the current phase fails; `None` while parked or unbounded.
+    deadline: Option<Instant>,
+    timeouts: Timeouts,
+    /// The forward it serves (`None` while parked).
+    forward: Option<(usize, u32)>,
+}
+
+/// A forward in flight.
+struct Pending<F> {
+    /// The client connection the answer goes to.
+    client: (usize, u32),
+    forward: Forward<F>,
+    /// The attempt in flight: its upstream, whether it reuses a parked
+    /// link, and when it began.
+    attempt: Option<(usize, bool, Instant)>,
+}
+
+/// A table with O(1) insert/remove off a free list. Tokens carry
 /// `(generation << 32) | slot` so a stale epoll event for a recycled
 /// slot (same fd number, new connection) can never touch the newcomer.
-struct Slab {
-    slots: Vec<Option<Conn>>,
+struct Slab<T> {
+    slots: Vec<Option<T>>,
     gens: Vec<u32>,
     free: VecDeque<usize>,
 }
 
-impl Slab {
-    fn new() -> Slab {
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
         Slab {
             slots: Vec::new(),
             gens: Vec::new(),
@@ -324,7 +467,7 @@ impl Slab {
         }
     }
 
-    fn insert(&mut self, stream: TcpStream, inbox: Vec<u8>) -> (usize, u64) {
+    fn put(&mut self, value: T) -> (usize, u64) {
         let slot = match self.free.pop_front() {
             Some(slot) => slot,
             None => {
@@ -333,10 +476,41 @@ impl Slab {
                 self.slots.len() - 1
             }
         };
-        let gen = self.gens[slot];
-        self.slots[slot] = Some(Conn {
+        self.slots[slot] = Some(value);
+        (slot, token(slot, self.gens[slot]))
+    }
+
+    /// The entry for `slot` if its generation still matches.
+    fn get(&mut self, slot: usize, gen: u32) -> Option<&mut T> {
+        if self.gens.get(slot) != Some(&gen) {
+            return None;
+        }
+        self.slots[slot].as_mut()
+    }
+
+    fn remove(&mut self, slot: usize) -> Option<T> {
+        let value = self.slots.get_mut(slot)?.take()?;
+        self.gens[slot] = self.gens[slot].wrapping_add(1);
+        self.free.push_back(slot);
+        Some(value)
+    }
+
+    /// Live entries.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn live_slots(&self) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&i| self.slots[i].is_some())
+            .collect()
+    }
+}
+
+impl Slab<Conn> {
+    fn insert(&mut self, stream: TcpStream, inbox: Vec<u8>) -> (usize, u64) {
+        self.put(Conn {
             stream,
-            gen,
             inbox,
             outbox: Vec::new(),
             out_pos: 0,
@@ -344,26 +518,8 @@ impl Slab {
             last_activity: Instant::now(),
             closing: false,
             eof: false,
-        });
-        (slot, token(slot, gen))
-    }
-
-    /// The connection for `slot` if its generation still matches.
-    fn get(&mut self, slot: usize, gen: u32) -> Option<&mut Conn> {
-        self.slots.get_mut(slot)?.as_mut().filter(|c| c.gen == gen)
-    }
-
-    fn remove(&mut self, slot: usize) -> Option<Conn> {
-        let conn = self.slots.get_mut(slot)?.take()?;
-        self.gens[slot] = self.gens[slot].wrapping_add(1);
-        self.free.push_back(slot);
-        Some(conn)
-    }
-
-    fn live_slots(&self) -> Vec<usize> {
-        (0..self.slots.len())
-            .filter(|&i| self.slots[i].is_some())
-            .collect()
+            forwarding: false,
+        })
     }
 }
 
@@ -375,7 +531,7 @@ fn untoken(token: u64) -> (usize, u32) {
     ((token & 0xffff_ffff) as usize, (token >> 32) as u32)
 }
 
-/// How far [`advance`] got with a connection.
+/// How far [`EventLoop::advance`] got with a connection.
 enum Advanced {
     /// Still attached to the loop (possibly with output pending).
     Attached,
@@ -383,6 +539,21 @@ enum Advanced {
     Detached,
     /// Closed; the slot is gone.
     Closed,
+}
+
+/// The loop thread's state.
+struct EventLoop<S: Service> {
+    epoll: Epoll,
+    core: Arc<Core>,
+    service: Arc<S>,
+    job_tx: mpsc::Sender<Job>,
+    conns: Slab<Conn>,
+    links: Slab<Link>,
+    /// Parked link slots per upstream index, most recent last.
+    parked: Vec<Vec<usize>>,
+    forwards: Slab<Pending<S::Forward>>,
+    /// No in-flight link's deadline is earlier than this.
+    next_deadline: Option<Instant>,
 }
 
 fn run_loop<S: Service>(
@@ -420,7 +591,17 @@ fn run_loop<S: Service>(
         return;
     }
 
-    let mut slab = Slab::new();
+    let mut el = EventLoop {
+        epoll,
+        core,
+        service,
+        job_tx,
+        conns: Slab::new(),
+        links: Slab::new(),
+        parked: Vec::new(),
+        forwards: Slab::new(),
+        next_deadline: None,
+    };
     let mut events = vec![
         Event {
             events: 0,
@@ -430,43 +611,66 @@ fn run_loop<S: Service>(
     ];
     // Sweep often enough that short test-sized timeouts still fire
     // promptly, but never more than once per 25 ms.
-    let sweep_every = (core.idle_timeout.min(core.request_timeout) / 4)
+    let sweep_every = (el.core.idle_timeout.min(el.core.request_timeout) / 4)
         .clamp(Duration::from_millis(25), Duration::from_millis(500));
     let mut last_sweep = Instant::now();
 
     loop {
-        let n = match epoll.wait(&mut events, sweep_every.as_millis() as i32) {
-            Ok(n) => n,
-            Err(e) => {
-                mcdla_obs::log::error(
-                    "serve",
-                    "epoll_wait_failed",
-                    &[("error", e.to_string().into())],
-                );
-                break;
+        // Poll briefly while forwards wait on upstream answers; then
+        // sleep until the nearest upstream deadline or the next sweep.
+        let mut polled = 0;
+        if el.forwards.len() > 0 {
+            let polling = Instant::now();
+            loop {
+                polled = el.epoll.wait(&mut events, 0).unwrap_or(0);
+                if polled > 0 || polling.elapsed() >= FORWARD_POLL {
+                    break;
+                }
+                std::thread::yield_now();
             }
+        }
+        let wait = el.next_deadline.map_or(sweep_every, |d| {
+            d.saturating_duration_since(Instant::now()).min(sweep_every)
+        });
+        let n = match polled {
+            0 => match el.epoll.wait(&mut events, wait.as_millis() as i32 + 1) {
+                Ok(n) => n,
+                Err(e) => {
+                    mcdla_obs::log::error(
+                        "serve",
+                        "epoll_wait_failed",
+                        &[("error", e.to_string().into())],
+                    );
+                    break;
+                }
+            },
+            n => n,
         };
-        if core.shutdown.load(Ordering::SeqCst) {
+        if el.core.shutdown.load(Ordering::SeqCst) {
             break;
         }
         for event in events.iter().take(n) {
             // Copy out of the packed event before touching the fields.
             let (ready, tok) = ({ event.events }, { event.token });
             match tok {
-                TOKEN_LISTENER => accept_burst(&listener, &epoll, &mut slab, &core),
-                TOKEN_WAKER => core.mailbox.waker.drain(),
+                TOKEN_LISTENER => el.accept_burst(&listener),
+                TOKEN_WAKER => el.core.mailbox.waker.drain(),
                 tok => {
                     let (slot, gen) = untoken(tok);
-                    if slab.get(slot, gen).is_none() {
+                    if slot & LINK_BIT != 0 {
+                        el.link_ready(slot & !LINK_BIT, gen, ready);
+                        continue;
+                    }
+                    if el.conns.get(slot, gen).is_none() {
                         continue; // stale event for a recycled slot
                     }
                     if ready & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-                        read_ready(slot, gen, &mut slab, &epoll, &core, &service, &job_tx);
+                        el.read_ready(slot, gen);
                     }
                     if ready & EPOLLOUT != 0 {
-                        if let Some(conn) = slab.get(slot, gen) {
+                        if let Some(conn) = el.conns.get(slot, gen) {
                             if !conn.outbox.is_empty() || conn.closing {
-                                flush(slot, &mut slab, &epoll, &core);
+                                el.flush(slot);
                             }
                         }
                     }
@@ -475,332 +679,724 @@ fn run_loop<S: Service>(
         }
         // Re-attachments from the worker pool (mailbox drained after
         // the waker event, but also opportunistically every pass).
-        reattach_from_mailbox(&mut slab, &epoll, &core, &service, &job_tx);
+        el.reattach_from_mailbox();
+        if el.next_deadline.is_some_and(|d| Instant::now() >= d) {
+            el.expire_links();
+        }
         if last_sweep.elapsed() >= sweep_every {
             last_sweep = Instant::now();
-            sweep_timeouts(&mut slab, &epoll, &core, &service);
+            el.sweep_timeouts();
         }
     }
-    // Teardown: dropping the slab closes every attached connection.
-    // Queued jobs drain through the workers; mailbox re-attachments
-    // arriving after this point are dropped (closed) by the workers
-    // noticing the shutdown flag.
+    // Teardown: dropping the loop closes every attached connection and
+    // link. Queued jobs drain through the workers; mailbox
+    // re-attachments arriving after this point are dropped (closed) by
+    // the workers noticing the shutdown flag.
 }
 
-fn accept_burst(listener: &TcpListener, epoll: &Epoll, slab: &mut Slab, core: &Core) {
-    for _ in 0..ACCEPT_BURST {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if core.shutdown.load(Ordering::SeqCst) {
+impl<S: Service> EventLoop<S> {
+    fn accept_burst(&mut self, listener: &TcpListener) {
+        for _ in 0..ACCEPT_BURST {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    if self.core.shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    self.attach(stream, Vec::new());
+                    self.core.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // Transient accept errors (EMFILE, aborted handshake):
+                    // back off briefly instead of spinning level-triggered.
+                    std::thread::sleep(Duration::from_millis(5));
                     return;
                 }
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                attach(stream, Vec::new(), slab, epoll, core);
-                core.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                // Transient accept errors (EMFILE, aborted handshake):
-                // back off briefly instead of spinning level-triggered.
-                std::thread::sleep(Duration::from_millis(5));
-                return;
             }
         }
     }
-}
 
-/// Inserts a connection into the slab and registers it with epoll.
-fn attach(stream: TcpStream, inbox: Vec<u8>, slab: &mut Slab, epoll: &Epoll, core: &Core) {
-    let fd = stream.as_raw_fd();
-    let (slot, tok) = slab.insert(stream, inbox);
-    if epoll.add(fd, EPOLLIN | EPOLLRDHUP, tok).is_err() {
-        slab.remove(slot);
-        return;
+    /// Inserts a connection into the slab and registers it with epoll;
+    /// returns its `(slot, gen)` when that worked.
+    fn attach(&mut self, stream: TcpStream, inbox: Vec<u8>) -> Option<(usize, u32)> {
+        let fd = stream.as_raw_fd();
+        let (slot, tok) = self.conns.insert(stream, inbox);
+        if self.epoll.add(fd, EPOLLIN | EPOLLRDHUP, tok).is_err() {
+            self.conns.remove(slot);
+            return None;
+        }
+        self.core.stats.open.fetch_add(1, Ordering::Relaxed);
+        Some(untoken(tok))
     }
-    core.stats.open.fetch_add(1, Ordering::Relaxed);
-}
 
-fn close_conn(slot: usize, slab: &mut Slab, core: &Core) {
-    if slab.remove(slot).is_some() {
-        // Dropping the stream closes the fd, which also removes it
-        // from the epoll interest set.
-        core.stats.open.fetch_sub(1, Ordering::Relaxed);
+    fn close_conn(&mut self, slot: usize) {
+        if self.conns.remove(slot).is_some() {
+            // Dropping the stream closes the fd, which also removes it
+            // from the epoll interest set.
+            self.core.stats.open.fetch_sub(1, Ordering::Relaxed);
+        }
     }
-}
 
-fn read_ready<S: Service>(
-    slot: usize,
-    gen: u32,
-    slab: &mut Slab,
-    epoll: &Epoll,
-    core: &Core,
-    service: &Arc<S>,
-    job_tx: &mpsc::Sender<Job>,
-) {
-    let Some(conn) = slab.get(slot, gen) else {
-        return;
-    };
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if conn.closing
-            || conn.inbox.len() >= INBOX_CAP
-            || conn.outbox.len() - conn.out_pos > OUTBOX_HIGH_WATER
-        {
-            break;
-        }
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                conn.eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.inbox.extend_from_slice(&buf[..n]);
-                conn.last_activity = Instant::now();
-                if n < buf.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                // Reset: nothing can be answered.
-                close_conn(slot, slab, core);
-                return;
-            }
-        }
-    }
-    match advance(slot, gen, slab, epoll, core, service, job_tx) {
-        Advanced::Attached => flush(slot, slab, epoll, core),
-        Advanced::Detached | Advanced::Closed => {}
-    }
-}
-
-/// Parses and answers everything parseable in the connection's inbox.
-/// Fast answers accumulate in the outbox (flushed by the caller);
-/// a heavy request detaches the connection to the worker pool.
-fn advance<S: Service>(
-    slot: usize,
-    gen: u32,
-    slab: &mut Slab,
-    epoll: &Epoll,
-    core: &Core,
-    service: &Arc<S>,
-    job_tx: &mpsc::Sender<Job>,
-) -> Advanced {
-    loop {
-        let Some(conn) = slab.get(slot, gen) else {
-            return Advanced::Closed;
-        };
-        if conn.closing {
-            return Advanced::Attached;
-        }
-        if conn.outbox.len() - conn.out_pos > OUTBOX_HIGH_WATER {
-            // Backpressure: stop parsing until the peer drains.
-            return Advanced::Attached;
-        }
-        match parse_request(&conn.inbox) {
-            Err(error) => {
-                let bytes = service.wire_error(&error);
-                conn.outbox.extend_from_slice(&bytes);
-                conn.closing = true;
-                conn.inbox.clear();
-                return Advanced::Attached;
-            }
-            Ok(None) => {
-                if conn.eof {
-                    if conn.inbox.is_empty() {
-                        // Clean close (or everything answered).
-                        conn.closing = true;
-                        if conn.outbox.len() == conn.out_pos {
-                            close_conn(slot, slab, core);
-                            return Advanced::Closed;
-                        }
-                    } else {
-                        // The peer stopped mid-request: name the
-                        // truncation (head vs body) and close.
-                        let error = incomplete_error(&conn.inbox, false);
-                        let bytes = service.wire_error(&error);
-                        conn.outbox.extend_from_slice(&bytes);
-                        conn.closing = true;
-                        conn.inbox.clear();
-                    }
-                }
-                return Advanced::Attached;
-            }
-            Ok(Some((request, consumed))) => {
-                conn.inbox.drain(..consumed);
-                conn.last_activity = Instant::now();
-                if let Some(answer) = service.fast(&request) {
-                    conn.outbox.extend_from_slice(&answer.bytes);
-                    if !answer.keep_alive {
-                        conn.closing = true;
-                        conn.inbox.clear();
-                        return Advanced::Attached;
-                    }
-                    continue;
-                }
-                // Heavy: admission control, then detach to the pool.
-                let admitted = core
-                    .queued
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| {
-                        (q < core.queue_depth).then_some(q + 1)
-                    })
-                    .is_ok();
-                if !admitted {
-                    core.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    let keep = request.keep_alive;
-                    let answer = service.shed(&request);
-                    conn.outbox.extend_from_slice(&answer.bytes);
-                    if !(answer.keep_alive && keep) {
-                        conn.closing = true;
-                        conn.inbox.clear();
-                        return Advanced::Attached;
-                    }
-                    continue;
-                }
-                let conn = slab.remove(slot).expect("checked live above");
-                core.stats.open.fetch_sub(1, Ordering::Relaxed);
-                let _ = epoll.del(conn.stream.as_raw_fd());
-                let _ = conn.stream.set_nonblocking(false);
-                let _ = conn.stream.set_write_timeout(Some(WORKER_WRITE_TIMEOUT));
-                let pending_out = conn.outbox[conn.out_pos..].to_vec();
-                let job = Job {
-                    stream: conn.stream,
-                    pending_out,
-                    inbox: conn.inbox,
-                    request,
-                    enqueued: Instant::now(),
-                };
-                if job_tx.send(job).is_err() {
-                    // Workers are gone (shutdown): the connection
-                    // just closes.
-                    core.queued.fetch_sub(1, Ordering::SeqCst);
-                }
-                return Advanced::Detached;
-            }
-        }
-    }
-}
-
-/// Writes as much of the outbox as the socket accepts, registering for
-/// `EPOLLOUT` when it fills and closing once a draining connection is
-/// done.
-fn flush(slot: usize, slab: &mut Slab, epoll: &Epoll, core: &Core) {
-    let should_close = {
-        let Some(conn) = slab.slots.get_mut(slot).and_then(Option::as_mut) else {
+    fn read_ready(&mut self, slot: usize, gen: u32) {
+        let Some(conn) = self.conns.get(slot, gen) else {
             return;
         };
+        let mut buf = [0u8; 16 * 1024];
         loop {
-            if conn.out_pos >= conn.outbox.len() {
-                conn.outbox.clear();
-                conn.out_pos = 0;
-                if !conn.closing && conn.interest & EPOLLOUT != 0 {
-                    let want = EPOLLIN | EPOLLRDHUP;
-                    if epoll
-                        .modify(conn.stream.as_raw_fd(), want, token(slot, conn.gen))
-                        .is_ok()
-                    {
-                        conn.interest = want;
-                    }
-                }
-                break conn.closing; // a drained draining conn closes
+            if conn.closing
+                || conn.inbox.len() >= INBOX_CAP
+                || conn.outbox.len() - conn.out_pos > OUTBOX_HIGH_WATER
+            {
+                break;
             }
-            match conn.stream.write(&conn.outbox[conn.out_pos..]) {
-                Ok(0) => break true,
+            match conn.stream.read(&mut buf) {
+                Ok(0) => {
+                    conn.eof = true;
+                    break;
+                }
                 Ok(n) => {
-                    conn.out_pos += n;
+                    conn.inbox.extend_from_slice(&buf[..n]);
                     conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    let want = EPOLLIN | EPOLLRDHUP | EPOLLOUT;
-                    if conn.interest != want
-                        && epoll
-                            .modify(conn.stream.as_raw_fd(), want, token(slot, conn.gen))
-                            .is_ok()
-                    {
-                        conn.interest = want;
+                    if n < buf.len() {
+                        break;
                     }
-                    break false;
                 }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break true,
+                Err(_) => {
+                    // Reset: nothing can be answered.
+                    self.close_conn(slot);
+                    return;
+                }
             }
         }
-    };
-    if should_close {
-        close_conn(slot, slab, core);
-    }
-}
-
-fn reattach_from_mailbox<S: Service>(
-    slab: &mut Slab,
-    epoll: &Epoll,
-    core: &Core,
-    service: &Arc<S>,
-    job_tx: &mpsc::Sender<Job>,
-) {
-    let drained = {
-        let mut inbox = core.mailbox.inbox.lock().expect("mailbox lock");
-        std::mem::take(&mut *inbox)
-    };
-    for re in drained {
-        if core.shutdown.load(Ordering::SeqCst) {
-            continue; // dropping the stream closes it
+        if conn.forwarding && (conn.eof || conn.inbox.len() >= INBOX_CAP) {
+            // Nothing more to read until the answer is in: stop the
+            // level-triggered wakeups (a half-closed client still gets
+            // its answer, then the connection closes).
+            let want = conn.interest & EPOLLOUT;
+            if self
+                .epoll
+                .modify(conn.stream.as_raw_fd(), want, token(slot, gen))
+                .is_ok()
+            {
+                conn.interest = want;
+            }
         }
-        if re.stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        let fd = re.stream.as_raw_fd();
-        let (slot, tok) = slab.insert(re.stream, re.inbox);
-        if epoll.add(fd, EPOLLIN | EPOLLRDHUP, tok).is_err() {
-            slab.remove(slot);
-            continue;
-        }
-        core.stats.open.fetch_add(1, Ordering::Relaxed);
-        // The carried inbox may already hold complete pipelined
-        // requests: serve them now rather than waiting for more bytes.
-        let (_, gen) = untoken(tok);
-        match advance(slot, gen, slab, epoll, core, service, job_tx) {
-            Advanced::Attached => flush(slot, slab, epoll, core),
+        match self.advance(slot, gen) {
+            Advanced::Attached => self.flush(slot),
             Advanced::Detached | Advanced::Closed => {}
         }
     }
-}
 
-/// Closes idle keep-alive connections and answers 408 to connections
-/// stalled mid-request.
-fn sweep_timeouts<S: Service>(slab: &mut Slab, epoll: &Epoll, core: &Core, service: &Arc<S>) {
-    let now = Instant::now();
-    for slot in slab.live_slots() {
-        let Some(conn) = slab.slots[slot].as_mut() else {
-            continue;
-        };
-        if conn.closing {
-            // A draining connection whose peer never reads: give it
-            // the request timeout, then drop it.
-            if now.duration_since(conn.last_activity) > core.request_timeout {
-                close_conn(slot, slab, core);
+    /// Parses and answers everything parseable in the connection's inbox.
+    /// Fast answers accumulate in the outbox (flushed by the caller); a
+    /// forward holds the rest of the inbox until it answers; a heavy
+    /// request detaches the connection to the worker pool.
+    fn advance(&mut self, slot: usize, gen: u32) -> Advanced {
+        loop {
+            let Some(conn) = self.conns.get(slot, gen) else {
+                return Advanced::Closed;
+            };
+            if conn.closing || conn.forwarding {
+                return Advanced::Attached;
             }
-            continue;
+            if conn.outbox.len() - conn.out_pos > OUTBOX_HIGH_WATER {
+                // Backpressure: stop parsing until the peer drains.
+                return Advanced::Attached;
+            }
+            let request = match parse_request(&conn.inbox) {
+                Err(error) => {
+                    let bytes = self.service.wire_error(&error);
+                    conn.outbox.extend_from_slice(&bytes);
+                    conn.closing = true;
+                    conn.inbox.clear();
+                    return Advanced::Attached;
+                }
+                Ok(None) => {
+                    if conn.eof {
+                        if conn.inbox.is_empty() {
+                            // Clean close (or everything answered).
+                            conn.closing = true;
+                            if conn.outbox.len() == conn.out_pos {
+                                self.close_conn(slot);
+                                return Advanced::Closed;
+                            }
+                        } else {
+                            // The peer stopped mid-request: name the
+                            // truncation (head vs body) and close.
+                            let error = incomplete_error(&conn.inbox, false);
+                            let bytes = self.service.wire_error(&error);
+                            conn.outbox.extend_from_slice(&bytes);
+                            conn.closing = true;
+                            conn.inbox.clear();
+                        }
+                    }
+                    return Advanced::Attached;
+                }
+                Ok(Some((request, consumed))) => {
+                    conn.inbox.drain(..consumed);
+                    conn.last_activity = Instant::now();
+                    request
+                }
+            };
+            let request = match self.service.fast(request) {
+                Inline::Answer(answer) => {
+                    self.queue_answer(slot, gen, answer);
+                    continue;
+                }
+                Inline::Forward(forward) => {
+                    if !self.admit(slot, gen, &forward.request) {
+                        continue;
+                    }
+                    let conn = self.conns.get(slot, gen).expect("checked live above");
+                    conn.forwarding = true;
+                    let (id, _) = self.forwards.put(Pending {
+                        client: (slot, gen),
+                        forward,
+                        attempt: None,
+                    });
+                    self.step(id, None);
+                    continue;
+                }
+                Inline::Pool(request) => request,
+            };
+            // Heavy: admission control, then detach to the pool.
+            if !self.admit(slot, gen, &request) {
+                continue;
+            }
+            let conn = self.conns.remove(slot).expect("checked live above");
+            self.core.stats.open.fetch_sub(1, Ordering::Relaxed);
+            let _ = self.epoll.del(conn.stream.as_raw_fd());
+            let _ = conn.stream.set_nonblocking(false);
+            let _ = conn.stream.set_write_timeout(Some(WORKER_WRITE_TIMEOUT));
+            let pending_out = conn.outbox[conn.out_pos..].to_vec();
+            let job = Job {
+                stream: conn.stream,
+                pending_out,
+                inbox: conn.inbox,
+                request,
+                enqueued: Instant::now(),
+            };
+            if self.job_tx.send(job).is_err() {
+                // Workers are gone (shutdown): the connection just
+                // closes.
+                self.core.queued.fetch_sub(1, Ordering::SeqCst);
+            }
+            return Advanced::Detached;
         }
-        let idle = now.duration_since(conn.last_activity);
-        if !conn.inbox.is_empty() {
-            if idle > core.request_timeout {
-                core.stats.request_timeouts.fetch_add(1, Ordering::Relaxed);
-                let error = incomplete_error(&conn.inbox, true);
-                let bytes = service.wire_error(&error);
-                conn.outbox.extend_from_slice(&bytes);
+    }
+
+    /// Takes an admission-queue place for a forward or a pool job; when
+    /// the queue is full, queues the 429 instead and returns false.
+    fn admit(&mut self, slot: usize, gen: u32, request: &Request) -> bool {
+        let core = &self.core;
+        let admitted = core
+            .queued
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| {
+                (q < core.queue_depth).then_some(q + 1)
+            })
+            .is_ok();
+        if !admitted {
+            core.stats.shed.fetch_add(1, Ordering::Relaxed);
+            let mut answer = self.service.shed(request);
+            answer.keep_alive &= request.keep_alive;
+            self.queue_answer(slot, gen, answer);
+        }
+        admitted
+    }
+
+    /// Appends an answer to the connection's outbox.
+    fn queue_answer(&mut self, slot: usize, gen: u32, answer: FastAnswer) {
+        if let Some(conn) = self.conns.get(slot, gen) {
+            conn.outbox.extend_from_slice(&answer.bytes);
+            if !answer.keep_alive {
                 conn.closing = true;
                 conn.inbox.clear();
-                flush(slot, slab, epoll, core);
             }
-        } else if conn.outbox.len() == conn.out_pos && idle > core.idle_timeout {
-            core.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-            close_conn(slot, slab, core);
+        }
+    }
+
+    /// Writes as much of the outbox as the socket accepts, registering for
+    /// `EPOLLOUT` when it fills and closing once a draining connection is
+    /// done.
+    fn flush(&mut self, slot: usize) {
+        let gen = self.conns.gens[slot];
+        let should_close = {
+            let Some(conn) = self.conns.get(slot, gen) else {
+                return;
+            };
+            loop {
+                if conn.out_pos >= conn.outbox.len() {
+                    conn.outbox.clear();
+                    conn.out_pos = 0;
+                    if !conn.closing && conn.interest & EPOLLOUT != 0 {
+                        let want = conn.interest & !EPOLLOUT;
+                        if self
+                            .epoll
+                            .modify(conn.stream.as_raw_fd(), want, token(slot, gen))
+                            .is_ok()
+                        {
+                            conn.interest = want;
+                        }
+                    }
+                    break conn.closing; // a drained draining conn closes
+                }
+                match conn.stream.write(&conn.outbox[conn.out_pos..]) {
+                    Ok(0) => break true,
+                    Ok(n) => {
+                        conn.out_pos += n;
+                        conn.last_activity = Instant::now();
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        let want = conn.interest | EPOLLOUT;
+                        if conn.interest != want
+                            && self
+                                .epoll
+                                .modify(conn.stream.as_raw_fd(), want, token(slot, gen))
+                                .is_ok()
+                        {
+                            conn.interest = want;
+                        }
+                        break false;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => break true,
+                }
+            }
+        };
+        if should_close {
+            self.close_conn(slot);
+        }
+    }
+
+    fn reattach_from_mailbox(&mut self) {
+        let drained = {
+            let mut inbox = self.core.mailbox.inbox.lock().expect("mailbox lock");
+            std::mem::take(&mut *inbox)
+        };
+        for re in drained {
+            if self.core.shutdown.load(Ordering::SeqCst) {
+                continue; // dropping the stream closes it
+            }
+            if re.stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let Some((slot, gen)) = self.attach(re.stream, re.inbox) else {
+                continue;
+            };
+            // The carried inbox may already hold complete pipelined
+            // requests: serve them now rather than waiting for more bytes.
+            match self.advance(slot, gen) {
+                Advanced::Attached => self.flush(slot),
+                Advanced::Detached | Advanced::Closed => {}
+            }
+        }
+    }
+
+    /// Closes idle keep-alive connections and answers 408 to connections
+    /// stalled mid-request. A connection waiting on a loop forward is
+    /// neither: its upstream deadline bounds the wait.
+    fn sweep_timeouts(&mut self) {
+        let now = Instant::now();
+        for slot in self.conns.live_slots() {
+            let Some(conn) = self.conns.slots[slot].as_mut() else {
+                continue;
+            };
+            if conn.forwarding {
+                continue;
+            }
+            if conn.closing {
+                // A draining connection whose peer never reads: give it
+                // the request timeout, then drop it.
+                if now.duration_since(conn.last_activity) > self.core.request_timeout {
+                    self.close_conn(slot);
+                }
+                continue;
+            }
+            let idle = now.duration_since(conn.last_activity);
+            if !conn.inbox.is_empty() {
+                if idle > self.core.request_timeout {
+                    self.core
+                        .stats
+                        .request_timeouts
+                        .fetch_add(1, Ordering::Relaxed);
+                    let error = incomplete_error(&conn.inbox, true);
+                    let bytes = self.service.wire_error(&error);
+                    conn.outbox.extend_from_slice(&bytes);
+                    conn.closing = true;
+                    conn.inbox.clear();
+                    self.flush(slot);
+                }
+            } else if conn.outbox.len() == conn.out_pos && idle > self.core.idle_timeout {
+                self.core.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
+                self.close_conn(slot);
+            }
+        }
+    }
+
+    /// Asks the service what forward `id` does next — with the reply of
+    /// the attempt that just ended, if any — and does it: starts the
+    /// next attempt, or queues the answer. Returns the client whose
+    /// answer was queued: its pipelined requests may go next (the
+    /// caller resumes it, so a pipeline of forwards that answer at once
+    /// never recurses).
+    fn step(&mut self, id: usize, mut reply: Option<Reply>) -> Option<(usize, u32)> {
+        loop {
+            let gen = self.forwards.gens[id];
+            let pending = self.forwards.get(id, gen)?;
+            let forward = &mut pending.forward;
+            match self
+                .service
+                .forward(&forward.request, &mut forward.state, reply.take())
+            {
+                Next::Attempt(upstream) => match self.attempt(id, upstream) {
+                    Ok(()) => return None,
+                    Err(failed) => reply = Some(failed),
+                },
+                Next::Answer(answer) => {
+                    let pending = self.forwards.remove(id).expect("live above");
+                    self.core.queued.fetch_sub(1, Ordering::SeqCst);
+                    let (slot, gen) = pending.client;
+                    // A client that went away leaves the answer moot.
+                    let conn = self.conns.get(slot, gen)?;
+                    conn.forwarding = false;
+                    conn.last_activity = Instant::now();
+                    if !conn.eof && conn.interest & EPOLLIN == 0 {
+                        let want = conn.interest | EPOLLIN | EPOLLRDHUP;
+                        if self
+                            .epoll
+                            .modify(conn.stream.as_raw_fd(), want, token(slot, gen))
+                            .is_ok()
+                        {
+                            conn.interest = want;
+                        }
+                    }
+                    self.queue_answer(slot, gen, answer);
+                    return Some((slot, gen));
+                }
+            }
+        }
+    }
+
+    /// Starts one attempt of forward `id`: writes its request on a
+    /// parked link to the upstream, or opens a fresh one. A failure
+    /// that needs no waiting (a refused connect, a write to a closed
+    /// link) comes back as the attempt's reply.
+    fn attempt(&mut self, id: usize, upstream: Upstream) -> Result<(), Reply> {
+        let started = Instant::now();
+        let failed = |reused, message, closed_early| Reply {
+            index: upstream.index,
+            reused,
+            started,
+            ended: Instant::now(),
+            result: Err(RequestError {
+                message,
+                closed_early,
+            }),
+        };
+        if self.parked.len() <= upstream.index {
+            self.parked.resize_with(upstream.index + 1, Vec::new);
+        }
+        let parked = if upstream.fresh {
+            None
+        } else {
+            self.parked[upstream.index].pop()
+        };
+        let reused = parked.is_some();
+        let (slot, connected) = match parked {
+            Some(slot) => (slot, true),
+            None => self
+                .open_link(&upstream)
+                .map_err(|message| failed(false, message, false))?,
+        };
+        let gen = self.links.gens[slot];
+        let link = self.links.get(slot, gen).expect("live link");
+        link.forward = Some((id, self.forwards.gens[id]));
+        link.timeouts = upstream.timeouts;
+        link.sent = 0;
+        link.inbox.clear();
+        if !connected {
+            self.set_deadline(slot, upstream.timeouts.connect);
+        } else if let Err((message, closed_early)) = self.send(slot) {
+            self.links.remove(slot);
+            return Err(failed(reused, message, closed_early));
+        }
+        let gen = self.forwards.gens[id];
+        if let Some(pending) = self.forwards.get(id, gen) {
+            pending.attempt = Some((upstream.index, reused, started));
+        }
+        Ok(())
+    }
+
+    /// Opens and registers a fresh link to `upstream`. Returns its slot
+    /// and whether it is connected already.
+    fn open_link(&mut self, upstream: &Upstream) -> Result<(usize, bool), String> {
+        let addr = upstream.addr;
+        let (stream, connected) =
+            connect_nonblocking(&addr).map_err(|e| format!("connecting {addr}: {e}"))?;
+        let _ = stream.set_nodelay(true);
+        let fd = stream.as_raw_fd();
+        let (slot, _) = self.links.put(Link {
+            stream,
+            index: upstream.index,
+            addr,
+            phase: Phase::Connecting,
+            sent: 0,
+            inbox: Vec::new(),
+            interest: EPOLLOUT,
+            deadline: None,
+            timeouts: upstream.timeouts,
+            forward: None,
+        });
+        let tok = token(slot | LINK_BIT, self.links.gens[slot]);
+        if let Err(e) = self.epoll.add(fd, EPOLLOUT, tok) {
+            self.links.remove(slot);
+            return Err(format!("polling {addr}: {e}"));
+        }
+        Ok((slot, connected))
+    }
+
+    /// Registers `want` for link `slot` (no syscall when unchanged).
+    fn arm(&mut self, slot: usize, want: u32) {
+        let gen = self.links.gens[slot];
+        if let Some(link) = self.links.get(slot, gen) {
+            if link.interest != want
+                && self
+                    .epoll
+                    .modify(link.stream.as_raw_fd(), want, token(slot | LINK_BIT, gen))
+                    .is_ok()
+            {
+                link.interest = want;
+            }
+        }
+    }
+
+    /// Sets link `slot`'s deadline `limit` from now (`None`: unbounded).
+    fn set_deadline(&mut self, slot: usize, limit: Option<Duration>) {
+        let gen = self.links.gens[slot];
+        let deadline = limit.map(|l| Instant::now() + l);
+        if let Some(link) = self.links.get(slot, gen) {
+            link.deadline = deadline;
+        }
+        if let Some(d) = deadline {
+            self.next_deadline = Some(self.next_deadline.map_or(d, |n| n.min(d)));
+        }
+    }
+
+    /// Events on link `slot`.
+    fn link_ready(&mut self, slot: usize, gen: u32, ready: u32) {
+        let Some(link) = self.links.get(slot, gen) else {
+            return; // stale event for a closed link
+        };
+        match link.phase {
+            Phase::Parked if ready & (EPOLLERR | EPOLLHUP) != 0 => {
+                // Reset while idle: nothing to reuse.
+                let index = link.index;
+                self.parked[index].retain(|&s| s != slot);
+                self.links.remove(slot);
+            }
+            // The upstream closed an idle link (or spoke out of turn):
+            // stop watching it. If it is reused, the closed read makes
+            // that attempt stale, and the service's staleness rule
+            // retries it on a fresh connection.
+            Phase::Parked => self.arm(slot, 0),
+            Phase::Connecting => match link.stream.take_error() {
+                Ok(None) if ready & (EPOLLERR | EPOLLHUP) == 0 => self.resume_send(slot),
+                result => {
+                    let error = match result {
+                        Ok(Some(e)) | Err(e) => e.to_string(),
+                        Ok(None) => "connection failed".to_owned(),
+                    };
+                    let message = format!("connecting {}: {error}", link.addr);
+                    self.fail_link(slot, message, false);
+                }
+            },
+            Phase::Sending => self.resume_send(slot),
+            Phase::Receiving => self.receive(slot),
+        }
+    }
+
+    /// Writes the owning forward's request on link `slot`. `Err` is a
+    /// write failure, and whether the peer had closed the link.
+    fn send(&mut self, slot: usize) -> Result<(), (String, bool)> {
+        let gen = self.links.gens[slot];
+        let Some(link) = self.links.get(slot, gen) else {
+            return Ok(());
+        };
+        let Some(pending) = link.forward.and_then(|(id, g)| self.forwards.get(id, g)) else {
+            return Ok(());
+        };
+        let bytes = &pending.forward.upstream;
+        link.phase = Phase::Sending;
+        while link.sent < bytes.len() {
+            match link.stream.write(&bytes[link.sent..]) {
+                Ok(n) => link.sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    let write = link.timeouts.write;
+                    self.arm(slot, EPOLLOUT);
+                    self.set_deadline(slot, write);
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err((format!("sending request: {e}"), peer_closed(&e))),
+            }
+        }
+        link.phase = Phase::Receiving;
+        let read = link.timeouts.read;
+        self.arm(slot, EPOLLIN | EPOLLRDHUP);
+        self.set_deadline(slot, read);
+        Ok(())
+    }
+
+    /// [`EventLoop::send`] once the link is writable again.
+    fn resume_send(&mut self, slot: usize) {
+        if let Err((message, closed_early)) = self.send(slot) {
+            self.fail_link(slot, message, closed_early);
+        }
+    }
+
+    /// Reads link `slot`'s answer; once it is whole, parks the link and
+    /// hands the answer to the forward.
+    fn receive(&mut self, slot: usize) {
+        let gen = self.links.gens[slot];
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            let Some(link) = self.links.get(slot, gen) else {
+                return;
+            };
+            match link.stream.read(&mut buf) {
+                Ok(0) => {
+                    let early = link.inbox.is_empty();
+                    let message = if early {
+                        "connection closed before the response"
+                    } else {
+                        "connection closed mid-response"
+                    };
+                    self.fail_link(slot, message.to_owned(), early);
+                    return;
+                }
+                Ok(n) => {
+                    link.inbox.extend_from_slice(&buf[..n]);
+                    match parse_response(&link.inbox) {
+                        Ok(Some((response, consumed, keep_alive))) => {
+                            let reusable = keep_alive && consumed == link.inbox.len();
+                            self.answered(slot, response, reusable);
+                            return;
+                        }
+                        Ok(None) => {
+                            let read = link.timeouts.read;
+                            self.set_deadline(slot, read);
+                        }
+                        Err(e) => {
+                            self.fail_link(slot, format!("bad response: {}", e.message), false);
+                            return;
+                        }
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    let early = link.inbox.is_empty() && peer_closed(&e);
+                    self.fail_link(slot, format!("reading response: {e}"), early);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Link `slot` holds a whole answer: park (or close) the link, then
+    /// let its forward judge the answer.
+    fn answered(&mut self, slot: usize, response: Response, reusable: bool) {
+        let gen = self.links.gens[slot];
+        let Some(link) = self.links.get(slot, gen) else {
+            return;
+        };
+        let owner = link.forward.take();
+        link.phase = Phase::Parked;
+        link.deadline = None;
+        link.inbox.clear();
+        let index = link.index;
+        if reusable && self.parked[index].len() < MAX_IDLE {
+            self.parked[index].push(slot);
+        } else {
+            self.links.remove(slot);
+        }
+        if let Some(owner) = owner {
+            self.reply(owner, Ok(response));
+        }
+    }
+
+    /// Closes link `slot` after a failure and reports it to its forward.
+    fn fail_link(&mut self, slot: usize, message: String, closed_early: bool) {
+        let Some(link) = self.links.remove(slot) else {
+            return;
+        };
+        if let Some(owner) = link.forward {
+            self.reply(
+                owner,
+                Err(RequestError {
+                    message,
+                    closed_early,
+                }),
+            );
+        }
+    }
+
+    /// Ends the current attempt of forward `owner` with `result`.
+    fn reply(&mut self, (id, gen): (usize, u32), result: Result<Response, RequestError>) {
+        let Some(pending) = self.forwards.get(id, gen) else {
+            return;
+        };
+        let Some((index, reused, started)) = pending.attempt.take() else {
+            return;
+        };
+        let reply = Reply {
+            index,
+            reused,
+            started,
+            ended: Instant::now(),
+            result,
+        };
+        if let Some((slot, gen)) = self.step(id, Some(reply)) {
+            // Requests pipelined behind the forward go next.
+            if let Advanced::Attached = self.advance(slot, gen) {
+                self.flush(slot);
+            }
+        }
+    }
+
+    /// Fails every in-flight link whose deadline has passed.
+    fn expire_links(&mut self) {
+        let now = Instant::now();
+        self.next_deadline = None;
+        for slot in self.links.live_slots() {
+            let Some(link) = self.links.slots[slot].as_ref() else {
+                continue;
+            };
+            match link.deadline {
+                Some(d) if d <= now => {
+                    let limit = match link.phase {
+                        Phase::Connecting => link.timeouts.connect,
+                        Phase::Sending => link.timeouts.write,
+                        _ => link.timeouts.read,
+                    };
+                    let ms = limit.map_or(0, |l| l.as_millis());
+                    let what = match link.phase {
+                        Phase::Connecting => "no connection",
+                        Phase::Sending => "request not sent",
+                        _ => "no response",
+                    };
+                    self.fail_link(slot, format!("{what} within {ms} ms"), false);
+                }
+                Some(d) => self.next_deadline = Some(self.next_deadline.map_or(d, |n| n.min(d))),
+                None => {}
+            }
         }
     }
 }

@@ -33,6 +33,30 @@ impl Response {
     }
 }
 
+/// Why one request on a connection failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestError {
+    /// What went wrong, naming the phase (`sending request: ...`).
+    pub message: String,
+    /// The peer closed or reset the connection before the first byte of
+    /// an answer (see [`peer_closed`]). A deadline, a refused connect
+    /// or a malformed answer is never this. On a reused keep-alive
+    /// connection it means the connection went stale, not the server.
+    pub closed_early: bool,
+}
+
+/// Whether an I/O error means the peer closed or reset the connection
+/// (as opposed to a deadline passing or a local failure). Every client
+/// of a keep-alive connection — the blocking [`Connection`] and the
+/// gateway's event loop — classifies with this one rule.
+pub fn peer_closed(error: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+    matches!(
+        error.kind(),
+        BrokenPipe | ConnectionAborted | ConnectionReset | UnexpectedEof
+    )
+}
+
 /// Connect/read/write deadlines for a [`Connection`]. A dead or wedged
 /// server must never hang a caller forever: every phase of a request has
 /// a bound (`None` disables that bound, for callers that really do want
@@ -140,8 +164,41 @@ impl Connection {
         headers: &[(&str, &str)],
         body: Option<&str>,
     ) -> Result<Response, String> {
-        self.send_request_with(method, path, headers, body)?;
+        self.exchange(method, path, headers, body)
+            .map_err(|e| e.message)
+    }
+
+    /// [`Connection::request_with`], telling a connection the peer
+    /// closed before answering ([`RequestError::closed_early`]) apart
+    /// from every other failure.
+    pub fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: Option<&str>,
+    ) -> Result<Response, RequestError> {
+        let mut out = Vec::new();
+        encode_request(&mut out, method, path, headers, body);
+        let failed = |message: String, closed_early| RequestError {
+            message,
+            closed_early,
+        };
+        if let Err(e) = self.stream.write_all(&out) {
+            return Err(failed(format!("sending request: {e}"), peer_closed(&e)));
+        }
+        // The first response byte is the line between a connection that
+        // closed before answering and one that failed mid-answer.
+        match self.reader.fill_buf() {
+            Ok([]) => {
+                let message = "connection closed before the response".to_owned();
+                return Err(failed(message, true));
+            }
+            Ok(_) => {}
+            Err(e) => return Err(failed(format!("reading status line: {e}"), peer_closed(&e))),
+        }
         self.read_response()
+            .map_err(|message| failed(message, false))
     }
 
     /// Issues a request expecting a **streamed** (chunked NDJSON)
@@ -236,18 +293,8 @@ impl Connection {
     }
 
     fn send_request(&mut self, method: &str, path: &str, body: Option<&str>) -> Result<(), String> {
-        self.send_request_with(method, path, &[], body)
-    }
-
-    fn send_request_with(
-        &mut self,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: Option<&str>,
-    ) -> Result<(), String> {
         let mut out = Vec::new();
-        encode_request(&mut out, method, path, headers, body);
+        encode_request(&mut out, method, path, &[], body);
         self.stream
             .write_all(&out)
             .map_err(|e| format!("sending request: {e}"))
@@ -275,9 +322,9 @@ impl Connection {
     }
 }
 
-/// Appends one serialized request to `out` (the unit both single
-/// writes and pipelined batches are built from).
-fn encode_request(
+/// Appends one serialized request to `out` (the unit single writes,
+/// pipelined batches and the gateway's loop forwards are built from).
+pub fn encode_request(
     out: &mut Vec<u8>,
     method: &str,
     path: &str,

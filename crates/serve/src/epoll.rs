@@ -1,14 +1,16 @@
 //! Thin wrappers over the raw Linux `epoll` and `eventfd` syscalls.
 //!
-//! No external crates: `std` already links libc, so the four symbols
-//! the event loop needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//! `eventfd`) are declared here directly. Both wrappers own their file
+//! No external crates: `std` already links libc, so the symbols the
+//! event loop needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
+//! `eventfd`, and `socket` + `connect` for upstream connects that must
+//! not block) are declared here directly. Both wrappers own their file
 //! descriptor and close it on drop. Linux-only by construction — the
 //! serve tier targets the same x86_64 Linux hosts the benchmarks and
 //! CI run on.
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{FromRawFd, RawFd};
 
 /// `EPOLLIN`: the fd is readable.
 pub(crate) const EPOLLIN: u32 = 0x001;
@@ -27,6 +29,12 @@ const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+const SOCK_STREAM: i32 = 1;
+const SOCK_NONBLOCK: i32 = 0o4000;
+const SOCK_CLOEXEC: i32 = 0o2000000;
+const EINPROGRESS: i32 = 115;
 
 /// One readiness event: a bitmask of `EPOLL*` flags plus the opaque
 /// token registered with the fd. Layout matches the kernel's
@@ -72,6 +80,54 @@ extern "C" {
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+    fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
+}
+
+/// Starts a TCP connect to `addr` without blocking. Returns the socket
+/// (non-blocking, close-on-exec) and whether it is already connected;
+/// otherwise the connect completes when the socket turns writable, and
+/// [`TcpStream::take_error`] then tells how it ended. `std` only offers
+/// connects that block the caller, which the event loop must never do.
+pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
+    // `struct sockaddr_in` / `sockaddr_in6`: family (host order), port
+    // (network order), then the address.
+    let mut raw = [0u8; 28];
+    raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            raw[4..8].copy_from_slice(&a.ip().octets());
+            (AF_INET, 16)
+        }
+        SocketAddr::V6(a) => {
+            raw[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
+            raw[8..24].copy_from_slice(&a.ip().octets());
+            raw[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (AF_INET6, 28)
+        }
+    };
+    raw[0..2].copy_from_slice(&family.to_ne_bytes());
+    let fd = unsafe {
+        socket(
+            i32::from(family),
+            SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+            0,
+        )
+    };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // The stream owns the fd from here on, so every path closes it.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    if unsafe { connect(fd, raw.as_ptr(), len) } == 0 {
+        return Ok((stream, true));
+    }
+    let error = io::Error::last_os_error();
+    if error.raw_os_error() == Some(EINPROGRESS) {
+        Ok((stream, false))
+    } else {
+        Err(error)
+    }
 }
 
 /// An epoll instance (level-triggered readiness queries).
@@ -222,6 +278,39 @@ mod tests {
         drop(conn);
         let mut buf = [0u8; 4];
         client.read_exact(&mut buf).ok();
+    }
+
+    #[test]
+    fn nonblocking_connect_completes_on_writable_or_fails_named() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (stream, connected) = connect_nonblocking(&listener.local_addr().unwrap()).unwrap();
+        if !connected {
+            let ep = Epoll::new().unwrap();
+            ep.add(stream.as_raw_fd(), EPOLLOUT, 3).unwrap();
+            let mut events = [Event {
+                events: 0,
+                token: 0,
+            }; 2];
+            assert_eq!(ep.wait(&mut events, 2_000).unwrap(), 1);
+        }
+        assert!(stream.take_error().unwrap().is_none());
+        let (mut accepted, _) = listener.accept().unwrap();
+        (&stream).write_all(b"hi").unwrap();
+        let mut buf = [0u8; 2];
+        accepted.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"hi");
+
+        // A refused port fails at once or once the socket turns writable.
+        let dead = listener.local_addr().unwrap();
+        drop((listener, accepted, stream));
+        match connect_nonblocking(&dead) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused),
+            Ok((stream, _)) => {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                let error = stream.take_error().unwrap().expect("refused");
+                assert_eq!(error.kind(), io::ErrorKind::ConnectionRefused);
+            }
+        }
     }
 
     #[test]

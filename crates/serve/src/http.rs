@@ -1,5 +1,5 @@
-//! A minimal, dependency-free HTTP/1.1 wire layer: request parsing with
-//! hard size limits and JSON response writing.
+//! A minimal, dependency-free HTTP/1.1 wire layer: request and
+//! response parsing with hard size limits, and JSON response writing.
 //!
 //! This is deliberately a small subset of HTTP — exactly what
 //! `mcdla-serve` speaks (see `docs/protocol.md`): `GET`/`POST`,
@@ -15,8 +15,12 @@
 //! re-parsed as a pipelined request. Keep-alive follows a strict
 //! version table (see [`parse_request`]); anything that is not a known
 //! `HTTP/1.x` version is served conservatively or refused.
+//! [`parse_response`] is its twin for the gateway's non-blocking
+//! upstream connections.
 
 use std::io::Write;
+
+use crate::client::Response;
 
 /// Maximum accepted request-head size (request line + headers).
 pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -94,19 +98,9 @@ impl WireError {
 /// `Content-Length` headers and non-numeric lengths are 400, any
 /// `Transfer-Encoding` (chunked included) is 501.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> {
-    let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
-    let Some(head_len) = find_head_end(window) else {
-        if buf.len() >= MAX_HEAD_BYTES {
-            return Err(WireError::new(
-                431,
-                format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit"),
-            ));
-        }
-        return Ok(None); // incomplete head: keep reading
+    let Some((head, body_start)) = split_head(buf, "request")? else {
+        return Ok(None);
     };
-    let head = std::str::from_utf8(&buf[..head_len])
-        .map_err(|_| WireError::new(400, "request head is not valid utf-8"))?;
-
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
@@ -124,6 +118,89 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> 
             format!("malformed request line `{request_line}`"),
         ));
     }
+    let framing = framing(version, lines)?;
+    let total = body_start + framing.content_length;
+    if buf.len() < total {
+        return Ok(None); // body still arriving
+    }
+    Ok(Some((
+        Request {
+            method: method.to_owned(),
+            path: path.to_owned(),
+            body: buf[body_start..total].to_vec(),
+            keep_alive: framing.keep_alive,
+            headers: framing.headers,
+        },
+        total,
+    )))
+}
+
+/// The response-side twin of [`parse_request`], for a client reading
+/// answers off a non-blocking socket: the same head and body limits,
+/// the same keep-alive table and the same framing rules, so a
+/// `Transfer-Encoding` answer is refused rather than misread. Returns
+/// `Ok(Some((response, consumed, keep_alive)))` once a whole response
+/// is buffered; `keep_alive` says whether the connection may carry
+/// another request.
+pub fn parse_response(buf: &[u8]) -> Result<Option<(Response, usize, bool)>, WireError> {
+    let Some((head, body_start)) = split_head(buf, "response")? else {
+        return Ok(None);
+    };
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or("");
+    let mut parts = status_line.split(' ');
+    let (Some(version), Some(status)) = (parts.next(), parts.next()) else {
+        return Err(WireError::new(
+            400,
+            format!("malformed status line `{status_line}`"),
+        ));
+    };
+    let status: u16 = status
+        .parse()
+        .map_err(|_| WireError::new(400, format!("malformed status line `{status_line}`")))?;
+    let framing = framing(version, lines)?;
+    let total = body_start + framing.content_length;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    let body = String::from_utf8(buf[body_start..total].to_vec())
+        .map_err(|_| WireError::new(400, "response body is not valid utf-8"))?;
+    let response = Response {
+        status,
+        body,
+        headers: framing.headers,
+    };
+    Ok(Some((response, total, framing.keep_alive)))
+}
+
+/// The head at the front of `buf` (without its blank line) and the
+/// offset its body starts at; `None` while the head is still arriving.
+fn split_head<'b>(buf: &'b [u8], what: &str) -> Result<Option<(&'b str, usize)>, WireError> {
+    let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
+    let Some(head_len) = find_head_end(window) else {
+        if buf.len() >= MAX_HEAD_BYTES {
+            return Err(WireError::new(
+                431,
+                format!("{what} head exceeds the {MAX_HEAD_BYTES}-byte limit"),
+            ));
+        }
+        return Ok(None); // incomplete head: keep reading
+    };
+    let head = std::str::from_utf8(&buf[..head_len])
+        .map_err(|_| WireError::new(400, format!("{what} head is not valid utf-8")))?;
+    Ok(Some((head, head_len + 4)))
+}
+
+/// What a message head says about its own framing.
+struct Framing {
+    headers: Vec<(String, String)>,
+    content_length: usize,
+    keep_alive: bool,
+}
+
+/// Reads the header `lines` of a message in protocol `version`, under
+/// the keep-alive table and framing rules [`parse_request`] documents.
+fn framing<'h>(version: &str, lines: impl Iterator<Item = &'h str>) -> Result<Framing, WireError> {
     // The keep-alive version table. Unknown HTTP/1.x minors are served
     // conservatively: one response, then close — their keep-alive
     // semantics are not ours to guess.
@@ -197,23 +274,11 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> 
             _ => {}
         }
     }
-
-    let content_length = content_length.unwrap_or(0);
-    let body_start = head_len + 4;
-    let total = body_start + content_length;
-    if buf.len() < total {
-        return Ok(None); // body still arriving
-    }
-    Ok(Some((
-        Request {
-            method: method.to_owned(),
-            path: path.to_owned(),
-            body: buf[body_start..total].to_vec(),
-            keep_alive,
-            headers,
-        },
-        total,
-    )))
+    Ok(Framing {
+        headers,
+        content_length: content_length.unwrap_or(0),
+        keep_alive,
+    })
 }
 
 /// The error to answer when the peer stopped sending (EOF or timeout)
@@ -533,6 +598,45 @@ mod tests {
         let (req2, consumed2) = parse_request(&wire[consumed..]).unwrap().unwrap();
         assert_eq!(req2.path, "/healthz");
         assert_eq!(consumed + consumed2, wire.len());
+    }
+
+    #[test]
+    fn response_parse_is_incremental_and_bounded() {
+        let wire = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nconnection: keep-alive\r\n\r\n{}";
+        for cut in 0..wire.len() {
+            assert!(parse_response(&wire[..cut]).unwrap().is_none(), "{cut}");
+        }
+        let (resp, consumed, keep_alive) = parse_response(wire).unwrap().unwrap();
+        assert_eq!((resp.status, resp.body.as_str()), (200, "{}"));
+        assert_eq!(resp.header("Content-Length"), Some("2"));
+        assert_eq!((consumed, keep_alive), (wire.len(), true));
+        // The request side's keep-alive table and framing rules hold.
+        let close = b"HTTP/1.1 502 Bad Gateway\r\nconnection: close\r\n\r\n";
+        let (resp, _, keep_alive) = parse_response(close).unwrap().unwrap();
+        assert_eq!((resp.status, keep_alive), (502, false));
+        let http10 = b"HTTP/1.0 200 OK\r\n\r\n";
+        assert!(!parse_response(http10).unwrap().unwrap().2);
+        for bad in [
+            &b"HTTP/1.1 2x0 OK\r\n\r\n"[..],
+            b"HTTP/2 200 OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 1\r\ncontent-length: 2\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 1\r\n\r\n\xff",
+        ] {
+            assert!(
+                parse_response(bad).is_err(),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+        let huge = format!(
+            "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        assert_eq!(parse_response(huge.as_bytes()).unwrap_err().status, 413);
+        let mut head = b"HTTP/1.1 200 OK\r\n".to_vec();
+        head.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 8));
+        assert_eq!(parse_response(&head).unwrap_err().status, 431);
     }
 
     #[test]

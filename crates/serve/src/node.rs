@@ -8,9 +8,9 @@
 //!   slow-request threshold, and the history rings with their sampler;
 //! * the request lifecycle, on the loop thread and the pool alike: the
 //!   request id, the trace scope, one `catch_unwind` around every
-//!   handler (fast, heavy, or streamed), error counting, the `?trace=1`
-//!   graft, the wide event, and the response write — plus the 429
-//!   shed, the wire-error answer, and the streamed-grid framing;
+//!   handler (fast, forwarded, heavy, or streamed), error counting, the
+//!   `?trace=1` graft, the wide event, and the response write — plus
+//!   the 429 shed, the wire-error answer, and the streamed-grid framing;
 //! * the shared routes: `GET /healthz`, `GET /metrics`,
 //!   `GET /metrics/history`, `GET /debug/requests`,
 //!   `GET /debug/trace/<id>`, and the 404/405 fallbacks, along with
@@ -29,7 +29,10 @@ use mcdla_obs::{
 };
 use serde::{Deserialize, Value};
 
-use crate::accept::{spawn_event_loop, FastAnswer, LoopConfig, LoopHandle, LoopStats, Service};
+use crate::accept::{
+    spawn_event_loop, FastAnswer, Forward, Inline, LoopConfig, LoopHandle, LoopStats, Next, Reply,
+    Service, Upstream,
+};
 use crate::http::{
     error_body, finish_chunked, query_flag, query_param, split_target, write_chunk,
     write_chunked_head_with, write_response_with, Request, WireError,
@@ -67,17 +70,33 @@ pub trait Tier: Send + Sync + Sized + 'static {
     /// The tier's own routes.
     const ROUTES: &'static [Route];
 
+    /// Per-request state of a forward the event loop runs for the tier
+    /// ([`Fast::Forward`]); a tier that never forwards uses
+    /// [`std::convert::Infallible`].
+    type Forward;
+
     /// The tier's metric families (the shell declares its own).
     fn metrics() -> Vec<Metric<Node<Self>>>;
 
     /// Fields the tier adds to `GET /healthz`.
     fn health(&self, _fields: &mut Vec<(String, Value)>) {}
 
-    /// Answers one of [`Tier::ROUTES`] on the loop thread, or `None` to
-    /// send it to the worker pool.
-    fn fast(_node: &Node<Self>, _call: &Call) -> Option<Outcome> {
+    /// Answers one of [`Tier::ROUTES`] on the loop thread, or hands the
+    /// loop an upstream forward, or `None` to send it to the worker
+    /// pool.
+    fn fast(_node: &Node<Self>, _call: &Call) -> Option<Fast<Self::Forward>> {
         None
     }
+
+    /// Drives a loop forward one attempt at a time: called once with no
+    /// reply, then with the reply of each attempt it asked for. `trace`
+    /// is the request's trace, detached from the loop thread.
+    fn forward(
+        node: &Node<Self>,
+        forward: &mut Self::Forward,
+        reply: Option<Reply>,
+        trace: &mut TraceScope,
+    ) -> Step;
 
     /// Answers one of [`Tier::ROUTES`] on a pool thread.
     fn heavy(node: &Node<Self>, call: &Call) -> Outcome;
@@ -141,6 +160,41 @@ impl Outcome {
         let body = trace::graft_json(&error_body(message), "request_id", Value::Str(rid.into()));
         Outcome::json(status, body)
     }
+}
+
+/// What a tier's loop-thread handler made of a request.
+#[derive(Debug)]
+pub enum Fast<F> {
+    /// Answered inline.
+    Answer(Outcome),
+    /// Forwarded upstream by the event loop, which never blocks on it:
+    /// the request bytes to send (the same on every attempt), and the
+    /// tier's state for [`Tier::forward`].
+    Forward {
+        /// The serialized upstream request.
+        upstream: Vec<u8>,
+        /// The tier's per-forward state.
+        state: F,
+    },
+}
+
+/// What a loop forward does next.
+#[derive(Debug)]
+pub enum Step {
+    /// Make this upstream attempt.
+    Attempt(Upstream),
+    /// Answer the client.
+    Answer(Outcome),
+}
+
+/// A loop forward's shell state: the request id, the detached trace,
+/// and the tier's own state.
+#[derive(Debug)]
+pub(crate) struct Forwarding<F> {
+    rid: String,
+    /// `None` once answered.
+    scope: Option<TraceScope>,
+    tier: F,
 }
 
 /// How `POST /grid?stream=1` ended.
@@ -218,7 +272,7 @@ pub struct Call<'a> {
     /// The request id: propagated when well-formed, else generated.
     pub rid: String,
     /// Whether the client asked for the span tree (`?trace=1`).
-    pub(crate) traced: bool,
+    pub traced: bool,
     /// How long the request waited for a pool thread, in microseconds.
     queue_us: u64,
     endpoint: usize,
@@ -409,6 +463,11 @@ impl<T: Tier> Node<T> {
     }
 
     fn call<'a>(&self, request: &'a Request) -> Call<'a> {
+        self.call_as(request, trace::request_trace_id(request))
+    }
+
+    /// [`Node::call`] for a request whose id is already known.
+    fn call_as<'a>(&self, request: &'a Request, rid: String) -> Call<'a> {
         let (path, query) = split_target(&request.path);
         let routes = SHARED_ROUTES.iter().map(|r| (r, Resolved::Shared));
         let routes = routes.chain(T::ROUTES.iter().map(|r| (r, Resolved::Tier)));
@@ -433,7 +492,7 @@ impl<T: Tier> Node<T> {
             request,
             path,
             query,
-            rid: trace::request_trace_id(request),
+            rid,
             traced: query_flag(query, "trace"),
             queue_us: 0,
             endpoint: T::ENDPOINTS
@@ -453,24 +512,24 @@ impl<T: Tier> Node<T> {
         self.count(T::ENDPOINTS.len());
     }
 
-    /// Routes a request. On the loop thread a tier route may decline
-    /// (`None`) to take the pool. Every request reaches the loop thread
-    /// first, so a matched route counts toward its endpoint there, once,
-    /// before its handler runs.
-    fn route(&self, call: &Call, on_loop: bool) -> Option<Outcome> {
+    /// Routes a request. On the loop thread a tier route may forward it
+    /// upstream, or decline (`None`) to take the pool. Every request
+    /// reaches the loop thread first, so a matched route counts toward
+    /// its endpoint there, once, before its handler runs.
+    fn route(&self, call: &Call, on_loop: bool) -> Option<Fast<T::Forward>> {
         if on_loop && matches!(call.resolved, Resolved::Shared | Resolved::Tier) {
             self.count(call.endpoint);
         }
-        Some(match call.resolved {
+        Some(Fast::Answer(match call.resolved {
             Resolved::Shared => self.shared(call),
-            Resolved::Tier if on_loop => T::fast(self, call)?,
+            Resolved::Tier if on_loop => return T::fast(self, call),
             Resolved::Tier => T::heavy(self, call),
             Resolved::WrongMethod("GET") => Outcome::error(405, "use GET on this endpoint"),
             Resolved::WrongMethod(_) => {
                 Outcome::error(405, "use POST with a JSON body on this endpoint")
             }
             Resolved::NotFound => Outcome::error(404, &format!("no such endpoint `{}`", call.path)),
-        })
+        }))
     }
 
     fn shared(&self, call: &Call) -> Outcome {
@@ -697,13 +756,59 @@ impl<T: Tier> Node<T> {
 }
 
 impl<T: Tier> Service for Node<T> {
-    fn fast(&self, request: &Request) -> Option<FastAnswer> {
-        let call = self.call(request);
-        let scope = TraceScope::begin();
-        let outcome = guarded(|| self.route(&call, true)).unwrap_or_else(Some)?;
+    type Forward = Forwarding<T::Forward>;
+
+    fn fast(&self, request: Request) -> Inline<Self::Forward> {
+        let call = self.call(&request);
+        let mut scope = TraceScope::begin();
+        let fast = match guarded(|| self.route(&call, true)) {
+            Ok(Some(fast)) => fast,
+            Ok(None) => return Inline::Pool(request),
+            Err(outcome) => Fast::Answer(outcome),
+        };
+        match fast {
+            Fast::Answer(outcome) => {
+                let mut bytes = Vec::new();
+                self.respond(&call, scope, outcome, &[], &[], &mut bytes);
+                Inline::Answer(FastAnswer {
+                    bytes,
+                    keep_alive: call.keep_alive,
+                })
+            }
+            Fast::Forward { upstream, state } => {
+                // The loop serves other connections while this request
+                // waits upstream: its trace must not hold the thread.
+                scope.detach();
+                let state = Forwarding {
+                    rid: call.rid,
+                    scope: Some(scope),
+                    tier: state,
+                };
+                Inline::Forward(Forward {
+                    request,
+                    upstream,
+                    state,
+                })
+            }
+        }
+    }
+
+    fn forward(&self, request: &Request, fwd: &mut Self::Forward, reply: Option<Reply>) -> Next {
+        let scope = fwd
+            .scope
+            .as_mut()
+            .expect("a forward's trace is open until it answers");
+        let tier = &mut fwd.tier;
+        let step = guarded(|| T::forward(self, tier, reply, scope)).unwrap_or_else(Step::Answer);
+        let outcome = match step {
+            Step::Attempt(upstream) => return Next::Attempt(upstream),
+            Step::Answer(outcome) => outcome,
+        };
+        let call = self.call_as(request, std::mem::take(&mut fwd.rid));
+        let scope = fwd.scope.take().expect("open until now");
         let mut bytes = Vec::new();
         self.respond(&call, scope, outcome, &[], &[], &mut bytes);
-        Some(FastAnswer {
+        Next::Answer(FastAnswer {
             bytes,
             keep_alive: call.keep_alive,
         })
@@ -718,9 +823,10 @@ impl<T: Tier> Service for Node<T> {
         if request.method == "POST" && call.path == "/grid" && query_flag(call.query, "stream") {
             return self.stream(&call, scope, writer);
         }
-        let outcome = guarded(|| self.route(&call, false))
-            .unwrap_or_else(Some)
-            .expect("pool routes always answer");
+        let outcome = match guarded(|| self.route(&call, false)) {
+            Ok(Some(Fast::Answer(outcome))) | Err(outcome) => outcome,
+            Ok(_) => unreachable!("pool routes always answer"),
+        };
         let computed = outcome.computed_cells;
         let wrote = self.respond(&call, scope, outcome, &[], &[], writer);
         if let Some(cells @ 1..) = computed {

@@ -20,7 +20,8 @@ use serde::{Deserialize, Serialize, Value};
 use crate::accept::{LoopConfig, QUEUE_DEPTH};
 use crate::metrics::{Metric, Reading, Series};
 use crate::node::{
-    self, BoundNode, Call, CellStream, Node, NodeHandle, Outcome, Route, StreamOutcome, Tier,
+    self, BoundNode, Call, CellStream, Fast, Node, NodeHandle, Outcome, Route, Step, StreamOutcome,
+    Tier,
 };
 
 /// Largest grid one buffered `POST /grid` request may expand to.
@@ -269,6 +270,7 @@ impl Tier for Worker {
         ("POST", "/simulate", "simulate"),
         ("POST", "/grid", "grid"),
     ];
+    type Forward = std::convert::Infallible;
 
     fn metrics() -> Vec<Metric<Node<Self>>> {
         type M = Metric<Node<Worker>>;
@@ -359,20 +361,25 @@ impl Tier for Worker {
     /// Answers inline when nothing about the request needs the pool:
     /// `/stats`, malformed `/simulate` bodies, and resident cache hits.
     /// A `/simulate` miss and every `/grid` take the pool.
-    fn fast(node: &Node<Self>, call: &Call) -> Option<Outcome> {
-        match call.path {
-            "/stats" => Some(Outcome::ok(serde::json::to_string_pretty(&stats_value(
-                node,
-            )))),
-            "/simulate" => {
-                let scenario = match node::scenario(&call.request.body) {
-                    Ok(s) => s,
-                    Err(outcome) => return Some(outcome),
-                };
-                node.tier.cached_simulate(scenario, call.traced)
-            }
-            _ => None,
-        }
+    fn fast(node: &Node<Self>, call: &Call) -> Option<Fast<Self::Forward>> {
+        let outcome = match call.path {
+            "/stats" => Outcome::ok(serde::json::to_string_pretty(&stats_value(node))),
+            "/simulate" => match node::scenario(&call.request.body) {
+                Ok(scenario) => node.tier.cached_simulate(scenario, call.traced)?,
+                Err(outcome) => outcome,
+            },
+            _ => return None,
+        };
+        Some(Fast::Answer(outcome))
+    }
+
+    fn forward(
+        _: &Node<Self>,
+        forward: &mut Self::Forward,
+        _: Option<crate::accept::Reply>,
+        _: &mut mcdla_obs::TraceScope,
+    ) -> Step {
+        match *forward {}
     }
 
     fn heavy(node: &Node<Self>, call: &Call) -> Outcome {
