@@ -107,6 +107,7 @@ pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, b
         }
     };
     raw[0..2].copy_from_slice(&family.to_ne_bytes());
+    // SAFETY: `socket` takes plain integers and returns a new fd or -1.
     let fd = unsafe {
         socket(
             i32::from(family),
@@ -117,8 +118,12 @@ pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, b
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }
-    // The stream owns the fd from here on, so every path closes it.
+    // SAFETY: `fd` is a stream socket this call just opened and nothing
+    // else owns, so the stream may own (and finally close) it.
     let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    // SAFETY: `raw` holds a `sockaddr_in` (16 bytes) or `sockaddr_in6`
+    // (28 bytes) laid out as above, `len` is that size, and the kernel
+    // only reads it during the call.
     if unsafe { connect(fd, raw.as_ptr(), len) } == 0 {
         return Ok((stream, true));
     }
