@@ -169,10 +169,10 @@ impl GatewayHandle {
     }
 
     /// Stops the event loop and worker pool and joins every thread
-    /// (including the prober). Responses in flight on the pool finish
-    /// first; every connection the loop holds closes immediately — idle
-    /// keep-alive ones, and those whose `/simulate` the loop is still
-    /// forwarding — so no thread is parked in a blocking read anywhere.
+    /// (including the prober). In-flight responses finish first, on the
+    /// pool and on the loop alike (a loop forward's attempt may run to
+    /// its deadline); idle keep-alive connections close immediately — the
+    /// loop owns them, so no thread is parked in a blocking read anywhere.
     pub fn shutdown(self) {
         self.running.shutdown();
         if let Some(p) = self.prober {

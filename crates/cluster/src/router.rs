@@ -5,7 +5,7 @@
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use mcdla_obs::{Histogram, Span, TraceScope};
 use mcdla_serve::accept::{Reply, Upstream};
@@ -39,9 +39,9 @@ pub struct WorkerState {
     pool: WorkerPool,
     /// `gateway.upstream.N`: the span of one forward attempt to it.
     span: String,
-    /// Its socket address, resolved off the event loop (at start, or by
-    /// a later probe).
-    resolved: OnceLock<SocketAddr>,
+    /// Every socket address its name resolves to, in lookup order:
+    /// resolved off the event loop, at start and again by each probe.
+    resolved: RwLock<Arc<[SocketAddr]>>,
     up: AtomicBool,
     /// Requests this worker answered (any status).
     pub answered: AtomicU64,
@@ -59,7 +59,7 @@ impl WorkerState {
         let worker = WorkerState {
             pool: WorkerPool::new(addr, timeouts),
             span: format!("gateway.upstream.{index}"),
-            resolved: OnceLock::new(),
+            resolved: RwLock::new(Arc::from([])),
             // Optimistic start: a worker is presumed up until a request
             // or probe says otherwise, so a fleet serves immediately.
             up: AtomicBool::new(true),
@@ -72,25 +72,26 @@ impl WorkerState {
         worker
     }
 
-    /// Resolves the worker's address once it resolves (a blocking name
-    /// lookup: never on the event loop).
+    /// Looks the worker's name up again (a blocking lookup: never on the
+    /// event loop). A lookup that finds nothing keeps the last answer.
     fn resolve(&self) {
-        if self.resolved.get().is_none() {
-            let found = self
-                .addr()
-                .to_socket_addrs()
-                .ok()
-                .and_then(|mut a| a.next());
-            if let Some(addr) = found {
-                let _ = self.resolved.set(addr);
-            }
+        let found: Vec<SocketAddr> = match self.addr().to_socket_addrs() {
+            Ok(addrs) => addrs.collect(),
+            Err(_) => return,
+        };
+        if !found.is_empty() {
+            *self.resolved.write().expect("resolved lock") = found.into();
         }
     }
 
-    /// The resolved socket address the event loop connects to.
-    fn socket_addr(&self) -> Result<SocketAddr, String> {
-        let addr = self.resolved.get().copied();
-        addr.ok_or_else(|| format!("resolving {}: no address yet", self.addr()))
+    /// The addresses the event loop connects to, tried in turn as a
+    /// blocking connect tries them.
+    fn socket_addrs(&self) -> Result<Arc<[SocketAddr]>, String> {
+        let addrs = self.resolved.read().expect("resolved lock").clone();
+        if addrs.is_empty() {
+            return Err(format!("resolving {}: no address yet", self.addr()));
+        }
+        Ok(addrs)
     }
 
     /// The worker's address.
@@ -314,17 +315,17 @@ impl Router {
     }
 
     /// Where the event loop sends `failover`'s next attempt: the worker,
-    /// its address, and whether it needs a fresh connection. A worker
+    /// its addresses, and whether it needs a fresh connection. A worker
     /// whose name has not resolved yet fails its turn. `None` once the
     /// chain is exhausted.
     pub(crate) fn next_upstream(&self, failover: &mut Failover) -> Option<Upstream> {
         loop {
             let (index, fresh) = failover.next()?;
-            match self.workers[index].socket_addr() {
-                Ok(addr) => {
+            match self.workers[index].socket_addrs() {
+                Ok(addrs) => {
                     return Some(Upstream {
                         index,
-                        addr,
+                        addrs,
                         fresh,
                         timeouts: self.timeouts,
                     })
@@ -563,6 +564,22 @@ mod tests {
         );
         assert_eq!(router.retries(), 0, "a deadline is no stale connection");
         assert!(!router.workers()[0].is_up());
+        stop.store(true, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn a_probe_looks_the_name_up_again() {
+        let (live, stop) = stub_worker(200, "{\"status\":\"ok\"}");
+        let port = live.rsplit(':').next().unwrap().to_owned();
+        let router = Router::new([format!("localhost:{port}")], Timeouts::default()).unwrap();
+        let worker = &router.workers()[0];
+        let found = worker.socket_addrs().unwrap();
+        assert!(found.iter().all(|a| a.port().to_string() == port));
+        // The address moved since the last lookup; the next probe sees it.
+        let moved: SocketAddr = refusing_addr().parse().unwrap();
+        *worker.resolved.write().unwrap() = Arc::from([moved]);
+        assert!(router.probe(0));
+        assert_eq!(worker.socket_addrs().unwrap(), found);
         stop.store(true, Ordering::Relaxed);
     }
 

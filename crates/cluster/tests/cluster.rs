@@ -1305,6 +1305,43 @@ fn a_stale_upstream_connection_costs_one_retry_and_no_failover() {
 }
 
 #[test]
+fn a_backend_named_by_host_name_is_reached_on_the_loop() {
+    let worker = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let gateway = mcdla_cluster::Gateway::bind(&mcdla_cluster::GatewayConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        backends: vec![format!("localhost:{}", worker.addr().port())],
+        probe_interval: None,
+        ..mcdla_cluster::GatewayConfig::default()
+    })
+    .expect("bind gateway")
+    .spawn()
+    .expect("spawn gateway");
+    let body = scenario_json(&Scenario::new(
+        SystemDesign::DcDla,
+        Benchmark::AlexNet,
+        ParallelStrategy::ModelParallel,
+    ));
+    let mut conn = Connection::open(&gateway.addr().to_string()).unwrap();
+    for _ in 0..3 {
+        let resp = conn.request("POST", "/simulate", Some(&body)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    let state = &gateway.router().workers()[0];
+    assert!(state.is_up());
+    assert_eq!(state.failures.load(Ordering::Relaxed), 0);
+    gateway.shutdown();
+    worker.shutdown();
+}
+
+#[test]
 fn pipelined_forwards_answer_in_request_order() {
     let fleet = fleet(1);
     let cold = slow_cell(2048);

@@ -91,13 +91,6 @@ const WORKER_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// and each gateway pool alike. One released beyond this is closed.
 pub const MAX_IDLE: usize = 16;
 
-/// How long the loop keeps polling for upstream answers before it
-/// sleeps in `epoll_wait`, while forwards are in flight. A worker
-/// answers a cached cell in about this long on a 2-vCPU host; a loop
-/// that sleeps instead pays a wakeup for every answer, and the worker's
-/// write pays for waking it. The loop yields its CPU between polls.
-const FORWARD_POLL: Duration = Duration::from_micros(30);
-
 /// A response the event loop can send without leaving the loop thread.
 #[derive(Debug)]
 pub(crate) struct FastAnswer {
@@ -131,13 +124,14 @@ pub(crate) enum Inline<F> {
 }
 
 /// One upstream attempt of a loop forward: where the request goes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Upstream {
     /// The service's index for this upstream (a gateway worker index);
     /// parked links are kept per index, and the reply names it.
     pub index: usize,
-    /// Where to connect, resolved off the loop thread.
-    pub addr: SocketAddr,
+    /// Where to connect, resolved off the loop thread: a fresh link tries
+    /// each address in turn until one connects.
+    pub addrs: Arc<[SocketAddr]>,
     /// Open a new connection rather than reuse a parked one.
     pub fresh: bool,
     /// Connect, write and read deadlines for this attempt.
@@ -313,9 +307,10 @@ impl std::fmt::Debug for LoopHandle {
 
 impl LoopHandle {
     /// Stops the loop and workers: new connections stop being
-    /// accepted, attached connections close, queued heavy requests
-    /// drain through the pool (in-flight responses finish), then every
-    /// thread joins.
+    /// accepted, idle attached connections close, queued heavy requests
+    /// drain through the pool (in-flight responses finish), forwards on
+    /// the loop answer (each attempt in flight may run to its deadline),
+    /// then every thread joins.
     pub(crate) fn shutdown(self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
         self.core.mailbox.waker.wake();
@@ -423,9 +418,11 @@ enum Phase {
 /// One loop-owned keep-alive connection to an upstream.
 struct Link {
     stream: TcpStream,
-    /// The upstream index it is parked under, and its address.
+    /// The upstream index it is parked under.
     index: usize,
-    addr: SocketAddr,
+    /// The upstream's addresses, and which one `stream` connects to.
+    addrs: Arc<[SocketAddr]>,
+    at: usize,
     phase: Phase,
     /// Request bytes written so far.
     sent: usize,
@@ -554,6 +551,12 @@ struct EventLoop<S: Service> {
     forwards: Slab<Pending<S::Forward>>,
     /// No in-flight link's deadline is earlier than this.
     next_deadline: Option<Instant>,
+    /// Shutdown began: nothing is accepted or parsed, and each
+    /// connection closes after its forward's answer.
+    draining: bool,
+    /// The loop exits by then even with forwards in flight (`None`:
+    /// once they answer).
+    drain_by: Option<Instant>,
 }
 
 fn run_loop<S: Service>(
@@ -601,6 +604,8 @@ fn run_loop<S: Service>(
         parked: Vec::new(),
         forwards: Slab::new(),
         next_deadline: None,
+        draining: false,
+        drain_by: None,
     };
     let mut events = vec![
         Event {
@@ -615,38 +620,23 @@ fn run_loop<S: Service>(
         .clamp(Duration::from_millis(25), Duration::from_millis(500));
     let mut last_sweep = Instant::now();
 
-    loop {
-        // Poll briefly while forwards wait on upstream answers; then
-        // sleep until the nearest upstream deadline or the next sweep.
-        let mut polled = 0;
-        if el.forwards.len() > 0 {
-            let polling = Instant::now();
-            loop {
-                polled = el.epoll.wait(&mut events, 0).unwrap_or(0);
-                if polled > 0 || polling.elapsed() >= FORWARD_POLL {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
+    while !el.exiting(&listener) {
+        // Sleep until the nearest upstream deadline or the next sweep.
         let wait = el.next_deadline.map_or(sweep_every, |d| {
             d.saturating_duration_since(Instant::now()).min(sweep_every)
         });
-        let n = match polled {
-            0 => match el.epoll.wait(&mut events, wait.as_millis() as i32 + 1) {
-                Ok(n) => n,
-                Err(e) => {
-                    mcdla_obs::log::error(
-                        "serve",
-                        "epoll_wait_failed",
-                        &[("error", e.to_string().into())],
-                    );
-                    break;
-                }
-            },
-            n => n,
+        let n = match el.epoll.wait(&mut events, wait.as_millis() as i32 + 1) {
+            Ok(n) => n,
+            Err(e) => {
+                mcdla_obs::log::error(
+                    "serve",
+                    "epoll_wait_failed",
+                    &[("error", e.to_string().into())],
+                );
+                break;
+            }
         };
-        if el.core.shutdown.load(Ordering::SeqCst) {
+        if el.exiting(&listener) {
             break;
         }
         for event in events.iter().take(n) {
@@ -665,7 +655,7 @@ fn run_loop<S: Service>(
                         continue; // stale event for a recycled slot
                     }
                     if ready & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-                        el.read_ready(slot, gen);
+                        el.read_ready(slot, gen, ready);
                     }
                     if ready & EPOLLOUT != 0 {
                         if let Some(conn) = el.conns.get(slot, gen) {
@@ -689,7 +679,8 @@ fn run_loop<S: Service>(
         }
     }
     // Teardown: dropping the loop closes every attached connection and
-    // link. Queued jobs drain through the workers; mailbox
+    // link, and a forward still in flight past `drain_by` goes
+    // unanswered. Queued jobs drain through the workers; mailbox
     // re-attachments arriving after this point are dropped (closed) by
     // the workers noticing the shutdown flag.
 }
@@ -721,6 +712,40 @@ impl<S: Service> EventLoop<S> {
         }
     }
 
+    /// Whether the loop should stop: once shutdown begins (which starts
+    /// the [drain](Self::drain)), when every connection left has been
+    /// answered and closed, or the drain's bound has passed.
+    fn exiting(&mut self, listener: &TcpListener) -> bool {
+        if !self.core.shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        if !self.draining {
+            self.drain(listener);
+        }
+        self.conns.len() == 0 || self.drain_by.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Shutdown began: stops accepting, closes every connection that is
+    /// not waiting on a forward (the others close once their answer is
+    /// written), and gives the forwards in flight until their attempts'
+    /// deadlines.
+    fn drain(&mut self, listener: &TcpListener) {
+        self.draining = true;
+        let _ = self.epoll.del(listener.as_raw_fd());
+        for slot in self.conns.live_slots() {
+            if self.conns.slots[slot]
+                .as_ref()
+                .is_some_and(|c| !c.forwarding)
+            {
+                self.close_conn(slot);
+            }
+        }
+        let in_flight = self.links.slots.iter().flatten();
+        self.drain_by = in_flight
+            .filter(|link| link.forward.is_some())
+            .try_fold(Instant::now(), |by, link| Some(by.max(link.deadline?)));
+    }
+
     /// Inserts a connection into the slab and registers it with epoll;
     /// returns its `(slot, gen)` when that worked.
     fn attach(&mut self, stream: TcpStream, inbox: Vec<u8>) -> Option<(usize, u32)> {
@@ -742,10 +767,17 @@ impl<S: Service> EventLoop<S> {
         }
     }
 
-    fn read_ready(&mut self, slot: usize, gen: u32) {
+    fn read_ready(&mut self, slot: usize, gen: u32, ready: u32) {
         let Some(conn) = self.conns.get(slot, gen) else {
             return;
         };
+        if conn.forwarding && ready & (EPOLLERR | EPOLLHUP) != 0 {
+            // The client reset or hung up while its forward is in flight:
+            // the answer is moot. Reads may be disarmed (full inbox, EOF),
+            // so no read would ever see the reset.
+            self.close_conn(slot);
+            return;
+        }
         let mut buf = [0u8; 16 * 1024];
         loop {
             if conn.closing
@@ -911,11 +943,12 @@ impl<S: Service> EventLoop<S> {
         admitted
     }
 
-    /// Appends an answer to the connection's outbox.
+    /// Appends an answer to the connection's outbox. A draining loop
+    /// closes the connection after it.
     fn queue_answer(&mut self, slot: usize, gen: u32, answer: FastAnswer) {
         if let Some(conn) = self.conns.get(slot, gen) {
             conn.outbox.extend_from_slice(&answer.bytes);
-            if !answer.keep_alive {
+            if !answer.keep_alive || self.draining {
                 conn.closing = true;
                 conn.inbox.clear();
             }
@@ -1137,15 +1170,14 @@ impl<S: Service> EventLoop<S> {
     /// Opens and registers a fresh link to `upstream`. Returns its slot
     /// and whether it is connected already.
     fn open_link(&mut self, upstream: &Upstream) -> Result<(usize, bool), String> {
-        let addr = upstream.addr;
-        let (stream, connected) =
-            connect_nonblocking(&addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-        let _ = stream.set_nodelay(true);
+        let addrs = upstream.addrs.clone();
+        let (stream, at, connected) = connect_from(&addrs, 0, "no address".to_owned())?;
         let fd = stream.as_raw_fd();
         let (slot, _) = self.links.put(Link {
             stream,
             index: upstream.index,
-            addr,
+            addrs,
+            at,
             phase: Phase::Connecting,
             sent: 0,
             inbox: Vec::new(),
@@ -1157,9 +1189,38 @@ impl<S: Service> EventLoop<S> {
         let tok = token(slot | LINK_BIT, self.links.gens[slot]);
         if let Err(e) = self.epoll.add(fd, EPOLLOUT, tok) {
             self.links.remove(slot);
-            return Err(format!("polling {addr}: {e}"));
+            return Err(format!("polling {}: {e}", upstream.addrs[at]));
         }
         Ok((slot, connected))
+    }
+
+    /// Fresh link `slot` failed to connect with `error`: moves it on to
+    /// the upstream's next address, as a blocking connect would, or fails
+    /// the attempt once none is left.
+    fn reconnect(&mut self, slot: usize, error: String) {
+        let gen = self.links.gens[slot];
+        let Some(link) = self.links.get(slot, gen) else {
+            return;
+        };
+        let (stream, at, connected) = match connect_from(&link.addrs, link.at + 1, error) {
+            Ok(next) => next,
+            Err(error) => return self.fail_link(slot, error, false),
+        };
+        let tok = token(slot | LINK_BIT, gen);
+        if let Err(e) = self.epoll.add(stream.as_raw_fd(), EPOLLOUT, tok) {
+            let message = format!("polling {}: {e}", link.addrs[at]);
+            return self.fail_link(slot, message, false);
+        }
+        // Dropping the failed stream closes it and ends its polling.
+        link.stream = stream;
+        link.at = at;
+        link.interest = EPOLLOUT;
+        if connected {
+            self.resume_send(slot);
+        } else {
+            let connect = link.timeouts.connect;
+            self.set_deadline(slot, connect);
+        }
     }
 
     /// Registers `want` for link `slot` (no syscall when unchanged).
@@ -1213,8 +1274,8 @@ impl<S: Service> EventLoop<S> {
                         Ok(Some(e)) | Err(e) => e.to_string(),
                         Ok(None) => "connection failed".to_owned(),
                     };
-                    let message = format!("connecting {}: {error}", link.addr);
-                    self.fail_link(slot, message, false);
+                    let message = format!("connecting {}: {error}", link.addrs[link.at]);
+                    self.reconnect(slot, message);
                 }
             },
             Phase::Sending => self.resume_send(slot),
@@ -1392,13 +1453,39 @@ impl<S: Service> EventLoop<S> {
                         Phase::Sending => "request not sent",
                         _ => "no response",
                     };
-                    self.fail_link(slot, format!("{what} within {ms} ms"), false);
+                    let message = format!("{what} within {ms} ms");
+                    if link.phase == Phase::Connecting {
+                        self.reconnect(slot, message);
+                    } else {
+                        self.fail_link(slot, message, false);
+                    }
                 }
                 Some(d) => self.next_deadline = Some(self.next_deadline.map_or(d, |n| n.min(d))),
                 None => {}
             }
         }
     }
+}
+
+/// Starts a connect to the first of `addrs[from..]` that does not fail at
+/// once. Returns the stream, its address's position, and whether it is
+/// connected already; or, when every address fails, the last error
+/// (`error` when there is none left to try).
+fn connect_from(
+    addrs: &[SocketAddr],
+    from: usize,
+    mut error: String,
+) -> Result<(TcpStream, usize, bool), String> {
+    for (at, addr) in addrs.iter().enumerate().skip(from) {
+        match connect_nonblocking(addr) {
+            Ok((stream, connected)) => {
+                let _ = stream.set_nodelay(true);
+                return Ok((stream, at, connected));
+            }
+            Err(e) => error = format!("connecting {addr}: {e}"),
+        }
+    }
+    Err(error)
 }
 
 fn run_worker<S: Service>(
@@ -1504,5 +1591,218 @@ mod tests {
         ] {
             assert_eq!(untoken(token(slot, gen)), (slot, gen));
         }
+    }
+
+    /// Forwards every `POST` to `addrs` and answers anything else inline:
+    /// the loop's forward path with no gateway around it.
+    struct Relay {
+        addrs: Arc<[SocketAddr]>,
+        read: Duration,
+    }
+
+    fn answer(status: u16, body: &str) -> FastAnswer {
+        let n = body.len();
+        let bytes = format!("HTTP/1.1 {status} X\r\ncontent-length: {n}\r\n\r\n{body}");
+        FastAnswer {
+            bytes: bytes.into_bytes(),
+            keep_alive: true,
+        }
+    }
+
+    impl Service for Relay {
+        type Forward = ();
+
+        fn fast(&self, request: Request) -> Inline<()> {
+            if request.method != "POST" {
+                return Inline::Answer(answer(200, "inline"));
+            }
+            let mut upstream = Vec::new();
+            crate::client::encode_request(&mut upstream, "POST", "/x", &[], Some("{}"));
+            Inline::Forward(Forward {
+                request,
+                upstream,
+                state: (),
+            })
+        }
+
+        fn forward(&self, _: &Request, _: &mut (), reply: Option<Reply>) -> Next {
+            let Some(reply) = reply else {
+                return Next::Attempt(Upstream {
+                    index: 0,
+                    addrs: self.addrs.clone(),
+                    fresh: false,
+                    timeouts: Timeouts {
+                        read: Some(self.read),
+                        ..Timeouts::default()
+                    },
+                });
+            };
+            Next::Answer(match reply.result {
+                Ok(r) => answer(r.status, &r.body),
+                Err(e) => answer(502, &e.message),
+            })
+        }
+
+        fn handle(&self, _: &Request, _: &mut TcpStream, _: Duration) -> bool {
+            false
+        }
+
+        fn shed(&self, _: &Request) -> FastAnswer {
+            answer(429, "")
+        }
+
+        fn wire_error(&self, _: &WireError) -> Vec<u8> {
+            answer(400, "").bytes
+        }
+    }
+
+    /// A loop running [`Relay`] to `addrs`: its address, its counters
+    /// and its handle.
+    fn relay(addrs: Vec<SocketAddr>, read: Duration) -> (SocketAddr, Arc<LoopStats>, LoopHandle) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stats = Arc::new(LoopStats::default());
+        let config = LoopConfig {
+            workers: 1,
+            queue_depth: 8,
+            idle_timeout: Duration::from_secs(30),
+            request_timeout: Duration::from_secs(30),
+        };
+        let service = Arc::new(Relay {
+            addrs: addrs.into(),
+            read,
+        });
+        let handle = spawn_event_loop(listener, service, &config, stats.clone()).unwrap();
+        (addr, stats, handle)
+    }
+
+    const UP: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nup";
+
+    /// An upstream answering `200 up` to each request.
+    fn upstream() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for mut stream in listener.incoming().flatten() {
+                std::thread::spawn(move || {
+                    let mut buf = [0u8; 4096];
+                    while let Ok(1..) = stream.read(&mut buf) {
+                        let _ = stream.write_all(UP);
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    /// An address nothing listens on.
+    fn refused() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+    }
+
+    const POST: &[u8] = b"POST /x HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}";
+
+    /// Sends `POST` on a fresh connection, half-closes it, and reads
+    /// everything the loop writes before it closes.
+    fn post_and_read(addr: SocketAddr) -> String {
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(POST).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut text = String::new();
+        client.read_to_string(&mut text).unwrap();
+        text
+    }
+
+    #[test]
+    fn a_fresh_link_tries_each_upstream_address_until_one_connects() {
+        let (dead, live) = (refused(), upstream());
+        let (addr, _, handle) = relay(vec![dead, live], Duration::from_secs(5));
+        // A half-closed client still gets its answer, then the close.
+        let text = post_and_read(addr);
+        assert!(
+            text.starts_with("HTTP/1.1 200 ") && text.ends_with("up"),
+            "{text}"
+        );
+        handle.shutdown();
+
+        let other = refused();
+        let (addr, _, handle) = relay(vec![dead, other], Duration::from_secs(5));
+        let text = post_and_read(addr);
+        assert!(text.starts_with("HTTP/1.1 502 "), "{text}");
+        assert!(text.contains(&format!("connecting {other}")), "{text}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_client_reset_mid_forward_closes_even_with_a_full_inbox() {
+        // Bound but never accepted: connects, and never answers.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = silent.local_addr().unwrap();
+        let (addr, stats, handle) = relay(vec![upstream], Duration::from_secs(30));
+        let mut client = TcpStream::connect(addr).unwrap();
+        // An inline answer the client never reads (so closing resets the
+        // connection), then a forward, then bytes until a write stalls:
+        // the inbox is full and the loop has stopped reading.
+        let mut bytes = b"GET / HTTP/1.1\r\n\r\n".to_vec();
+        bytes.extend_from_slice(POST);
+        client.write_all(&bytes).unwrap();
+        client
+            .set_write_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        let filler = vec![b'x'; 64 * 1024];
+        while client.write_all(&filler).is_ok() {}
+        assert_eq!(stats.open(), 1);
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while stats.open() != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the reset connection stayed open"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        handle.shutdown();
+        drop(silent);
+    }
+
+    #[test]
+    fn shutdown_lets_a_loop_forward_answer() {
+        // An upstream that reports each request, then answers on cue.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = listener.local_addr().unwrap();
+        let (asked, request_seen) = mpsc::channel();
+        let (cue, answer_now) = mpsc::channel::<()>();
+        let stub = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 4096];
+            assert!(stream.read(&mut buf).unwrap() > 0);
+            asked.send(()).unwrap();
+            answer_now.recv().unwrap();
+            stream.write_all(UP).unwrap();
+        });
+        let (addr, _, handle) = relay(vec![upstream], Duration::from_secs(5));
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        let mut inline = answer(200, "inline").bytes;
+        idle.read_exact(&mut inline).unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(POST).unwrap();
+        request_seen.recv().unwrap();
+        let stopping = std::thread::spawn(move || handle.shutdown());
+        // The drain has begun once it closes the idle connection; only
+        // then does the upstream answer the forward in flight.
+        assert_eq!(idle.read(&mut inline).unwrap(), 0);
+        cue.send(()).unwrap();
+        let mut text = String::new();
+        client.read_to_string(&mut text).unwrap();
+        assert!(
+            text.starts_with("HTTP/1.1 200 ") && text.ends_with("up"),
+            "{text}"
+        );
+        stopping.join().unwrap();
+        stub.join().unwrap();
     }
 }

@@ -972,9 +972,9 @@ impl<T: Tier> NodeHandle<T> {
     }
 
     /// Stops the sampler, the event loop, and the worker pool, joining
-    /// every thread. Responses in flight on the pool finish first;
-    /// connections attached to the loop (idle keep-alive ones, and any
-    /// waiting on a loop forward) close immediately.
+    /// every thread. In-flight responses finish first, on the pool and on
+    /// the loop alike (a loop forward's attempt may run to its deadline);
+    /// idle keep-alive connections close immediately.
     pub fn shutdown(self) {
         self.node.shutdown.store(true, Ordering::SeqCst);
         if let Some(sampler) = self.sampler {
