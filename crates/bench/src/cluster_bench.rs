@@ -152,9 +152,9 @@ fn hot_path(workers: usize, threads: usize, per_thread: usize) -> Vec<Metric> {
 }
 
 /// Floor of `w1.gateway_over_direct`. Ten runs of the loop forward on
-/// a 2-vCPU host read 0.52–0.61, with lower ends 0.42–0.54; with a
+/// a 2-vCPU host read 0.48–0.61, with lower ends 0.44–0.56; with a
 /// 30 µs spin added to each forward (cached req/s through the gateway
-/// 45k → 19k) it read 0.24–0.26, with upper ends at most 0.31.
+/// 37–48k → 17–19k) it read 0.25–0.29, with upper ends at most 0.32.
 const GATEWAY_OVER_DIRECT_FLOOR: f64 = 0.35;
 
 /// Capacity pressure: a 1-worker and a 4-worker fleet with bounded
