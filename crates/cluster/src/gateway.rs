@@ -4,12 +4,13 @@
 //! scatter-gather `POST /grid` (buffered and `?stream=1`), and the
 //! `GET /cluster/stats` and `GET /cluster/history` aggregations.
 //!
-//! `POST /simulate` is forwarded by the event loop itself, over its own
-//! non-blocking upstream connections, with no thread hand-off. Every
-//! other route that talks to a backend — grids, `/cluster/*`, and
-//! `?trace=1` forwards, which fetch the worker's sub-trace — detaches to
-//! the bounded worker pool. Both share one admission queue (429 beyond
-//! it); the shell's own routes answer on the loop thread.
+//! `POST /simulate`, traced or not, is forwarded by the event loop
+//! itself, over its own non-blocking upstream connections, with no
+//! thread hand-off. Every other route that talks to a backend — grids
+//! and `/cluster/*` — detaches to the bounded worker pool, where each
+//! call opens its own blocking connection. Both share one admission
+//! queue (429 beyond it); the shell's own routes answer on the loop
+//! thread.
 
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -43,9 +44,9 @@ pub struct GatewayConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
     /// Worker-pool size: concurrent blocking gateway→fleet round trips
-    /// (scatters, stats scrapes, traced forwards). Untraced
-    /// `/simulate` forwards and client connection I/O are not bounded
-    /// by this — the event loop multiplexes both.
+    /// (grid scatters and `/cluster/*` scrapes). `/simulate` forwards
+    /// and client connection I/O are not bounded by this — the event
+    /// loop multiplexes both.
     pub threads: usize,
     /// Worker addresses (`host:port`), in stable index order.
     pub backends: Vec<String>,
@@ -201,12 +202,13 @@ fn probe_loop(node: &Node<Fleet>, interval: Duration) {
     }
 }
 
-/// An untraced `POST /simulate` the event loop forwards: the failover
-/// walk, and the request id its 502 names.
+/// A `POST /simulate` the event loop forwards: the failover walk, the
+/// request id its 502 names, and whether the client asked for a trace.
 #[derive(Debug)]
 struct LoopForward {
     failover: Failover,
     rid: String,
+    traced: bool,
 }
 
 /// Per-worker samples, labeled by worker address.
@@ -246,7 +248,7 @@ impl Tier for Fleet {
             .series(Series::Each("fleet.failovers_per_s")),
             M::counter(
                 "mcdla_gateway_retries_total",
-                "Stale pooled-connection retries across all workers.",
+                "Stale upstream-link retries across all workers.",
                 |n| Reading::value(n.tier.router.retries() as f64),
             )
             .stats("retries")
@@ -293,12 +295,11 @@ impl Tier for Fleet {
         fields.push(("workers_up".into(), Value::U64(up)));
     }
 
-    /// Validates an untraced `/simulate` (the same 400s a worker would
-    /// answer) and hands it to the event loop to forward. A traced one
-    /// takes the pool: its answer grafts the worker's sub-trace, fetched
-    /// with a blocking call.
+    /// Validates a `/simulate` (the same 400s a worker would answer)
+    /// and hands it to the event loop to forward. A traced one asks the
+    /// worker for its trace too, under the same request id.
     fn fast(node: &Node<Self>, call: &Call) -> Option<Fast<LoopForward>> {
-        if call.path != "/simulate" || call.traced {
+        if call.path != "/simulate" {
             return None;
         }
         let key = match simulate_key(&call.request.body) {
@@ -313,15 +314,24 @@ impl Tier for Fleet {
         let mut upstream = Vec::new();
         let rid = call.rid.as_str();
         let headers = [(REQUEST_ID_HEADER, rid)];
-        encode_request(&mut upstream, "POST", "/simulate", &headers, Some(text));
-        let rid = rid.to_owned();
-        let state = LoopForward { failover, rid };
+        let path = if call.traced {
+            "/simulate?trace=1"
+        } else {
+            "/simulate"
+        };
+        encode_request(&mut upstream, "POST", path, &headers, Some(text));
+        let state = LoopForward {
+            failover,
+            rid: rid.to_owned(),
+            traced: call.traced,
+        };
         Some(Fast::Forward { upstream, state })
     }
 
     /// Judges each attempt's reply under the failover policy and names
-    /// the next worker to try; a worker's answer passes through
-    /// byte-for-byte.
+    /// the next worker to try. A worker's answer passes through
+    /// byte-for-byte, except that a traced answer's `trace` moves into
+    /// the gateway's own trace.
     fn forward(
         node: &Node<Self>,
         forward: &mut LoopForward,
@@ -332,10 +342,14 @@ impl Tier for Fleet {
         let failover = &mut forward.failover;
         if let Some(reply) = reply {
             if let Some((worker, response)) = router.judge_reply(failover, reply, trace) {
-                return Step::Answer(Outcome {
+                let mut outcome = Outcome {
                     upstream: Some(worker),
                     ..Outcome::json(response.status, response.body)
-                });
+                };
+                if forward.traced {
+                    outcome.hops = Some(upstream_hop(router, worker, &mut outcome.body));
+                }
+                return Step::Answer(outcome);
             }
         }
         match router.next_upstream(failover) {
@@ -353,7 +367,6 @@ impl Tier for Fleet {
         match call.path {
             "/cluster/stats" => pretty(cluster_stats_value(node)),
             "/cluster/history" => pretty(cluster_history_value(node, call.query)),
-            "/simulate" => simulate_endpoint(router, &call.request.body, &call.rid),
             _ => match node::grid_scenarios(&call.request.body, MAX_GRID_CELLS) {
                 // Expand, partition by owner, scatter-gather, merge back
                 // into single-node cell order.
@@ -406,26 +419,6 @@ impl Tier for Fleet {
         let clean = relayed.iter().all(|(_, (), result)| result.is_ok());
         StreamOutcome::Streamed { clean }
     }
-
-    /// Fetches the answering worker's recorded trace for `rid` and
-    /// wraps it as the `upstream` block of a gateway trace:
-    /// `[{worker, addr, trace}]`. A worker that cannot produce the trace
-    /// yields `"trace": null` rather than failing the response.
-    fn upstream_trace(&self, worker: usize, rid: &str) -> Value {
-        let w = &self.router.workers()[worker];
-        let trace = w
-            .pool()
-            .request("GET", &format!("/debug/trace/{rid}"), None)
-            .ok()
-            .filter(|r| r.status == 200)
-            .and_then(|r| serde::json::parse(&r.body).ok())
-            .unwrap_or(Value::Null);
-        Value::Seq(vec![Value::Map(vec![
-            ("worker".into(), Value::U64(worker as u64)),
-            ("addr".into(), Value::Str(w.addr().to_owned())),
-            ("trace".into(), trace),
-        ])])
-    }
 }
 
 /// A `/simulate` body's routing key, once it validates locally.
@@ -433,30 +426,24 @@ fn simulate_key(body: &[u8]) -> Result<u64, Outcome> {
     node::scenario(body).map(|scenario| mcdla_core::key_hash(&scenario))
 }
 
-/// A traced `POST /simulate` on a pool thread: validate locally, then
-/// forward the client's body verbatim along the scenario key's failover
-/// chain through the worker pools. A worker's 2xx/4xx answer passes
-/// through byte-for-byte; worker-unreachable becomes a 502 naming the
-/// workers.
-fn simulate_endpoint(router: &Router, body: &[u8], rid: &str) -> Outcome {
-    let key = match simulate_key(body) {
-        Ok(key) => key,
-        Err(outcome) => return outcome,
-    };
-    let text = std::str::from_utf8(body).expect("validated utf-8 above");
-    match router.forward_with(
-        key,
-        "POST",
-        "/simulate",
-        &[(REQUEST_ID_HEADER, rid)],
-        Some(text),
-    ) {
-        Ok((worker, response)) => Outcome {
-            upstream: Some(worker),
-            ..Outcome::json(response.status, response.body)
-        },
-        Err(e) => Outcome::error_with_rid(e.status, &e.message, rid),
+/// Moves the worker's `trace` out of a traced answer's `body` into the
+/// hop the gateway's trace carries as its `upstream` block:
+/// `[{worker, addr, trace}]`. An answer without one yields
+/// `"trace": null` rather than failing the response.
+fn upstream_hop(router: &Router, worker: usize, body: &mut String) -> Value {
+    let mut trace = Value::Null;
+    if let Ok(Value::Map(mut entries)) = serde::json::parse(body) {
+        if let Some(at) = entries.iter().position(|(key, _)| key == "trace") {
+            trace = entries.remove(at).1;
+            *body = serde::json::to_string_pretty(&Value::Map(entries));
+        }
     }
+    let addr = router.workers()[worker].addr();
+    Value::Seq(vec![Value::Map(vec![
+        ("worker".into(), Value::U64(worker as u64)),
+        ("addr".into(), Value::Str(addr.to_owned())),
+        ("trace".into(), trace),
+    ])])
 }
 
 /// Scrapes `GET path` from every worker. Each entry holds `index`,
@@ -475,7 +462,10 @@ fn scrape(
             ("addr".into(), Value::Str(worker.addr().to_owned())),
         ];
         entry.extend(fields(worker));
-        match worker.pool().request("GET", path, None) {
+        let answer = router
+            .connect(i)
+            .and_then(|mut conn| conn.request("GET", path, None));
+        match answer {
             Ok(response) if response.status == 200 => {
                 worker.mark_up();
                 let body = serde::json::parse(&response.body).unwrap_or(Value::Null);
@@ -625,8 +615,8 @@ pub struct FleetConfig {
     /// Gateway listen address (`127.0.0.1:0` for ephemeral).
     pub gateway_addr: String,
     /// Gateway worker-pool threads: concurrent blocking fleet round
-    /// trips (grids, scrapes, traced forwards). Untraced `/simulate`
-    /// forwards run on the gateway's event loop instead.
+    /// trips (grids and `/cluster/*` scrapes). `/simulate` forwards run
+    /// on the gateway's event loop instead.
     pub gateway_threads: usize,
     /// Gateway→worker deadlines.
     pub timeouts: Timeouts,

@@ -15,14 +15,17 @@
 //!   beyond failover).
 //!
 //! On top of routing sit the operational layers a fleet needs:
-//! per-worker **connection pooling**, passive + probed **health
-//! tracking** and bounded **retry/failover** ([`Router`]),
-//! **scatter-gather** for grid requests — buffered answers merged back
+//! passive + probed **health tracking** and bounded **retry/failover**
+//! ([`Router`]), **scatter-gather** for grid requests — buffered answers merged back
 //! into single-node cell order, streamed ones relayed as cells finish
 //! ([`Gateway`]),
 //! fleet-wide stats aggregation (`GET /cluster/stats`), and Prometheus
 //! `GET /metrics` on the gateway (workers grew their own in
 //! `mcdla-serve`).
+//!
+//! Every `POST /simulate` rides the gateway's event loop, over
+//! keep-alive upstream links the loop owns; grids, scrapes and health
+//! probes each open a fresh blocking connection and close it after.
 //!
 //! ## Endpoints
 //!
@@ -63,7 +66,6 @@
 pub mod console;
 mod gateway;
 mod merge;
-mod pool;
 mod router;
 mod topology;
 

@@ -27,9 +27,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use mcdla_core::Scenario;
+use mcdla_serve::client::Connection;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::pool::PooledConn;
 use crate::router::{GatewayError, Router};
 
 /// One grid request's scatter state: the cells, their routing keys
@@ -47,8 +47,8 @@ pub(crate) struct Scatter<'r> {
 /// One opened `/grid?stream=1` sub-stream: the fresh connection it rides
 /// on, the worker answering it, and the grid indices it owes.
 #[derive(Debug)]
-pub(crate) struct SubStream<'r> {
-    conn: PooledConn<'r>,
+pub(crate) struct SubStream {
+    conn: Connection,
     /// A second handle on `conn`'s socket: shutting it down ends a read
     /// blocked on `conn` at once.
     socket: TcpStream,
@@ -113,10 +113,7 @@ impl<'r> Scatter<'r> {
     /// worker that cannot be reached is marked down and excluded, and
     /// its slice is re-partitioned over the rest; when no worker is
     /// left the request is a 502 naming every failure.
-    pub(crate) fn open(
-        &mut self,
-        mut pending: Vec<usize>,
-    ) -> Result<Vec<SubStream<'r>>, GatewayError> {
+    pub(crate) fn open(&mut self, mut pending: Vec<usize>) -> Result<Vec<SubStream>, GatewayError> {
         let mut opened = Vec::new();
         while !pending.is_empty() {
             let mut next = Vec::new();
@@ -125,14 +122,12 @@ impl<'r> Scatter<'r> {
                 let cells = indices.iter().map(|&i| self.scenarios[i].to_value());
                 let body = Value::Map(vec![("cells".into(), Value::Seq(cells.collect()))]);
                 let body = serde::json::to_string(&body);
-                // Streams always ride a fresh connection: a stale pooled
-                // keep-alive would fail only at first read — after the
-                // gateway's 200 head is out and failover is no longer
-                // possible.
-                let attempt = worker.pool().connect_fresh().and_then(|mut conn| {
-                    let socket = conn.get().socket_handle()?;
-                    conn.get()
-                        .start_stream("POST", "/grid?stream=1", Some(&body))?;
+                // Streams always ride a fresh connection: a stale reused
+                // one would fail only at first read — after the gateway's
+                // 200 head is out and failover is no longer possible.
+                let attempt = self.router.connect(w).and_then(|mut conn| {
+                    let socket = conn.socket_handle()?;
+                    conn.start_stream("POST", "/grid?stream=1", Some(&body))?;
                     Ok((conn, socket))
                 });
                 match attempt {
@@ -169,9 +164,9 @@ impl<'r> Scatter<'r> {
 /// failure shuts down every other sub-stream too, so no thread waits
 /// for a worker's next line. A sub-stream the relay closes itself is
 /// not the worker's failure: it is neither marked down nor counted.
-pub(crate) fn relay<'r, T: Send>(
+pub(crate) fn relay<T: Send>(
     router: &Router,
-    subs: impl IntoIterator<Item = (SubStream<'r>, T)>,
+    subs: impl IntoIterator<Item = (SubStream, T)>,
     close_all: bool,
     on_line: impl Fn(&mut T, String) -> Result<(), String> + Sync,
 ) -> Vec<(usize, T, Result<(), String>)> {
@@ -221,7 +216,7 @@ pub(crate) fn relay<'r, T: Send>(
 /// Every failure comes back as `Err` with its reason.
 fn drain(
     router: &Router,
-    conn: &mut PooledConn<'_>,
+    conn: &mut Connection,
     worker: usize,
     owed: usize,
     closing: &AtomicBool,
@@ -233,7 +228,7 @@ fn drain(
             worker.mark_down(e);
         }
     };
-    let mut stream = conn.get().read_stream().inspect_err(broken)?;
+    let mut stream = conn.read_stream().inspect_err(broken)?;
     if stream.status != 200 {
         worker.failures.fetch_add(1, Ordering::Relaxed);
         let status = stream.status;

@@ -1,17 +1,15 @@
 //! Routing a scenario key to a live worker: rendezvous ranking from the
-//! [`Topology`], health state per worker, and the failover policy for
-//! point requests ([`Failover`]) — one policy, driven by the event loop
-//! for `/simulate` and by the pool for traced forwards.
+//! [`Topology`], health state per worker, and the failover policy the
+//! event loop drives for every gateway `POST /simulate` ([`Failover`]).
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use mcdla_obs::{Histogram, Span, TraceScope};
-use mcdla_serve::accept::{Reply, Upstream};
-use mcdla_serve::client::{RequestError, Response, Timeouts};
+use mcdla_obs::{Histogram, TraceScope};
+use mcdla_serve::accept::{Reply, RequestError, Upstream};
+use mcdla_serve::client::{Connection, Response, Timeouts};
 
-use crate::pool::WorkerPool;
 use crate::topology::Topology;
 
 /// A gateway-level failure, carrying the HTTP status the gateway
@@ -33,10 +31,10 @@ impl GatewayError {
     }
 }
 
-/// One worker's live state: its connection pool plus passive health.
+/// One worker's live state: its address, passive health and counters.
 #[derive(Debug)]
 pub struct WorkerState {
-    pool: WorkerPool,
+    addr: String,
     /// `gateway.upstream.N`: the span of one forward attempt to it.
     span: String,
     /// Every socket address its name resolves to, in lookup order:
@@ -44,20 +42,22 @@ pub struct WorkerState {
     resolved: RwLock<Arc<[SocketAddr]>>,
     up: AtomicBool,
     /// Requests this worker answered (any status).
-    pub answered: AtomicU64,
+    pub(crate) answered: AtomicU64,
     /// Errors observed against this worker (connect/read failures and
     /// 5xx answers).
     pub failures: AtomicU64,
+    /// Stale-link retries against this worker.
+    retries: AtomicU64,
     /// Upstream round-trip latency against this worker (successful and
     /// failed attempts both count — a slow failure is still time spent).
-    pub latency: Arc<Histogram>,
+    pub(crate) latency: Arc<Histogram>,
     last_error: Mutex<String>,
 }
 
 impl WorkerState {
-    fn new(index: usize, addr: &str, timeouts: Timeouts) -> Self {
+    fn new(index: usize, addr: &str) -> Self {
         let worker = WorkerState {
-            pool: WorkerPool::new(addr, timeouts),
+            addr: addr.to_owned(),
             span: format!("gateway.upstream.{index}"),
             resolved: RwLock::new(Arc::from([])),
             // Optimistic start: a worker is presumed up until a request
@@ -65,6 +65,7 @@ impl WorkerState {
             up: AtomicBool::new(true),
             answered: AtomicU64::new(0),
             failures: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
             latency: Arc::new(Histogram::new()),
             last_error: Mutex::new(String::new()),
         };
@@ -75,7 +76,7 @@ impl WorkerState {
     /// Looks the worker's name up again (a blocking lookup: never on the
     /// event loop). A lookup that finds nothing keeps the last answer.
     fn resolve(&self) {
-        let found: Vec<SocketAddr> = match self.addr().to_socket_addrs() {
+        let found: Vec<SocketAddr> = match self.addr.to_socket_addrs() {
             Ok(addrs) => addrs.collect(),
             Err(_) => return,
         };
@@ -89,19 +90,14 @@ impl WorkerState {
     fn socket_addrs(&self) -> Result<Arc<[SocketAddr]>, String> {
         let addrs = self.resolved.read().expect("resolved lock").clone();
         if addrs.is_empty() {
-            return Err(format!("resolving {}: no address yet", self.addr()));
+            return Err(format!("resolving {}: no address yet", self.addr));
         }
         Ok(addrs)
     }
 
     /// The worker's address.
     pub(crate) fn addr(&self) -> &str {
-        self.pool.addr()
-    }
-
-    /// This worker's connection pool.
-    pub(crate) fn pool(&self) -> &WorkerPool {
-        &self.pool
+        &self.addr
     }
 
     /// Current health belief.
@@ -128,17 +124,8 @@ impl WorkerState {
     }
 }
 
-/// The staleness rule, the same for every request the gateway makes to
-/// a worker, pooled or on the event loop: a failure earns one retry on a
-/// fresh connection only when a *reused* connection closed or reset
-/// before the first response byte. A deadline, a refused connect or a
-/// malformed answer is the worker's own failure.
-pub(crate) fn stale(reused: bool, failure: &RequestError) -> bool {
-    reused && failure.closed_early
-}
-
-/// One point request's walk down its failover chain: the single policy
-/// both forward paths drive, one attempt at a time.
+/// One point request's walk down its failover chain, one attempt at a
+/// time: the event loop sends each attempt and this judges it.
 ///
 /// * Workers are tried in rendezvous order, down workers last (the
 ///   health belief may be stale, and a down worker beats no answer).
@@ -147,10 +134,13 @@ pub(crate) fn stale(reused: bool, failure: &RequestError) -> bool {
 ///   a worker failure.
 /// * A `5xx` answer counts as a worker failure and moves on, but leaves
 ///   the worker up (it is alive enough to answer).
-/// * A [stale](stale) reused connection gets one retry on a fresh
-///   connection, counted in `retries`.
-/// * Any other failure — connect, read, an expired deadline — marks the
-///   worker down and moves on.
+/// * The staleness rule: when a *reused* link closed or reset before
+///   the first response byte, the worker gets one retry on a fresh
+///   link, counted in its `retries`. The loop's links are the only
+///   connections the gateway reuses.
+/// * Any other failure — connect, read, an expired deadline, a
+///   malformed answer — is the worker's own: it marks the worker down
+///   and moves on.
 /// * When no worker is left, [`Failover::exhausted`] is the 502 naming
 ///   every worker and what it said.
 #[derive(Debug)]
@@ -205,8 +195,8 @@ impl Failover {
                 self.attempts
                     .push(format!("worker {i} ({addr}) answered HTTP {status}"));
             }
-            Err(e) if stale(reused, e) => {
-                worker.pool.count_retry();
+            Err(e) if reused && e.closed_early => {
+                worker.retries.fetch_add(1, Ordering::Relaxed);
                 self.fresh = true;
                 return false;
             }
@@ -250,7 +240,7 @@ impl Router {
             .workers()
             .iter()
             .enumerate()
-            .map(|(i, a)| WorkerState::new(i, a, timeouts))
+            .map(|(i, a)| WorkerState::new(i, a))
             .collect();
         Ok(Router {
             topology,
@@ -270,9 +260,12 @@ impl Router {
         self.workers.iter().filter(|w| w.is_up()).count()
     }
 
-    /// Stale-connection retries across all worker pools.
+    /// Stale-link retries across all workers.
     pub fn retries(&self) -> u64 {
-        self.workers.iter().map(|w| w.pool.retries()).sum()
+        self.workers
+            .iter()
+            .map(|w| w.retries.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Worker indices to try for `key`, in order: the rendezvous ranking
@@ -286,32 +279,11 @@ impl Router {
         order
     }
 
-    /// Forwards one buffered request along `key`'s failover chain
-    /// through the worker pools (the [`Failover`] policy), sending
-    /// `headers` (request-id propagation) on every attempt.
-    pub(crate) fn forward_with(
-        &self,
-        key: u64,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: Option<&str>,
-    ) -> Result<(usize, Response), GatewayError> {
-        let mut failover = {
-            let _s = Span::enter("gateway.route");
-            Failover::new(self, key)
-        };
-        while let Some((i, fresh)) = failover.next() {
-            let worker = &self.workers[i];
-            let (reused, result) = {
-                let _s = Span::enter_timed(&worker.span, &worker.latency);
-                worker.pool.attempt(fresh, method, path, headers, body)
-            };
-            if failover.judge(self, result.as_ref().map(|r| r.status), reused) {
-                return Ok((i, result.expect("only an answer is final")));
-            }
-        }
-        Err(failover.exhausted())
+    /// A fresh blocking connection to worker `i`, under the gateway's
+    /// deadlines: probes, scrapes and grid sub-streams each open their
+    /// own, and none is kept for reuse.
+    pub(crate) fn connect(&self, i: usize) -> Result<Connection, String> {
+        Connection::open_with(self.workers[i].addr(), self.timeouts)
     }
 
     /// Where the event loop sends `failover`'s next attempt: the worker,
@@ -367,7 +339,10 @@ impl Router {
     pub(crate) fn probe(&self, i: usize) -> bool {
         let worker = &self.workers[i];
         worker.resolve();
-        match worker.pool.request("GET", "/healthz", None) {
+        let answer = self
+            .connect(i)
+            .and_then(|mut conn| conn.request("GET", "/healthz", None));
+        match answer {
             Ok(response) if response.is_ok() => {
                 worker.mark_up();
                 true
@@ -444,127 +419,128 @@ mod tests {
         (addr, stop)
     }
 
+    /// A router over two workers that are never contacted: the
+    /// failover tests judge synthetic outcomes.
+    fn two_workers() -> Router {
+        Router::new(["127.0.0.1:1", "127.0.0.1:2"], Timeouts::default()).unwrap()
+    }
+
+    /// A key whose rendezvous owner is worker 0.
+    fn owned_by_worker_0(router: &Router) -> u64 {
+        (0..).find(|&k| router.route(k)[0] == 0).unwrap()
+    }
+
+    fn failed(message: &str, closed_early: bool) -> RequestError {
+        RequestError {
+            message: message.to_owned(),
+            closed_early,
+        }
+    }
+
     #[test]
     fn forward_fails_over_from_a_dead_owner_and_marks_it_down() {
-        let (live, stop) = stub_worker(200, "{\"ok\":true}");
-        let dead = refusing_addr();
-        let router = Router::new([dead.clone(), live.clone()], Timeouts::default()).unwrap();
-        // Whichever worker owns the key, the answer must come from the
-        // live one; a key owned by the dead worker records a failover.
-        for key in 0..8u64 {
-            let (i, resp) = router
-                .forward_with(key, "GET", "/x", &[], None)
-                .expect("failover");
-            assert_eq!(router.workers()[i].addr(), live);
-            assert_eq!(resp.status, 200);
-        }
-        let dead_state = router.workers().iter().find(|w| w.addr() == dead).unwrap();
-        assert!(!dead_state.is_up());
+        let router = two_workers();
+        let key = owned_by_worker_0(&router);
+        let mut failover = Failover::new(&router, key);
+        assert_eq!(failover.next(), Some((0, false)));
+        let refused = failed("connecting: Connection refused (os error 111)", false);
+        assert!(!failover.judge(&router, Err(&refused), false));
+        let dead = &router.workers()[0];
+        assert!(!dead.is_up());
         assert!(
-            dead_state.last_error().contains("connect"),
+            dead.last_error().contains("connect"),
             "{}",
-            dead_state.last_error()
+            dead.last_error()
         );
-        assert!(router.failovers.load(Ordering::Relaxed) >= 1);
-        stop.store(true, Ordering::Relaxed);
+        assert_eq!(failover.next(), Some((1, false)));
+        assert!(failover.judge(&router, Ok(200), false));
+        assert_eq!(router.failovers.load(Ordering::Relaxed), 1);
+        assert_eq!(router.workers()[1].answered.load(Ordering::Relaxed), 1);
+        // The down owner is demoted: its key's next chain starts live.
+        assert_eq!(router.route(key), [1, 0]);
     }
 
     #[test]
     fn worker_4xx_passes_through_without_failover() {
-        let (a, stop_a) = stub_worker(418, "{\"error\":\"teapot\"}");
-        let (b, stop_b) = stub_worker(418, "{\"error\":\"teapot\"}");
-        let router = Router::new([a, b], Timeouts::default()).unwrap();
-        let (_, resp) = router
-            .forward_with(7, "POST", "/simulate", &[], Some("{}"))
-            .unwrap();
-        assert_eq!(resp.status, 418);
-        assert_eq!(resp.body, "{\"error\":\"teapot\"}");
+        let router = two_workers();
+        let mut failover = Failover::new(&router, 7);
+        let (owner, _) = failover.next().unwrap();
+        assert!(failover.judge(&router, Ok(418), false));
+        let owner = &router.workers()[owner];
+        assert!(owner.is_up());
+        assert_eq!(owner.answered.load(Ordering::Relaxed), 1);
+        assert_eq!(owner.failures.load(Ordering::Relaxed), 0);
         assert_eq!(router.failovers.load(Ordering::Relaxed), 0);
-        stop_a.store(true, Ordering::Relaxed);
-        stop_b.store(true, Ordering::Relaxed);
     }
 
     #[test]
     fn worker_5xx_fails_over_but_leaves_the_worker_up() {
-        let (sick, stop_sick) = stub_worker(500, "{\"error\":\"boom\"}");
-        let (live, stop_live) = stub_worker(200, "{\"ok\":true}");
-        let router = Router::new([sick.clone(), live], Timeouts::default()).unwrap();
-        for key in 0..8u64 {
-            let (_, resp) = router
-                .forward_with(key, "GET", "/x", &[], None)
-                .expect("5xx failover");
-            assert_eq!(resp.status, 200);
-        }
-        let sick_state = router.workers().iter().find(|w| w.addr() == sick).unwrap();
-        assert!(sick_state.is_up(), "5xx must not mark a live worker down");
-        assert!(sick_state.failures.load(Ordering::Relaxed) >= 1);
-        stop_sick.store(true, Ordering::Relaxed);
-        stop_live.store(true, Ordering::Relaxed);
+        let router = two_workers();
+        let mut failover = Failover::new(&router, owned_by_worker_0(&router));
+        assert!(!failover.judge(&router, Ok(500), false));
+        let sick = &router.workers()[0];
+        assert!(sick.is_up(), "5xx must not mark a live worker down");
+        assert_eq!(sick.failures.load(Ordering::Relaxed), 1);
+        assert_eq!(failover.next(), Some((1, false)));
+        assert!(failover.judge(&router, Ok(200), false));
+        assert_eq!(router.failovers.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn all_workers_down_is_a_502_naming_each() {
-        let a = refusing_addr();
-        let b = refusing_addr();
-        let router = Router::new([a.clone(), b.clone()], Timeouts::default()).unwrap();
-        let err = router.forward_with(1, "GET", "/x", &[], None).unwrap_err();
+        let router = two_workers();
+        let mut failover = Failover::new(&router, 1);
+        while failover.next().is_some() {
+            let refused = failed("Connection refused (os error 111)", false);
+            assert!(!failover.judge(&router, Err(&refused), false));
+        }
+        let err = failover.exhausted();
         assert_eq!(err.status, 502);
-        assert!(
-            err.message.contains(&a) && err.message.contains(&b),
-            "{}",
-            err.message
-        );
+        for worker in router.workers() {
+            assert!(err.message.contains(worker.addr()), "{}", err.message);
+        }
         assert_eq!(router.up_count(), 0);
-    }
-
-    /// A stub worker that answers the first request it ever reads, then
-    /// reads and stalls on every later one, on any connection.
-    fn stub_answering_once() -> String {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
-        let addr = listener.local_addr().unwrap().to_string();
-        let answered = Arc::new(AtomicBool::new(false));
-        std::thread::spawn(move || {
-            for mut stream in listener.incoming().flatten() {
-                let answered = answered.clone();
-                std::thread::spawn(move || {
-                    let mut buf = [0u8; 4096];
-                    while let Ok(1..) = stream.read(&mut buf) {
-                        if !answered.swap(true, Ordering::SeqCst) {
-                            let head = "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}";
-                            let _ = stream.write_all(head.as_bytes());
-                        }
-                    }
-                });
-            }
-        });
-        addr
     }
 
     #[test]
     fn a_stalled_reused_connection_fails_over_after_one_deadline() {
-        let stalling = stub_answering_once();
-        let (live, stop) = stub_worker(200, "{\"ok\":true}");
-        let timeouts = Timeouts {
-            read: Some(std::time::Duration::from_millis(300)),
-            ..Timeouts::default()
-        };
-        let router = Router::new([stalling, live], timeouts).unwrap();
-        let key = (0..).find(|&k| router.route(k)[0] == 0).unwrap();
-        let (first, _) = router.forward_with(key, "GET", "/x", &[], None).unwrap();
-        assert_eq!(first, 0, "the stub answers its first request");
-        // Its parked connection now stalls: one read deadline marks the
-        // worker down, with no second deadline on a "stale" retry.
-        let started = std::time::Instant::now();
-        let (second, resp) = router.forward_with(key, "GET", "/x", &[], None).unwrap();
-        let waited = started.elapsed();
-        assert_eq!((second, resp.status), (1, 200));
-        assert!(
-            waited < std::time::Duration::from_millis(550),
-            "failover took {waited:?}, more than one deadline"
-        );
+        let router = two_workers();
+        let mut failover = Failover::new(&router, owned_by_worker_0(&router));
+        // A deadline on a reused link is the worker's failure, not a
+        // stale link: no second deadline on a retry, straight on.
+        let deadline = failed("reading response: timed out", false);
+        assert!(!failover.judge(&router, Err(&deadline), true));
+        assert_eq!(failover.next(), Some((1, false)));
         assert_eq!(router.retries(), 0, "a deadline is no stale connection");
         assert!(!router.workers()[0].is_up());
-        stop.store(true, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn only_a_reused_link_closing_early_earns_a_retry() {
+        let router = two_workers();
+        let mut failover = Failover::new(&router, owned_by_worker_0(&router));
+        let closed = failed("connection closed before the response", true);
+        assert!(!failover.judge(&router, Err(&closed), true));
+        assert_eq!(failover.next(), Some((0, true)), "one retry, fresh");
+        assert_eq!(router.retries(), 1);
+        assert!(router.workers()[0].is_up());
+        // The same failure on the fresh link is the worker's own.
+        assert!(!failover.judge(&router, Err(&closed), false));
+        assert_eq!(failover.next(), Some((1, false)));
+        assert_eq!(router.retries(), 1);
+        assert!(!router.workers()[0].is_up());
+    }
+
+    #[test]
+    fn dead_worker_fails_fast_with_the_address_named() {
+        let dead = refusing_addr();
+        let router = Router::new([dead.clone()], Timeouts::default()).unwrap();
+        assert!(!router.probe(0));
+        let error = router.workers()[0].last_error();
+        assert!(
+            error.contains(&dead),
+            "error does not name the worker: {error}"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   `Service::forward` judge each attempt — answer, or try another
 //!   upstream. The client connection stays attached and stops parsing
 //!   until its answer is queued, so pipelined responses keep their
-//!   order. At most [`MAX_IDLE`] links per upstream stay parked.
+//!   order. At most `MAX_IDLE` links per upstream stay parked.
 //! * **heavy**: the connection is *detached* — deregistered from epoll,
 //!   switched to blocking — and shipped with its unparsed inbox to the
 //!   worker pool behind a bounded admission queue. The worker answers
@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::client::{peer_closed, RequestError, Response, Timeouts};
+use crate::client::{Response, Timeouts};
 use crate::epoll::{
     connect_nonblocking, Epoll, Event, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -87,9 +87,9 @@ const ACCEPT_BURST: usize = 256;
 /// cannot wedge forever behind a dead client mid-response.
 const WORKER_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Parked keep-alive connections kept per upstream: the loop's links
-/// and each gateway pool alike. One released beyond this is closed.
-pub const MAX_IDLE: usize = 16;
+/// Parked keep-alive links kept per upstream. One released beyond this
+/// is closed.
+const MAX_IDLE: usize = 16;
 
 /// A response the event loop can send without leaving the loop thread.
 #[derive(Debug)]
@@ -151,6 +151,29 @@ pub struct Reply {
     pub ended: Instant,
     /// The upstream's answer, or why there is none.
     pub result: Result<Response, RequestError>,
+}
+
+/// Why one upstream attempt failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestError {
+    /// What went wrong, naming the phase (`sending request: ...`).
+    pub message: String,
+    /// The peer closed or reset the connection before the first byte of
+    /// an answer. A deadline, a refused connect or a malformed answer is
+    /// never this. On a reused link it means the link went stale, not
+    /// the upstream.
+    pub closed_early: bool,
+}
+
+/// Whether an I/O error means the peer closed or reset the connection
+/// (as opposed to a deadline passing or a local failure): how a stale
+/// link is told from a failed one.
+fn peer_closed(error: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+    matches!(
+        error.kind(),
+        BrokenPipe | ConnectionAborted | ConnectionReset | UnexpectedEof
+    )
 }
 
 /// What the service says a loop forward does next.

@@ -6,6 +6,14 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use crate::http::MAX_HEAD_BYTES;
+
+/// Most body bytes one response may declare, by `content-length` or by
+/// one chunk's size; a larger size is refused before anything is
+/// allocated. Requests stop at `http::MAX_BODY_BYTES`, but answers run
+/// larger: a buffered grid of [`crate::MAX_GRID_CELLS`] cells is ~9 MB.
+const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
+
 /// One response: status code, body text, and response headers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -31,30 +39,6 @@ impl Response {
             .find(|(n, _)| *n == name)
             .map(|(_, v)| v.as_str())
     }
-}
-
-/// Why one request on a connection failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestError {
-    /// What went wrong, naming the phase (`sending request: ...`).
-    pub message: String,
-    /// The peer closed or reset the connection before the first byte of
-    /// an answer (see [`peer_closed`]). A deadline, a refused connect
-    /// or a malformed answer is never this. On a reused keep-alive
-    /// connection it means the connection went stale, not the server.
-    pub closed_early: bool,
-}
-
-/// Whether an I/O error means the peer closed or reset the connection
-/// (as opposed to a deadline passing or a local failure). Every client
-/// of a keep-alive connection — the blocking [`Connection`] and the
-/// gateway's event loop — classifies with this one rule.
-pub fn peer_closed(error: &std::io::Error) -> bool {
-    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
-    matches!(
-        error.kind(),
-        BrokenPipe | ConnectionAborted | ConnectionReset | UnexpectedEof
-    )
 }
 
 /// Connect/read/write deadlines for a [`Connection`]. A dead or wedged
@@ -164,41 +148,8 @@ impl Connection {
         headers: &[(&str, &str)],
         body: Option<&str>,
     ) -> Result<Response, String> {
-        self.exchange(method, path, headers, body)
-            .map_err(|e| e.message)
-    }
-
-    /// [`Connection::request_with`], telling a connection the peer
-    /// closed before answering ([`RequestError::closed_early`]) apart
-    /// from every other failure.
-    pub fn exchange(
-        &mut self,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: Option<&str>,
-    ) -> Result<Response, RequestError> {
-        let mut out = Vec::new();
-        encode_request(&mut out, method, path, headers, body);
-        let failed = |message: String, closed_early| RequestError {
-            message,
-            closed_early,
-        };
-        if let Err(e) = self.stream.write_all(&out) {
-            return Err(failed(format!("sending request: {e}"), peer_closed(&e)));
-        }
-        // The first response byte is the line between a connection that
-        // closed before answering and one that failed mid-answer.
-        match self.reader.fill_buf() {
-            Ok([]) => {
-                let message = "connection closed before the response".to_owned();
-                return Err(failed(message, true));
-            }
-            Ok(_) => {}
-            Err(e) => return Err(failed(format!("reading status line: {e}"), peer_closed(&e))),
-        }
+        self.send_request(method, path, headers, body)?;
         self.read_response()
-            .map_err(|message| failed(message, false))
     }
 
     /// Issues a request expecting a **streamed** (chunked NDJSON)
@@ -213,7 +164,7 @@ impl Connection {
         path: &str,
         body: Option<&str>,
     ) -> Result<StreamingResponse<'_>, String> {
-        self.send_request(method, path, body)?;
+        self.send_request(method, path, &[], body)?;
         self.read_stream()
     }
 
@@ -227,7 +178,7 @@ impl Connection {
         path: &str,
         body: Option<&str>,
     ) -> Result<(), String> {
-        self.send_request(method, path, body)
+        self.send_request(method, path, &[], body)
     }
 
     /// A second handle on this connection's socket. Shutting it down
@@ -292,9 +243,15 @@ impl Connection {
         requests.iter().map(|_| self.read_response()).collect()
     }
 
-    fn send_request(&mut self, method: &str, path: &str, body: Option<&str>) -> Result<(), String> {
+    fn send_request(
+        &mut self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: Option<&str>,
+    ) -> Result<(), String> {
         let mut out = Vec::new();
-        encode_request(&mut out, method, path, &[], body);
+        encode_request(&mut out, method, path, headers, body);
         self.stream
             .write_all(&out)
             .map_err(|e| format!("sending request: {e}"))
@@ -354,11 +311,24 @@ struct Head {
 }
 
 /// Reads one response head, collecting every header (names lower-cased).
+/// A head over `MAX_HEAD_BYTES`, or a body size over
+/// [`MAX_RESPONSE_BYTES`], is refused.
 fn read_response_head(reader: &mut BufReader<TcpStream>) -> Result<Head, String> {
+    let mut head = reader.by_ref().take(MAX_HEAD_BYTES as u64);
+    let mut next_line = |line: &mut String, what: &str| {
+        head.read_line(line)
+            .map_err(|e| format!("reading {what}: {e}"))?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err(format!(
+                "response head exceeds the {MAX_HEAD_BYTES}-byte limit"
+            ));
+        }
+        Ok(line.len())
+    };
     let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("reading status line: {e}"))?;
+    if next_line(&mut status_line, "status line")? == 0 {
+        return Err("connection closed before the response".into());
+    }
     let status: u16 = status_line
         .split(' ')
         .nth(1)
@@ -370,10 +340,7 @@ fn read_response_head(reader: &mut BufReader<TcpStream>) -> Result<Head, String>
     let mut headers = Vec::new();
     loop {
         let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("reading headers: {e}"))?;
-        if n == 0 {
+        if next_line(&mut line, "headers")? == 0 {
             return Err("connection closed mid-headers".into());
         }
         let line = line.trim_end();
@@ -387,6 +354,11 @@ fn read_response_head(reader: &mut BufReader<TcpStream>) -> Result<Head, String>
                 content_length = value
                     .parse()
                     .map_err(|_| format!("bad content-length `{value}`"))?;
+                if content_length > MAX_RESPONSE_BYTES {
+                    return Err(format!(
+                        "body of {content_length} bytes exceeds the {MAX_RESPONSE_BYTES}-byte limit"
+                    ));
+                }
             } else if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
                 chunked = true;
             }
@@ -514,10 +486,13 @@ impl Drop for StreamingResponse<'_> {
     }
 }
 
-/// Reads one chunk body; `Ok(None)` is the clean terminal chunk.
+/// Reads one chunk body; `Ok(None)` is the clean terminal chunk. A
+/// chunk over [`MAX_RESPONSE_BYTES`] is refused, and its size and
+/// trailer lines stop at `MAX_HEAD_BYTES`.
 fn read_chunk(reader: &mut BufReader<TcpStream>) -> Result<Option<Vec<u8>>, String> {
+    let mut framing = reader.by_ref().take(MAX_HEAD_BYTES as u64);
     let mut size_line = String::new();
-    let n = reader
+    let n = framing
         .read_line(&mut size_line)
         .map_err(|e| format!("reading chunk size: {e}"))?;
     if n == 0 {
@@ -530,7 +505,7 @@ fn read_chunk(reader: &mut BufReader<TcpStream>) -> Result<Option<Vec<u8>>, Stri
         // Trailer section: lines until the blank terminator.
         loop {
             let mut line = String::new();
-            let n = reader
+            let n = framing
                 .read_line(&mut line)
                 .map_err(|e| format!("reading chunk trailer: {e}"))?;
             if n == 0 || line.trim_end().is_empty() {
@@ -538,6 +513,11 @@ fn read_chunk(reader: &mut BufReader<TcpStream>) -> Result<Option<Vec<u8>>, Stri
             }
         }
         return Ok(None);
+    }
+    if size > MAX_RESPONSE_BYTES {
+        return Err(format!(
+            "chunk of {size} bytes exceeds the {MAX_RESPONSE_BYTES}-byte limit"
+        ));
     }
     let mut data = vec![0u8; size];
     reader
@@ -569,4 +549,63 @@ pub fn request_once_with(
     timeouts: Timeouts,
 ) -> Result<Response, String> {
     Connection::open_with(addr, timeouts)?.request(method, path, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A stub server that answers each connection's request with the
+    /// next of `answers`, then closes it.
+    fn stub_server(answers: Vec<String>) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            for answer in answers {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let mut buf = [0u8; 4096];
+                let _ = stream.read(&mut buf);
+                let _ = stream.write_all(answer.as_bytes());
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn sizes_the_peer_declares_are_bounded_before_allocating() {
+        let huge = 1usize << 62;
+        let long_header = "a".repeat(MAX_HEAD_BYTES);
+        let sized = format!("HTTP/1.1 200 OK\r\ncontent-length: {huge}\r\n\r\n");
+        let answers = vec![
+            format!("HTTP/1.1 200 OK\r\nx-pad: {long_header}\r\n\r\n"),
+            sized.clone(),
+            sized,
+            format!("HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n{huge:x}\r\n"),
+        ];
+        let addr = stub_server(answers);
+        let head_limit = format!("exceeds the {MAX_HEAD_BYTES}-byte limit");
+        let body_limit = format!("exceeds the {MAX_RESPONSE_BYTES}-byte limit");
+
+        let mut conn = Connection::open(&addr).unwrap();
+        let err = conn.request("GET", "/stats", None).unwrap_err();
+        assert!(err.contains(&head_limit), "{err}");
+        let mut conn = Connection::open(&addr).unwrap();
+        let err = conn.request("GET", "/stats", None).unwrap_err();
+        assert!(err.contains(&body_limit), "{err}");
+        let mut conn = Connection::open(&addr).unwrap();
+        let err = conn.request_stream("POST", "/grid", None).unwrap_err();
+        assert!(err.contains(&body_limit), "{err}");
+        let mut conn = Connection::open(&addr).unwrap();
+        let mut stream = conn.request_stream("POST", "/grid", None).unwrap();
+        let err = stream.next_line().expect("a line").unwrap_err();
+        assert!(err.contains(&body_limit), "{err}");
+    }
+
+    #[test]
+    fn a_close_before_the_status_line_is_named() {
+        let addr = stub_server(vec![String::new()]);
+        let err = request_once(&addr, "GET", "/healthz", None).unwrap_err();
+        assert_eq!(err, "connection closed before the response");
+    }
 }

@@ -104,12 +104,6 @@ pub trait Tier: Send + Sync + Sized + 'static {
     /// Streams a validated grid for `POST /grid?stream=1`.
     fn stream(node: &Node<Self>, scenarios: Vec<Scenario>, out: &mut CellStream) -> StreamOutcome;
 
-    /// The `upstream` block a traced answer grafts when `worker`
-    /// answered it.
-    fn upstream_trace(&self, _worker: usize, _rid: &str) -> Value {
-        Value::Null
-    }
-
     /// Runs after a response that simulated `cells` new cells went out.
     fn computed(&self, _cells: usize) {}
 }
@@ -127,9 +121,12 @@ pub struct Outcome {
     /// elsewhere): drives the wide event's cache disposition and the
     /// worker's snapshot rewrites.
     pub computed_cells: Option<usize>,
-    /// The worker that answered a gateway forward (a traced answer
-    /// grafts that worker's sub-trace).
+    /// The worker that answered a gateway forward (the wide event's
+    /// `worker` field).
     pub upstream: Option<usize>,
+    /// A traced gateway forward's hops, `[{worker, addr, trace}]`: the
+    /// shell adds them to the node's own trace as its `upstream` block.
+    pub hops: Option<Value>,
 }
 
 impl Outcome {
@@ -146,6 +143,7 @@ impl Outcome {
             content_type: "application/json",
             computed_cells: None,
             upstream: None,
+            hops: None,
         }
     }
 
@@ -624,9 +622,8 @@ impl<T: Tier> Node<T> {
         let ok = outcome.status < 400;
         let body = if call.traced && ok && outcome.content_type == "application/json" {
             let mut tv = trace::trace_value(T::SERVICE, &record);
-            if let (Value::Map(entries), Some(worker)) = (&mut tv, outcome.upstream) {
-                let upstream = self.tier.upstream_trace(worker, &call.rid);
-                entries.push(("upstream".into(), upstream));
+            if let (Value::Map(entries), Some(hops)) = (&mut tv, outcome.hops) {
+                entries.push(("upstream".into(), hops));
             }
             trace::graft_json(&outcome.body, "trace", tv)
         } else {

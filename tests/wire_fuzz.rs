@@ -207,7 +207,7 @@ fn parse_replies(mut rest: &[u8]) -> Result<Vec<Reply>, String> {
 }
 
 /// Sends `bytes`, half-closes, and reads until the server closes.
-fn exchange(addr: &str, bytes: &[u8]) -> Vec<u8> {
+fn send_half_closed(addr: &str, bytes: &[u8]) -> Vec<u8> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -267,7 +267,7 @@ fn mutated_requests_never_break_either_tier() {
         if framed {
             sent.extend(raw("POST", "/simulate", &probe_body));
         }
-        let replies = parse_replies(&exchange(addr, &sent))
+        let replies = parse_replies(&send_half_closed(addr, &sent))
             .unwrap_or_else(|e| panic!("{context}: malformed answer: {e}"));
         for reply in &replies {
             assert!(
