@@ -2,13 +2,13 @@
 //! [`Topology`], health state per worker, and the failover policy the
 //! event loop drives for every gateway `POST /simulate` ([`Failover`]).
 
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use mcdla_obs::{Histogram, TraceScope};
 use mcdla_serve::accept::{Reply, RequestError, Upstream};
-use mcdla_serve::client::{Connection, Response, Timeouts};
+use mcdla_serve::client::{self, Connection, Response, Timeouts};
 
 use crate::topology::Topology;
 
@@ -76,17 +76,13 @@ impl WorkerState {
     /// Looks the worker's name up again (a blocking lookup: never on the
     /// event loop). A lookup that finds nothing keeps the last answer.
     fn resolve(&self) {
-        let found: Vec<SocketAddr> = match self.addr.to_socket_addrs() {
-            Ok(addrs) => addrs.collect(),
-            Err(_) => return,
-        };
-        if !found.is_empty() {
+        if let Some(found) = client::resolve(&self.addr).ok().filter(|f| !f.is_empty()) {
             *self.resolved.write().expect("resolved lock") = found.into();
         }
     }
 
-    /// The addresses the event loop connects to, tried in turn as a
-    /// blocking connect tries them.
+    /// The addresses every connection to the worker tries in turn: the
+    /// event loop's links and [`Router::connect`]'s blocking ones.
     fn socket_addrs(&self) -> Result<Arc<[SocketAddr]>, String> {
         let addrs = self.resolved.read().expect("resolved lock").clone();
         if addrs.is_empty() {
@@ -280,10 +276,12 @@ impl Router {
     }
 
     /// A fresh blocking connection to worker `i`, under the gateway's
-    /// deadlines: probes, scrapes and grid sub-streams each open their
-    /// own, and none is kept for reuse.
+    /// deadlines, over the addresses the loop's links use: probes,
+    /// scrapes and grid sub-streams each open their own, and none is
+    /// kept for reuse.
     pub(crate) fn connect(&self, i: usize) -> Result<Connection, String> {
-        Connection::open_with(self.workers[i].addr(), self.timeouts)
+        let worker = &self.workers[i];
+        Connection::connect(worker.addr(), &worker.socket_addrs()?, self.timeouts)
     }
 
     /// Where the event loop sends `failover`'s next attempt: the worker,

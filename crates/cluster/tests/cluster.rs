@@ -595,7 +595,7 @@ fn streamed_grid_failure_closes_every_sub_stream_at_once() {
         threads: 2,
         backends,
         timeouts: Timeouts {
-            read: Some(Duration::from_secs(20)),
+            read: Duration::from_secs(20),
             ..Timeouts::default()
         },
         probe_interval: None,
@@ -1200,7 +1200,7 @@ fn an_upstream_deadline_marks_the_worker_down_and_fails_over() {
     .spawn()
     .unwrap();
     let timeouts = Timeouts {
-        read: Some(Duration::from_millis(300)),
+        read: Duration::from_millis(300),
         ..Timeouts::default()
     };
     let gateway_over = |backends: Vec<String>| {
@@ -1345,7 +1345,7 @@ fn a_stalled_upstream_link_costs_one_deadline_and_no_retry() {
         threads: 2,
         backends,
         timeouts: Timeouts {
-            read: Some(Duration::from_millis(300)),
+            read: Duration::from_millis(300),
             ..Timeouts::default()
         },
         probe_interval: None,

@@ -452,11 +452,22 @@ struct Link {
     inbox: Vec<u8>,
     /// Events currently registered with epoll.
     interest: u32,
-    /// When the current phase fails; `None` while parked or unbounded.
+    /// When the current phase fails; `None` while parked.
     deadline: Option<Instant>,
     timeouts: Timeouts,
     /// The forward it serves (`None` while parked).
     forward: Option<(usize, u32)>,
+}
+
+impl Link {
+    /// The current phase's time limit, and what passing it means.
+    fn limit(&self) -> (Duration, &'static str) {
+        match self.phase {
+            Phase::Connecting => (self.timeouts.connect, "no connection"),
+            Phase::Sending => (self.timeouts.write, "request not sent"),
+            Phase::Receiving | Phase::Parked => (self.timeouts.read, "no response"),
+        }
+    }
 }
 
 /// A forward in flight.
@@ -577,8 +588,8 @@ struct EventLoop<S: Service> {
     /// Shutdown began: nothing is accepted or parsed, and each
     /// connection closes after its forward's answer.
     draining: bool,
-    /// The loop exits by then even with forwards in flight (`None`:
-    /// once they answer).
+    /// Set once draining: the loop exits by then even with forwards in
+    /// flight.
     drain_by: Option<Instant>,
 }
 
@@ -763,10 +774,9 @@ impl<S: Service> EventLoop<S> {
                 self.close_conn(slot);
             }
         }
-        let in_flight = self.links.slots.iter().flatten();
-        self.drain_by = in_flight
-            .filter(|link| link.forward.is_some())
-            .try_fold(Instant::now(), |by, link| Some(by.max(link.deadline?)));
+        // Only links in flight have a deadline.
+        let deadlines = self.links.slots.iter().flatten().filter_map(|l| l.deadline);
+        self.drain_by = Some(deadlines.fold(Instant::now(), Instant::max));
     }
 
     /// Inserts a connection into the slab and registers it with epoll;
@@ -1178,7 +1188,7 @@ impl<S: Service> EventLoop<S> {
         link.sent = 0;
         link.inbox.clear();
         if !connected {
-            self.set_deadline(slot, upstream.timeouts.connect);
+            self.set_deadline(slot);
         } else if let Err((message, closed_early)) = self.send(slot) {
             self.links.remove(slot);
             return Err(failed(reused, message, closed_early));
@@ -1241,8 +1251,7 @@ impl<S: Service> EventLoop<S> {
         if connected {
             self.resume_send(slot);
         } else {
-            let connect = link.timeouts.connect;
-            self.set_deadline(slot, connect);
+            self.set_deadline(slot);
         }
     }
 
@@ -1261,15 +1270,13 @@ impl<S: Service> EventLoop<S> {
         }
     }
 
-    /// Sets link `slot`'s deadline `limit` from now (`None`: unbounded).
-    fn set_deadline(&mut self, slot: usize, limit: Option<Duration>) {
+    /// Restarts link `slot`'s deadline: its phase's limit from now.
+    fn set_deadline(&mut self, slot: usize) {
         let gen = self.links.gens[slot];
-        let deadline = limit.map(|l| Instant::now() + l);
         if let Some(link) = self.links.get(slot, gen) {
-            link.deadline = deadline;
-        }
-        if let Some(d) = deadline {
-            self.next_deadline = Some(self.next_deadline.map_or(d, |n| n.min(d)));
+            let deadline = Instant::now() + link.limit().0;
+            link.deadline = Some(deadline);
+            self.next_deadline = Some(self.next_deadline.map_or(deadline, |n| n.min(deadline)));
         }
     }
 
@@ -1322,9 +1329,8 @@ impl<S: Service> EventLoop<S> {
             match link.stream.write(&bytes[link.sent..]) {
                 Ok(n) => link.sent += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    let write = link.timeouts.write;
                     self.arm(slot, EPOLLOUT);
-                    self.set_deadline(slot, write);
+                    self.set_deadline(slot);
                     return Ok(());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -1332,9 +1338,8 @@ impl<S: Service> EventLoop<S> {
             }
         }
         link.phase = Phase::Receiving;
-        let read = link.timeouts.read;
         self.arm(slot, EPOLLIN | EPOLLRDHUP);
-        self.set_deadline(slot, read);
+        self.set_deadline(slot);
         Ok(())
     }
 
@@ -1373,10 +1378,7 @@ impl<S: Service> EventLoop<S> {
                             self.answered(slot, response, reusable);
                             return;
                         }
-                        Ok(None) => {
-                            let read = link.timeouts.read;
-                            self.set_deadline(slot, read);
-                        }
+                        Ok(None) => self.set_deadline(slot),
                         Err(e) => {
                             self.fail_link(slot, format!("bad response: {}", e.message), false);
                             return;
@@ -1465,18 +1467,8 @@ impl<S: Service> EventLoop<S> {
             };
             match link.deadline {
                 Some(d) if d <= now => {
-                    let limit = match link.phase {
-                        Phase::Connecting => link.timeouts.connect,
-                        Phase::Sending => link.timeouts.write,
-                        _ => link.timeouts.read,
-                    };
-                    let ms = limit.map_or(0, |l| l.as_millis());
-                    let what = match link.phase {
-                        Phase::Connecting => "no connection",
-                        Phase::Sending => "request not sent",
-                        _ => "no response",
-                    };
-                    let message = format!("{what} within {ms} ms");
+                    let (limit, what) = link.limit();
+                    let message = format!("{what} within {} ms", limit.as_millis());
                     if link.phase == Phase::Connecting {
                         self.reconnect(slot, message);
                     } else {
@@ -1655,7 +1647,7 @@ mod tests {
                     addrs: self.addrs.clone(),
                     fresh: false,
                     timeouts: Timeouts {
-                        read: Some(self.read),
+                        read: self.read,
                         ..Timeouts::default()
                     },
                 });

@@ -1,12 +1,13 @@
 //! A tiny blocking HTTP/1.1 client over `std::net::TcpStream` — just
 //! enough to drive `mcdla-serve`: the `mcdla query` subcommand, the
-//! service bench, and the wire tests all speak through it.
+//! service bench, and the wire tests all speak through it. Answers are
+//! framed by [`crate::http`]; only the body rule is the client's own.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::http::MAX_HEAD_BYTES;
+use crate::http::{parse_chunk, parse_response_head, ResponseHead, MAX_HEAD_BYTES};
 
 /// Most body bytes one response may declare, by `content-length` or by
 /// one chunk's size; a larger size is refused before anything is
@@ -31,28 +32,26 @@ impl Response {
         (200..300).contains(&self.status)
     }
 
-    /// The first header with this name (lower-cased lookup).
+    /// The first header with the given (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 }
 
 /// Connect/read/write deadlines for a [`Connection`]. A dead or wedged
 /// server must never hang a caller forever: every phase of a request has
-/// a bound (`None` disables that bound, for callers that really do want
-/// to wait out an arbitrarily long simulation).
+/// a bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timeouts {
-    /// TCP connect deadline.
-    pub connect: Option<Duration>,
+    /// TCP connect deadline, per address tried.
+    pub connect: Duration,
     /// Per-read deadline (response head, body, and each stream chunk).
-    pub read: Option<Duration>,
+    pub read: Duration,
     /// Per-write deadline (request head + body).
-    pub write: Option<Duration>,
+    pub write: Duration,
 }
 
 impl Default for Timeouts {
@@ -60,9 +59,9 @@ impl Default for Timeouts {
     /// 30 s per write.
     fn default() -> Self {
         Timeouts {
-            connect: Some(Duration::from_secs(10)),
-            read: Some(Duration::from_secs(120)),
-            write: Some(Duration::from_secs(30)),
+            connect: Duration::from_secs(10),
+            read: Duration::from_secs(120),
+            write: Duration::from_secs(30),
         }
     }
 }
@@ -71,20 +70,33 @@ impl Timeouts {
     /// One deadline for every phase — the CLI's `--timeout-ms N`.
     pub fn all(limit: Duration) -> Self {
         Timeouts {
-            connect: Some(limit),
-            read: Some(limit),
-            write: Some(limit),
+            connect: limit,
+            read: limit,
+            write: limit,
         }
     }
+}
+
+/// Every socket address `addr` (`host:port`) resolves to, in lookup order.
+pub fn resolve(addr: &str) -> Result<Vec<SocketAddr>, String> {
+    let found = addr
+        .to_socket_addrs()
+        .map_err(|e| format!("resolving {addr}: {e}"))?;
+    Ok(found.collect())
 }
 
 /// A persistent keep-alive connection. Reusing one connection is what
 /// makes cached-cell throughput tens of thousands of requests per
 /// second instead of paying a TCP handshake per request.
+///
+/// It owns one socket and one buffer of bytes read but not yet
+/// consumed, so pipelined answers carry over from one read to the next.
+/// A read that fails or times out shuts the socket down: a later
+/// request on it fails rather than taking the late answer as its own.
 #[derive(Debug)]
 pub struct Connection {
     stream: TcpStream,
-    reader: BufReader<TcpStream>,
+    inbox: Vec<u8>,
 }
 
 impl Connection {
@@ -95,38 +107,27 @@ impl Connection {
 
     /// Connects to `host:port` with explicit deadlines.
     pub fn open_with(addr: &str, timeouts: Timeouts) -> Result<Self, String> {
-        let stream = match timeouts.connect {
-            Some(limit) => {
-                // `connect_timeout` needs resolved addresses; try each in
-                // turn so a multi-homed name still connects.
-                let resolved: Vec<_> = addr
-                    .to_socket_addrs()
-                    .map_err(|e| format!("resolving {addr}: {e}"))?
-                    .collect();
-                let mut last_err = format!("resolving {addr}: no addresses");
-                let mut stream = None;
-                for candidate in resolved {
-                    match TcpStream::connect_timeout(&candidate, limit) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last_err = format!("connecting {addr}: {e}"),
-                    }
+        Self::connect(addr, &resolve(addr)?, timeouts)
+    }
+
+    /// Connects to `name` at the first of `addrs`, the addresses it
+    /// resolved to, that accepts within the connect deadline, so a
+    /// multi-homed name still connects.
+    pub fn connect(name: &str, addrs: &[SocketAddr], timeouts: Timeouts) -> Result<Self, String> {
+        let mut last_err = format!("resolving {name}: no addresses");
+        for addr in addrs {
+            match TcpStream::connect_timeout(addr, timeouts.connect) {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_read_timeout(Some(timeouts.read));
+                    let _ = stream.set_write_timeout(Some(timeouts.write));
+                    let inbox = Vec::new();
+                    return Ok(Connection { stream, inbox });
                 }
-                stream.ok_or(last_err)?
+                Err(e) => last_err = format!("connecting {name}: {e}"),
             }
-            None => TcpStream::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?,
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(timeouts.read);
-        let _ = stream.set_write_timeout(timeouts.write);
-        let reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| format!("cloning stream: {e}"))?,
-        );
-        Ok(Connection { stream, reader })
+        }
+        Err(last_err)
     }
 
     /// Issues one request and reads the full response.
@@ -193,34 +194,21 @@ impl Connection {
 
     /// Reads the response head for a request sent with
     /// [`Connection::start_stream`] and returns the stream reader over
-    /// its body.
+    /// its body. Only this path takes a chunked answer.
     pub fn read_stream(&mut self) -> Result<StreamingResponse<'_>, String> {
-        let Head {
-            status,
-            content_length,
-            chunked,
-            ..
-        } = read_response_head(&mut self.reader)?;
-        if chunked {
-            Ok(StreamingResponse {
-                status,
-                kind: StreamKind::Chunked {
-                    reader: &mut self.reader,
-                    carry: Vec::new(),
-                    done: false,
-                },
-            })
+        let head = self.read_head()?;
+        let status = head.status;
+        let kind = if head.framing.is_chunked() {
+            self.inbox.drain(..head.body_start);
+            StreamKind::Chunked {
+                conn: self,
+                carry: Vec::new(),
+                done: false,
+            }
         } else {
-            let mut body = vec![0u8; content_length];
-            self.reader
-                .read_exact(&mut body)
-                .map_err(|e| format!("reading body: {e}"))?;
-            let body = String::from_utf8(body).map_err(|_| "body is not valid utf-8".to_owned())?;
-            Ok(StreamingResponse {
-                status,
-                kind: StreamKind::Buffered(Some(body)),
-            })
-        }
+            StreamKind::Buffered(Some(self.read_body(head)?.body))
+        };
+        Ok(StreamingResponse { status, kind })
     }
 
     /// Issues a whole batch of `(method, path, body)` requests as **one
@@ -257,25 +245,80 @@ impl Connection {
             .map_err(|e| format!("sending request: {e}"))
     }
 
+    /// Reads one whole answer with a `content-length` body.
     fn read_response(&mut self) -> Result<Response, String> {
-        let Head {
-            status,
-            content_length,
-            chunked,
-            headers,
-        } = read_response_head(&mut self.reader)?;
-        if chunked {
+        let head = self.read_head()?;
+        if head.framing.is_chunked() {
             return Err("unexpected chunked response (use `request_stream`)".into());
         }
-        let mut body = vec![0u8; content_length];
-        self.reader
-            .read_exact(&mut body)
-            .map_err(|e| format!("reading body: {e}"))?;
-        Ok(Response {
-            status,
-            body: String::from_utf8(body).map_err(|_| "body is not valid utf-8".to_owned())?,
-            headers,
-        })
+        self.read_body(head)
+    }
+
+    /// Reads until the inbox holds a whole response head, and parses it.
+    fn read_head(&mut self) -> Result<ResponseHead, String> {
+        loop {
+            if let Some(head) = parse_response_head(&self.inbox).map_err(|e| e.message)? {
+                return Ok(head);
+            }
+            self.fill(if self.inbox.is_empty() {
+                "connection closed before the response"
+            } else {
+                "connection closed mid-head"
+            })?;
+        }
+    }
+
+    /// Reads `head`'s `content-length` body, of at most
+    /// [`MAX_RESPONSE_BYTES`], and takes the whole answer off the inbox.
+    fn read_body(&mut self, head: ResponseHead) -> Result<Response, String> {
+        let length = head.framing.sized_body(MAX_RESPONSE_BYTES);
+        let total = head.body_start + length.map_err(|e| e.message)?;
+        while self.inbox.len() < total {
+            self.fill("connection closed mid-body")?;
+        }
+        let start = head.body_start;
+        let response = head.with_body(&self.inbox[start..total]);
+        self.inbox.drain(..total);
+        response.map_err(|e| e.message)
+    }
+
+    /// Appends the next chunk's data to `out`; `Ok(false)` once the
+    /// terminal chunk is read.
+    fn read_chunk(&mut self, out: &mut Vec<u8>) -> Result<bool, String> {
+        loop {
+            if let Some((data, consumed)) =
+                parse_chunk(&self.inbox, MAX_RESPONSE_BYTES).map_err(|e| e.message)?
+            {
+                out.extend_from_slice(&self.inbox[data.clone()]);
+                self.inbox.drain(..consumed);
+                return Ok(!data.is_empty());
+            }
+            self.fill("connection closed before the terminal chunk")
+                .map_err(|e| format!("stream truncated: {e}"))?;
+        }
+    }
+
+    /// Reads what the peer sent next (up to a head's worth) onto the
+    /// inbox, failing with `eof` at the end of the stream. A failed read
+    /// shuts the socket down.
+    fn fill(&mut self, eof: &str) -> Result<(), String> {
+        let len = self.inbox.len();
+        self.inbox.resize(len + MAX_HEAD_BYTES, 0);
+        let read = loop {
+            match self.stream.read(&mut self.inbox[len..]) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                result => break result,
+            }
+        };
+        self.inbox.truncate(len + read.as_ref().map_or(0, |&n| n));
+        match read {
+            Ok(0) => Err(eof.to_owned()),
+            Ok(_) => Ok(()),
+            Err(e) => {
+                let _ = self.stream.shutdown(Shutdown::Both);
+                Err(format!("reading response: {e}"))
+            }
+        }
     }
 }
 
@@ -302,77 +345,6 @@ pub fn encode_request(
     out.extend_from_slice(body.as_bytes());
 }
 
-/// One parsed response head.
-struct Head {
-    status: u16,
-    content_length: usize,
-    chunked: bool,
-    headers: Vec<(String, String)>,
-}
-
-/// Reads one response head, collecting every header (names lower-cased).
-/// A head over `MAX_HEAD_BYTES`, or a body size over
-/// [`MAX_RESPONSE_BYTES`], is refused.
-fn read_response_head(reader: &mut BufReader<TcpStream>) -> Result<Head, String> {
-    let mut head = reader.by_ref().take(MAX_HEAD_BYTES as u64);
-    let mut next_line = |line: &mut String, what: &str| {
-        head.read_line(line)
-            .map_err(|e| format!("reading {what}: {e}"))?;
-        if head.limit() == 0 && !line.ends_with('\n') {
-            return Err(format!(
-                "response head exceeds the {MAX_HEAD_BYTES}-byte limit"
-            ));
-        }
-        Ok(line.len())
-    };
-    let mut status_line = String::new();
-    if next_line(&mut status_line, "status line")? == 0 {
-        return Err("connection closed before the response".into());
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line `{}`", status_line.trim_end()))?;
-
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    let mut headers = Vec::new();
-    loop {
-        let mut line = String::new();
-        if next_line(&mut line, "headers")? == 0 {
-            return Err("connection closed mid-headers".into());
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            if name == "content-length" {
-                content_length = value
-                    .parse()
-                    .map_err(|_| format!("bad content-length `{value}`"))?;
-                if content_length > MAX_RESPONSE_BYTES {
-                    return Err(format!(
-                        "body of {content_length} bytes exceeds the {MAX_RESPONSE_BYTES}-byte limit"
-                    ));
-                }
-            } else if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
-                chunked = true;
-            }
-            headers.push((name, value.to_owned()));
-        }
-    }
-    Ok(Head {
-        status,
-        content_length,
-        chunked,
-        headers,
-    })
-}
-
 /// A streamed (`?stream=1`) response: the status plus a reader yielding
 /// one NDJSON line at a time, reassembled across chunk boundaries.
 ///
@@ -397,7 +369,7 @@ enum StreamKind<'a> {
     /// one pending "line".
     Buffered(Option<String>),
     Chunked {
-        reader: &'a mut BufReader<TcpStream>,
+        conn: &'a mut Connection,
         carry: Vec<u8>,
         done: bool,
     },
@@ -406,43 +378,34 @@ enum StreamKind<'a> {
 impl StreamingResponse<'_> {
     /// The next line of the stream: `None` after a clean terminal chunk,
     /// `Some(Err(..))` on truncation or malformed framing.
-    #[allow(clippy::should_implement_trait)] // borrows self.reader; not an owned Iterator
+    #[allow(clippy::should_implement_trait)] // borrows the connection; not an owned Iterator
     pub fn next_line(&mut self) -> Option<Result<String, String>> {
         match &mut self.kind {
             StreamKind::Buffered(body) => body.take().filter(|b| !b.is_empty()).map(Ok),
-            StreamKind::Chunked {
-                reader,
-                carry,
-                done,
-            } => loop {
-                if let Some(pos) = carry.iter().position(|&b| b == b'\n') {
-                    let rest = carry.split_off(pos + 1);
-                    let mut line = std::mem::replace(carry, rest);
-                    line.pop();
-                    return Some(
-                        String::from_utf8(line)
-                            .map_err(|_| "stream line is not valid utf-8".to_owned()),
-                    );
-                }
-                if *done {
-                    if carry.is_empty() {
-                        return None;
+            StreamKind::Chunked { conn, carry, done } => loop {
+                let line = match carry.iter().position(|&b| b == b'\n') {
+                    Some(pos) => {
+                        let rest = carry.split_off(pos + 1);
+                        let mut line = std::mem::replace(carry, rest);
+                        line.pop();
+                        line
                     }
-                    let line = std::mem::take(carry);
-                    return Some(
-                        String::from_utf8(line)
-                            .map_err(|_| "stream line is not valid utf-8".to_owned()),
-                    );
-                }
-                match read_chunk(reader) {
-                    Ok(Some(data)) => carry.extend_from_slice(&data),
-                    Ok(None) => *done = true,
-                    Err(e) => {
-                        *done = true;
-                        carry.clear();
-                        return Some(Err(e));
+                    None if *done && carry.is_empty() => return None,
+                    None if *done => std::mem::take(carry),
+                    None => {
+                        match conn.read_chunk(carry) {
+                            Ok(more) => *done = !more,
+                            Err(e) => {
+                                *done = true;
+                                carry.clear();
+                                return Some(Err(e));
+                            }
+                        }
+                        continue;
                     }
-                }
+                };
+                let line = String::from_utf8(line);
+                return Some(line.map_err(|_| "stream line is not valid utf-8".to_owned()));
             },
         }
     }
@@ -471,63 +434,17 @@ impl StreamingResponse<'_> {
 
 impl Drop for StreamingResponse<'_> {
     fn drop(&mut self) {
-        if let StreamKind::Chunked { reader, done, .. } = &mut self.kind {
+        if let StreamKind::Chunked { conn, carry, done } = &mut self.kind {
             // Consume the unread tail (terminal chunk included) so the
             // connection's next response starts on a frame boundary. A
             // read error here means the connection is already broken —
             // the next request will surface that on its own.
             while !*done {
-                match read_chunk(reader) {
-                    Ok(Some(_)) => {}
-                    Ok(None) | Err(_) => *done = true,
-                }
+                carry.clear();
+                *done = !matches!(conn.read_chunk(carry), Ok(true));
             }
         }
     }
-}
-
-/// Reads one chunk body; `Ok(None)` is the clean terminal chunk. A
-/// chunk over [`MAX_RESPONSE_BYTES`] is refused, and its size and
-/// trailer lines stop at `MAX_HEAD_BYTES`.
-fn read_chunk(reader: &mut BufReader<TcpStream>) -> Result<Option<Vec<u8>>, String> {
-    let mut framing = reader.by_ref().take(MAX_HEAD_BYTES as u64);
-    let mut size_line = String::new();
-    let n = framing
-        .read_line(&mut size_line)
-        .map_err(|e| format!("reading chunk size: {e}"))?;
-    if n == 0 {
-        return Err("stream truncated: connection closed before the terminal chunk".into());
-    }
-    let size_str = size_line.trim_end().split(';').next().unwrap_or("").trim();
-    let size = usize::from_str_radix(size_str, 16)
-        .map_err(|_| format!("bad chunk size `{}`", size_line.trim_end()))?;
-    if size == 0 {
-        // Trailer section: lines until the blank terminator.
-        loop {
-            let mut line = String::new();
-            let n = framing
-                .read_line(&mut line)
-                .map_err(|e| format!("reading chunk trailer: {e}"))?;
-            if n == 0 || line.trim_end().is_empty() {
-                break;
-            }
-        }
-        return Ok(None);
-    }
-    if size > MAX_RESPONSE_BYTES {
-        return Err(format!(
-            "chunk of {size} bytes exceeds the {MAX_RESPONSE_BYTES}-byte limit"
-        ));
-    }
-    let mut data = vec![0u8; size];
-    reader
-        .read_exact(&mut data)
-        .map_err(|e| format!("stream truncated mid-chunk: {e}"))?;
-    let mut crlf = [0u8; 2];
-    reader
-        .read_exact(&mut crlf)
-        .map_err(|e| format!("stream truncated after a chunk: {e}"))?;
-    Ok(Some(data))
 }
 
 /// One-shot convenience: open, request, close.
@@ -600,6 +517,51 @@ mod tests {
         let mut stream = conn.request_stream("POST", "/grid", None).unwrap();
         let err = stream.next_line().expect("a line").unwrap_err();
         assert!(err.contains(&body_limit), "{err}");
+    }
+
+    #[test]
+    fn framing_headers_the_parser_refuses_are_named() {
+        let cases = [
+            ("content-length: +5\r\n\r\nhello", "bad content-length `+5`"),
+            (
+                "content-length: 5\r\ncontent-length: 4\r\n\r\nhello",
+                "conflicting content-length headers (5 then 4)",
+            ),
+            (
+                "transfer-encoding: gzip\r\n\r\nhello",
+                "transfer-encoding is unsupported",
+            ),
+        ];
+        let answers = cases
+            .iter()
+            .flat_map(|(rest, _)| {
+                let answer = format!("HTTP/1.1 200 OK\r\n{rest}");
+                [answer.clone(), answer]
+            })
+            .collect();
+        let addr = stub_server(answers);
+        for (_, problem) in cases {
+            let mut conn = Connection::open(&addr).unwrap();
+            let err = conn.request("GET", "/stats", None).unwrap_err();
+            assert!(err.contains(problem), "{err}");
+            let mut conn = Connection::open(&addr).unwrap();
+            let err = conn.request_stream("POST", "/grid", None).unwrap_err();
+            assert!(err.contains(problem), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_chunk_not_followed_by_crlf_is_named() {
+        let answer = "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhelloXY0\r\n\r\n";
+        let addr = stub_server(vec![answer.to_owned()]);
+        let mut conn = Connection::open(&addr).unwrap();
+        let mut stream = conn.request_stream("POST", "/grid", None).unwrap();
+        let err = stream.next_line().expect("a line").unwrap_err();
+        assert!(
+            err.contains("chunk of 5 bytes is not followed by CRLF"),
+            "{err}"
+        );
+        assert_eq!(stream.next_line(), None);
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! re-parsed as a pipelined request. Keep-alive follows a strict
 //! version table (see [`parse_request`]); anything that is not a known
 //! `HTTP/1.x` version is served conservatively or refused.
-//! [`parse_response`] is its twin for the gateway's non-blocking
-//! upstream connections.
+//! Every answer a peer reads has its head read here too, under the same
+//! rules: by the event loop's upstream links through [`parse_response`]
+//! and by the blocking [`crate::client::Connection`]. Only the body rule
+//! differs by reader.
 
 use std::io::Write;
+use std::ops::Range;
 
 use crate::client::Response;
 
@@ -98,7 +101,7 @@ impl WireError {
 /// `Content-Length` headers and non-numeric lengths are 400, any
 /// `Transfer-Encoding` (chunked included) is 501.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> {
-    let Some((head, body_start)) = split_head(buf, "request")? else {
+    let Some((head, body_start)) = split_head(buf, "request head")? else {
         return Ok(None);
     };
     let mut lines = head.split("\r\n");
@@ -119,7 +122,7 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> 
         ));
     }
     let framing = framing(version, lines)?;
-    let total = body_start + framing.content_length;
+    let total = body_start + framing.sized_body(MAX_BODY_BYTES)?;
     if buf.len() < total {
         return Ok(None); // body still arriving
     }
@@ -135,71 +138,143 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError> 
     )))
 }
 
-/// The response-side twin of [`parse_request`], for a client reading
-/// answers off a non-blocking socket: the same head and body limits,
-/// the same keep-alive table and the same framing rules, so a
-/// `Transfer-Encoding` answer is refused rather than misread. Returns
-/// `Ok(Some((response, consumed, keep_alive)))` once a whole response
-/// is buffered; `keep_alive` says whether the connection may carry
-/// another request.
-pub fn parse_response(buf: &[u8]) -> Result<Option<(Response, usize, bool)>, WireError> {
-    let Some((head, body_start)) = split_head(buf, "response")? else {
+/// One response head, as `parse_response_head` reads it.
+#[derive(Debug)]
+pub(crate) struct ResponseHead {
+    pub(crate) status: u16,
+    pub(crate) framing: Framing,
+    /// Where the body starts in the buffer the head was read from.
+    pub(crate) body_start: usize,
+}
+
+impl ResponseHead {
+    /// The response this head starts, with `body` as its body.
+    pub(crate) fn with_body(self, body: &[u8]) -> Result<Response, WireError> {
+        let body = String::from_utf8(body.to_vec());
+        let body = body.map_err(|_| WireError::new(400, "response body is not valid utf-8"))?;
+        Ok(Response {
+            status: self.status,
+            body,
+            headers: self.framing.headers,
+        })
+    }
+}
+
+/// Reads the response head at the front of `buf`: a three-digit status,
+/// then the headers under the limit, version table and header rules
+/// [`parse_request`] reads a request head under. `Ok(None)` while the
+/// head is still arriving. Framing the body is the caller's rule.
+pub(crate) fn parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, WireError> {
+    let Some((head, body_start)) = split_head(buf, "response head")? else {
         return Ok(None);
     };
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or("");
     let mut parts = status_line.split(' ');
-    let (Some(version), Some(status)) = (parts.next(), parts.next()) else {
+    let version = parts.next().unwrap_or("");
+    let status = parts.next().filter(|s| s.len() == 3);
+    let status = status.and_then(|s| plain_number(s, 10));
+    let Some(status) = status.and_then(|n| u16::try_from(n).ok()) else {
         return Err(WireError::new(
             400,
             format!("malformed status line `{status_line}`"),
         ));
     };
-    let status: u16 = status
-        .parse()
-        .map_err(|_| WireError::new(400, format!("malformed status line `{status_line}`")))?;
-    let framing = framing(version, lines)?;
-    let total = body_start + framing.content_length;
+    Ok(Some(ResponseHead {
+        status,
+        framing: framing(version, lines)?,
+        body_start,
+    }))
+}
+
+/// An answer on one of the event loop's upstream links, its body under
+/// the request side's rule (no `Transfer-Encoding`, at most
+/// `MAX_BODY_BYTES`). `Ok(Some((response, consumed, keep_alive)))`
+/// once it is whole; `keep_alive` says whether the link may be reused.
+pub fn parse_response(buf: &[u8]) -> Result<Option<(Response, usize, bool)>, WireError> {
+    let Some(head) = parse_response_head(buf)? else {
+        return Ok(None);
+    };
+    let total = head.body_start + head.framing.sized_body(MAX_BODY_BYTES)?;
     if buf.len() < total {
         return Ok(None);
     }
-    let body = String::from_utf8(buf[body_start..total].to_vec())
-        .map_err(|_| WireError::new(400, "response body is not valid utf-8"))?;
-    let response = Response {
-        status,
-        body,
-        headers: framing.headers,
-    };
-    Ok(Some((response, total, framing.keep_alive)))
+    let keep_alive = head.framing.keep_alive;
+    let body = &buf[head.body_start..total];
+    Ok(Some((head.with_body(body)?, total, keep_alive)))
 }
 
 /// The head at the front of `buf` (without its blank line) and the
 /// offset its body starts at; `None` while the head is still arriving.
 fn split_head<'b>(buf: &'b [u8], what: &str) -> Result<Option<(&'b str, usize)>, WireError> {
-    let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
-    let Some(head_len) = find_head_end(window) else {
-        if buf.len() >= MAX_HEAD_BYTES {
-            return Err(WireError::new(
-                431,
-                format!("{what} head exceeds the {MAX_HEAD_BYTES}-byte limit"),
-            ));
-        }
+    let Some(head_len) = find_bounded(buf, b"\r\n\r\n", what)? else {
         return Ok(None); // incomplete head: keep reading
     };
     let head = std::str::from_utf8(&buf[..head_len])
-        .map_err(|_| WireError::new(400, format!("{what} head is not valid utf-8")))?;
+        .map_err(|_| WireError::new(400, format!("{what} is not valid utf-8")))?;
     Ok(Some((head, head_len + 4)))
 }
 
-/// What a message head says about its own framing.
-struct Framing {
-    headers: Vec<(String, String)>,
-    content_length: usize,
-    keep_alive: bool,
+/// Where `needle` starts within the first [`MAX_HEAD_BYTES`] of `buf`;
+/// `Ok(None)` while it may still arrive, a 431 naming `what` after.
+fn find_bounded(buf: &[u8], needle: &[u8], what: &str) -> Result<Option<usize>, WireError> {
+    let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
+    match window.windows(needle.len()).position(|w| w == needle) {
+        None if buf.len() >= MAX_HEAD_BYTES => Err(WireError::new(
+            431,
+            format!("{what} exceeds the {MAX_HEAD_BYTES}-byte limit"),
+        )),
+        found => Ok(found),
+    }
+}
+
+/// `digits` as a number in `radix`, digits only: `parse` alone would
+/// take `+5`, which a peer or proxy may frame differently — exactly the
+/// disagreement request smuggling exploits.
+fn plain_number(digits: &str, radix: u32) -> Option<usize> {
+    let plain = !digits.is_empty() && digits.chars().all(|c| c.is_digit(radix));
+    plain.then(|| usize::from_str_radix(digits, radix).ok())?
+}
+
+/// What a message head says about itself and how its body is framed.
+/// Whether that framing is acceptable is each reader's rule.
+#[derive(Debug)]
+pub(crate) struct Framing {
+    /// Every header: name lower-cased, value trimmed, in arrival order.
+    pub(crate) headers: Vec<(String, String)>,
+    /// The declared `content-length` (0 when none is declared).
+    pub(crate) content_length: usize,
+    /// The `transfer-encoding`, if any (repeated headers joined by `, `).
+    pub(crate) coding: Option<String>,
+    pub(crate) keep_alive: bool,
+}
+
+impl Framing {
+    /// The body length of a message that must declare one: a
+    /// `content-length` of at most `limit` bytes (413 past it); any
+    /// `Transfer-Encoding`, chunked included, is a 501.
+    pub(crate) fn sized_body(&self, limit: usize) -> Result<usize, WireError> {
+        if self.coding.is_some() {
+            let message = "transfer-encoding is unsupported; send a content-length body";
+            return Err(WireError::new(501, message));
+        }
+        if self.content_length > limit {
+            let length = self.content_length;
+            let message = format!("body of {length} bytes exceeds the {limit}-byte limit");
+            return Err(WireError::new(413, message));
+        }
+        Ok(self.content_length)
+    }
+
+    /// Whether the body is `transfer-encoding: chunked`.
+    pub(crate) fn is_chunked(&self) -> bool {
+        let coding = self.coding.as_deref();
+        coding.is_some_and(|c| c.eq_ignore_ascii_case("chunked"))
+    }
 }
 
 /// Reads the header `lines` of a message in protocol `version`, under
-/// the keep-alive table and framing rules [`parse_request`] documents.
+/// the keep-alive table and header rules [`parse_request`] documents.
 fn framing<'h>(version: &str, lines: impl Iterator<Item = &'h str>) -> Result<Framing, WireError> {
     // The keep-alive version table. Unknown HTTP/1.x minors are served
     // conservatively: one response, then close — their keep-alive
@@ -218,6 +293,7 @@ fn framing<'h>(version: &str, lines: impl Iterator<Item = &'h str>) -> Result<Fr
     let may_keep_alive = matches!(version, "HTTP/1.0" | "HTTP/1.1");
 
     let mut content_length: Option<usize> = None;
+    let mut coding: Option<String> = None;
     let mut headers: Vec<(String, String)> = Vec::new();
     for line in lines {
         if line.is_empty() {
@@ -231,15 +307,7 @@ fn framing<'h>(version: &str, lines: impl Iterator<Item = &'h str>) -> Result<Fr
         headers.push((name.clone(), value.to_owned()));
         match name.as_str() {
             "content-length" => {
-                // Digits only: `parse::<usize>` alone would accept
-                // `+5`, which proxies may read differently — exactly
-                // the disagreement request smuggling exploits.
-                let parsed = if !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit()) {
-                    value.parse::<usize>().ok()
-                } else {
-                    None
-                };
-                let Some(parsed) = parsed else {
+                let Some(parsed) = plain_number(value, 10) else {
                     return Err(WireError::new(400, format!("bad content-length `{value}`")));
                 };
                 // Duplicate Content-Length headers that agree are
@@ -253,19 +321,13 @@ fn framing<'h>(version: &str, lines: impl Iterator<Item = &'h str>) -> Result<Fr
                         ));
                     }
                 }
-                if parsed > MAX_BODY_BYTES {
-                    return Err(WireError::new(
-                        413,
-                        format!("body of {parsed} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
-                    ));
-                }
                 content_length = Some(parsed);
             }
             "transfer-encoding" => {
-                return Err(WireError::new(
-                    501,
-                    "transfer-encoding is unsupported; send a content-length body",
-                ));
+                coding = Some(match coding {
+                    Some(prior) => format!("{prior}, {value}"),
+                    None => value.to_owned(),
+                });
             }
             "connection" if value.eq_ignore_ascii_case("close") => keep_alive = false,
             "connection" if value.eq_ignore_ascii_case("keep-alive") && may_keep_alive => {
@@ -277,15 +339,51 @@ fn framing<'h>(version: &str, lines: impl Iterator<Item = &'h str>) -> Result<Fr
     Ok(Framing {
         headers,
         content_length: content_length.unwrap_or(0),
+        coding,
         keep_alive,
     })
+}
+
+/// The chunk at the front of a chunked body in `buf`: `Ok(Some((data,
+/// consumed)))` once it has arrived whole, where `data` is the range of
+/// its bytes in `buf` (empty for the terminal chunk) and `consumed`
+/// runs past the CRLF that must follow them. `Ok(None)` while it is
+/// still arriving. A size over `limit` is refused before its bytes
+/// arrive, a size line stops at [`MAX_HEAD_BYTES`], and chunk
+/// extensions are ignored. No peer this crate reads sends trailers, so
+/// the terminal chunk is `0\r\n\r\n` exactly.
+pub(crate) fn parse_chunk(
+    buf: &[u8],
+    limit: usize,
+) -> Result<Option<(Range<usize>, usize)>, WireError> {
+    let Some(line_len) = find_bounded(buf, b"\r\n", "chunk size line")? else {
+        return Ok(None);
+    };
+    let line = String::from_utf8_lossy(&buf[..line_len]);
+    let Some(size) = plain_number(line.split(';').next().unwrap_or("").trim_end(), 16) else {
+        return Err(WireError::new(400, format!("bad chunk size `{line}`")));
+    };
+    if size > limit {
+        let message = format!("chunk of {size} bytes exceeds the {limit}-byte limit");
+        return Err(WireError::new(413, message));
+    }
+    let start = line_len + 2;
+    let end = start + size;
+    match buf.get(end..end + 2) {
+        None => Ok(None),
+        Some(b"\r\n") => Ok(Some((start..end, end + 2))),
+        Some(_) => Err(WireError::new(
+            400,
+            format!("chunk of {size} bytes is not followed by CRLF"),
+        )),
+    }
 }
 
 /// The error to answer when the peer stopped sending (EOF or timeout)
 /// with an incomplete request in `buf`. `timed_out` selects 408 over
 /// the 400 a truncating close earns.
 pub(crate) fn incomplete_error(buf: &[u8], timed_out: bool) -> WireError {
-    let part = if find_head_end(&buf[..buf.len().min(MAX_HEAD_BYTES)]).is_some() {
+    let part = if let Ok(Some(_)) = find_bounded(buf, b"\r\n\r\n", "request head") {
         "body"
     } else {
         "head"
@@ -295,12 +393,6 @@ pub(crate) fn incomplete_error(buf: &[u8], timed_out: bool) -> WireError {
     } else {
         WireError::new(400, format!("truncated request {part}"))
     }
-}
-
-/// Byte offset of the `\r\n\r\n` head terminator (length of the head
-/// without the terminator), or `None` when it has not arrived yet.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 /// True for `HTTP/1.<digits>` versions other than the two we know.
@@ -637,6 +729,34 @@ mod tests {
         let mut head = b"HTTP/1.1 200 OK\r\n".to_vec();
         head.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 8));
         assert_eq!(parse_response(&head).unwrap_err().status, 431);
+    }
+
+    #[test]
+    fn chunk_parse_is_incremental_and_checked() {
+        let wire = b"5;ext=1\r\nhello\r\n0\r\n\r\n";
+        let first = b"5;ext=1\r\nhello\r\n".len();
+        for cut in 0..first {
+            assert_eq!(parse_chunk(&wire[..cut], 64).unwrap(), None, "{cut}");
+        }
+        let (data, consumed) = parse_chunk(wire, 64).unwrap().unwrap();
+        assert_eq!((&wire[data], consumed), (&b"hello"[..], first));
+        let rest = &wire[first..];
+        for cut in 0..rest.len() {
+            assert_eq!(parse_chunk(&rest[..cut], 64).unwrap(), None, "{cut}");
+        }
+        assert_eq!(parse_chunk(rest, 64).unwrap(), Some((3..3, 5)));
+        for (bad, status) in [
+            (&b"5\r\nhelloXY"[..], 400),
+            (b"+5\r\nhello\r\n", 400),
+            (b"g\r\n", 400),
+            (b"41\r\n", 413),
+            (b"0\r\ntrailer: x\r\n\r\n", 400),
+        ] {
+            let err = parse_chunk(bad, 64).unwrap_err();
+            assert_eq!(err.status, status, "{}", err.message);
+        }
+        let long = vec![b'1'; MAX_HEAD_BYTES];
+        assert_eq!(parse_chunk(&long, 64).unwrap_err().status, 431);
     }
 
     #[test]
