@@ -6,6 +6,11 @@
 //! paper-default numbers from drifting silently: the ~2.84x headline
 //! becomes one of many pinned values instead of the only one.
 //!
+//! A second, compact snapshot (`tests/golden/routed.json`) pins the
+//! flow-routed prices: the same matrix at five device counts on every
+//! routed topology, one line per (topology, devices) group with its cell
+//! count and an FNV-1a digest of the group's simulated times.
+//!
 //! Regenerating after an *intentional* model change:
 //!
 //! ```console
@@ -19,10 +24,15 @@ use std::path::{Path, PathBuf};
 
 use mcdla::core::scenario::global_runner;
 use mcdla::core::{experiment, ScenarioGrid};
+use mcdla::interconnect::FabricTopology;
 use serde::{json, Value};
 
 fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/paper_default.json")
+}
+
+fn routed_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/routed.json")
 }
 
 /// Renders the paper-default grid into the golden snapshot value. The
@@ -157,5 +167,87 @@ fn golden_headline_stays_in_the_paper_band() {
     assert!(
         (2.7..=3.0).contains(&headline),
         "headline speedup {headline} left the paper's band"
+    );
+}
+
+/// Device counts of the routed snapshot: one backplane island, two, a
+/// partial last island, and the scale-out range.
+const ROUTED_DEVICES: [usize; 5] = [8, 16, 40, 64, 128];
+
+/// FNV-1a, 64-bit.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Renders the routed snapshot: the paper-default matrix × [`ROUTED_DEVICES`]
+/// × every routed topology, one JSON line per (topology, devices) group
+/// carrying its cell count and the FNV-1a digest of each cell's
+/// `iteration_time` and `sync_busy` picoseconds, in grid order.
+fn current_routed() -> String {
+    let topologies: Vec<_> = FabricTopology::ALL.iter().map(|&t| Some(t)).collect();
+    let scenarios = ScenarioGrid::paper_default()
+        .device_counts(&ROUTED_DEVICES)
+        .topology_axis(&topologies)
+        .scenarios();
+    let runs = global_runner().run_grid(&scenarios);
+    let mut groups = Vec::new();
+    for topology in FabricTopology::ALL {
+        for devices in ROUTED_DEVICES {
+            let (mut cells, mut digest) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+            for (s, r) in scenarios.iter().zip(&runs) {
+                if s.topology == Some(topology) && s.devices == Some(devices) {
+                    cells += 1;
+                    for ps in [r.iteration_time.as_ps(), r.sync_busy.as_ps()] {
+                        digest = fnv1a(digest, &ps.to_le_bytes());
+                    }
+                }
+            }
+            groups.push(format!(
+                r#"    {{"topology": "{topology}", "devices": {devices}, "cells": {cells}, "fnv1a": "{digest:016x}"}}"#
+            ));
+        }
+    }
+    format!(
+        "{{\n  \"generated_by\": \"MCDLA_BLESS=1 cargo test --test golden_reports\",\n  \
+         \"grid\": \"paper_default x devices {ROUTED_DEVICES:?} x every routed topology\",\n  \
+         \"groups\": [\n{}\n  ]\n}}\n",
+        groups.join(",\n")
+    )
+}
+
+#[test]
+fn routed_grid_matches_the_golden_snapshot() {
+    let path = routed_path();
+    let current = current_routed();
+    json::parse(&current).expect("routed snapshot is valid JSON");
+
+    if bless_requested() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
+        std::fs::write(&path, &current).expect("write routed snapshot");
+        eprintln!("blessed {} ({} bytes)", path.display(), current.len());
+        return;
+    }
+
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing routed snapshot {}: {e}\n\
+             generate it with `MCDLA_BLESS=1 cargo test --test golden_reports`",
+            path.display()
+        )
+    });
+    let drifted: Vec<String> = committed
+        .lines()
+        .zip(current.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  committed: {}\n  current:   {}", want.trim(), got.trim()))
+        .collect();
+    assert!(
+        drifted.is_empty() && committed == current,
+        "routed prices drifted from the golden snapshot:\n{}\n\
+         if this change is intentional, regenerate with \
+         `MCDLA_BLESS=1 cargo test --test golden_reports` and commit the diff",
+        drifted.join("\n")
     );
 }
