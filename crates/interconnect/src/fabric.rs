@@ -13,12 +13,13 @@
 //! (host-PCIe escape channels between backplane islands) the shared links
 //! throttle the drain and reproduce the paper's §VI scale-out cliff.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use serde::Serialize;
 
-use mcdla_sim::{Bandwidth, Bytes, ChannelId, FlowNetwork, SimDuration, SimTime};
+use mcdla_sim::{Bandwidth, Bytes, ChannelId, FlowId, FlowNetwork, SimDuration, SimTime};
 
 use crate::collective::{CollectiveKind, CollectiveModel};
 use crate::ring::RingShape;
@@ -311,10 +312,12 @@ fn ring_order(kind: FabricTopology, n: usize) -> Vec<usize> {
 
 /// Deterministic BFS over a [`Wiring`]: each node's out-links are
 /// explored in link-id order, so ties always break the same way, and
-/// a by-destination index finds the last hop without scanning a
+/// by-destination indexes find the last two hops without scanning a
 /// switch's whole out-list. Scratch state is reused across searches.
 struct Router {
     out: Vec<Vec<usize>>,
+    /// The nodes with a link into each node.
+    into: Vec<Vec<usize>>,
     /// The lowest-id link for each `(src, dst)` pair.
     first_link: HashMap<(usize, usize), usize>,
     /// Search stamp per node: equal to `stamp` once seen this search.
@@ -328,13 +331,18 @@ struct Router {
 impl Router {
     fn new(w: &Wiring) -> Router {
         let mut out = vec![Vec::new(); w.nodes];
+        let mut into = vec![Vec::new(); w.nodes];
         let mut first_link = HashMap::with_capacity(w.links.len());
         for (l, &(src, dst)) in w.links.iter().enumerate() {
             out[src].push(l);
-            first_link.entry((src, dst)).or_insert(l);
+            first_link.entry((src, dst)).or_insert_with(|| {
+                into[dst].push(src);
+                l
+            });
         }
         Router {
             out,
+            into,
             first_link,
             seen: vec![0; w.nodes],
             via: vec![0; w.nodes],
@@ -349,6 +357,10 @@ impl Router {
     ///
     /// BFS finishes through the first node, in discovery order, that
     /// links to `dst`, so the search stops as soon as it discovers one.
+    /// No node seen before links to `dst` (the search would have stopped
+    /// there), so scanning `u`'s out-links would stop at `u`'s lowest-id
+    /// link into any node linking to `dst`: the search takes that link
+    /// directly, and scans `u`'s out-links only when there is none.
     fn route(&mut self, w: &Wiring, src: usize, dst: usize, route: &mut Vec<u32>) -> bool {
         self.stamp += 1;
         self.seen[src] = self.stamp;
@@ -359,17 +371,22 @@ impl Router {
                 break 'search (src, last);
             }
             while let Some(u) = self.queue.pop_front() {
+                let hop = self.into[dst]
+                    .iter()
+                    .filter_map(|&v| self.first_link.get(&(u, v)))
+                    .min();
+                if let Some(&l) = hop {
+                    let v = w.links[l].1;
+                    self.via[v] = l;
+                    break 'search (v, self.first_link[&(v, dst)]);
+                }
                 for &l in &self.out[u] {
                     let v = w.links[l].1;
-                    if self.seen[v] == self.stamp {
-                        continue;
+                    if self.seen[v] != self.stamp {
+                        self.seen[v] = self.stamp;
+                        self.via[v] = l;
+                        self.queue.push_back(v);
                     }
-                    self.seen[v] = self.stamp;
-                    self.via[v] = l;
-                    if let Some(&last) = self.first_link.get(&(v, dst)) {
-                        break 'search (v, last);
-                    }
-                    self.queue.push_back(v);
                 }
             }
             return false;
@@ -391,6 +408,26 @@ fn pipeline_steps(kind: CollectiveKind, participants: usize) -> f64 {
         CollectiveKind::AllReduce => 2.0 * (participants - 1) as f64,
         CollectiveKind::Broadcast => participants.saturating_sub(2) as f64,
     }
+}
+
+/// The flow network a thread solves its routed collectives on, cleared
+/// before each solve so its allocations are reused. One per thread is
+/// bounded by the thread count; one per fabric would cost memory for
+/// every cached fabric.
+struct Solver {
+    net: FlowNetwork,
+    /// Each link's channel, by link id.
+    chan: Vec<ChannelId>,
+    /// Each opened ring's first flow id and ring index, in id order.
+    runs: Vec<(FlowId, usize)>,
+}
+
+thread_local! {
+    static SOLVER: RefCell<Solver> = RefCell::new(Solver {
+        net: FlowNetwork::new(),
+        chan: Vec::new(),
+        runs: Vec::new(),
+    });
 }
 
 impl RoutedFabric {
@@ -523,46 +560,62 @@ impl RoutedFabric {
             return SimDuration::ZERO;
         }
         let share = Bytes::new(size.as_u64().div_ceil(self.rings.len() as u64));
-        // One channel per link, in link-id order.
-        let mut net = FlowNetwork::new();
-        let mut chan: Vec<ChannelId> = Vec::new();
-        let lanes = self
-            .lanes
-            .iter()
-            .cycle()
-            .take(self.rings.len() * self.lanes.len());
-        for &(links, cap) in lanes.chain(&self.shared) {
-            chan.extend((0..links).map(|_| net.add_channel(cap)));
-        }
-        let mut batch = Vec::new();
-        let mut ring_of = Vec::new();
-        for (k, &shape) in self.rings.iter().enumerate() {
+        // The rings that open flows, with their per-link wire bytes.
+        let opened = self.rings.iter().enumerate().filter_map(|(k, &shape)| {
             if shape.participants < 2 {
-                continue;
+                return None;
             }
             let wire = model.wire_bytes_per_link(kind, share, shape);
-            if wire.is_zero() {
-                continue;
-            }
-            for route in self.hops() {
-                batch.push((route.iter().map(|&c| chan[self.lane(c, k)]).collect(), wire));
-                ring_of.push(k);
-            }
-        }
-        if batch.is_empty() {
+            (!wire.is_zero()).then_some((k, wire))
+        });
+        if opened.clone().next().is_none() {
             return SimDuration::ZERO;
         }
-        let ids = net
-            .open_flows(SimTime::ZERO, batch)
-            .expect("fabric routes are valid");
-        let Some(done) = net.drain_all() else {
-            return SimDuration::MAX; // a starved (zero-capacity) route
-        };
+        let hops = self.hops().count();
         let mut drain = vec![SimDuration::ZERO; self.rings.len()];
-        for (t, id) in done {
-            // Ids are issued in batch order, so the search finds the entry.
-            let r = ring_of[ids.binary_search(&id).expect("opened flow")];
-            drain[r] = drain[r].max(SimDuration::from_secs_f64(t.as_secs_f64()));
+        let drained = SOLVER.with_borrow_mut(|Solver { net, chan, runs }| {
+            net.clear();
+            // One channel per link, in link-id order.
+            chan.clear();
+            let lanes = self
+                .lanes
+                .iter()
+                .cycle()
+                .take(self.rings.len() * self.lanes.len());
+            for &(links, cap) in lanes.chain(&self.shared) {
+                chan.extend((0..links).map(|_| net.add_channel(cap)));
+            }
+            let chan = &*chan;
+            let batch = opened.clone().flat_map(|(k, wire)| {
+                self.hops()
+                    .map(move |route| (route.iter().map(move |&c| chan[self.lane(c, k)]), wire))
+            });
+            let ids = net
+                .open_flows(SimTime::ZERO, batch)
+                .expect("fabric routes are valid");
+            // Each ring opens one flow per hop, so its flows are one run
+            // of ids.
+            runs.clear();
+            runs.extend(
+                ids.iter()
+                    .step_by(hops)
+                    .copied()
+                    .zip(opened.map(|(k, _)| k)),
+            );
+            let Some(done) = net.drain_all() else {
+                return false; // a starved (zero-capacity) route
+            };
+            for (t, id) in done {
+                let &(_, r) = runs
+                    .iter()
+                    .rfind(|&&(first, _)| first <= id)
+                    .expect("opened flow");
+                drain[r] = drain[r].max(SimDuration::from_secs_f64(t.as_secs_f64()));
+            }
+            true
+        });
+        if !drained {
+            return SimDuration::MAX;
         }
         let b = model.link_bandwidth_gbs * 1e9;
         let mut total = SimDuration::ZERO;

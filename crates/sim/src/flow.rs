@@ -15,7 +15,6 @@
 //! shrinking proportionally to the number of intra-node devices, socket
 //! memory-bandwidth saturation in HC-DLA) without packet-level cost.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
@@ -48,18 +47,47 @@ impl fmt::Display for FlowId {
     }
 }
 
+/// One channel: its capacity, what it has carried, and the state a rate
+/// fill keeps for it.
 #[derive(Debug, Clone)]
 struct Channel {
     capacity: f64, // bytes/sec
     /// Total bytes that have traversed this channel.
     bytes_carried: f64,
+    /// Capacity the current fill has not yet handed out.
+    residual: f64,
+    /// Unfrozen flows crossing the channel during a fill.
+    load: u32,
+    /// Sets the current fill round's share.
+    bottleneck: bool,
+    /// Listed in [`FlowNetwork`]'s `used`.
+    used: bool,
 }
 
+/// One flow; its path is `paths[start..end]` of its network.
 #[derive(Debug, Clone)]
-struct FlowState {
-    path: Vec<ChannelId>,
+struct Flow {
+    start: u32,
+    end: u32,
     remaining: f64, // bytes
     rate: f64,      // bytes/sec, updated on every recompute
+}
+
+impl Flow {
+    fn path<'a>(&self, paths: &'a [u32]) -> &'a [u32] {
+        &paths[self.start as usize..self.end as usize]
+    }
+
+    /// When the flow finishes at its current rate, from `now`; `None` if
+    /// it is starved.
+    fn completion(&self, now: SimTime) -> Option<SimTime> {
+        if self.rate <= 0.0 {
+            // A zero-byte flow completes immediately.
+            return (self.remaining <= BYTE_EPSILON).then_some(now);
+        }
+        let secs = (self.remaining / self.rate).max(0.0);
+        Some(now + SimDuration::from_secs_f64(secs))
+    }
 }
 
 /// Errors returned by [`FlowNetwork`] operations.
@@ -87,6 +115,14 @@ impl std::error::Error for FlowError {}
 
 /// A network of capacity-limited channels carrying fluid flows.
 ///
+/// The state is flat: flows are indexed by id, every path sits in one
+/// `u32` table at an offset, and each channel's capacity, accounting and
+/// fill state share one entry. A rate fill scans only the channels that
+/// in-flight flows cross, with scratch lists kept across fills.
+/// [`FlowNetwork::clear`] empties the network but keeps every
+/// allocation, so one network reused for many solves stops allocating
+/// once it has held the largest.
+///
 /// # Examples
 ///
 /// Two DMA transfers sharing one 16 GB/s PCIe uplink each progress at
@@ -109,9 +145,20 @@ impl std::error::Error for FlowError {}
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     channels: Vec<Channel>,
-    flows: BTreeMap<FlowId, FlowState>,
+    /// Every flow opened since the last clear; a flow's id is its index.
+    flows: Vec<Flow>,
+    /// The flows' paths as channel indices, back to back.
+    paths: Vec<u32>,
+    /// In-flight flows, in id order.
+    live: Vec<u32>,
+    /// In index order, every channel an in-flight flow crosses (and
+    /// possibly some no flow crosses any more): the channels a fill scans.
+    used: Vec<u32>,
+    /// Fill scratch: the flows not yet frozen this fill, in id order.
+    unfrozen: Vec<u32>,
+    /// The flows finishing on the next completion tick, in id order.
+    cohort: Vec<u32>,
     now: SimTime,
-    next_flow: u64,
 }
 
 impl FlowNetwork {
@@ -120,19 +167,41 @@ impl FlowNetwork {
         FlowNetwork::default()
     }
 
+    /// Empties the network (channels, flows, and clock) but keeps its
+    /// allocations. Ids issued before the call are void afterwards: the
+    /// next channel and flow ids start from zero again, as in a new
+    /// network.
+    pub fn clear(&mut self) {
+        self.channels.clear();
+        self.flows.clear();
+        self.paths.clear();
+        self.live.clear();
+        self.used.clear();
+        self.now = SimTime::ZERO;
+    }
+
     /// Adds a channel with the given capacity and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network already holds `u32::MAX` channels.
     pub fn add_channel(&mut self, capacity: Bandwidth) -> ChannelId {
         let id = ChannelId(self.channels.len());
+        assert!(id.0 < u32::MAX as usize, "channel ids fit in 32 bits");
         self.channels.push(Channel {
             capacity: capacity.as_bytes_per_sec(),
             bytes_carried: 0.0,
+            residual: 0.0,
+            load: 0,
+            bottleneck: false,
+            used: false,
         });
         id
     }
 
     /// Number of in-flight flows.
     pub fn active_flows(&self) -> usize {
-        self.flows.len()
+        self.live.len()
     }
 
     /// Current network time.
@@ -167,7 +236,7 @@ impl FlowNetwork {
         path: &[ChannelId],
         bytes: Bytes,
     ) -> Result<FlowId, FlowError> {
-        Ok(self.open_flows(at, [(path.to_vec(), bytes)])?[0])
+        Ok(self.open_flows(at, [(path.iter().copied(), bytes)])?[0])
     }
 
     /// Opens a batch of flows at the same instant with a **single** rate
@@ -178,47 +247,82 @@ impl FlowNetwork {
     /// recompute at the end lands on the same allocation), but costs one
     /// progressive-filling pass instead of one per flow — the difference
     /// between O(n²) and O(n) when a collective opens thousands of per-hop
-    /// flows at once.
+    /// flows at once. Each path is read straight into the network's path
+    /// table.
     ///
-    /// The whole batch is validated before any flow is admitted: on error the
-    /// network is unchanged.
+    /// The batch is all or nothing: on error the flows and paths it had
+    /// added are rolled back and the network is unchanged.
     ///
     /// # Errors
     ///
     /// Same as [`FlowNetwork::open_flow`].
-    pub fn open_flows(
+    pub fn open_flows<P>(
         &mut self,
         at: SimTime,
-        batch: impl IntoIterator<Item = (Vec<ChannelId>, Bytes)>,
-    ) -> Result<Vec<FlowId>, FlowError> {
-        let batch: Vec<(Vec<ChannelId>, Bytes)> = batch.into_iter().collect();
-        for (path, _) in &batch {
-            if path.is_empty() {
-                return Err(FlowError::EmptyPath);
+        batch: impl IntoIterator<Item = (P, Bytes)>,
+    ) -> Result<Vec<FlowId>, FlowError>
+    where
+        P: IntoIterator<Item = ChannelId>,
+    {
+        let (first, paths_len) = (self.flows.len(), self.paths.len());
+        // The batch's flows stay out of `live` until it is admitted, so
+        // advancing the clock drains only the flows already in flight.
+        if let Err(e) = self
+            .append(batch)
+            .and_then(|()| self.advance_to(at).map(drop))
+        {
+            self.flows.truncate(first);
+            self.paths.truncate(paths_len);
+            return Err(e);
+        }
+        let mut grew = false;
+        for &c in &self.paths[paths_len..] {
+            let ch = &mut self.channels[c as usize];
+            if !ch.used {
+                ch.used = true;
+                self.used.push(c);
+                grew = true;
             }
-            for &c in path.iter() {
+        }
+        if grew {
+            self.used.sort_unstable();
+        }
+        let ids = first as u32..self.flows.len() as u32;
+        self.live.extend(ids.clone());
+        self.recompute_rates();
+        Ok(ids.map(|f| FlowId(f.into())).collect())
+    }
+
+    /// Appends `batch`'s flows and paths, not yet in flight, checking
+    /// every path.
+    fn append<P>(&mut self, batch: impl IntoIterator<Item = (P, Bytes)>) -> Result<(), FlowError>
+    where
+        P: IntoIterator<Item = ChannelId>,
+    {
+        for (path, bytes) in batch {
+            let start = self.paths.len();
+            for c in path {
                 if c.index() >= self.channels.len() {
                     return Err(FlowError::UnknownChannel(c));
                 }
+                self.paths.push(c.index() as u32);
             }
-        }
-        self.advance_to(at)?;
-        let mut ids = Vec::with_capacity(batch.len());
-        for (path, bytes) in batch {
-            let id = FlowId(self.next_flow);
-            self.next_flow += 1;
-            self.flows.insert(
-                id,
-                FlowState {
-                    path,
-                    remaining: bytes.as_f64(),
-                    rate: 0.0,
-                },
+            if self.paths.len() == start {
+                return Err(FlowError::EmptyPath);
+            }
+            let offset = |at: usize| u32::try_from(at).expect("path table fits 32-bit offsets");
+            assert!(
+                self.flows.len() < u32::MAX as usize,
+                "flow ids fit in 32 bits"
             );
-            ids.push(id);
+            self.flows.push(Flow {
+                start: offset(start),
+                end: offset(self.paths.len()),
+                remaining: bytes.as_f64(),
+                rate: 0.0,
+            });
         }
-        self.recompute_rates();
-        Ok(ids)
+        Ok(())
     }
 
     /// Earliest `(time, flow)` completion among in-flight flows, if any flow
@@ -228,29 +332,23 @@ impl FlowNetwork {
     /// deterministic.
     #[cfg(test)]
     pub(crate) fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        self.flows
+        self.live
             .iter()
-            .filter_map(|(&id, f)| Some((self.completion(f)?, id)))
+            .filter_map(|&f| {
+                let t = self.flows[f as usize].completion(self.now)?;
+                Some((t, FlowId(f.into())))
+            })
             .min()
     }
 
-    /// When `f` finishes at its current rate; `None` if it is starved.
-    fn completion(&self, f: &FlowState) -> Option<SimTime> {
-        if f.rate <= 0.0 {
-            // A zero-byte flow completes immediately.
-            return (f.remaining <= BYTE_EPSILON).then_some(self.now);
-        }
-        let secs = (f.remaining / f.rate).max(0.0);
-        Some(self.now + SimDuration::from_secs_f64(secs))
-    }
-
-    /// The earliest completion tick and its cohort: every flow that
-    /// finishes on that same tick, in flow-id order.
-    fn next_cohort(&self) -> Option<(SimTime, Vec<FlowId>)> {
+    /// Finds the earliest completion tick and collects its cohort in
+    /// `cohort`: every flow that finishes on that same tick, in flow-id
+    /// order.
+    fn next_cohort(&mut self) -> Option<SimTime> {
         let mut tick: Option<SimTime> = None;
-        let mut cohort = Vec::new();
-        for (&id, f) in &self.flows {
-            let Some(t) = self.completion(f) else {
+        self.cohort.clear();
+        for &f in &self.live {
+            let Some(t) = self.flows[f as usize].completion(self.now) else {
                 continue;
             };
             if tick.is_some_and(|best| t > best) {
@@ -258,20 +356,20 @@ impl FlowNetwork {
             }
             if tick != Some(t) {
                 tick = Some(t);
-                cohort.clear();
+                self.cohort.clear();
             }
-            cohort.push(id);
+            self.cohort.push(f);
         }
-        tick.map(|t| (t, cohort))
+        tick
     }
 
     /// Drains to `t`, removes the cohort finishing there, and recomputes
     /// rates once for the survivors.
-    fn retire(&mut self, t: SimTime, cohort: &[FlowId]) {
+    fn retire(&mut self, t: SimTime) {
         self.drain(t);
-        for id in cohort {
-            self.flows.remove(id);
-        }
+        // Both lists are in id order.
+        let mut done = self.cohort.iter().peekable();
+        self.live.retain(|f| done.next_if_eq(&f).is_none());
         self.recompute_rates();
     }
 
@@ -287,12 +385,12 @@ impl FlowNetwork {
             return Err(FlowError::TimeRegression);
         }
         let mut completed = Vec::new();
-        while let Some((t, cohort)) = self.next_cohort() {
+        while let Some(t) = self.next_cohort() {
             if t > to {
                 break;
             }
-            self.retire(t, &cohort);
-            completed.extend(cohort);
+            self.retire(t);
+            completed.extend(self.cohort.iter().map(|&f| FlowId(f.into())));
         }
         self.drain(to);
         Ok(completed)
@@ -300,9 +398,11 @@ impl FlowNetwork {
 
     /// Instantaneous rate of `flow`; `None` once completed/unknown.
     pub fn flow_rate(&self, flow: FlowId) -> Option<Bandwidth> {
-        self.flows
-            .get(&flow)
-            .map(|f| Bandwidth::bytes_per_sec(f.rate))
+        let f = u32::try_from(flow.0).ok()?;
+        self.live
+            .binary_search(&f)
+            .ok()
+            .map(|_| Bandwidth::bytes_per_sec(self.flows[f as usize].rate))
     }
 
     /// Runs the network until all flows complete, returning them in
@@ -314,11 +414,11 @@ impl FlowNetwork {
     /// symmetric collective of thousands of flows drains in a handful of
     /// recomputes instead of one per flow.
     pub fn drain_all(&mut self) -> Option<Vec<(SimTime, FlowId)>> {
-        let mut done = Vec::with_capacity(self.flows.len());
-        while !self.flows.is_empty() {
-            let (t, cohort) = self.next_cohort()?;
-            self.retire(t, &cohort);
-            done.extend(cohort.into_iter().map(|id| (t, id)));
+        let mut done = Vec::with_capacity(self.live.len());
+        while !self.live.is_empty() {
+            let t = self.next_cohort()?;
+            self.retire(t);
+            done.extend(self.cohort.iter().map(|&f| (t, FlowId(f.into()))));
         }
         Some(done)
     }
@@ -327,11 +427,12 @@ impl FlowNetwork {
     fn drain(&mut self, t: SimTime) {
         let dt = t.saturating_since(self.now).as_secs_f64();
         if dt > 0.0 {
-            for f in self.flows.values_mut() {
+            for &f in &self.live {
+                let f = &mut self.flows[f as usize];
                 let moved = f.rate * dt;
                 f.remaining = (f.remaining - moved).max(0.0);
-                for &c in &f.path {
-                    self.channels[c.index()].bytes_carried += moved;
+                for &c in f.path(&self.paths) {
+                    self.channels[c as usize].bytes_carried += moved;
                 }
             }
         }
@@ -342,56 +443,78 @@ impl FlowNetwork {
     ///
     /// Repeatedly finds the most-constrained channel (smallest equal share
     /// for its unfrozen flows), freezes those flows at that share, removes
-    /// the consumed capacity, and iterates.
+    /// the consumed capacity, and iterates. Flows freeze in id order, and
+    /// each subtracts its share along its path in order.
     fn recompute_rates(&mut self) {
-        let n_ch = self.channels.len();
-        let mut residual: Vec<f64> = self.channels.iter().map(|c| c.capacity).collect();
-        let mut load: Vec<usize> = vec![0; n_ch];
-        let mut bottleneck: Vec<bool> = vec![false; n_ch];
-        let mut unfrozen: Vec<&mut FlowState> = self.flows.values_mut().collect();
-        for f in &unfrozen {
-            for &c in &f.path {
-                load[c.index()] += 1;
+        let FlowNetwork {
+            channels,
+            flows,
+            paths,
+            live,
+            used,
+            unfrozen,
+            ..
+        } = self;
+        for &c in used.iter() {
+            channels[c as usize].load = 0;
+        }
+        for &f in live.iter() {
+            for &c in flows[f as usize].path(paths) {
+                channels[c as usize].load += 1;
             }
         }
+        used.retain(|&c| {
+            let ch = &mut channels[c as usize];
+            ch.residual = ch.capacity;
+            ch.used = ch.load > 0;
+            ch.used
+        });
+        unfrozen.clear();
+        unfrozen.extend_from_slice(live);
         while !unfrozen.is_empty() {
             // Bottleneck share across channels with load.
             let mut share = f64::INFINITY;
-            for c in 0..n_ch {
-                if load[c] > 0 {
-                    share = share.min(residual[c].max(0.0) / load[c] as f64);
+            for &c in used.iter() {
+                let ch = &channels[c as usize];
+                if ch.load > 0 {
+                    share = share.min(ch.residual.max(0.0) / ch.load as f64);
                 }
             }
             if !share.is_finite() {
                 break;
             }
             // Freeze every unfrozen flow crossing a bottleneck channel.
-            for c in 0..n_ch {
-                bottleneck[c] = load[c] > 0
-                    && (residual[c].max(0.0) / load[c] as f64) <= share * (1.0 + RATE_EPSILON);
+            for &c in used.iter() {
+                let ch = &mut channels[c as usize];
+                ch.bottleneck = ch.load > 0
+                    && (ch.residual.max(0.0) / ch.load as f64) <= share * (1.0 + RATE_EPSILON);
             }
             let before = unfrozen.len();
-            unfrozen.retain_mut(|f| {
-                if !f.path.iter().any(|c| bottleneck[c.index()]) {
+            unfrozen.retain(|&f| {
+                let f = &mut flows[f as usize];
+                let path = f.path(paths);
+                if !path.iter().any(|&c| channels[c as usize].bottleneck) {
                     return true;
                 }
                 f.rate = share;
-                for &c in &f.path {
-                    residual[c.index()] -= share;
-                    load[c.index()] -= 1;
+                for &c in path {
+                    let ch = &mut channels[c as usize];
+                    ch.residual -= share;
+                    ch.load -= 1;
                 }
                 false
             });
             if unfrozen.len() == before {
                 // No channel constrains the remaining flows (shouldn't happen
                 // for non-empty paths); freeze them at the current share.
-                for f in unfrozen.drain(..) {
-                    f.rate = share;
+                for &f in unfrozen.iter() {
+                    flows[f as usize].rate = share;
                 }
+                unfrozen.clear();
             }
         }
-        for f in unfrozen {
-            f.rate = 0.0;
+        for &f in unfrozen.iter() {
+            flows[f as usize].rate = 0.0;
         }
     }
 }
@@ -598,6 +721,89 @@ mod tests {
         );
         assert_eq!(err, Err(FlowError::EmptyPath));
         assert_eq!(net.active_flows(), 0);
+        // A second flow naming an unknown channel rolls back the first
+        // flow's path and id too: the next flow is id 0 over its own path
+        // alone, and the network drains as if the batch never came.
+        let wide = net.add_channel(gb(4.0));
+        let err = net.open_flows(
+            SimTime::ZERO,
+            vec![
+                (vec![wide], Bytes::from_gb(1)),
+                (vec![c, ChannelId(7)], Bytes::from_gb(1)),
+            ],
+        );
+        assert_eq!(err, Err(FlowError::UnknownChannel(ChannelId(7))));
+        assert_eq!(net.active_flows(), 0);
+        let f = net
+            .open_flow(SimTime::ZERO, &[c], Bytes::from_gb(1))
+            .unwrap();
+        assert_eq!(f, FlowId(0));
+        assert_eq!(net.flow_rate(f), Some(gb(1.0)));
+        let done = net.drain_all().unwrap();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].1, f);
+        assert!((done[0].0.as_secs_f64() - 1.0).abs() < 1e-9);
+        assert_eq!(net.bytes_carried(wide), Bytes::ZERO);
+        assert_eq!(net.bytes_carried(c), Bytes::from_gb(1));
+    }
+
+    #[test]
+    fn cleared_network_matches_a_fresh_one() {
+        // Contended paths over five channels, several cohorts and a late
+        // arrival: a network cleared after another batch (more channels,
+        // more flows, a later clock) must give bit-identical rates and the
+        // same completion ticks, ids and byte counts as a fresh network.
+        let caps = [10.0, 4.0, 7.3, 7.3, 2.5];
+        let specs: [(&[usize], u64); 6] = [
+            (&[0, 1], 3),
+            (&[0], 5),
+            (&[1, 2], 2),
+            (&[2, 3], 9),
+            (&[3], 4),
+            (&[4, 0, 2], 1),
+        ];
+        let run = |net: &mut FlowNetwork| {
+            let chs: Vec<ChannelId> = caps.iter().map(|&g| net.add_channel(gb(g))).collect();
+            let ids = net
+                .open_flows(
+                    SimTime::ZERO,
+                    specs
+                        .iter()
+                        .map(|&(path, g)| (path.iter().map(|&i| chs[i]), Bytes::from_gb(g))),
+                )
+                .unwrap();
+            let rates: Vec<_> = ids.iter().map(|&f| net.flow_rate(f).unwrap()).collect();
+            let late = net
+                .open_flow(
+                    SimTime::from_us(300_000),
+                    &[chs[1], chs[3]],
+                    Bytes::from_gb(2),
+                )
+                .unwrap();
+            let late_rate = net.flow_rate(late).unwrap();
+            let done = net.drain_all().unwrap();
+            let carried: Vec<_> = chs.iter().map(|&c| net.bytes_carried(c)).collect();
+            (ids, rates, late_rate, done, carried)
+        };
+        let fresh = run(&mut FlowNetwork::new());
+        let mut reused = FlowNetwork::new();
+        for _ in 0..3 {
+            let c = reused.add_channel(gb(1.0));
+            let at = reused.now() + SimDuration::from_us(50);
+            for _ in 0..4 {
+                reused.open_flow(at, &[c, c], Bytes::from_gb(2)).unwrap();
+            }
+            reused
+                .advance_to(at + SimDuration::from_us(900_000))
+                .unwrap();
+        }
+        assert!(reused.active_flows() > 0);
+        for _ in 0..2 {
+            reused.clear();
+            assert_eq!(reused.active_flows(), 0);
+            assert_eq!(reused.now(), SimTime::ZERO);
+            assert_eq!(run(&mut reused), fresh);
+        }
     }
 
     #[test]

@@ -404,7 +404,10 @@ fn cohort_retirement_matches_one_flow_per_event() {
             .open_flows(
                 SimTime::ZERO,
                 flows.iter().map(|(path, bytes)| {
-                    (path.iter().map(|i| chs[*i]).collect(), Bytes::new(*bytes))
+                    (
+                        path.iter().map(|i| chs[*i]).collect::<Vec<_>>(),
+                        Bytes::new(*bytes),
+                    )
                 }),
             )
             .unwrap();
