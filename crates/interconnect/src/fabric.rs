@@ -315,9 +315,10 @@ fn ring_order(kind: FabricTopology, n: usize) -> Vec<usize> {
 /// by-destination indexes find the last two hops without scanning a
 /// switch's whole out-list. Scratch state is reused across searches.
 struct Router {
-    out: Vec<Vec<usize>>,
+    /// Each node's out-links, in link-id order.
+    out: Adjacency,
     /// The nodes with a link into each node.
-    into: Vec<Vec<usize>>,
+    into: Adjacency,
     /// The lowest-id link for each `(src, dst)` pair.
     first_link: HashMap<(usize, usize), usize>,
     /// Search stamp per node: equal to `stamp` once seen this search.
@@ -328,21 +329,57 @@ struct Router {
     queue: VecDeque<usize>,
 }
 
+/// Per-node lists in one table: node `v`'s list is
+/// `items[start[v]..start[v + 1]]`.
+struct Adjacency {
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Packs `(node, item)` pairs, keeping each node's items in pair
+    /// order.
+    fn new(nodes: usize, pairs: &[(usize, usize)]) -> Adjacency {
+        let mut start = vec![0; nodes + 1];
+        for &(v, _) in pairs {
+            start[v + 1] += 1;
+        }
+        for v in 0..nodes {
+            start[v + 1] += start[v];
+        }
+        let mut next = start[..nodes].to_vec();
+        let mut items = vec![0; pairs.len()];
+        for &(v, item) in pairs {
+            items[next[v]] = item;
+            next[v] += 1;
+        }
+        Adjacency { start, items }
+    }
+
+    fn of(&self, v: usize) -> &[usize] {
+        &self.items[self.start[v]..self.start[v + 1]]
+    }
+}
+
 impl Router {
     fn new(w: &Wiring) -> Router {
-        let mut out = vec![Vec::new(); w.nodes];
-        let mut into = vec![Vec::new(); w.nodes];
         let mut first_link = HashMap::with_capacity(w.links.len());
+        let mut into = Vec::new();
         for (l, &(src, dst)) in w.links.iter().enumerate() {
-            out[src].push(l);
             first_link.entry((src, dst)).or_insert_with(|| {
-                into[dst].push(src);
+                into.push((dst, src));
                 l
             });
         }
+        let out: Vec<(usize, usize)> = w
+            .links
+            .iter()
+            .enumerate()
+            .map(|(l, &(src, _))| (src, l))
+            .collect();
         Router {
-            out,
-            into,
+            out: Adjacency::new(w.nodes, &out),
+            into: Adjacency::new(w.nodes, &into),
             first_link,
             seen: vec![0; w.nodes],
             via: vec![0; w.nodes],
@@ -371,7 +408,9 @@ impl Router {
                 break 'search (src, last);
             }
             while let Some(u) = self.queue.pop_front() {
-                let hop = self.into[dst]
+                let hop = self
+                    .into
+                    .of(dst)
                     .iter()
                     .filter_map(|&v| self.first_link.get(&(u, v)))
                     .min();
@@ -380,7 +419,7 @@ impl Router {
                     self.via[v] = l;
                     break 'search (v, self.first_link[&(v, dst)]);
                 }
-                for &l in &self.out[u] {
+                for &l in self.out.of(u) {
                     let v = w.links[l].1;
                     if self.seen[v] != self.stamp {
                         self.seen[v] = self.stamp;
