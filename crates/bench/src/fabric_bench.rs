@@ -34,7 +34,7 @@ const CHUNKS: usize = 9;
 pub const PAPER_SCALES: [(usize, u64); 3] = [(8, 512), (64, 512), (1024, 4096)];
 
 /// Ceiling on one routed 1024-device all-reduce, in µs.
-const ALLREDUCE_1024_CEILING_US: f64 = 2.5e3;
+const ALLREDUCE_1024_CEILING_US: f64 = 340.0;
 
 /// Measures one `(devices, batch)` scale; a chunk prices `reps` cells
 /// per side.
