@@ -321,10 +321,10 @@ impl Scenario {
     /// serving thread.
     pub fn validate(&self) -> Result<(), String> {
         // Flow-routed cells share this bound. At 65,536 devices (release
-        // build, 2-core host) a routed fabric builds in 0.09-1.4 s, one
-        // all-reduce over its 196,608 flows solves in 0.10-0.17 s, and
-        // the slowest cold cell through the staged engine took 8.1 s
-        // (MC-DLA(B)/GoogLeNet/model-parallel on a ring).
+        // build, 2-core host) a routed fabric builds in 0.05-0.13 s, one
+        // all-reduce over its 196,608 flows solves in 0.02-0.04 s, and
+        // the slowest of 60 cold cells through the staged engine took
+        // 1.8 s (MC-DLA(L)/GoogLeNet/model-parallel on a line).
         const MAX_DEVICES: usize = 65_536;
         const MAX_BATCH: u64 = 1 << 24;
         match self.devices {
